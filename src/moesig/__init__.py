@@ -19,10 +19,8 @@ from moesig.errors import (
     TransportError,
 )
 from moesig.routing_trace import (
-    ExpertSelection,
     QueryTrace,
     RoutingTraceSet,
-    binary_activation,
     ingest_traces,
     write_traces,
 )
@@ -76,12 +74,10 @@ __all__ = [
     "DetectorError",
     "ShadowMoeError",
     "ScenarioError",
-    "ExpertSelection",
     "QueryTrace",
     "RoutingTraceSet",
     "ingest_traces",
     "write_traces",
-    "binary_activation",
     "SpecializationProfile",
     "CollaborationMatrix",
     "SignatureBundle",

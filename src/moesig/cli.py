@@ -535,12 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["DEBUG", "INFO", "WARNING", "ERROR"],
         help="stderr log verbosity",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap for parallel stages; results are independent of it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and canonicalize a trace file")
@@ -629,8 +623,6 @@ def dispatch(argv: list[str] | None = None) -> int:
         level=getattr(logging, args.log_level),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return int(args.func(args))
     except MoesigError as exc:

@@ -9,6 +9,12 @@ one per (query, layer):
     {"query_id": "q0", "domain": "math", "layer": 0, "selected": [1, 5]}
     ...
 
+In memory a trace set is flat: one ``QueryTrace(query_id, domain,
+selections)`` per query, where ``selections[layer]`` is the sorted tuple of
+experts the query chose at that layer and ``()`` marks a layer the file did
+not record. Files and programmatic records reach that form through one
+merge-and-validate path, so every record is checked exactly once.
+
 Records carrying a ``gate_probs`` field are accepted; the field is ignored
 because all downstream signatures are built from binary activations only.
 Shared (always-active) experts are excluded from traces by convention; only
@@ -20,71 +26,33 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from moesig.errors import TraceError
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ExpertSelection:
-    """Top-k expert set chosen at one layer for one query."""
-
-    layer: int
-    selected: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.layer < 0:
-            raise TraceError(f"layer index must be >= 0, got {self.layer}")
-        if len(self.selected) == 0:
-            raise TraceError("selected expert set must be nonempty")
-        if len(set(self.selected)) != len(self.selected):
-            raise TraceError(f"duplicate expert index in selection {self.selected}")
-        object.__setattr__(self, "selected", tuple(sorted(int(i) for i in self.selected)))
-        if self.selected[0] < 0:
-            raise TraceError(f"negative expert index in selection {self.selected}")
-
-    @property
-    def k(self) -> int:
-        return len(self.selected)
-
-
-@dataclass(frozen=True)
-class QueryTrace:
+class QueryTrace(NamedTuple):
     """All per-layer selections recorded for a single query.
 
     ``domain`` is a dense 1-based index into the owning trace set's domain
-    label list.
+    label list. ``selections[layer]`` is the sorted top-k expert tuple chosen
+    at that layer, or ``()`` if the layer was not recorded.
     """
 
     query_id: str
     domain: int
-    selections: tuple[ExpertSelection, ...]
-
-    def __post_init__(self) -> None:
-        if self.domain < 1:
-            raise TraceError(f"domain index must be >= 1, got {self.domain}")
-        layers = [s.layer for s in self.selections]
-        if len(set(layers)) != len(layers):
-            raise TraceError(f"query {self.query_id!r} has multiple selections for one layer")
-        object.__setattr__(
-            self, "selections", tuple(sorted(self.selections, key=lambda s: s.layer))
-        )
-
-    def selection_at(self, layer: int) -> ExpertSelection:
-        for sel in self.selections:
-            if sel.layer == layer:
-                return sel
-        raise TraceError(f"query {self.query_id!r} has no selection at layer {layer}")
-
-    def has_layer(self, layer: int) -> bool:
-        return any(sel.layer == layer for sel in self.selections)
+    selections: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class RoutingTraceSet:
-    """Validated, immutable collection of query traces for one model."""
+    """Validated, immutable collection of query traces for one model.
+
+    Built by :func:`build_trace_set` or :func:`ingest_traces`, which do all
+    validation; the constructor itself checks nothing.
+    """
 
     model_id: str
     num_layers: int
@@ -92,41 +60,6 @@ class RoutingTraceSet:
     domains: tuple[str, ...]
     traces: tuple[QueryTrace, ...]
     meta: Mapping[str, object] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "experts_per_layer", tuple(int(e) for e in self.experts_per_layer))
-        object.__setattr__(self, "domains", tuple(self.domains))
-        object.__setattr__(self, "traces", tuple(self.traces))
-        if self.num_layers < 1:
-            raise TraceError(f"num_layers must be >= 1, got {self.num_layers}")
-        if len(self.experts_per_layer) != self.num_layers:
-            raise TraceError(
-                f"experts_per_layer has {len(self.experts_per_layer)} entries "
-                f"for {self.num_layers} layers"
-            )
-        if any(e < 1 for e in self.experts_per_layer):
-            raise TraceError("every layer must have at least one expert")
-        if len(set(self.domains)) != len(self.domains):
-            raise TraceError("domain labels must be unique")
-        d_max = len(self.domains)
-        for trace in self.traces:
-            if trace.domain > d_max:
-                raise TraceError(
-                    f"query {trace.query_id!r} has domain index {trace.domain} "
-                    f"but only {d_max} domains are declared"
-                )
-            for sel in trace.selections:
-                if sel.layer >= self.num_layers:
-                    raise TraceError(
-                        f"query {trace.query_id!r} selects at layer {sel.layer} "
-                        f"but model has {self.num_layers} layers"
-                    )
-                limit = self.experts_per_layer[sel.layer]
-                if sel.selected[-1] >= limit:
-                    raise TraceError(
-                        f"query {trace.query_id!r} layer {sel.layer}: expert index "
-                        f"{sel.selected[-1]} out of range (valid 0..{limit - 1})"
-                    )
 
     @property
     def num_queries(self) -> int:
@@ -143,150 +76,176 @@ class RoutingTraceSet:
         return self.domains[domain - 1]
 
 
-def binary_activation(trace: QueryTrace, layer: int, expert: int) -> int:
-    """1 if ``expert`` is in the query's top-k set at ``layer``, else 0."""
-    sel = trace.selection_at(layer)
-    return 1 if expert in sel.selected else 0
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _at(lineno: int | None) -> str:
+    return "" if lineno is None else f"line {lineno}: "
+
+
+def _check_shape(
+    num_layers: int, experts_per_layer: Sequence[int], domains: Sequence[str], where: str
+) -> None:
+    if num_layers < 1:
+        raise TraceError(f"{where}num_layers must be >= 1, got {num_layers}")
+    if len(experts_per_layer) != num_layers:
+        raise TraceError(
+            f"{where}experts_per_layer has {len(experts_per_layer)} entries "
+            f"for {num_layers} layers"
+        )
+    if any(e < 1 for e in experts_per_layer):
+        raise TraceError(f"{where}every layer must have at least one expert")
+    if len(set(domains)) != len(domains):
+        raise TraceError(f"{where}domain labels must be unique")
+
+
+def _merge(
+    records: Iterable[tuple[str, int, int, Sequence[int], int | None]],
+    num_layers: int,
+    experts_per_layer: Sequence[int],
+) -> tuple[QueryTrace, ...]:
+    """Validate (query_id, domain, layer, selected, lineno) records and merge them by query id.
+
+    Queries keep first-occurrence order. ``lineno`` is the record's line in
+    a trace file, or None for programmatic records; it prefixes every
+    diagnostic as ``line N: ``.
+    """
+    merged: dict[str, tuple[int, list[tuple[int, ...]]]] = {}
+    for qid, dom, layer, selected, lineno in records:
+        if not 0 <= layer < num_layers:
+            raise TraceError(
+                f"{_at(lineno)}layer {layer} out of range (model has {num_layers} layers)"
+            )
+        selected = tuple(sorted(selected))
+        if not selected:
+            raise TraceError(f"{_at(lineno)}selected expert set must be nonempty")
+        if len(set(selected)) != len(selected):
+            raise TraceError(f"{_at(lineno)}duplicate expert index in selected {selected}")
+        limit = experts_per_layer[layer]
+        if selected[0] < 0 or selected[-1] >= limit:
+            bad = selected[0] if selected[0] < 0 else selected[-1]
+            raise TraceError(
+                f"{_at(lineno)}expert index {bad} out of range at layer {layer} "
+                f"(valid 0..{limit - 1})"
+            )
+        entry = merged.get(qid)
+        if entry is None:
+            entry = merged[qid] = (dom, [()] * num_layers)
+        elif entry[0] != dom:
+            raise TraceError(
+                f"{_at(lineno)}query {qid!r} re-appears with a different domain label"
+            )
+        if entry[1][layer]:
+            raise TraceError(f"{_at(lineno)}duplicate (query_id={qid!r}, layer={layer}) record")
+        entry[1][layer] = selected
+    return tuple(QueryTrace(qid, dom, tuple(layers)) for qid, (dom, layers) in merged.items())
 
 
 def _parse_header(line: str, lineno: int) -> dict:
+    """Decode and fully validate the header line before any record is read."""
+    where = _at(lineno)
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise TraceError(f"line {lineno}: header is not valid JSON: {exc}") from None
+        raise TraceError(f"{where}header is not valid JSON: {exc}") from None
     if not isinstance(header, dict) or "schema_version" not in header:
-        raise TraceError(f"line {lineno}: first line must be a header with a schema_version field")
-    if header["schema_version"] != SCHEMA_VERSION:
+        raise TraceError(f"{where}first line must be a header with a schema_version field")
+    version = header["schema_version"]
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise TraceError(
-            f"line {lineno}: unsupported schema_version {header['schema_version']!r} "
-            f"(supported: {SCHEMA_VERSION})"
+            f"{where}unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"
         )
     for key in ("model_id", "num_layers", "experts_per_layer"):
         if key not in header:
-            raise TraceError(f"line {lineno}: header is missing required field {key!r}")
+            raise TraceError(f"{where}header is missing required field {key!r}")
+    if not isinstance(header["model_id"], str):
+        raise TraceError(f"{where}header model_id must be a string")
+    num_layers = header["num_layers"]
+    if not _is_int(num_layers):
+        raise TraceError(f"{where}header num_layers must be an integer, got {num_layers!r}")
+    experts = header["experts_per_layer"]
+    if not isinstance(experts, list) or not all(_is_int(e) for e in experts):
+        raise TraceError(f"{where}header experts_per_layer must be a list of integers")
+    domains = header.get("domains")
+    if domains is not None and (
+        not isinstance(domains, list) or not all(isinstance(d, str) for d in domains)
+    ):
+        raise TraceError(f"{where}header domains must be a list of strings")
+    if not isinstance(header.get("meta", {}), dict):
+        raise TraceError(f"{where}header meta must be a JSON object")
+    _check_shape(num_layers, experts, domains or [], f"{where}header ")
     return header
 
 
-def _parse_record(line: str, lineno: int) -> dict:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"line {lineno}: malformed record: {exc}") from None
-    if not isinstance(rec, dict):
-        raise TraceError(f"line {lineno}: record must be a JSON object")
-    for key in ("query_id", "domain", "layer", "selected"):
-        if key not in rec:
-            raise TraceError(f"line {lineno}: record is missing required field {key!r}")
-    if not isinstance(rec["query_id"], str) or not isinstance(rec["domain"], str):
-        raise TraceError(f"line {lineno}: query_id and domain must be strings")
-    if not isinstance(rec["layer"], int) or isinstance(rec["layer"], bool):
-        raise TraceError(f"line {lineno}: layer must be an integer")
-    sel = rec["selected"]
-    if (
-        not isinstance(sel, list)
-        or len(sel) == 0
-        or any(not isinstance(i, int) or isinstance(i, bool) for i in sel)
-    ):
-        raise TraceError(f"line {lineno}: selected must be a nonempty list of integers")
-    return rec
+def _file_records(
+    lines: Iterator[tuple[int, str]], domain_index: dict[str, int], declared: bool
+) -> Iterator[tuple[str, int, int, list[int], int]]:
+    """Decode record lines, check field types and map domain labels to indices.
+
+    Without declared domains, new labels are numbered in first-occurrence
+    order by adding them to ``domain_index``.
+    """
+    for lineno, line in lines:
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"line {lineno}: malformed record: {exc}") from None
+        if not isinstance(rec, dict):
+            raise TraceError(f"line {lineno}: record must be a JSON object")
+        for key in ("query_id", "domain", "layer", "selected"):
+            if key not in rec:
+                raise TraceError(f"line {lineno}: record is missing required field {key!r}")
+        qid, label, layer, selected = rec["query_id"], rec["domain"], rec["layer"], rec["selected"]
+        if not isinstance(qid, str) or not isinstance(label, str):
+            raise TraceError(f"line {lineno}: query_id and domain must be strings")
+        if not _is_int(layer):
+            raise TraceError(f"line {lineno}: layer must be an integer")
+        if not isinstance(selected, list) or not all(map(_is_int, selected)):
+            raise TraceError(f"line {lineno}: selected must be a list of integers")
+        dom = domain_index.get(label)
+        if dom is None:
+            if declared:
+                raise TraceError(
+                    f"line {lineno}: unknown domain label {label!r} "
+                    f"(declared: {list(domain_index)})"
+                )
+            dom = domain_index[label] = len(domain_index) + 1
+        yield qid, dom, layer, selected, lineno
 
 
-def ingest_traces(path: str | Path, schema: int = SCHEMA_VERSION) -> RoutingTraceSet:
+def ingest_traces(path: str | Path) -> RoutingTraceSet:
     """Read and validate a trace file into a RoutingTraceSet.
 
     Records sharing a query_id are merged into one QueryTrace. If the header
     declares ``domains``, labels outside that list are rejected; otherwise
     the label-to-index mapping follows first occurrence order.
     """
-    if schema != SCHEMA_VERSION:
-        raise TraceError(f"unsupported schema version {schema!r}")
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
-
-    header: dict | None = None
-    declared_domains: list[str] | None = None
-    domain_index: dict[str, int] = {}
-    # query_id -> (domain index, {layer: selected}, first line)
-    queries: dict[str, tuple[int, dict[int, tuple[int, ...]], int]] = {}
-    order: list[str] = []
-
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if header is None:
-                header = _parse_header(line, lineno)
-                if "domains" in header and header["domains"] is not None:
-                    declared_domains = [str(d) for d in header["domains"]]
-                    if len(set(declared_domains)) != len(declared_domains):
-                        raise TraceError(f"line {lineno}: header declares duplicate domain labels")
-                    domain_index = {lab: i + 1 for i, lab in enumerate(declared_domains)}
-                continue
-
-            rec = _parse_record(line, lineno)
-            label = rec["domain"]
-            if label in domain_index:
-                dom = domain_index[label]
-            elif declared_domains is None:
-                domain_index[label] = dom = len(domain_index) + 1
-            else:
-                raise TraceError(
-                    f"line {lineno}: unknown domain label {label!r} "
-                    f"(declared: {declared_domains})"
-                )
-
-            layer = rec["layer"]
-            num_layers = int(header["num_layers"])
-            if not 0 <= layer < num_layers:
-                raise TraceError(
-                    f"line {lineno}: layer {layer} out of range (model has {num_layers} layers)"
-                )
-            limit = int(header["experts_per_layer"][layer])
-            selected = tuple(sorted(rec["selected"]))
-            if len(set(selected)) != len(selected):
-                raise TraceError(f"line {lineno}: duplicate expert index in selected")
-            if selected[0] < 0 or selected[-1] >= limit:
-                bad = selected[0] if selected[0] < 0 else selected[-1]
-                raise TraceError(
-                    f"line {lineno}: expert index {bad} out of range at layer {layer} "
-                    f"(valid 0..{limit - 1})"
-                )
-
-            qid = rec["query_id"]
-            if qid not in queries:
-                queries[qid] = (dom, {}, lineno)
-                order.append(qid)
-            prev_dom, layers_seen, _first = queries[qid]
-            if prev_dom != dom:
-                raise TraceError(
-                    f"line {lineno}: query {qid!r} re-appears with a different domain label"
-                )
-            if layer in layers_seen:
-                raise TraceError(f"line {lineno}: duplicate (query_id={qid!r}, layer={layer}) record")
-            layers_seen[layer] = selected
-
-    if header is None:
-        raise TraceError(f"trace file {path} is empty (missing header line)")
-
-    domains = declared_domains if declared_domains is not None else list(domain_index)
-    traces = tuple(
-        QueryTrace(
-            query_id=qid,
-            domain=queries[qid][0],
-            selections=tuple(
-                ExpertSelection(layer=layer, selected=sel)
-                for layer, sel in sorted(queries[qid][1].items())
-            ),
-        )
-        for qid in order
-    )
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = ((n, raw.strip()) for n, raw in enumerate(fh, start=1))
+            lines = ((n, line) for n, line in lines if line)
+            first = next(lines, None)
+            if first is None:
+                raise TraceError(f"trace file {path} is empty (missing header line)")
+            header = _parse_header(first[1], first[0])
+            declared = header.get("domains")
+            domain_index = {label: i + 1 for i, label in enumerate(declared or [])}
+            traces = _merge(
+                _file_records(lines, domain_index, declared is not None),
+                header["num_layers"],
+                header["experts_per_layer"],
+            )
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"trace file {path} is not UTF-8 text: {exc}") from None
     return RoutingTraceSet(
-        model_id=str(header["model_id"]),
-        num_layers=int(header["num_layers"]),
-        experts_per_layer=tuple(int(e) for e in header["experts_per_layer"]),
-        domains=tuple(domains),
+        model_id=header["model_id"],
+        num_layers=header["num_layers"],
+        experts_per_layer=tuple(header["experts_per_layer"]),
+        domains=tuple(domain_index),
         traces=traces,
         meta=dict(header.get("meta", {})),
     )
@@ -295,7 +254,7 @@ def ingest_traces(path: str | Path, schema: int = SCHEMA_VERSION) -> RoutingTrac
 def write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
     """Write a trace set in the canonical line-delimited format.
 
-    Output is byte-deterministic: header first, then one record per
+    Output is byte-deterministic: header first, then one record per recorded
     (query, layer) in trace order with layers ascending, sorted expert
     indices, and compact JSON separators.
     """
@@ -313,12 +272,14 @@ def write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
         fh.write(json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n")
         for trace in trace_set.traces:
             label = trace_set.domain_label(trace.domain)
-            for sel in trace.selections:
+            for layer, selected in enumerate(trace.selections):
+                if not selected:
+                    continue
                 rec = {
                     "query_id": trace.query_id,
                     "domain": label,
-                    "layer": sel.layer,
-                    "selected": list(sel.selected),
+                    "layer": layer,
+                    "selected": list(selected),
                 }
                 fh.write(json.dumps(rec, separators=(",", ":"), ensure_ascii=False) + "\n")
 
@@ -333,37 +294,29 @@ def build_trace_set(
 ) -> RoutingTraceSet:
     """Assemble a RoutingTraceSet from (query_id, domain, layer, selected) tuples.
 
-    Convenience constructor used by the trace exporters and the synthetic
-    generator; applies the same merge-by-query-id rule as ingestion.
+    ``domain`` is a 1-based index into ``domains``. Used by the trace
+    exporters and the synthetic generator; records are merged and validated
+    by the same path as file ingestion.
     """
-    queries: dict[str, tuple[int, dict[int, tuple[int, ...]]]] = {}
-    order: list[str] = []
-    for qid, dom, layer, selected in records:
-        if qid not in queries:
-            queries[qid] = (dom, {})
-            order.append(qid)
-        prev_dom, layers_seen = queries[qid]
-        if prev_dom != dom:
-            raise TraceError(f"query {qid!r} recorded with two different domains")
-        if layer in layers_seen:
-            raise TraceError(f"duplicate (query_id={qid!r}, layer={layer}) record")
-        layers_seen[layer] = tuple(selected)
-    traces = tuple(
-        QueryTrace(
-            query_id=qid,
-            domain=queries[qid][0],
-            selections=tuple(
-                ExpertSelection(layer=layer, selected=sel)
-                for layer, sel in sorted(queries[qid][1].items())
-            ),
-        )
-        for qid in order
+    experts = tuple(int(e) for e in experts_per_layer)
+    domains = tuple(domains)
+    _check_shape(num_layers, experts, domains, "")
+    traces = _merge(
+        ((qid, dom, layer, selected, None) for qid, dom, layer, selected in records),
+        num_layers,
+        experts,
     )
+    for trace in traces:
+        if not 1 <= trace.domain <= len(domains):
+            raise TraceError(
+                f"query {trace.query_id!r} has domain index {trace.domain} "
+                f"but {len(domains)} domains are declared"
+            )
     return RoutingTraceSet(
         model_id=model_id,
         num_layers=num_layers,
-        experts_per_layer=tuple(experts_per_layer),
-        domains=tuple(domains),
+        experts_per_layer=experts,
+        domains=domains,
         traces=traces,
         meta=dict(meta or {}),
     )

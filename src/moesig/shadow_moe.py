@@ -494,29 +494,49 @@ def write_queries(queries: QuerySet, path: str | Path, meta: dict | None = None)
 
 
 def read_queries(path: str | Path) -> QuerySet:
+    """Read a query-set file written by :func:`write_queries`.
+
+    A malformed line, or a record whose fields are missing or of the wrong
+    type, raises ShadowMoeError naming its line.
+    """
     path = Path(path)
     ids, xs, labels = [], [], []
-    header = None
+    input_dim = None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            if header is None:
-                if doc.get("kind") != "query-set":
-                    raise ShadowMoeError(f"{path}: line {lineno}: expected a query-set header")
-                header = doc
+            where = f"{path}: line {lineno}"
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ShadowMoeError(f"{where}: malformed JSON: {exc}") from None
+            if not isinstance(doc, dict):
+                raise ShadowMoeError(f"{where}: expected a JSON object")
+            if input_dim is None:
+                input_dim = doc.get("input_dim")
+                if doc.get("kind") != "query-set" or not isinstance(input_dim, int) or input_dim < 1:
+                    raise ShadowMoeError(f"{where}: expected a query-set header with an input_dim")
                 continue
+            missing = [key for key in ("query_id", "domain", "x") if key not in doc]
+            if missing:
+                raise ShadowMoeError(f"{where}: query record is missing field(s) {missing}")
+            x = doc["x"]
+            if not isinstance(doc["query_id"], str) or not isinstance(doc["domain"], str):
+                raise ShadowMoeError(f"{where}: query_id and domain must be strings")
+            if (
+                not isinstance(x, list)
+                or len(x) != input_dim
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
+            ):
+                raise ShadowMoeError(f"{where}: x must be a list of {input_dim} numbers")
             ids.append(doc["query_id"])
-            xs.append(doc["x"])
+            xs.append(x)
             labels.append(doc["domain"])
-    if header is None or not ids:
+    if not ids:
         raise ShadowMoeError(f"{path}: empty query file")
-    inputs = np.asarray(xs, dtype=np.float64)
-    if inputs.shape[1] != int(header["input_dim"]):
-        raise ShadowMoeError(f"{path}: input_dim mismatch with header")
-    return QuerySet(query_ids=tuple(ids), inputs=inputs, domains=tuple(labels))
+    return QuerySet(query_ids=tuple(ids), inputs=np.asarray(xs, dtype=np.float64), domains=tuple(labels))
 
 
 def mlp_oracle(

@@ -1,8 +1,11 @@
 """Expert specialization profiles and expert collaboration matrices.
 
-Both signatures are built from binary top-k activations. Counts are
-accumulated in exact integer arithmetic and divided once at the end, so
-results are bitwise deterministic regardless of trace order or parallelism.
+Both signatures are built from the binary (queries x experts) top-k
+activation matrix A of one layer: specialization counts are A^T times the
+one-hot domain matrix, collaboration counts are A^T A off the diagonal.
+Every count is an integer, exact in float64 below 2**53, and is divided
+once at the end, so results are bitwise deterministic regardless of trace
+order or parallelism.
 
 Specialization: the selection frequency of expert i on domain d, divided by
 the mean active-expert count of that domain, so every domain column is a
@@ -18,6 +21,7 @@ falls back to the specialization distance alone.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +53,11 @@ class SpecializationProfile:
     domain_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if self.matrix.ndim != 2:
+            raise SignatureError("profile matrix must be two-dimensional")
         e, d = self.matrix.shape
-        if d != len(self.domain_labels) or d != len(self.kappa_per_domain) or d != len(self.counts):
+        axes = (len(self.domain_labels),), np.shape(self.kappa_per_domain), np.shape(self.counts)
+        if any(axis != (d,) for axis in axes):
             raise SignatureError("profile domain axis is inconsistent")
         if e < 1:
             raise SignatureError("profile needs at least one expert")
@@ -79,8 +86,7 @@ class CollaborationMatrix:
     zero_mass: bool = False
 
     def __post_init__(self) -> None:
-        e1, e2 = self.matrix.shape
-        if e1 != e2:
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise SignatureError("collaboration matrix must be square")
 
     @property
@@ -95,17 +101,30 @@ class SignatureBundle(NamedTuple):
     collab: CollaborationMatrix
 
 
-def _check_layer(traces: RoutingTraceSet, layer: int) -> None:
+def _activations(traces: RoutingTraceSet, layer: int) -> np.ndarray:
+    """Binary (n, E) activation matrix at ``layer``: row q marks query q's top-k set.
+
+    Stored as float64 so the count products below run in BLAS; every count
+    is an integer below 2**53, so the products are exact.
+    """
     if not 0 <= layer < traces.num_layers:
         raise SignatureError(
             f"layer {layer} out of range (model {traces.model_id!r} has "
             f"{traces.num_layers} layers)"
         )
-    for trace in traces.traces:
-        if not trace.has_layer(layer):
-            raise SignatureError(
-                f"query {trace.query_id!r} has no selection at layer {layer}"
-            )
+    if traces.num_queries == 0:
+        raise SignatureError("trace set is empty")
+    selected = [trace.selections[layer] for trace in traces.traces]
+    ks = np.fromiter(map(len, selected), dtype=np.intp, count=len(selected))
+    missing = np.flatnonzero(ks == 0)
+    if missing.size:
+        raise SignatureError(
+            f"query {traces.traces[missing[0]].query_id!r} has no selection at layer {layer}"
+        )
+    acts = np.zeros((len(selected), traces.experts_per_layer[layer]), dtype=np.float64)
+    rows = np.repeat(np.arange(len(selected)), ks)
+    acts[rows, np.fromiter(itertools.chain.from_iterable(selected), np.intp, rows.size)] = 1.0
+    return acts
 
 
 def compute_specialization(
@@ -120,21 +139,15 @@ def compute_specialization(
     all declared domains with at least one query are included, in
     declaration order.
     """
-    _check_layer(traces, layer)
-    if traces.num_queries == 0:
-        raise SignatureError("trace set is empty")
-
-    num_experts = traces.experts_per_layer[layer]
+    acts = _activations(traces, layer)
     num_declared = len(traces.domains)
-    sel_counts = np.zeros((num_experts, num_declared), dtype=np.int64)
-    k_totals = np.zeros(num_declared, dtype=np.int64)
-    n_d = np.zeros(num_declared, dtype=np.int64)
-    for trace in traces.traces:
-        sel = trace.selection_at(layer)
-        d = trace.domain - 1
-        sel_counts[list(sel.selected), d] += 1
-        k_totals[d] += sel.k
-        n_d[d] += 1
+    onehot = np.zeros((traces.num_queries, num_declared), dtype=np.float64)
+    onehot[np.arange(traces.num_queries), [trace.domain - 1 for trace in traces.traces]] = 1.0
+    # sel_counts = A^T onehot(domain); each query contributes k ones, so the
+    # column sums are the per-domain k totals
+    sel_counts = (acts.T @ onehot).astype(np.int64)
+    k_totals = sel_counts.sum(axis=0)
+    n_d = onehot.sum(axis=0).astype(np.int64)
 
     if domains is not None:
         missing = [lab for lab in domains if lab not in traces.domains]
@@ -147,8 +160,6 @@ def compute_specialization(
         labels = tuple(domains)
     else:
         idx = [i for i in range(num_declared) if n_d[i] > 0]
-        if not idx:
-            raise SignatureError("no domain has any queries")
         labels = tuple(traces.domains[i] for i in idx)
 
     sel_counts = sel_counts[:, idx]
@@ -172,21 +183,13 @@ def compute_collaboration(traces: RoutingTraceSet, layer: int) -> CollaborationM
     If every query selects a single expert there is no co-activation mass;
     the result is all-zero with ``zero_mass=True`` rather than an error.
     """
-    _check_layer(traces, layer)
-    if traces.num_queries == 0:
-        raise SignatureError("trace set is empty")
-
-    num_experts = traces.experts_per_layer[layer]
-    pair_counts = np.zeros((num_experts, num_experts), dtype=np.int64)
-    pair_total = 0
-    for trace in traces.traces:
-        sel = trace.selection_at(layer)
-        ids = list(sel.selected)
-        pair_counts[np.ix_(ids, ids)] += 1
-        pair_total += sel.k * (sel.k - 1)
+    acts = _activations(traces, layer)
+    num_experts = acts.shape[1]
+    # pair_counts = A^T A off the diagonal; the diagonal holds per-expert counts
+    pair_counts = (acts.T @ acts).astype(np.int64)
     np.fill_diagonal(pair_counts, 0)
+    pair_total = int(pair_counts.sum())
 
-    n = traces.num_queries
     if pair_total == 0:
         return CollaborationMatrix(
             layer=layer,
@@ -199,7 +202,7 @@ def compute_collaboration(traces: RoutingTraceSet, layer: int) -> CollaborationM
     return CollaborationMatrix(
         layer=layer,
         matrix=matrix,
-        pair_normalizer=pair_total / n,
+        pair_normalizer=pair_total / traces.num_queries,
         zero_mass=False,
     )
 
@@ -229,8 +232,6 @@ def signature_bundle(
     The default policy is the last layer, where routing carries the most
     model-specific signal; first and median exist for layer ablations.
     """
-    if traces.num_queries == 0:
-        raise SignatureError("trace set is empty")
     layer = resolve_layer(layer_policy, traces.num_layers)
     return SignatureBundle(
         spec=compute_specialization(traces, layer, domains=domains),
@@ -265,24 +266,42 @@ def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = N
 
 
 def load_bundle(path: str | Path) -> SignatureBundle:
-    """Load a signature bundle written by :func:`save_bundle`."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
+    """Load a signature bundle written by :func:`save_bundle`.
+
+    Invalid JSON, a missing field or matrices whose shapes disagree raise
+    SignatureError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SignatureError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
         raise SignatureError(f"{path}: not a version-1 signature file")
-    layer = int(doc["layer"])
-    spec = SpecializationProfile(
-        layer=layer,
-        matrix=np.asarray(doc["specialization"]["matrix"], dtype=np.float64),
-        kappa_per_domain=np.asarray(doc["specialization"]["kappa_per_domain"], dtype=np.float64),
-        counts=np.asarray(doc["specialization"]["counts"], dtype=np.int64),
-        domain_labels=tuple(doc["domains"]),
-    )
-    collab = CollaborationMatrix(
-        layer=layer,
-        matrix=np.asarray(doc["collaboration"]["matrix"], dtype=np.float64),
-        pair_normalizer=float(doc["collaboration"]["pair_normalizer"]),
-        zero_mass=bool(doc["collaboration"]["zero_mass"]),
-    )
+    try:
+        layer = int(doc["layer"])
+        spec_doc, collab_doc = doc["specialization"], doc["collaboration"]
+        spec = SpecializationProfile(
+            layer=layer,
+            matrix=np.asarray(spec_doc["matrix"], dtype=np.float64),
+            kappa_per_domain=np.asarray(spec_doc["kappa_per_domain"], dtype=np.float64),
+            counts=np.asarray(spec_doc["counts"], dtype=np.int64),
+            domain_labels=tuple(doc["domains"]),
+        )
+        collab = CollaborationMatrix(
+            layer=layer,
+            matrix=np.asarray(collab_doc["matrix"], dtype=np.float64),
+            pair_normalizer=float(collab_doc["pair_normalizer"]),
+            zero_mass=bool(collab_doc["zero_mass"]),
+        )
+    except KeyError as exc:
+        raise SignatureError(f"{path}: signature file is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise SignatureError(f"{path}: malformed signature file: {exc}") from None
+    if collab.num_experts != spec.num_experts:
+        raise SignatureError(
+            f"{path}: collaboration matrix has {collab.num_experts} experts, "
+            f"specialization profile has {spec.num_experts}"
+        )
     return SignatureBundle(spec=spec, collab=collab)
 
 

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from moesig.routing_trace import RoutingTraceSet, binary_activation
+from moesig.routing_trace import RoutingTraceSet
 
 
 def naive_specialization(traces: RoutingTraceSet, layer: int):
@@ -34,8 +34,8 @@ def naive_specialization(traces: RoutingTraceSet, layer: int):
         sel_count = [0] * num_experts
         for t in members:
             for i in range(num_experts):
-                sel_count[i] += binary_activation(t, layer, i)
-        k_total = sum(t.selection_at(layer).k for t in members)
+                sel_count[i] += 1 if i in t.selections[layer] else 0
+        k_total = sum(len(t.selections[layer]) for t in members)
         s_bin_cols.append([c / n_d for c in sel_count])
         kappa_list.append(k_total / n_d)
         s_bar_cols.append([c / k_total for c in sel_count])
@@ -52,7 +52,7 @@ def naive_collaboration(traces: RoutingTraceSet, layer: int):
     pair_count = [[0] * num_experts for _ in range(num_experts)]
     pair_total = 0
     for t in traces.traces:
-        sel = t.selection_at(layer).selected
+        sel = t.selections[layer]
         for i in sel:
             for j in sel:
                 if i != j:

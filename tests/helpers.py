@@ -62,13 +62,13 @@ def relabel_traces(traces: RoutingTraceSet, mapping: tuple[int, ...]) -> Routing
     """Apply an expert relabeling i -> mapping[i] to every selection."""
     records = []
     for trace in traces.traces:
-        for sel in trace.selections:
+        for layer, selected in enumerate(trace.selections):
             records.append(
                 (
                     trace.query_id,
                     trace.domain,
-                    sel.layer,
-                    tuple(sorted(mapping[i] for i in sel.selected)),
+                    layer,
+                    tuple(sorted(mapping[i] for i in selected)),
                 )
             )
     return build_trace_set(

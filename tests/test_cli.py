@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 
 import pytest
 
@@ -41,6 +42,87 @@ class TestDispatchBasics:
             ["ingest", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+
+def error_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+TWO_LAYER_HEADER = {
+    "schema_version": 1,
+    "model_id": "m",
+    "num_layers": 2,
+    "experts_per_layer": [4, 4],
+    "domains": ["math"],
+}
+
+
+class TestMalformedInput:
+    """Each malformed input file gives exit 1 and a one-line diagnostic."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"experts_per_layer": [4]},
+            {"experts_per_layer": 4},
+            {"experts_per_layer": [4, "four"]},
+            {"num_layers": "two"},
+            {"domains": 5},
+            {"meta": 5},
+        ],
+        ids=["short-experts", "experts-not-list", "expert-not-int", "layers-not-int",
+             "domains-not-list", "meta-not-object"],
+    )
+    def test_bad_trace_header(self, tmp_path, caplog, change):
+        path = tmp_path / "t.jsonl"
+        records = [
+            {"query_id": "a", "domain": "math", "layer": layer, "selected": [0, 1]}
+            for layer in (0, 1)
+        ]
+        lines = [json.dumps({**TWO_LAYER_HEADER, **change})] + [json.dumps(r) for r in records]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = dispatch(["ingest", "--input", str(path), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        (message,) = error_lines(caplog)
+        assert message.startswith("line 1: header") and "\n" not in message
+
+    def test_signature_file_missing_field(self, tmp_path, caplog):
+        src = tmp_path / "t.jsonl"
+        simple_trace_file(src)
+        sig = tmp_path / "sig.json"
+        assert dispatch(["profile", "--input", str(src), "--out", str(sig)]) == 0
+        doc = json.loads(sig.read_text())
+        del doc["specialization"]
+        sig.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "d.json"
+        code = dispatch(["distance", "--teacher", str(sig), "--student", str(sig), "--out", str(out)])
+        assert code == 1
+        (message,) = error_lines(caplog)
+        assert "specialization" in message and "\n" not in message
+
+    def test_query_without_domain(self, tmp_path, caplog):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(
+            '{"schema_version":1,"kind":"query-set","input_dim":2}\n'
+            '{"query_id":"q0","x":[0.0,1.0]}\n',
+            encoding="utf-8",
+        )
+        oracle = tmp_path / "oracle.json"
+        write_json(oracle, {"kind": "linear", "seed": 2})
+        cfg = tmp_path / "proxy.json"
+        write_json(cfg, dict(num_layers=1, experts_per_layer=4, top_k=2, input_dim=2, output_dim=1))
+        code = dispatch(
+            [
+                "train-proxy",
+                "--oracle", str(oracle),
+                "--queries", str(queries),
+                "--config", str(cfg),
+                "--out", str(tmp_path / "m.bin"),
+            ]
+        )
+        assert code == 1
+        (message,) = error_lines(caplog)
+        assert "line 2" in message and "domain" in message and "\n" not in message
 
 
 class TestIngest:

@@ -148,7 +148,7 @@ class TestRunBenchmark:
             out = []
             local = np.random.default_rng(flips)
             for trace in base.traces:
-                sel = trace.selection_at(0).selected
+                sel = trace.selections[0]
                 if local.random() < 0.3:
                     sel = tuple(
                         int(i) for i in local.choice(num_experts, size=len(sel), replace=False)

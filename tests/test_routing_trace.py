@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moesig.errors import TraceError
+from moesig.errors import SignatureError, TraceError
 from moesig.routing_trace import (
-    ExpertSelection,
-    QueryTrace,
-    binary_activation,
     build_trace_set,
     ingest_traces,
     write_traces,
 )
+from moesig.signatures import compute_specialization
 
 from helpers import random_trace_set
 
@@ -49,7 +47,7 @@ def test_ingest_two_queries_single_layer(tmp_path):
     assert ts.num_layers == 1
     assert ts.experts_per_layer == (4,)
     assert ts.domains == ("math", "code")
-    assert ts.traces[0].selection_at(0).selected == (0, 1)
+    assert ts.traces[0].selections[0] == (0, 1)
     assert ts.domain_counts() == [1, 1]
 
 
@@ -101,9 +99,6 @@ def test_unsupported_schema_version(tmp_path):
     write_lines(path, {**HEADER, "schema_version": 2}, [])
     with pytest.raises(TraceError, match="unsupported schema_version"):
         ingest_traces(path)
-    write_lines(path, HEADER, [])
-    with pytest.raises(TraceError, match="unsupported schema"):
-        ingest_traces(path, schema=9)
 
 
 def test_missing_header(tmp_path):
@@ -126,6 +121,13 @@ def test_empty_file(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(TraceError, match="not found"):
         ingest_traces(tmp_path / "nope.jsonl")
+
+
+def test_non_utf8_file(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(json.dumps(HEADER).encode() + b"\n\xff\xfe\n")
+    with pytest.raises(TraceError, match="not UTF-8"):
+        ingest_traces(path)
 
 
 def test_duplicate_expert_in_selected(tmp_path):
@@ -183,36 +185,37 @@ def test_gate_probs_field_accepted_and_ignored(tmp_path):
         ],
     )
     ts = ingest_traces(path)
-    assert ts.traces[0].selection_at(0).selected == (0, 1)
+    assert ts.traces[0].selections[0] == (0, 1)
 
 
 def test_binary_activation_membership():
-    trace = QueryTrace(
-        query_id="a", domain=1, selections=(ExpertSelection(layer=0, selected=(0, 1)),)
-    )
-    assert binary_activation(trace, 0, 0) == 1
-    assert binary_activation(trace, 0, 3) == 0
-    assert sum(binary_activation(trace, 0, i) for i in range(4)) == trace.selection_at(0).k
+    trace = build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (1, 0))]).traces[0]
+    assert 0 in trace.selections[0]
+    assert 3 not in trace.selections[0]
+    assert sum(i in trace.selections[0] for i in range(4)) == len(trace.selections[0])
 
 
-def test_binary_activation_missing_layer():
-    trace = QueryTrace(
-        query_id="a", domain=1, selections=(ExpertSelection(layer=0, selected=(0,)),)
-    )
-    with pytest.raises(TraceError, match="no selection at layer 2"):
-        binary_activation(trace, 2, 0)
+def test_binary_activation_missing_layer(tmp_path):
+    ts = build_trace_set("m", 3, (4, 4, 4), ("d1",), [("a", 1, 0, (0,)), ("a", 1, 2, (1,))])
+    assert ts.traces[0].selections == ((0,), (), (1,))
+    with pytest.raises(SignatureError, match="no selection at layer 1"):
+        compute_specialization(ts, 1)
+    path = tmp_path / "t.jsonl"
+    write_traces(ts, path)
+    assert len(path.read_text().splitlines()) == 3  # header + the two recorded layers
+    assert ingest_traces(path) == ts
 
 
 def test_expert_selection_validation():
-    with pytest.raises(TraceError):
-        ExpertSelection(layer=0, selected=())
-    with pytest.raises(TraceError):
-        ExpertSelection(layer=0, selected=(1, 1))
-    with pytest.raises(TraceError):
-        ExpertSelection(layer=0, selected=(-1,))
-    sel = ExpertSelection(layer=0, selected=(3, 1, 2))
-    assert sel.selected == (1, 2, 3)
-    assert sel.k == 3
+    with pytest.raises(TraceError, match="nonempty"):
+        build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, ())])
+    with pytest.raises(TraceError, match="duplicate expert"):
+        build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (1, 1))])
+    with pytest.raises(TraceError, match="out of range"):
+        build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (-1,))])
+    sel = build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (3, 1, 2))]).traces[0].selections[0]
+    assert sel == (1, 2, 3)
+    assert len(sel) == 3
 
 
 def test_trace_set_bounds_checked():
@@ -253,3 +256,61 @@ def test_domain_counts_sum():
     counts = ts.domain_counts()
     assert all(c >= 0 for c in counts)
     assert sum(counts) == ts.num_queries
+
+
+HEADER_REQUIRED = ("schema_version", "model_id", "num_layers", "experts_per_layer")
+RECORD_FIELDS = ("query_id", "domain", "layer", "selected")
+# wrong-typed values per field; every one makes the file invalid
+RETYPES = {
+    "schema_version": ["1", True, None, 1.5],
+    "model_id": [7, None, ["m"]],
+    "num_layers": ["1", 1.5, True, None, [1]],
+    "experts_per_layer": [4, "4", None, [1.5], [True]],
+    "domains": ["d1", 3, {"d1": 1}, [1]],
+    "meta": [[], "x", 3, None],
+    "query_id": [7, None, ["q0"]],
+    "domain": [7, None, ["d1"]],
+    "layer": ["0", 1.5, True, None],
+    "selected": ["0", 0, None, [], [1.5], [True]],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_single_mutation_raises_trace_error(data, tmp_path_factory):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+    ts = random_trace_set(rng, max_queries=6, num_layers=int(rng.integers(1, 3)))
+    path = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
+    write_traces(ts, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    row = data.draw(st.integers(1, len(lines) - 1), label="record line")
+    record = json.loads(lines[row])
+
+    kind = data.draw(
+        st.sampled_from(["drop", "retype", "truncate", "bad_layer", "bad_expert"]), label="kind"
+    )
+    if kind == "truncate":
+        row = data.draw(st.integers(0, len(lines) - 1), label="line")
+        lines[row] = lines[row][: data.draw(st.integers(1, len(lines[row]) - 1), label="cut")]
+    elif kind == "bad_layer":
+        record["layer"] = data.draw(st.sampled_from([-1, ts.num_layers]), label="layer")
+        lines[row] = json.dumps(record)
+    elif kind == "bad_expert":
+        limit = ts.experts_per_layer[record["layer"]]
+        record["selected"][0] = data.draw(st.sampled_from([-1, limit]), label="expert")
+        lines[row] = json.dumps(record)
+    else:
+        on_header = data.draw(st.booleans(), label="on header")
+        doc, at = (header, 0) if on_header else (record, row)
+        if kind == "drop":
+            del doc[data.draw(st.sampled_from(HEADER_REQUIRED if on_header else RECORD_FIELDS))]
+        else:
+            fields = (*HEADER_REQUIRED, "domains", "meta") if on_header else RECORD_FIELDS
+            key = data.draw(st.sampled_from(fields), label="field")
+            doc[key] = data.draw(st.sampled_from(RETYPES[key]), label="value")
+        lines[at] = json.dumps(doc)
+
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceError):
+        ingest_traces(path)

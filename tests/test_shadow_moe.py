@@ -358,3 +358,22 @@ class TestQueries:
             QuerySet(query_ids=("a",), inputs=np.zeros((1, 3)), domains=("",))
         with pytest.raises(ShadowMoeError, match="unique"):
             QuerySet(query_ids=("a", "a"), inputs=np.zeros((2, 3)), domains=("d", "d"))
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ('{"query_id": "q1", "domain": "d1", "x": [0.0, 1', "line 3: malformed JSON"),
+            ('{"query_id": "q1", "x": [0.0, 1.0, 2.0]}', r"line 3: .*missing.*'domain'"),
+            ('{"domain": "d1", "x": [0.0, 1.0, 2.0]}', r"line 3: .*missing.*'query_id'"),
+            ('{"query_id": "q1", "domain": "d1"}', r"line 3: .*missing.*'x'"),
+            ('{"query_id": "q1", "domain": "d1", "x": [0.0, 1.0]}', "line 3: x must be a list of 3"),
+        ],
+    )
+    def test_read_rejects_malformed_record(self, tmp_path, record, match):
+        queries = gaussian_domain_queries(3, num_domains=1, n_per_domain=1, input_dim=3)
+        path = tmp_path / "q.jsonl"
+        write_queries(queries, path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(record + "\n")
+        with pytest.raises(ShadowMoeError, match=match):
+            read_queries(path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -170,6 +171,11 @@ def test_missing_layer_errors():
         compute_specialization(ts, 5)
 
 
+def test_empty_trace_set_errors():
+    with pytest.raises(SignatureError, match="empty"):
+        signature_bundle(make_traces([]))
+
+
 def test_layer_policy_resolution():
     assert resolve_layer("last", 3) == 2
     assert resolve_layer("median", 3) == 1
@@ -212,6 +218,50 @@ def test_bundle_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.collab.matrix, bundle.collab.matrix)
     assert back.collab.pair_normalizer == bundle.collab.pair_normalizer
     assert back.collab.zero_mass == bundle.collab.zero_mass
+
+
+def _truncate(doc, text):
+    return text[: len(text) // 2]
+
+
+def _drop_specialization(doc, text):
+    del doc["specialization"]
+    return json.dumps(doc)
+
+
+def _shrink_collaboration(doc, text):
+    doc["collaboration"]["matrix"] = [row[:-1] for row in doc["collaboration"]["matrix"][:-1]]
+    return json.dumps(doc)
+
+
+def _ragged_kappa(doc, text):
+    doc["specialization"]["kappa_per_domain"].append(1.0)
+    return json.dumps(doc)
+
+
+def _ragged_matrix(doc, text):
+    doc["specialization"]["matrix"][0].append(0.5)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (_truncate, "not valid JSON"),
+        (_drop_specialization, "missing field 'specialization'"),
+        (_shrink_collaboration, "collaboration matrix has"),
+        (_ragged_kappa, "inconsistent"),
+        (_ragged_matrix, "malformed"),
+    ],
+)
+def test_load_bundle_rejects_malformed_file(tmp_path, corrupt, match):
+    ts = make_traces([("a", 1, 0, (0, 1)), ("b", 1, 0, (1, 2))])
+    path = tmp_path / "sig.json"
+    save_bundle(signature_bundle(ts), path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(corrupt(json.loads(text), text), encoding="utf-8")
+    with pytest.raises(SignatureError, match=match):
+        load_bundle(path)
 
 
 def test_csv_dump_columns_sum_to_one(tmp_path):

@@ -63,7 +63,7 @@ class TestGenerate:
         assert scenario.hidden_permutation is None
         for t_trace, d_trace in zip(scenario.teacher.traces, scenario.distilled.traces):
             for t_sel, d_sel in zip(t_trace.selections, d_trace.selections):
-                assert t_sel.selected == d_sel.selected
+                assert t_sel == d_sel
 
     def test_rho_one_with_relabeling_gives_zero_exact_distance(self):
         scenario = generate_scenario(ScenarioConfig(**BASE))
@@ -99,11 +99,11 @@ class TestGenerate:
         )
         scenario = generate_scenario(cfg)
         copies_l0 = sum(
-            t.selections[0].selected == d.selections[0].selected
+            t.selections[0] == d.selections[0]
             for t, d in zip(scenario.teacher.traces, scenario.distilled.traces)
         )
         copies_l1 = sum(
-            t.selections[1].selected == d.selections[1].selected
+            t.selections[1] == d.selections[1]
             for t, d in zip(scenario.teacher.traces, scenario.distilled.traces)
         )
         assert copies_l1 == scenario.teacher.num_queries  # full copy at biased layer
