@@ -1,9 +1,10 @@
-"""Provenance metadata embedded into every output artifact."""
+"""Provenance metadata and shared formatting of output artifacts."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 from typing import Mapping
 
 
@@ -23,3 +24,15 @@ def artifact_meta(seed: int | None, digest: str | None) -> dict:
     if digest is not None:
         meta["config_digest"] = digest
     return meta
+
+
+def write_json(doc: dict, path: str | Path) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def format_float(value) -> str:
+    """Round-trip float text for CSV cells; ``None`` becomes an empty cell."""
+    if value is None:
+        return ""
+    return repr(float(value) + 0.0)

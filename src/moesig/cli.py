@@ -17,22 +17,20 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from moesig import __version__
-from moesig._meta import artifact_meta, config_digest
-from moesig._rng import substream
-from moesig.detector import BenchmarkReport, detect_pair, run_benchmark
+from moesig._meta import artifact_meta, config_digest, format_float, write_json
+from moesig.detector import detect_pair, run_benchmark
 from moesig.errors import MoesigError
+from moesig.pipeline import emit_report, run_pipeline
 from moesig.routing_trace import ingest_traces, write_traces
 from moesig.signatures import (
     dump_bundle_csv,
     load_bundle,
+    parse_layer_policy,
     save_bundle,
     signature_bundle,
 )
 from moesig.shadow_moe import (
-    QuerySet,
     ShadowMoeConfig,
     ShadowMoeModel,
     export_traces,
@@ -55,106 +53,10 @@ def _file_digest(path: Path) -> str:
 
 
 def _read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _write_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _layer_policy(raw: str):
-    return int(raw) if raw.lstrip("+-").isdigit() else raw
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value) + 0.0)
-
-
-def emit_report(
-    report: BenchmarkReport,
-    path: str | Path,
-    fmt: str = "csv",
-    meta: dict | None = None,
-) -> None:
-    """Write a benchmark report with stable column order.
-
-    The per-metric percent-reduction columns are negative when the distilled
-    member sits closer to the teacher, matching the bar-chart annotation
-    convention. CSV output carries the provenance block as a single leading
-    comment line; JSON output embeds it as a ``meta`` object.
-    """
-    meta = dict(meta or {})
-    meta.setdefault("tool_version", __version__)
-    rows = [
-        {
-            "domain": r.domain,
-            "d_spec_kd": r.d_spec_kd,
-            "d_spec_scratch": r.d_spec_scratch,
-            "d_collab_kd": r.d_collab_kd,
-            "d_collab_scratch": r.d_collab_scratch,
-            "spec_reduction_pct": r.spec_reduction_pct,
-            "collab_reduction_pct": r.collab_reduction_pct,
-            "margin": r.margin,
-            "verdict": r.verdict,
-            "tie": r.tie,
-        }
-        for r in report.rows
-    ]
-    if fmt == "json":
-        _write_json(
-            {
-                "format": "moesig-benchmark-report",
-                "version": 1,
-                "accuracy": report.accuracy,
-                "mean_margin": report.mean_margin,
-                "layer_policy": report.layer_policy,
-                "mode": report.mode,
-                "rows": rows,
-                "meta": meta,
-            },
-            path,
-        )
-        return
-    if fmt != "csv":
-        raise MoesigError(f"unknown report format {fmt!r} (expected csv or json)")
-    meta_items = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"# accuracy={_fmt(report.accuracy)} layer_policy={report.layer_policy} "
-            f"mode={report.mode} {meta_items}\n"
-        )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "domain",
-                "d_spec_kd",
-                "d_spec_scratch",
-                "d_collab_kd",
-                "d_collab_scratch",
-                "spec_reduction_pct",
-                "collab_reduction_pct",
-                "margin",
-                "verdict",
-                "tie",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["domain"],
-                    _fmt(row["d_spec_kd"]),
-                    _fmt(row["d_spec_scratch"]),
-                    _fmt(row["d_collab_kd"]),
-                    _fmt(row["d_collab_scratch"]),
-                    _fmt(row["spec_reduction_pct"]),
-                    _fmt(row["collab_reduction_pct"]),
-                    _fmt(row["margin"]),
-                    row["verdict"],
-                    str(row["tie"]).lower(),
-                ]
-            )
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MoesigError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _cmd_ingest(args) -> int:
@@ -170,7 +72,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_profile(args) -> int:
     traces = ingest_traces(args.input)
-    bundle = signature_bundle(traces, _layer_policy(args.layer_policy))
+    bundle = signature_bundle(traces, parse_layer_policy(args.layer_policy))
     meta = artifact_meta(None, _file_digest(Path(args.input)))
     meta["model_id"] = traces.model_id
     if args.format == "csv":
@@ -209,7 +111,7 @@ def _cmd_distance(args) -> int:
                                  "mode": args.mode})
         ),
     }
-    _write_json(doc, args.out)
+    write_json(doc, args.out)
     log.info("d_spec=%.6g d_collab=%s method=%s", dist.d_spec, dist.d_collab, dist.method)
     return 0
 
@@ -218,7 +120,7 @@ def _cmd_detect(args) -> int:
     teacher = ingest_traces(args.teacher)
     cand1 = ingest_traces(args.cand1)
     cand2 = ingest_traces(args.cand2)
-    policy = _layer_policy(args.layer)
+    policy = parse_layer_policy(args.layer)
     t_sig = signature_bundle(teacher, policy)
     verdict = detect_pair(
         t_sig,
@@ -248,30 +150,50 @@ def _cmd_detect(args) -> int:
         ],
         "meta": artifact_meta(None, None),
     }
-    _write_json(doc, args.out)
+    write_json(doc, args.out)
     log.info("predicted %s (margin %.6g, tie=%s)", doc["predicted"], verdict.margin, verdict.tie)
     return 0
 
 
+def _oracle_int(spec: dict, key: str, default: int | None = None) -> int:
+    value = spec.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MoesigError(f"oracle spec needs an integer {key!r}, got {value!r}")
+    return value
+
+
+def _oracle_scale(spec: dict) -> float:
+    value = spec.get("scale", 1.0)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise MoesigError(f"oracle spec needs a numeric 'scale', got {value!r}")
+    return float(value)
+
+
 def _build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig):
+    """An oracle from its JSON spec; a malformed spec raises MoesigError."""
+    if not isinstance(spec, dict):
+        raise MoesigError("oracle spec must be a JSON object")
     kind = spec.get("kind")
     if kind == "mlp":
         return mlp_oracle(
-            seed=int(spec["seed"]),
+            seed=_oracle_int(spec, "seed"),
             input_dim=config.input_dim,
             output_dim=config.output_dim,
-            hidden_dim=int(spec.get("hidden_dim", 16)),
-            scale=float(spec.get("scale", 1.0)),
+            hidden_dim=_oracle_int(spec, "hidden_dim", 16),
+            scale=_oracle_scale(spec),
         )
     if kind == "linear":
         return linear_oracle(
-            seed=int(spec["seed"]),
+            seed=_oracle_int(spec, "seed"),
             input_dim=config.input_dim,
             output_dim=config.output_dim,
-            scale=float(spec.get("scale", 1.0)),
+            scale=_oracle_scale(spec),
         )
     if kind == "shadow-model":
-        return model_oracle(ShadowMoeModel.load(base_dir / spec["path"]))
+        path = spec.get("path")
+        if not isinstance(path, str):
+            raise MoesigError(f"shadow-model oracle spec needs a string 'path', got {path!r}")
+        return model_oracle(ShadowMoeModel.load(base_dir / path))
     raise MoesigError(f"unknown oracle kind {kind!r} (expected mlp, linear, or shadow-model)")
 
 
@@ -284,7 +206,7 @@ def _cmd_train_proxy(args) -> int:
     model.save(args.out)
     log.info("trained proxy: loss %.6g -> %.6g over %d epochs", losses[0], losses[-1], config.epochs)
     if args.losses:
-        _write_json(
+        write_json(
             {
                 "format": "moesig-loss-curve",
                 "version": 1,
@@ -296,7 +218,8 @@ def _cmd_train_proxy(args) -> int:
     if args.traces:
         traces = export_traces(model, queries)
         write_traces(traces, args.traces)
-        log.info("exported %d trace records -> %s", len(traces.traces), args.traces)
+        records = sum(1 for t in traces.traces for selected in t.selections if selected)
+        log.info("exported %d trace records -> %s", records, args.traces)
     return 0
 
 
@@ -347,7 +270,7 @@ def _expand_grid(doc: dict) -> list[ScenarioConfig]:
 def _cmd_sweep(args) -> int:
     doc = _read_json(args.grid)
     configs = _expand_grid(doc)
-    rows = sweep(configs, mode=args.mode, layer_policy=_layer_policy(args.layer))
+    rows = sweep(configs, mode=args.mode, layer_policy=parse_layer_policy(args.layer))
     fields = [
         "rho",
         "num_experts",
@@ -374,7 +297,7 @@ def _cmd_sweep(args) -> int:
         for row in rows:
             writer.writerow(
                 [
-                    _fmt(row[f]) if isinstance(row[f], float) else row[f]
+                    format_float(row[f]) if isinstance(row[f], float) else row[f]
                     for f in fields
                 ]
             )
@@ -392,133 +315,16 @@ def _cmd_report(args) -> int:
             ingest_traces(bench_dir / entry["kd"]),
             ingest_traces(bench_dir / entry["scratch"]),
         )
-    report = run_benchmark(teacher, pairs, layer_policy=_layer_policy(args.layer), mode=args.mode)
+    report = run_benchmark(teacher, pairs, layer_policy=parse_layer_policy(args.layer), mode=args.mode)
     meta = dict(manifest.get("meta", {}))
     emit_report(report, args.out, fmt=args.format, meta=meta)
     log.info("benchmark accuracy %.3f over %d domains -> %s", report.accuracy, len(report.rows), args.out)
     return 0
 
 
-def _sub_seed(seed: int, name: str) -> int:
-    return int(substream(seed, name).integers(0, 2**31))
-
-
 def _cmd_pipeline(args) -> int:
-    """End-to-end reference run in the fully black-box setting.
-
-    Builds a synthetic teacher function and, per domain, a genuinely
-    distilled candidate (trained on teacher outputs) and a scratch candidate
-    (trained on an unrelated function). All models are then treated as black
-    boxes: a proxy is trained to mimic each one, every proxy starting from
-    the same initialization (the toy analog of building all proxies from one
-    shared pretrained checkpoint), the proxies' routing traces are exported
-    on the shared calibration queries, and the per-domain benchmark report
-    is emitted.
-    """
-    doc = _read_json(args.config)
     out = Path(args.out_dir)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
-    seed = int(doc["seed"])
-    digest = config_digest(doc)
-    input_dim = int(doc["input_dim"])
-    output_dim = int(doc["output_dim"])
-
-    queries = gaussian_domain_queries(
-        seed=_sub_seed(seed, "pipeline-queries"),
-        num_domains=int(doc["num_domains"]),
-        n_per_domain=int(doc["n_per_domain"]),
-        input_dim=input_dim,
-        separation=float(doc.get("separation", 2.5)),
-        spread=float(doc.get("spread", 0.6)),
-    )
-    write_queries(queries, out / "queries.jsonl", meta=artifact_meta(seed, digest))
-
-    oracle_doc = dict(doc.get("oracle", {}))
-    oracle_hidden = int(oracle_doc.get("hidden_dim", 16))
-    oracle_scale = float(oracle_doc.get("scale", 1.5))
-
-    def _oracle(name: str):
-        return mlp_oracle(
-            _sub_seed(seed, name),
-            input_dim=input_dim,
-            output_dim=output_dim,
-            hidden_dim=oracle_hidden,
-            scale=oracle_scale,
-        )
-
-    proxy_base = dict(doc["proxy"])
-    proxy_base["input_dim"] = input_dim
-    proxy_base["output_dim"] = output_dim
-    candidate_epochs = int(doc.get("candidate_epochs", proxy_base.get("epochs", 60)))
-    proxy_seed = _sub_seed(seed, "proxy-shared-init")
-
-    def _train(oracle, train_queries: QuerySet, name: str, model_seed: int, epochs: int) -> ShadowMoeModel:
-        cfg = ShadowMoeConfig.from_dict({**proxy_base, "seed": model_seed, "epochs": epochs})
-        model, losses = train_proxy(oracle, train_queries, cfg)
-        log.info("%s: distill loss %.5g -> %.5g", name, losses[0], losses[-1])
-        model.save(out / "models" / f"{name}.bin")
-        return model
-
-    def _emphasize(domain: str) -> QuerySet:
-        # domain-specific training mix: the pair's task domain appears twice
-        ids, xs, doms = list(queries.query_ids), list(queries.inputs), list(queries.domains)
-        for qid, x, d in zip(queries.query_ids, queries.inputs, queries.domains):
-            if d == domain:
-                ids.append(f"{qid}+")
-                xs.append(x)
-                doms.append(d)
-        return QuerySet(query_ids=tuple(ids), inputs=np.array(xs), domains=tuple(doms))
-
-    teacher_fn = _oracle("teacher-oracle")
-    g_teacher = _train(teacher_fn, queries, "proxy_teacher", proxy_seed, proxy_base["epochs"])
-    teacher_traces = export_traces(g_teacher, queries, model_id="teacher-proxy")
-    write_traces(teacher_traces, out / "traces" / "teacher.jsonl")
-
-    pairs_manifest = {}
-    pairs = {}
-    for domain in queries.domain_labels():
-        mix = _emphasize(domain)
-        kd_model = _train(
-            teacher_fn, mix, f"{domain}_kd",
-            _sub_seed(seed, f"candidate-kd-{domain}"), candidate_epochs,
-        )
-        scratch_model = _train(
-            _oracle(f"unrelated-oracle-{domain}"), mix, f"{domain}_scratch",
-            _sub_seed(seed, f"candidate-scratch-{domain}"), candidate_epochs,
-        )
-        kd_proxy = _train(
-            model_oracle(kd_model), queries, f"proxy_{domain}_kd", proxy_seed,
-            proxy_base["epochs"],
-        )
-        scratch_proxy = _train(
-            model_oracle(scratch_model), queries, f"proxy_{domain}_scratch", proxy_seed,
-            proxy_base["epochs"],
-        )
-        kd_traces = export_traces(kd_proxy, queries, model_id=f"{domain}-kd-proxy")
-        scratch_traces = export_traces(scratch_proxy, queries, model_id=f"{domain}-scratch-proxy")
-        write_traces(kd_traces, out / "traces" / f"{domain}_kd.jsonl")
-        write_traces(scratch_traces, out / "traces" / f"{domain}_scratch.jsonl")
-        pairs[domain] = (kd_traces, scratch_traces)
-        pairs_manifest[domain] = {
-            "kd": f"traces/{domain}_kd.jsonl",
-            "scratch": f"traces/{domain}_scratch.jsonl",
-        }
-
-    manifest = {
-        "format": "moesig-benchmark",
-        "version": 1,
-        "teacher": "traces/teacher.jsonl",
-        "pairs": pairs_manifest,
-        "meta": artifact_meta(seed, digest),
-    }
-    _write_json(manifest, out / "manifest.json")
-
-    layer_policy = _layer_policy(str(doc.get("layer_policy", "last")))
-    mode = str(doc.get("mode", "auto"))
-    report = run_benchmark(teacher_traces, pairs, layer_policy=layer_policy, mode=mode)
-    emit_report(report, out / "report.csv", fmt="csv", meta=artifact_meta(seed, digest))
-    emit_report(report, out / "report.json", fmt="json", meta=artifact_meta(seed, digest))
+    report = run_pipeline(_read_json(args.config), out)
     log.info("pipeline benchmark accuracy %.3f -> %s", report.accuracy, out / "report.csv")
     return 0
 

@@ -1,0 +1,287 @@
+"""The reference pipeline in the fully black-box setting, and report writing.
+
+A pipeline run builds a synthetic teacher function and, per domain, a
+genuinely distilled candidate (trained on teacher outputs) and a scratch
+candidate (trained on an unrelated function). All models are then treated
+as black boxes: a proxy is trained to mimic each one, every proxy starting
+from the same initialization (the toy analog of building all proxies from
+one shared pretrained checkpoint), the proxies' routing traces are exported
+on the shared calibration queries, and the per-domain benchmark report is
+emitted.
+
+The fits form independent jobs: the teacher proxy, and one chain per
+(domain, kind) that trains the candidate and then its proxy. Every job
+rebuilds its oracles from the seed, so the jobs run on a process pool and
+the artifacts do not depend on the number of workers.
+"""
+
+from __future__ import annotations
+
+import csv
+import logging
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from moesig import __version__
+from moesig._meta import artifact_meta, config_digest, format_float, write_json
+from moesig._pool import parallel_map
+from moesig._rng import substream
+from moesig.detector import BenchmarkReport, run_benchmark
+from moesig.errors import MoesigError
+from moesig.routing_trace import RoutingTraceSet, write_traces
+from moesig.shadow_moe import (
+    Oracle,
+    QuerySet,
+    ShadowMoeConfig,
+    export_traces,
+    gaussian_domain_queries,
+    mlp_oracle,
+    model_oracle,
+    train_proxy,
+    write_queries,
+)
+from moesig.signatures import parse_layer_policy
+
+log = logging.getLogger("moesig")
+
+REQUIRED_FIELDS = ("seed", "num_domains", "n_per_domain", "input_dim", "output_dim", "proxy")
+KINDS = ("kd", "scratch")
+
+
+def emit_report(
+    report: BenchmarkReport,
+    path: str | Path,
+    fmt: str = "csv",
+    meta: dict | None = None,
+) -> None:
+    """Write a benchmark report with stable column order.
+
+    The per-metric percent-reduction columns are negative when the distilled
+    member sits closer to the teacher, matching the bar-chart annotation
+    convention. CSV output carries the provenance block as a single leading
+    comment line; JSON output embeds it as a ``meta`` object.
+    """
+    meta = dict(meta or {})
+    meta.setdefault("tool_version", __version__)
+    rows = [
+        {
+            "domain": r.domain,
+            "d_spec_kd": r.d_spec_kd,
+            "d_spec_scratch": r.d_spec_scratch,
+            "d_collab_kd": r.d_collab_kd,
+            "d_collab_scratch": r.d_collab_scratch,
+            "spec_reduction_pct": r.spec_reduction_pct,
+            "collab_reduction_pct": r.collab_reduction_pct,
+            "margin": r.margin,
+            "verdict": r.verdict,
+            "tie": r.tie,
+        }
+        for r in report.rows
+    ]
+    if fmt == "json":
+        write_json(
+            {
+                "format": "moesig-benchmark-report",
+                "version": 1,
+                "accuracy": report.accuracy,
+                "mean_margin": report.mean_margin,
+                "layer_policy": report.layer_policy,
+                "mode": report.mode,
+                "rows": rows,
+                "meta": meta,
+            },
+            path,
+        )
+        return
+    if fmt != "csv":
+        raise MoesigError(f"unknown report format {fmt!r} (expected csv or json)")
+    meta_items = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(
+            f"# accuracy={format_float(report.accuracy)} layer_policy={report.layer_policy} "
+            f"mode={report.mode} {meta_items}\n"
+        )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            [
+                "domain",
+                "d_spec_kd",
+                "d_spec_scratch",
+                "d_collab_kd",
+                "d_collab_scratch",
+                "spec_reduction_pct",
+                "collab_reduction_pct",
+                "margin",
+                "verdict",
+                "tie",
+            ]
+        )
+        for row in rows:
+            writer.writerow(
+                [
+                    row["domain"],
+                    format_float(row["d_spec_kd"]),
+                    format_float(row["d_spec_scratch"]),
+                    format_float(row["d_collab_kd"]),
+                    format_float(row["d_collab_scratch"]),
+                    format_float(row["spec_reduction_pct"]),
+                    format_float(row["collab_reduction_pct"]),
+                    format_float(row["margin"]),
+                    row["verdict"],
+                    str(row["tie"]).lower(),
+                ]
+            )
+
+
+def _sub_seed(seed: int, name: str) -> int:
+    return int(substream(seed, name).integers(0, 2**31))
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """Plain data every job rebuilds its oracles and models from."""
+
+    seed: int
+    queries: QuerySet
+    oracle_hidden: int
+    oracle_scale: float
+    proxy_base: dict
+    proxy_epochs: int
+    candidate_epochs: int
+    models_dir: Path
+
+    def oracle(self, name: str) -> Oracle:
+        return mlp_oracle(
+            _sub_seed(self.seed, name),
+            input_dim=int(self.proxy_base["input_dim"]),
+            output_dim=int(self.proxy_base["output_dim"]),
+            hidden_dim=self.oracle_hidden,
+            scale=self.oracle_scale,
+        )
+
+    def train(self, oracle: Oracle, queries: QuerySet, name: str, seed: int, epochs: int):
+        """Fit, save as ``models/<name>.bin``; returns the model and its log line."""
+        cfg = ShadowMoeConfig.from_dict({**self.proxy_base, "seed": seed, "epochs": epochs})
+        model, losses = train_proxy(oracle, queries, cfg)
+        model.save(self.models_dir / f"{name}.bin")
+        return model, f"{name}: distill loss {losses[0]:.5g} -> {losses[-1]:.5g}"
+
+
+@dataclass(frozen=True)
+class _Job:
+    """The teacher proxy (kind ``teacher``, no domain) or one (domain, kind) candidate chain."""
+
+    setup: _Setup
+    domain: str | None
+    kind: str
+
+
+def _emphasize(queries: QuerySet, domain: str) -> QuerySet:
+    # domain-specific training mix: the pair's task domain appears twice
+    ids, xs, doms = list(queries.query_ids), list(queries.inputs), list(queries.domains)
+    for qid, x, d in zip(queries.query_ids, queries.inputs, queries.domains):
+        if d == domain:
+            ids.append(f"{qid}+")
+            xs.append(x)
+            doms.append(d)
+    return QuerySet(query_ids=tuple(ids), inputs=np.array(xs), domains=tuple(doms))
+
+
+def _run_job(job: _Job) -> tuple[RoutingTraceSet, list[str]]:
+    """Fit a job's models and export its proxy's traces; returns them with the log lines."""
+    s, domain, kind = job.setup, job.domain, job.kind
+    proxy_seed = _sub_seed(s.seed, "proxy-shared-init")
+    teacher_fn = s.oracle("teacher-oracle")
+    if kind == "teacher":
+        proxy, line = s.train(teacher_fn, s.queries, "proxy_teacher", proxy_seed, s.proxy_epochs)
+        return export_traces(proxy, s.queries, model_id="teacher-proxy"), [line]
+    oracle = teacher_fn if kind == "kd" else s.oracle(f"unrelated-oracle-{domain}")
+    candidate, cand_line = s.train(
+        oracle, _emphasize(s.queries, domain), f"{domain}_{kind}",
+        _sub_seed(s.seed, f"candidate-{kind}-{domain}"), s.candidate_epochs,
+    )
+    proxy, proxy_line = s.train(
+        model_oracle(candidate), s.queries, f"proxy_{domain}_{kind}", proxy_seed, s.proxy_epochs,
+    )
+    traces = export_traces(proxy, s.queries, model_id=f"{domain}-{kind}-proxy")
+    return traces, [cand_line, proxy_line]
+
+
+def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
+    """Run the reference pipeline for a parsed config and write every artifact to ``out_dir``.
+
+    Writes ``queries.jsonl``, ``models/*.bin``, ``traces/*.jsonl``,
+    ``manifest.json`` and ``report.csv``/``report.json``; returns the report.
+    """
+    missing = [key for key in REQUIRED_FIELDS if key not in doc]
+    if not missing and "epochs" not in doc["proxy"]:
+        missing = ["proxy.epochs"]
+    if missing:
+        raise MoesigError(f"pipeline config is missing field(s) {missing}")
+    out = Path(out_dir)
+    (out / "models").mkdir(parents=True, exist_ok=True)
+    (out / "traces").mkdir(parents=True, exist_ok=True)
+    seed = int(doc["seed"])
+    digest = config_digest(doc)
+    input_dim = int(doc["input_dim"])
+
+    queries = gaussian_domain_queries(
+        seed=_sub_seed(seed, "pipeline-queries"),
+        num_domains=int(doc["num_domains"]),
+        n_per_domain=int(doc["n_per_domain"]),
+        input_dim=input_dim,
+        separation=float(doc.get("separation", 2.5)),
+        spread=float(doc.get("spread", 0.6)),
+    )
+    write_queries(queries, out / "queries.jsonl", meta=artifact_meta(seed, digest))
+
+    oracle_doc = dict(doc.get("oracle", {}))
+    proxy_base = {**doc["proxy"], "input_dim": input_dim, "output_dim": int(doc["output_dim"])}
+    setup = _Setup(
+        seed=seed,
+        queries=queries,
+        oracle_hidden=int(oracle_doc.get("hidden_dim", 16)),
+        oracle_scale=float(oracle_doc.get("scale", 1.5)),
+        proxy_base=proxy_base,
+        proxy_epochs=proxy_base["epochs"],
+        candidate_epochs=int(doc.get("candidate_epochs", proxy_base["epochs"])),
+        models_dir=out / "models",
+    )
+    domains = queries.domain_labels()
+    jobs = [_Job(setup, None, "teacher")] + [_Job(setup, domain, kind) for domain in domains for kind in KINDS]
+    results = parallel_map(_run_job, jobs)
+    for _traces, lines in results:
+        for line in lines:
+            log.info("%s", line)
+
+    (teacher_traces, _), *chains = results
+    write_traces(teacher_traces, out / "traces" / "teacher.jsonl")
+    pairs = {}
+    pairs_manifest = {}
+    for i, domain in enumerate(domains):
+        (kd_traces, _), (scratch_traces, _) = chains[2 * i : 2 * i + 2]
+        write_traces(kd_traces, out / "traces" / f"{domain}_kd.jsonl")
+        write_traces(scratch_traces, out / "traces" / f"{domain}_scratch.jsonl")
+        pairs[domain] = (kd_traces, scratch_traces)
+        pairs_manifest[domain] = {
+            "kd": f"traces/{domain}_kd.jsonl",
+            "scratch": f"traces/{domain}_scratch.jsonl",
+        }
+
+    manifest = {
+        "format": "moesig-benchmark",
+        "version": 1,
+        "teacher": "traces/teacher.jsonl",
+        "pairs": pairs_manifest,
+        "meta": artifact_meta(seed, digest),
+    }
+    write_json(manifest, out / "manifest.json")
+
+    layer_policy = parse_layer_policy(str(doc.get("layer_policy", "last")))
+    mode = str(doc.get("mode", "auto"))
+    report = run_benchmark(teacher_traces, pairs, layer_policy=layer_policy, mode=mode)
+    emit_report(report, out / "report.csv", fmt="csv", meta=artifact_meta(seed, digest))
+    emit_report(report, out / "report.json", fmt="json", meta=artifact_meta(seed, digest))
+    return report

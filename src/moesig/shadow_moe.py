@@ -612,7 +612,9 @@ def train_proxy(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            total, _, _, grads = model.loss_and_grads(x[batch], targets[batch], lam=lam)
+            # a diverging step is reported by the checks below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                total, _, _, grads = model.loss_and_grads(x[batch], targets[batch], lam=lam)
             if not np.isfinite(total):
                 raise ShadowMoeError(
                     f"training diverged at epoch {epoch}: batch loss {total!r} "

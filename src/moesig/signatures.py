@@ -222,6 +222,11 @@ def resolve_layer(policy: LayerPolicy, num_layers: int) -> int:
     raise SignatureError(f"unknown layer policy {policy!r}")
 
 
+def parse_layer_policy(raw: str) -> LayerPolicy:
+    """Read a layer policy from text: an integer index or a policy name."""
+    return int(raw) if raw.lstrip("+-").isdigit() else raw
+
+
 def signature_bundle(
     traces: RoutingTraceSet,
     layer_policy: LayerPolicy = "last",

@@ -24,12 +24,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from moesig._meta import artifact_meta, config_digest
+from moesig._pool import parallel_map
 from moesig._rng import substream
 from moesig.detector import detect_pair
 from moesig.errors import ScenarioError
@@ -256,6 +258,39 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict:
     return manifest
 
 
+def _sweep_row(config: ScenarioConfig, mode: str, layer_policy: LayerPolicy) -> dict:
+    """Generate and detect one scenario."""
+    scenario = generate_scenario(config)
+    teacher_sig = signature_bundle(scenario.teacher, layer_policy)
+    distilled_sig = signature_bundle(scenario.distilled, layer_policy)
+    scratch_sig = signature_bundle(scenario.scratch, layer_policy)
+    verdict = detect_pair(
+        teacher_sig,
+        distilled_sig,
+        scratch_sig,
+        mode=mode,
+        candidate_ids=("distilled", "scratch"),
+    )
+    s_d, s_s = verdict.scores
+    return {
+        "rho": config.relatedness,
+        "num_experts": config.num_experts,
+        "num_layers": config.num_layers,
+        "top_k": config.top_k,
+        "num_domains": config.num_domains,
+        "n_per_domain": config.n_per_domain,
+        "seed": config.seed,
+        "correct": int(verdict.predicted_index == 1),
+        "tie": verdict.tie,
+        "margin": s_d.score - s_s.score,
+        "d_spec_distilled": s_d.d_spec,
+        "d_spec_scratch": s_s.d_spec,
+        "d_collab_distilled": s_d.d_collab,
+        "d_collab_scratch": s_s.d_collab,
+        "method": s_d.distance.method if s_d.distance is not None else "",
+    }
+
+
 def sweep(
     configs: Sequence[ScenarioConfig],
     mode: str = "auto",
@@ -264,44 +299,13 @@ def sweep(
     """Generate and detect each scenario; one result row per config.
 
     ``correct`` records whether the distilled member won its pair, and
-    ``margin`` is the signed score gap (distilled minus scratch).
+    ``margin`` is the signed score gap (distilled minus scratch). Scenarios
+    are independent and seeded by their configs, so they run on a process
+    pool and the rows come back in config order.
     """
     if not configs:
         raise ScenarioError("sweep needs at least one scenario config")
-    rows = []
-    for config in configs:
-        scenario = generate_scenario(config)
-        teacher_sig = signature_bundle(scenario.teacher, layer_policy)
-        distilled_sig = signature_bundle(scenario.distilled, layer_policy)
-        scratch_sig = signature_bundle(scenario.scratch, layer_policy)
-        verdict = detect_pair(
-            teacher_sig,
-            distilled_sig,
-            scratch_sig,
-            mode=mode,
-            candidate_ids=("distilled", "scratch"),
-        )
-        s_d, s_s = verdict.scores
-        rows.append(
-            {
-                "rho": config.relatedness,
-                "num_experts": config.num_experts,
-                "num_layers": config.num_layers,
-                "top_k": config.top_k,
-                "num_domains": config.num_domains,
-                "n_per_domain": config.n_per_domain,
-                "seed": config.seed,
-                "correct": int(verdict.predicted_index == 1),
-                "tie": verdict.tie,
-                "margin": s_d.score - s_s.score,
-                "d_spec_distilled": s_d.d_spec,
-                "d_spec_scratch": s_s.d_spec,
-                "d_collab_distilled": s_d.d_collab,
-                "d_collab_scratch": s_s.d_collab,
-                "method": s_d.distance.method if s_d.distance is not None else "",
-            }
-        )
-    return rows
+    return parallel_map(partial(_sweep_row, mode=mode, layer_policy=layer_policy), configs)
 
 
 def summarize_sweep(rows: Sequence[dict]) -> list[dict]:

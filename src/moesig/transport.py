@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from moesig.errors import TransportError
 from moesig.signatures import CollaborationMatrix, SignatureBundle, SpecializationProfile
@@ -131,6 +130,10 @@ def hungarian(cost: np.ndarray) -> tuple[Permutation, float]:
         raise TransportError(f"cost matrix must be square, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise TransportError("cost matrix contains non-finite entries")
+    # imported here: scipy.optimize dominates the package's import time, and
+    # exact matching never reaches this solver
+    from scipy.optimize import linear_sum_assignment
+
     row_ind, col_ind = linear_sum_assignment(cost)
     sigma = np.empty(cost.shape[0], dtype=np.intp)
     sigma[row_ind] = col_ind

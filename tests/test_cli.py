@@ -124,6 +124,57 @@ class TestMalformedInput:
         (message,) = error_lines(caplog)
         assert "line 2" in message and "domain" in message and "\n" not in message
 
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ({"kind": "linear"}, "'seed'"),
+            ({"kind": "mlp"}, "'seed'"),
+            ({"kind": "linear", "seed": "7"}, "'seed'"),
+            ({"kind": "mlp", "seed": 1.5}, "'seed'"),
+            ({"kind": "linear", "seed": True}, "'seed'"),
+            ({"kind": "mlp", "seed": 1, "hidden_dim": "wide"}, "'hidden_dim'"),
+            ({"kind": "linear", "seed": 1, "scale": "big"}, "'scale'"),
+            ({"kind": "shadow-model"}, "'path'"),
+            ({"kind": "shadow-model", "path": 3}, "'path'"),
+            ([1, 2], "JSON object"),
+            ({"kind": "cubic", "seed": 1}, "unknown oracle kind"),
+        ],
+        ids=["linear-no-seed", "mlp-no-seed", "seed-string", "seed-float", "seed-bool",
+             "hidden-not-int", "scale-not-number", "model-no-path", "path-not-string",
+             "not-object", "unknown-kind"],
+    )
+    def test_bad_oracle_spec(self, tmp_path, caplog, spec, expected):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(
+            '{"schema_version":1,"kind":"query-set","input_dim":2}\n'
+            '{"query_id":"q0","domain":"d1","x":[0.0,1.0]}\n',
+            encoding="utf-8",
+        )
+        oracle = tmp_path / "oracle.json"
+        write_json(oracle, spec)
+        cfg = tmp_path / "proxy.json"
+        write_json(cfg, dict(num_layers=1, experts_per_layer=4, top_k=2, input_dim=2, output_dim=1))
+        code = dispatch(
+            [
+                "train-proxy",
+                "--oracle", str(oracle),
+                "--queries", str(queries),
+                "--config", str(cfg),
+                "--out", str(tmp_path / "m.bin"),
+            ]
+        )
+        assert code == 1
+        (message,) = error_lines(caplog)
+        assert expected in message and "\n" not in message
+
+    def test_malformed_json_config(self, tmp_path, caplog):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"base": {', encoding="utf-8")
+        code = dispatch(["sweep", "--grid", str(grid), "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        (message,) = error_lines(caplog)
+        assert "malformed JSON" in message and "\n" not in message
+
 
 class TestIngest:
     def test_roundtrip_and_reproducibility(self, tmp_path):
@@ -277,6 +328,35 @@ class TestTrainProxy:
         assert outputs[0] == outputs[1]
         losses = json.loads((tmp_path / "losses-x.json").read_text())["losses"]
         assert len(losses) == proxy_cfg["epochs"] + 1
+
+    def test_logs_written_record_count(self, tmp_path, caplog):
+        qcfg = dict(kind="gaussian-domains", seed=5, num_domains=2, n_per_domain=5, input_dim=3)
+        qcfg_path = tmp_path / "q.json"
+        write_json(qcfg_path, qcfg)
+        queries_path = tmp_path / "queries.jsonl"
+        assert dispatch(["make-queries", "--config", str(qcfg_path), "--out", str(queries_path)]) == 0
+        oracle_path = tmp_path / "oracle.json"
+        write_json(oracle_path, {"kind": "linear", "seed": 2})
+        cfg_path = tmp_path / "proxy.json"
+        write_json(cfg_path, dict(num_layers=3, experts_per_layer=4, top_k=2, input_dim=3,
+                                  output_dim=2, epochs=1))
+        traces_path = tmp_path / "traces.jsonl"
+        caplog.set_level(logging.INFO, logger="moesig")
+        code = dispatch(
+            [
+                "train-proxy",
+                "--oracle", str(oracle_path),
+                "--queries", str(queries_path),
+                "--config", str(cfg_path),
+                "--out", str(tmp_path / "m.bin"),
+                "--traces", str(traces_path),
+            ]
+        )
+        assert code == 0
+        # 10 queries x 3 recorded layers, one record per line after the header
+        assert len(traces_path.read_text().splitlines()) == 1 + 30
+        (message,) = [r.getMessage() for r in caplog.records if "trace records" in r.getMessage()]
+        assert message.startswith("exported 30 trace records")
 
 
 class TestReport:
