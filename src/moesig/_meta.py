@@ -1,11 +1,15 @@
-"""Provenance metadata and shared formatting of output artifacts."""
+"""Provenance metadata, shared reading and writing of artifact files, and
+type checks for values parsed from JSON."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
+
+from moesig.errors import MoesigError
 
 
 def config_digest(config: Mapping) -> str:
@@ -26,6 +30,29 @@ def artifact_meta(seed: int | None, digest: str | None) -> dict:
     return meta
 
 
+def meta_comment(meta: Mapping) -> str:
+    """A provenance block as space-separated ``k=v`` pairs in key order."""
+    return " ".join(f"{k}={meta[k]}" for k in sorted(meta))
+
+
+def is_int(value: object) -> bool:
+    """True for a JSON integer (``bool`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """True for a JSON number (``bool`` is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file; malformed content raises MoesigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MoesigError(f"{path}: malformed JSON: {exc}") from None
+
+
 def write_json(doc: dict, path: str | Path) -> None:
     """Indented, key-sorted JSON with a trailing newline."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -36,3 +63,16 @@ def format_float(value) -> str:
     if value is None:
         return ""
     return repr(float(value) + 0.0)
+
+
+def write_csv(
+    path: str | Path, comment: str | None, header: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """A ``# comment`` line (if any), the header and the rows; floats via :func:`format_float`."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_float(c) if isinstance(c, float) else c for c in row])

@@ -9,19 +9,24 @@ with identical inputs reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import json
 import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from moesig import __version__
-from moesig._meta import artifact_meta, config_digest, format_float, write_json
+from moesig._meta import (
+    artifact_meta,
+    config_digest,
+    meta_comment,
+    read_json,
+    write_csv,
+    write_json,
+)
 from moesig.detector import detect_pair, run_benchmark
 from moesig.errors import MoesigError
-from moesig.pipeline import emit_report, run_pipeline
+from moesig.pipeline import emit_report, read_benchmark, run_pipeline
 from moesig.routing_trace import ingest_traces, write_traces
 from moesig.signatures import (
     dump_bundle_csv,
@@ -32,17 +37,13 @@ from moesig.signatures import (
 )
 from moesig.shadow_moe import (
     ShadowMoeConfig,
-    ShadowMoeModel,
+    build_oracle,
     export_traces,
-    gaussian_domain_queries,
-    linear_oracle,
-    mlp_oracle,
-    model_oracle,
+    make_queries,
     read_queries,
     train_proxy,
-    write_queries,
 )
-from moesig.synthgen import ScenarioConfig, generate_scenario, sweep, write_scenario
+from moesig.synthgen import ScenarioConfig, expand_grid, generate_scenario, sweep, write_scenario
 from moesig.transport import signature_distance
 
 log = logging.getLogger("moesig")
@@ -50,13 +51,6 @@ log = logging.getLogger("moesig")
 
 def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-
-
-def _read_json(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MoesigError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _cmd_ingest(args) -> int:
@@ -76,8 +70,7 @@ def _cmd_profile(args) -> int:
     meta = artifact_meta(None, _file_digest(Path(args.input)))
     meta["model_id"] = traces.model_id
     if args.format == "csv":
-        meta_line = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-        dump_bundle_csv(bundle, args.out, meta_line=meta_line)
+        dump_bundle_csv(bundle, args.out, meta_line=meta_comment(meta))
     else:
         save_bundle(bundle, args.out, meta=meta)
     log.info(
@@ -155,52 +148,10 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _oracle_int(spec: dict, key: str, default: int | None = None) -> int:
-    value = spec.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MoesigError(f"oracle spec needs an integer {key!r}, got {value!r}")
-    return value
-
-
-def _oracle_scale(spec: dict) -> float:
-    value = spec.get("scale", 1.0)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise MoesigError(f"oracle spec needs a numeric 'scale', got {value!r}")
-    return float(value)
-
-
-def _build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig):
-    """An oracle from its JSON spec; a malformed spec raises MoesigError."""
-    if not isinstance(spec, dict):
-        raise MoesigError("oracle spec must be a JSON object")
-    kind = spec.get("kind")
-    if kind == "mlp":
-        return mlp_oracle(
-            seed=_oracle_int(spec, "seed"),
-            input_dim=config.input_dim,
-            output_dim=config.output_dim,
-            hidden_dim=_oracle_int(spec, "hidden_dim", 16),
-            scale=_oracle_scale(spec),
-        )
-    if kind == "linear":
-        return linear_oracle(
-            seed=_oracle_int(spec, "seed"),
-            input_dim=config.input_dim,
-            output_dim=config.output_dim,
-            scale=_oracle_scale(spec),
-        )
-    if kind == "shadow-model":
-        path = spec.get("path")
-        if not isinstance(path, str):
-            raise MoesigError(f"shadow-model oracle spec needs a string 'path', got {path!r}")
-        return model_oracle(ShadowMoeModel.load(base_dir / path))
-    raise MoesigError(f"unknown oracle kind {kind!r} (expected mlp, linear, or shadow-model)")
-
-
 def _cmd_train_proxy(args) -> int:
-    config = ShadowMoeConfig.from_dict(_read_json(args.config))
-    oracle_spec = _read_json(args.oracle)
-    oracle = _build_oracle(oracle_spec, Path(args.oracle).parent, config)
+    config = ShadowMoeConfig.from_dict(read_json(args.config))
+    oracle_dir = Path(args.oracle).parent
+    oracle = build_oracle(read_json(args.oracle), oracle_dir, config)
     queries = read_queries(args.queries)
     model, losses = train_proxy(oracle, queries, config)
     model.save(args.out)
@@ -224,24 +175,14 @@ def _cmd_train_proxy(args) -> int:
 
 
 def _cmd_make_queries(args) -> int:
-    doc = _read_json(args.config)
-    if doc.get("kind") != "gaussian-domains":
-        raise MoesigError(f"unknown query-set kind {doc.get('kind')!r}")
-    queries = gaussian_domain_queries(
-        seed=int(doc["seed"]),
-        num_domains=int(doc["num_domains"]),
-        n_per_domain=int(doc["n_per_domain"]),
-        input_dim=int(doc["input_dim"]),
-        separation=float(doc.get("separation", 2.0)),
-        spread=float(doc.get("spread", 0.5)),
-    )
-    write_queries(queries, args.out, meta=artifact_meta(int(doc["seed"]), config_digest(doc)))
-    log.info("generated %d queries in %d domains -> %s", len(queries), doc["num_domains"], args.out)
+    queries = make_queries(read_json(args.config), args.out)
+    domains = len(queries.domain_labels())
+    log.info("generated %d queries in %d domains -> %s", len(queries), domains, args.out)
     return 0
 
 
 def _cmd_synth(args) -> int:
-    config = ScenarioConfig.from_dict(_read_json(args.config))
+    config = ScenarioConfig.from_dict(read_json(args.config))
     scenario = generate_scenario(config)
     manifest = write_scenario(scenario, args.out_dir)
     log.info(
@@ -253,70 +194,19 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _expand_grid(doc: dict) -> list[ScenarioConfig]:
-    if "configs" in doc:
-        return [ScenarioConfig.from_dict(c) for c in doc["configs"]]
-    base = dict(doc["base"])
-    rhos = doc.get("rho", [base.get("relatedness", 1.0)])
-    seeds = doc.get("seeds", [base.get("seed", 0)])
-    configs = []
-    for rho in rhos:
-        for seed in seeds:
-            merged = {**base, "relatedness": rho, "seed": seed}
-            configs.append(ScenarioConfig.from_dict(merged))
-    return configs
-
-
 def _cmd_sweep(args) -> int:
-    doc = _read_json(args.grid)
-    configs = _expand_grid(doc)
+    doc = read_json(args.grid)
+    configs = expand_grid(doc)
     rows = sweep(configs, mode=args.mode, layer_policy=parse_layer_policy(args.layer))
-    fields = [
-        "rho",
-        "num_experts",
-        "num_layers",
-        "top_k",
-        "num_domains",
-        "n_per_domain",
-        "seed",
-        "correct",
-        "tie",
-        "margin",
-        "d_spec_distilled",
-        "d_spec_scratch",
-        "d_collab_distilled",
-        "d_collab_scratch",
-        "method",
-    ]
     meta = artifact_meta(None, config_digest(doc))
-    meta_items = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-    with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {meta_items}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(
-                [
-                    format_float(row[f]) if isinstance(row[f], float) else row[f]
-                    for f in fields
-                ]
-            )
+    write_csv(args.out, meta_comment(meta), list(rows[0]), [row.values() for row in rows])
     log.info("swept %d configs -> %s", len(configs), args.out)
     return 0
 
 
 def _cmd_report(args) -> int:
-    bench_dir = Path(args.benchmark)
-    manifest = _read_json(bench_dir / "manifest.json")
-    teacher = ingest_traces(bench_dir / manifest["teacher"])
-    pairs = {}
-    for domain, entry in manifest["pairs"].items():
-        pairs[domain] = (
-            ingest_traces(bench_dir / entry["kd"]),
-            ingest_traces(bench_dir / entry["scratch"]),
-        )
+    teacher, pairs, meta = read_benchmark(args.benchmark)
     report = run_benchmark(teacher, pairs, layer_policy=parse_layer_policy(args.layer), mode=args.mode)
-    meta = dict(manifest.get("meta", {}))
     emit_report(report, args.out, fmt=args.format, meta=meta)
     log.info("benchmark accuracy %.3f over %d domains -> %s", report.accuracy, len(report.rows), args.out)
     return 0
@@ -324,7 +214,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     out = Path(args.out_dir)
-    report = run_pipeline(_read_json(args.config), out)
+    report = run_pipeline(read_json(args.config), out)
     log.info("pipeline benchmark accuracy %.3f -> %s", report.accuracy, out / "report.csv")
     return 0
 
@@ -431,10 +321,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     )
     try:
         return int(args.func(args))
-    except MoesigError as exc:
-        log.error("%s", exc)
-        return 1
-    except OSError as exc:
+    except (MoesigError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -1,4 +1,4 @@
-"""The reference pipeline in the fully black-box setting, and report writing.
+"""The reference pipeline in the fully black-box setting, and its benchmark directory.
 
 A pipeline run builds a synthetic teacher function and, per domain, a
 genuinely distilled candidate (trained on teacher outputs) and a scratch
@@ -17,7 +17,6 @@ the artifacts do not depend on the number of workers.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,12 +24,20 @@ from pathlib import Path
 import numpy as np
 
 from moesig import __version__
-from moesig._meta import artifact_meta, config_digest, format_float, write_json
+from moesig._meta import (
+    artifact_meta,
+    config_digest,
+    format_float,
+    meta_comment,
+    read_json,
+    write_csv,
+    write_json,
+)
 from moesig._pool import parallel_map
 from moesig._rng import substream
 from moesig.detector import BenchmarkReport, run_benchmark
 from moesig.errors import MoesigError
-from moesig.routing_trace import RoutingTraceSet, write_traces
+from moesig.routing_trace import RoutingTraceSet, ingest_traces, write_traces
 from moesig.shadow_moe import (
     Oracle,
     QuerySet,
@@ -48,6 +55,10 @@ log = logging.getLogger("moesig")
 
 REQUIRED_FIELDS = ("seed", "num_domains", "n_per_domain", "input_dim", "output_dim", "proxy")
 KINDS = ("kd", "scratch")
+REPORT_COLUMNS = (
+    "domain", "d_spec_kd", "d_spec_scratch", "d_collab_kd", "d_collab_scratch",
+    "spec_reduction_pct", "collab_reduction_pct", "margin", "verdict", "tie",
+)
 
 
 def emit_report(
@@ -65,21 +76,7 @@ def emit_report(
     """
     meta = dict(meta or {})
     meta.setdefault("tool_version", __version__)
-    rows = [
-        {
-            "domain": r.domain,
-            "d_spec_kd": r.d_spec_kd,
-            "d_spec_scratch": r.d_spec_scratch,
-            "d_collab_kd": r.d_collab_kd,
-            "d_collab_scratch": r.d_collab_scratch,
-            "spec_reduction_pct": r.spec_reduction_pct,
-            "collab_reduction_pct": r.collab_reduction_pct,
-            "margin": r.margin,
-            "verdict": r.verdict,
-            "tie": r.tie,
-        }
-        for r in report.rows
-    ]
+    rows = [{c: getattr(r, c) for c in REPORT_COLUMNS} for r in report.rows]
     if fmt == "json":
         write_json(
             {
@@ -97,42 +94,12 @@ def emit_report(
         return
     if fmt != "csv":
         raise MoesigError(f"unknown report format {fmt!r} (expected csv or json)")
-    meta_items = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"# accuracy={format_float(report.accuracy)} layer_policy={report.layer_policy} "
-            f"mode={report.mode} {meta_items}\n"
-        )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "domain",
-                "d_spec_kd",
-                "d_spec_scratch",
-                "d_collab_kd",
-                "d_collab_scratch",
-                "spec_reduction_pct",
-                "collab_reduction_pct",
-                "margin",
-                "verdict",
-                "tie",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["domain"],
-                    format_float(row["d_spec_kd"]),
-                    format_float(row["d_spec_scratch"]),
-                    format_float(row["d_collab_kd"]),
-                    format_float(row["d_collab_scratch"]),
-                    format_float(row["spec_reduction_pct"]),
-                    format_float(row["collab_reduction_pct"]),
-                    format_float(row["margin"]),
-                    row["verdict"],
-                    str(row["tie"]).lower(),
-                ]
-            )
+    comment = (
+        f"accuracy={format_float(report.accuracy)} layer_policy={report.layer_policy} "
+        f"mode={report.mode} {meta_comment(meta)}"
+    )
+    cells = [{**row, "tie": str(row["tie"]).lower()}.values() for row in rows]
+    write_csv(path, comment, REPORT_COLUMNS, cells)
 
 
 def _sub_seed(seed: int, name: str) -> int:
@@ -285,3 +252,36 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     emit_report(report, out / "report.csv", fmt="csv", meta=artifact_meta(seed, digest))
     emit_report(report, out / "report.json", fmt="json", meta=artifact_meta(seed, digest))
     return report
+
+
+def read_benchmark(
+    bench_dir: str | Path,
+) -> tuple[RoutingTraceSet, dict[str, tuple[RoutingTraceSet, RoutingTraceSet]], dict]:
+    """Read a benchmark directory laid out as :func:`run_pipeline` writes it.
+
+    Returns the teacher traces, the (kd, scratch) traces per domain and the
+    manifest's provenance block. A manifest without a string ``teacher``, a
+    ``pairs`` object whose entries name string ``kd`` and ``scratch`` files,
+    or with a ``meta`` that is not an object raises MoesigError.
+    """
+    bench = Path(bench_dir)
+    path = bench / "manifest.json"
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise MoesigError(f"{path}: manifest must be a JSON object")
+    teacher, pairs, meta = manifest.get("teacher"), manifest.get("pairs"), manifest.get("meta", {})
+    if not isinstance(teacher, str):
+        raise MoesigError(f"{path}: manifest needs a string 'teacher' trace file, got {teacher!r}")
+    if not isinstance(pairs, dict):
+        raise MoesigError(f"{path}: manifest needs a 'pairs' object, got {pairs!r}")
+    for domain, entry in pairs.items():
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in KINDS):
+            raise MoesigError(f"{path}: pair {domain!r} needs string 'kd' and 'scratch' files")
+    if not isinstance(meta, dict):
+        raise MoesigError(f"{path}: manifest meta must be a JSON object")
+    teacher_traces = ingest_traces(bench / teacher)
+    pair_traces = {
+        domain: (ingest_traces(bench / entry["kd"]), ingest_traces(bench / entry["scratch"]))
+        for domain, entry in pairs.items()
+    }
+    return teacher_traces, pair_traces, meta

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from moesig._meta import is_int
 from moesig.errors import TraceError
 
 SCHEMA_VERSION = 1
@@ -74,10 +75,6 @@ class RoutingTraceSet:
 
     def domain_label(self, domain: int) -> str:
         return self.domains[domain - 1]
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _at(lineno: int | None) -> str:
@@ -152,7 +149,7 @@ def _parse_header(line: str, lineno: int) -> dict:
     if not isinstance(header, dict) or "schema_version" not in header:
         raise TraceError(f"{where}first line must be a header with a schema_version field")
     version = header["schema_version"]
-    if not _is_int(version) or version != SCHEMA_VERSION:
+    if not is_int(version) or version != SCHEMA_VERSION:
         raise TraceError(
             f"{where}unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"
         )
@@ -162,10 +159,10 @@ def _parse_header(line: str, lineno: int) -> dict:
     if not isinstance(header["model_id"], str):
         raise TraceError(f"{where}header model_id must be a string")
     num_layers = header["num_layers"]
-    if not _is_int(num_layers):
+    if not is_int(num_layers):
         raise TraceError(f"{where}header num_layers must be an integer, got {num_layers!r}")
     experts = header["experts_per_layer"]
-    if not isinstance(experts, list) or not all(_is_int(e) for e in experts):
+    if not isinstance(experts, list) or not all(is_int(e) for e in experts):
         raise TraceError(f"{where}header experts_per_layer must be a list of integers")
     domains = header.get("domains")
     if domains is not None and (
@@ -199,9 +196,9 @@ def _file_records(
         qid, label, layer, selected = rec["query_id"], rec["domain"], rec["layer"], rec["selected"]
         if not isinstance(qid, str) or not isinstance(label, str):
             raise TraceError(f"line {lineno}: query_id and domain must be strings")
-        if not _is_int(layer):
+        if not is_int(layer):
             raise TraceError(f"line {lineno}: layer must be an integer")
-        if not isinstance(selected, list) or not all(map(_is_int, selected)):
+        if not isinstance(selected, list) or not all(map(is_int, selected)):
             raise TraceError(f"line {lineno}: selected must be a list of integers")
         dom = domain_index.get(label)
         if dom is None:

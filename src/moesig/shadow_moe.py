@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from moesig._meta import config_digest
+from moesig._meta import artifact_meta, config_digest, is_int, is_number
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -38,13 +38,28 @@ GATE_SUM_TOL = 1e-9
 MODEL_MAGIC = b"MOESIG-SHADOW-V1\n"
 
 
+def _field_int(doc: dict, key: str, what: str, default: int | None = None, minimum: int = 0) -> int:
+    value = doc.get(key, default)
+    if not is_int(value) or value < minimum:
+        raise ShadowMoeError(f"{what} needs an integer {key!r} >= {minimum}, got {value!r}")
+    return value
+
+
+def _field_number(doc: dict, key: str, what: str, default: float) -> float:
+    value = doc.get(key, default)
+    if not is_number(value):
+        raise ShadowMoeError(f"{what} needs a numeric {key!r}, got {value!r}")
+    return float(value)
+
+
 def _as_per_layer(value, num_layers: int, name: str) -> tuple[int, ...]:
-    if isinstance(value, int):
+    if is_int(value):
         return (value,) * num_layers
-    out = tuple(int(v) for v in value)
-    if len(out) != num_layers:
-        raise ShadowMoeError(f"{name} has {len(out)} entries for {num_layers} layers")
-    return out
+    if not isinstance(value, (list, tuple)) or not all(map(is_int, value)):
+        raise ShadowMoeError(f"{name} must be an integer or a list of integers, got {value!r}")
+    if len(value) != num_layers:
+        raise ShadowMoeError(f"{name} has {len(value)} entries for {num_layers} layers")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,14 @@ class ShadowMoeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_layers", "input_dim", "output_dim", "hidden_dim", "epochs", "batch_size"):
+            if not is_int(getattr(self, name)):
+                raise ShadowMoeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("load_balance_weight", "learning_rate", "momentum"):
+            if not is_number(getattr(self, name)):
+                raise ShadowMoeError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ShadowMoeError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.num_layers < 1:
             raise ShadowMoeError(f"num_layers must be >= 1, got {self.num_layers}")
         experts = _as_per_layer(self.experts_per_layer, self.num_layers, "experts_per_layer")
@@ -87,31 +110,18 @@ class ShadowMoeConfig:
             raise ShadowMoeError("momentum must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "experts_per_layer": list(self.experts_per_layer),
-            "top_k": list(self.top_k),
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "hidden_dim": self.hidden_dim,
-            "load_balance_weight": self.load_balance_weight,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "momentum": self.momentum,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ShadowMoeConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ShadowMoeError("proxy config must be a JSON object")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ShadowMoeError(f"unknown config field(s): {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("experts_per_layer", "top_k"):
-            if key in doc and isinstance(doc[key], list):
-                doc[key] = tuple(doc[key])
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ShadowMoeError(f"config is missing field(s) {missing}")
         return cls(**doc)
 
     def digest(self) -> str:
@@ -398,24 +408,41 @@ class ShadowMoeModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ShadowMoeModel":
+        """Read a file written by :meth:`save`; a malformed file raises ShadowMoeError."""
         with Path(path).open("rb") as fh:
             magic = fh.read(len(MODEL_MAGIC))
             if magic != MODEL_MAGIC:
                 raise ShadowMoeError(f"{path}: not a shadow-moe model file")
-            manifest = json.loads(fh.readline().decode("utf-8"))
-            if manifest.get("version") != 1:
+            try:
+                manifest = json.loads(fh.readline().decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ShadowMoeError(f"{path}: malformed model manifest: {exc}") from None
+            if not isinstance(manifest, dict) or manifest.get("version") != 1:
                 raise ShadowMoeError(f"{path}: unsupported model version")
-            config = ShadowMoeConfig.from_dict(manifest["config"])
+            config, tensors = manifest.get("config"), manifest.get("tensors")
+            if not isinstance(config, dict) or not isinstance(tensors, list):
+                raise ShadowMoeError(f"{path}: model manifest needs 'config' and 'tensors' fields")
+            try:
+                config = ShadowMoeConfig.from_dict(config)
+            except ShadowMoeError as exc:
+                raise ShadowMoeError(f"{path}: {exc}") from None
             model = cls.initialize(config)
             named = dict(model.param_items())
-            for entry in manifest["tensors"]:
-                (size,) = struct.unpack("<Q", fh.read(8))
-                buf = fh.read(size)
-                arr = np.frombuffer(buf, dtype="<f8").reshape(entry["shape"]).copy()
-                target = named[entry["name"]]
-                if target.shape != arr.shape:
-                    raise ShadowMoeError(f"{path}: tensor {entry['name']} shape mismatch")
-                target[...] = arr
+            for entry in tensors:
+                name = entry.get("name") if isinstance(entry, dict) else None
+                if not isinstance(name, str) or name not in named:
+                    raise ShadowMoeError(f"{path}: unknown or repeated tensor {name!r}")
+                target = named.pop(name)
+                if entry.get("shape") != list(target.shape):
+                    raise ShadowMoeError(f"{path}: tensor {name} shape mismatch")
+                # the stored size is checked before reading, so a corrupt one allocates nothing
+                size_ok = fh.read(8) == struct.pack("<Q", target.nbytes)
+                buf = fh.read(target.nbytes) if size_ok else b""
+                if len(buf) != target.nbytes:
+                    raise ShadowMoeError(f"{path}: tensor {name} is truncated or mis-sized")
+                target[...] = np.frombuffer(buf, dtype="<f8").reshape(target.shape)
+            if named:
+                raise ShadowMoeError(f"{path}: missing tensor(s) {sorted(named)}")
         return model
 
     @property
@@ -516,7 +543,7 @@ def read_queries(path: str | Path) -> QuerySet:
                 raise ShadowMoeError(f"{where}: expected a JSON object")
             if input_dim is None:
                 input_dim = doc.get("input_dim")
-                if doc.get("kind") != "query-set" or not isinstance(input_dim, int) or input_dim < 1:
+                if doc.get("kind") != "query-set" or not is_int(input_dim) or input_dim < 1:
                     raise ShadowMoeError(f"{where}: expected a query-set header with an input_dim")
                 continue
             missing = [key for key in ("query_id", "domain", "x") if key not in doc]
@@ -537,6 +564,31 @@ def read_queries(path: str | Path) -> QuerySet:
     if not ids:
         raise ShadowMoeError(f"{path}: empty query file")
     return QuerySet(query_ids=tuple(ids), inputs=np.asarray(xs, dtype=np.float64), domains=tuple(labels))
+
+
+def make_queries(doc: dict, path: str | Path) -> QuerySet:
+    """Generate the query set a ``gaussian-domains`` config describes and write it to ``path``.
+
+    The config needs integer ``seed``, ``num_domains``, ``n_per_domain`` and
+    ``input_dim`` and takes numeric ``separation`` and ``spread``; a
+    malformed config raises ShadowMoeError.
+    """
+    what = "query-set config"
+    if not isinstance(doc, dict):
+        raise ShadowMoeError(f"{what} must be a JSON object")
+    if doc.get("kind") != "gaussian-domains":
+        raise ShadowMoeError(f"unknown query-set kind {doc.get('kind')!r}")
+    seed = _field_int(doc, "seed", what)
+    queries = gaussian_domain_queries(
+        seed=seed,
+        num_domains=_field_int(doc, "num_domains", what, minimum=1),
+        n_per_domain=_field_int(doc, "n_per_domain", what, minimum=1),
+        input_dim=_field_int(doc, "input_dim", what, minimum=1),
+        separation=_field_number(doc, "separation", what, 2.0),
+        spread=_field_number(doc, "spread", what, 0.5),
+    )
+    write_queries(queries, path, meta=artifact_meta(seed, config_digest(doc)))
+    return queries
 
 
 def mlp_oracle(
@@ -571,6 +623,38 @@ def linear_oracle(seed: int, input_dim: int, output_dim: int, scale: float = 1.0
 def model_oracle(model: ShadowMoeModel) -> Oracle:
     """Treat a trained proxy as a black-box oracle (its input-output map only)."""
     return model.predict
+
+
+def build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig) -> Oracle:
+    """An oracle from its JSON spec, with model paths relative to ``base_dir``.
+
+    A malformed spec raises ShadowMoeError.
+    """
+    what = "oracle spec"
+    if not isinstance(spec, dict):
+        raise ShadowMoeError(f"{what} must be a JSON object")
+    kind = spec.get("kind")
+    if kind == "mlp":
+        return mlp_oracle(
+            seed=_field_int(spec, "seed", what),
+            input_dim=config.input_dim,
+            output_dim=config.output_dim,
+            hidden_dim=_field_int(spec, "hidden_dim", what, 16, minimum=1),
+            scale=_field_number(spec, "scale", what, 1.0),
+        )
+    if kind == "linear":
+        return linear_oracle(
+            seed=_field_int(spec, "seed", what),
+            input_dim=config.input_dim,
+            output_dim=config.output_dim,
+            scale=_field_number(spec, "scale", what, 1.0),
+        )
+    if kind == "shadow-model":
+        path = spec.get("path")
+        if not isinstance(path, str):
+            raise ShadowMoeError(f"shadow-model {what} needs a string 'path', got {path!r}")
+        return model_oracle(ShadowMoeModel.load(base_dir / path))
+    raise ShadowMoeError(f"unknown oracle kind {kind!r} (expected mlp, linear, or shadow-model)")
 
 
 def train_proxy(

@@ -20,7 +20,6 @@ falls back to the specialization distance alone.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from moesig._meta import write_csv
 from moesig.errors import SignatureError
 from moesig.routing_trace import RoutingTraceSet
 
@@ -318,23 +318,17 @@ def dump_bundle_csv(bundle: SignatureBundle, path: str | Path, meta_line: str | 
     specialization values sum to 1.
     """
     spec, collab = bundle
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        if meta_line is not None:
-            fh.write(f"# {meta_line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "layer", "domain", "i", "j", "value"])
-        for d, label in enumerate(spec.domain_labels):
-            for i in range(spec.num_experts):
-                writer.writerow(
-                    ["specialization", spec.layer, label, i, "", repr(float(spec.matrix[i, d]))]
-                )
-        for d, label in enumerate(spec.domain_labels):
-            writer.writerow(
-                ["kappa", spec.layer, label, "", "", repr(float(spec.kappa_per_domain[d]))]
-            )
-        for i in range(collab.num_experts):
-            for j in range(collab.num_experts):
-                if i != j:
-                    writer.writerow(
-                        ["collaboration", collab.layer, "", i, j, repr(float(collab.matrix[i, j]))]
-                    )
+    labels = spec.domain_labels
+    rows = [
+        ["specialization", spec.layer, label, i, "", spec.matrix[i, d]]
+        for d, label in enumerate(labels)
+        for i in range(spec.num_experts)
+    ]
+    rows += [["kappa", spec.layer, lab, "", "", k] for lab, k in zip(labels, spec.kappa_per_domain)]
+    rows += [
+        ["collaboration", collab.layer, "", i, j, collab.matrix[i, j]]
+        for i in range(collab.num_experts)
+        for j in range(collab.num_experts)
+        if i != j
+    ]
+    write_csv(path, meta_line, ["kind", "layer", "domain", "i", "j", "value"], rows)

@@ -21,16 +21,15 @@ reflects shared surface statistics rather than inherited structure; bias 1
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, config_digest
+from moesig._meta import artifact_meta, config_digest, is_int, is_number, write_json
 from moesig._pool import parallel_map
 from moesig._rng import substream
 from moesig.detector import detect_pair
@@ -58,6 +57,15 @@ class ScenarioConfig:
     layer_bias: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("num_experts", "num_layers", "top_k", "num_domains", "n_per_domain"):
+            if not is_int(getattr(self, name)):
+                raise ScenarioError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not is_number(self.relatedness):
+            raise ScenarioError(f"relatedness must be a number, got {self.relatedness!r}")
+        if not isinstance(self.permute_labels, bool):
+            raise ScenarioError(f"permute_labels must be a boolean, got {self.permute_labels!r}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ScenarioError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.num_experts < 1 or self.num_layers < 1 or self.num_domains < 1:
             raise ScenarioError("num_experts, num_layers, and num_domains must be >= 1")
         if not 1 <= self.top_k <= self.num_experts:
@@ -67,7 +75,10 @@ class ScenarioConfig:
         if not 0.0 <= self.relatedness <= 1.0:
             raise ScenarioError(f"relatedness must lie in [0, 1], got {self.relatedness}")
         if self.layer_bias is not None:
-            bias = tuple(float(b) for b in self.layer_bias)
+            bias = self.layer_bias
+            if not isinstance(bias, (list, tuple)) or not all(map(is_number, bias)):
+                raise ScenarioError(f"layer_bias must be a list of numbers, got {bias!r}")
+            bias = tuple(float(b) for b in bias)
             if len(bias) != self.num_layers:
                 raise ScenarioError(
                     f"layer_bias has {len(bias)} entries for {self.num_layers} layers"
@@ -81,28 +92,18 @@ class ScenarioConfig:
         return self.layer_bias if self.layer_bias is not None else (1.0,) * self.num_layers
 
     def to_dict(self) -> dict:
-        return {
-            "num_experts": self.num_experts,
-            "num_layers": self.num_layers,
-            "top_k": self.top_k,
-            "num_domains": self.num_domains,
-            "n_per_domain": self.n_per_domain,
-            "relatedness": self.relatedness,
-            "permute_labels": self.permute_labels,
-            "seed": self.seed,
-            "layer_bias": list(self.layer_bias) if self.layer_bias is not None else None,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        doc = dict(doc)
-        if doc.get("layer_bias") is not None:
-            doc["layer_bias"] = tuple(doc["layer_bias"])
-        elif "layer_bias" in doc:
-            doc["layer_bias"] = None
+        if not isinstance(doc, dict):
+            raise ScenarioError("scenario config must be a JSON object")
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ScenarioError(f"unknown scenario config field(s): {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ScenarioError(f"scenario config is missing field(s) {missing}")
         return cls(**doc)
 
     def digest(self) -> str:
@@ -252,10 +253,36 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict:
         "config": scenario.config.to_dict(),
         "meta": artifact_meta(scenario.config.seed, scenario.config.digest()),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest, out / "manifest.json")
     return manifest
+
+
+def expand_grid(doc: dict) -> list[ScenarioConfig]:
+    """The scenario configs of a sweep grid.
+
+    A grid is either ``{"configs": [<scenario config>, ...]}`` or a ``base``
+    scenario config crossed with a ``rho`` list of relatedness values and a
+    ``seeds`` list (each defaults to the base's own value). A malformed grid
+    raises ScenarioError.
+    """
+    if not isinstance(doc, dict):
+        raise ScenarioError("sweep grid must be a JSON object")
+    if "configs" in doc:
+        if not isinstance(doc["configs"], list):
+            raise ScenarioError("sweep grid 'configs' must be a list of scenario configs")
+        return [ScenarioConfig.from_dict(c) for c in doc["configs"]]
+    base = doc.get("base")
+    if not isinstance(base, dict):
+        raise ScenarioError("sweep grid needs a 'base' scenario config object or a 'configs' list")
+    rhos = doc.get("rho", [base.get("relatedness", 1.0)])
+    seeds = doc.get("seeds", [base.get("seed", 0)])
+    if not isinstance(rhos, list) or not isinstance(seeds, list):
+        raise ScenarioError("sweep grid 'rho' and 'seeds' must be lists")
+    return [
+        ScenarioConfig.from_dict({**base, "relatedness": rho, "seed": seed})
+        for rho in rhos
+        for seed in seeds
+    ]
 
 
 def _sweep_row(config: ScenarioConfig, mode: str, layer_policy: LayerPolicy) -> dict:

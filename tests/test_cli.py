@@ -9,6 +9,7 @@ import pytest
 from moesig.cli import dispatch, emit_report
 from moesig.detector import BenchmarkReport, BenchmarkRow
 from moesig.routing_trace import build_trace_set, write_traces
+from moesig.shadow_moe import ShadowMoeConfig, ShadowMoeModel
 from moesig.synthgen import ScenarioConfig, generate_scenario
 
 
@@ -55,6 +56,104 @@ TWO_LAYER_HEADER = {
     "experts_per_layer": [4, 4],
     "domains": ["math"],
 }
+
+
+QUERY_FILE = (
+    '{"schema_version":1,"kind":"query-set","input_dim":2}\n'
+    '{"query_id":"q0","domain":"d1","x":[0.0,1.0]}\n'
+)
+PROXY = dict(num_layers=1, experts_per_layer=4, top_k=2, input_dim=2, output_dim=1)
+QUERY_CONFIG = dict(kind="gaussian-domains", seed=5, num_domains=2, n_per_domain=3, input_dim=2)
+SCENARIO = dict(num_experts=4, num_layers=1, top_k=2, num_domains=2, n_per_domain=5)
+PAIRS = {"d1": {"kd": "kd.jsonl", "scratch": "scratch.jsonl"}}
+
+
+def train_proxy_case(proxy=PROXY, oracle=None, model=None):
+    """Files and arguments of a ``train-proxy`` run; ``model`` maps a saved model's bytes."""
+    files = {
+        "queries.jsonl": QUERY_FILE,
+        "proxy.json": proxy,
+        "oracle.json": oracle or {"kind": "linear", "seed": 2},
+    }
+    if model is not None:
+        files["oracle.json"] = {"kind": "shadow-model", "path": "model.bin"}
+        files["model.bin"] = model
+    argv = ["train-proxy", "--oracle", "oracle.json", "--queries", "queries.jsonl",
+            "--config", "proxy.json", "--out", "m.bin"]
+    return files, argv
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+SWEEP = ["sweep", "--grid", "grid.json", "--out", "t.csv"]
+REPORT = ["report", "--benchmark", ".", "--out", "r.csv"]
+
+# (files written into a fresh directory, arguments relative to it, expected message fragment)
+MALFORMED_CONFIGS = [
+    pytest.param(*train_proxy_case({**PROXY, "num_layers": "2"}), "num_layers must be an integer",
+                 id="proxy-layers-string"),
+    pytest.param(*train_proxy_case({**PROXY, "epochs": True}), "epochs must be an integer",
+                 id="proxy-epochs-bool"),
+    pytest.param(*train_proxy_case({**PROXY, "seed": 1.5}), "seed must be an integer",
+                 id="proxy-seed-float"),
+    pytest.param(*train_proxy_case({**PROXY, "learning_rate": "fast"}),
+                 "learning_rate must be a number", id="proxy-rate-string"),
+    pytest.param(*train_proxy_case({**PROXY, "momentum": False}), "momentum must be a number",
+                 id="proxy-momentum-bool"),
+    pytest.param(*train_proxy_case({**PROXY, "experts_per_layer": "4"}), "experts_per_layer",
+                 id="proxy-experts-string"),
+    pytest.param(*train_proxy_case(without(PROXY, "top_k")), "missing field(s) ['top_k']",
+                 id="proxy-no-top-k"),
+    pytest.param(*train_proxy_case([PROXY]), "JSON object", id="proxy-not-object"),
+    pytest.param(*train_proxy_case(model=lambda m: m[:300]), "malformed model manifest",
+                 id="model-300-bytes"),
+    pytest.param(*train_proxy_case(model=lambda m: m[:2000]), "truncated",
+                 id="model-2000-bytes"),
+    pytest.param(*train_proxy_case(model=lambda m: m[:-8]), "truncated", id="model-short-tensor"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"config"', b'"cfg"')),
+                 "'config' and 'tensors'", id="model-no-config"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"tensors"', b'"arrays"')),
+                 "'config' and 'tensors'", id="model-no-tensors"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"w_in"', b'"w_xx"')),
+                 "unknown or repeated tensor 'w_xx'", id="model-unknown-tensor"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"top_k":[2]', b'"top_k":["2"]')),
+                 "top_k must be an integer or a list", id="model-bad-config"),
+    pytest.param({"q.json": without(QUERY_CONFIG, "seed")},
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"], "'seed'",
+                 id="queries-no-seed"),
+    pytest.param({"q.json": {**QUERY_CONFIG, "input_dim": "x"}},
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"], "'input_dim'",
+                 id="queries-dim-string"),
+    pytest.param({"q.json": {**QUERY_CONFIG, "n_per_domain": 0}},
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"], "'n_per_domain' >= 1",
+                 id="queries-empty-domain"),
+    pytest.param({"grid.json": {"rho": [0.5]}}, SWEEP, "'base'", id="grid-no-base"),
+    pytest.param({"grid.json": [SCENARIO]}, SWEEP, "JSON object", id="grid-list"),
+    pytest.param({"grid.json": {"base": {**SCENARIO, "num_experts": "4"}}}, SWEEP,
+                 "num_experts must be an integer", id="grid-experts-string"),
+    pytest.param({"grid.json": {"base": SCENARIO, "rho": ["0.5"]}}, SWEEP,
+                 "relatedness must be a number", id="grid-rho-string"),
+    pytest.param({"grid.json": {"base": SCENARIO, "seeds": 3}}, SWEEP, "must be lists",
+                 id="grid-seeds-not-list"),
+    pytest.param({"grid.json": {"configs": [without(SCENARIO, "top_k")]}}, SWEEP,
+                 "missing field(s) ['top_k', 'relatedness']", id="grid-config-incomplete"),
+    pytest.param({"s.json": {**SCENARIO, "relatedness": "0.5"}},
+                 ["synth", "--config", "s.json", "--out-dir", "out"],
+                 "relatedness must be a number", id="synth-rho-string"),
+    pytest.param({"s.json": {**SCENARIO, "relatedness": 0.5, "layer_bias": 1}},
+                 ["synth", "--config", "s.json", "--out-dir", "out"],
+                 "layer_bias must be a list", id="synth-bias-not-list"),
+    pytest.param({"manifest.json": {"pairs": PAIRS}}, REPORT, "'teacher'",
+                 id="report-no-teacher"),
+    pytest.param({"manifest.json": {"teacher": "t.jsonl"}}, REPORT, "'pairs'",
+                 id="report-no-pairs"),
+    pytest.param({"manifest.json": {"teacher": "t.jsonl", "pairs": {"d1": {"scratch": "s.jsonl"}}}},
+                 REPORT, "pair 'd1' needs string 'kd'", id="report-pair-no-kd"),
+    pytest.param({"manifest.json": {"teacher": "t.jsonl", "pairs": {"d1": {"kd": "k.jsonl"}}}},
+                 REPORT, "pair 'd1' needs string 'kd' and 'scratch'", id="report-pair-no-scratch"),
+]
 
 
 class TestMalformedInput:
@@ -166,6 +265,23 @@ class TestMalformedInput:
         assert code == 1
         (message,) = error_lines(caplog)
         assert expected in message and "\n" not in message
+
+    @pytest.mark.parametrize("files, argv, expected", MALFORMED_CONFIGS)
+    def test_malformed_config(self, tmp_path, monkeypatch, caplog, capsys, files, argv, expected):
+        ShadowMoeModel.initialize(ShadowMoeConfig(**PROXY)).save(tmp_path / "saved.bin")
+        for name, content in files.items():
+            path = tmp_path / name
+            if callable(content):
+                path.write_bytes(content((tmp_path / "saved.bin").read_bytes()))
+            elif isinstance(content, str):
+                path.write_text(content, encoding="utf-8")
+            else:
+                write_json(path, content)
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(argv) == 1
+        (message,) = error_lines(caplog)
+        assert expected in message and "\n" not in message
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_malformed_json_config(self, tmp_path, caplog):
         grid = tmp_path / "grid.json"
