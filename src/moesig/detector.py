@@ -27,8 +27,8 @@ class DetectionScore:
     score: float
     d_spec: float
     d_collab: float | None
+    distance: SignatureDistance = field(compare=False)
     candidate_id: str = ""
-    distance: SignatureDistance | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

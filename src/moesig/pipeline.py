@@ -18,7 +18,7 @@ the artifacts do not depend on the number of workers.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,8 @@ from moesig.shadow_moe import (
     Oracle,
     QuerySet,
     ShadowMoeConfig,
+    _field_int,
+    _field_number,
     export_traces,
     gaussian_domain_queries,
     mlp_oracle,
@@ -49,7 +51,8 @@ from moesig.shadow_moe import (
     train_proxy,
     write_queries,
 )
-from moesig.signatures import parse_layer_policy
+from moesig.signatures import parse_layer_policy, resolve_layer
+from moesig.transport import _resolve_mode
 
 log = logging.getLogger("moesig")
 
@@ -114,24 +117,22 @@ class _Setup:
     queries: QuerySet
     oracle_hidden: int
     oracle_scale: float
-    proxy_base: dict
-    proxy_epochs: int
+    proxy: ShadowMoeConfig
     candidate_epochs: int
     models_dir: Path
 
     def oracle(self, name: str) -> Oracle:
         return mlp_oracle(
             _sub_seed(self.seed, name),
-            input_dim=int(self.proxy_base["input_dim"]),
-            output_dim=int(self.proxy_base["output_dim"]),
+            input_dim=self.proxy.input_dim,
+            output_dim=self.proxy.output_dim,
             hidden_dim=self.oracle_hidden,
             scale=self.oracle_scale,
         )
 
     def train(self, oracle: Oracle, queries: QuerySet, name: str, seed: int, epochs: int):
         """Fit, save as ``models/<name>.bin``; returns the model and its log line."""
-        cfg = ShadowMoeConfig.from_dict({**self.proxy_base, "seed": seed, "epochs": epochs})
-        model, losses = train_proxy(oracle, queries, cfg)
+        model, losses = train_proxy(oracle, queries, replace(self.proxy, seed=seed, epochs=epochs))
         model.save(self.models_dir / f"{name}.bin")
         return model, f"{name}: distill loss {losses[0]:.5g} -> {losses[-1]:.5g}"
 
@@ -162,7 +163,7 @@ def _run_job(job: _Job) -> tuple[RoutingTraceSet, list[str]]:
     proxy_seed = _sub_seed(s.seed, "proxy-shared-init")
     teacher_fn = s.oracle("teacher-oracle")
     if kind == "teacher":
-        proxy, line = s.train(teacher_fn, s.queries, "proxy_teacher", proxy_seed, s.proxy_epochs)
+        proxy, line = s.train(teacher_fn, s.queries, "proxy_teacher", proxy_seed, s.proxy.epochs)
         return export_traces(proxy, s.queries, model_id="teacher-proxy"), [line]
     oracle = teacher_fn if kind == "kd" else s.oracle(f"unrelated-oracle-{domain}")
     candidate, cand_line = s.train(
@@ -170,7 +171,7 @@ def _run_job(job: _Job) -> tuple[RoutingTraceSet, list[str]]:
         _sub_seed(s.seed, f"candidate-{kind}-{domain}"), s.candidate_epochs,
     )
     proxy, proxy_line = s.train(
-        model_oracle(candidate), s.queries, f"proxy_{domain}_{kind}", proxy_seed, s.proxy_epochs,
+        model_oracle(candidate), s.queries, f"proxy_{domain}_{kind}", proxy_seed, s.proxy.epochs,
     )
     traces = export_traces(proxy, s.queries, model_id=f"{domain}-{kind}-proxy")
     return traces, [cand_line, proxy_line]
@@ -181,39 +182,57 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
 
     Writes ``queries.jsonl``, ``models/*.bin``, ``traces/*.jsonl``,
     ``manifest.json`` and ``report.csv``/``report.json``; returns the report.
+    The whole config is checked before anything is written: a missing or
+    malformed field raises MoesigError.
     """
+    what = "pipeline config"
+    if not isinstance(doc, dict):
+        raise MoesigError(f"{what} must be a JSON object")
     missing = [key for key in REQUIRED_FIELDS if key not in doc]
-    if not missing and "epochs" not in doc["proxy"]:
-        missing = ["proxy.epochs"]
     if missing:
-        raise MoesigError(f"pipeline config is missing field(s) {missing}")
+        raise MoesigError(f"{what} is missing field(s) {missing}")
+    oracle = doc.get("oracle", {})
+    if not isinstance(doc["proxy"], dict) or not isinstance(oracle, dict):
+        raise MoesigError(f"{what} needs 'proxy' and 'oracle' to be JSON objects")
+    if "epochs" not in doc["proxy"]:
+        raise MoesigError(f"{what} is missing field(s) ['proxy.epochs']")
+    seed = _field_int(doc, "seed", what)
+    input_dim = _field_int(doc, "input_dim", what, minimum=1)
+    output_dim = _field_int(doc, "output_dim", what, minimum=1)
+    num_domains = _field_int(doc, "num_domains", what, minimum=1)
+    n_per_domain = _field_int(doc, "n_per_domain", what, minimum=1)
+    separation = _field_number(doc, "separation", what, 2.5)
+    spread = _field_number(doc, "spread", what, 0.6)
+    proxy = ShadowMoeConfig.from_dict({**doc["proxy"], "input_dim": input_dim, "output_dim": output_dim})
+    candidate_epochs = _field_int(doc, "candidate_epochs", what, proxy.epochs, minimum=1)
+    oracle_hidden = _field_int(oracle, "hidden_dim", "pipeline oracle", 16, minimum=1)
+    oracle_scale = _field_number(oracle, "scale", "pipeline oracle", 1.5)
+    layer_policy = parse_layer_policy(str(doc.get("layer_policy", "last")))
+    mode = doc.get("mode", "auto")
+    # an unknown mode, or exact mode above the enumeration cap, would fail only after every fit
+    _resolve_mode(mode, proxy.experts_per_layer[resolve_layer(layer_policy, proxy.num_layers)])
+
     out = Path(out_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(parents=True, exist_ok=True)
-    seed = int(doc["seed"])
     digest = config_digest(doc)
-    input_dim = int(doc["input_dim"])
-
     queries = gaussian_domain_queries(
         seed=_sub_seed(seed, "pipeline-queries"),
-        num_domains=int(doc["num_domains"]),
-        n_per_domain=int(doc["n_per_domain"]),
+        num_domains=num_domains,
+        n_per_domain=n_per_domain,
         input_dim=input_dim,
-        separation=float(doc.get("separation", 2.5)),
-        spread=float(doc.get("spread", 0.6)),
+        separation=separation,
+        spread=spread,
     )
     write_queries(queries, out / "queries.jsonl", meta=artifact_meta(seed, digest))
 
-    oracle_doc = dict(doc.get("oracle", {}))
-    proxy_base = {**doc["proxy"], "input_dim": input_dim, "output_dim": int(doc["output_dim"])}
     setup = _Setup(
         seed=seed,
         queries=queries,
-        oracle_hidden=int(oracle_doc.get("hidden_dim", 16)),
-        oracle_scale=float(oracle_doc.get("scale", 1.5)),
-        proxy_base=proxy_base,
-        proxy_epochs=proxy_base["epochs"],
-        candidate_epochs=int(doc.get("candidate_epochs", proxy_base["epochs"])),
+        oracle_hidden=oracle_hidden,
+        oracle_scale=oracle_scale,
+        proxy=proxy,
+        candidate_epochs=candidate_epochs,
         models_dir=out / "models",
     )
     domains = queries.domain_labels()
@@ -246,8 +265,6 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     }
     write_json(manifest, out / "manifest.json")
 
-    layer_policy = parse_layer_policy(str(doc.get("layer_policy", "last")))
-    mode = str(doc.get("mode", "auto"))
     report = run_benchmark(teacher_traces, pairs, layer_policy=layer_policy, mode=mode)
     emit_report(report, out / "report.csv", fmt="csv", meta=artifact_meta(seed, digest))
     emit_report(report, out / "report.json", fmt="json", meta=artifact_meta(seed, digest))

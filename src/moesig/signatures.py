@@ -24,7 +24,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,16 +127,10 @@ def _activations(traces: RoutingTraceSet, layer: int) -> np.ndarray:
     return acts
 
 
-def compute_specialization(
-    traces: RoutingTraceSet,
-    layer: int,
-    domains: Sequence[str] | None = None,
-) -> SpecializationProfile:
+def compute_specialization(traces: RoutingTraceSet, layer: int) -> SpecializationProfile:
     """Build the specialization profile at ``layer``.
 
-    ``domains`` optionally restricts the profile to the given labels, in the
-    given order; a requested domain with no queries is an error. By default
-    all declared domains with at least one query are included, in
+    Every declared domain with at least one query is included, in
     declaration order.
     """
     acts = _activations(traces, layer)
@@ -149,19 +143,8 @@ def compute_specialization(
     k_totals = sel_counts.sum(axis=0)
     n_d = onehot.sum(axis=0).astype(np.int64)
 
-    if domains is not None:
-        missing = [lab for lab in domains if lab not in traces.domains]
-        if missing:
-            raise SignatureError(f"unknown domain label(s) {missing}")
-        idx = [traces.domains.index(lab) for lab in domains]
-        empty = [traces.domains[i] for i in idx if n_d[i] == 0]
-        if empty:
-            raise SignatureError(f"domain(s) with no queries: {empty}")
-        labels = tuple(domains)
-    else:
-        idx = [i for i in range(num_declared) if n_d[i] > 0]
-        labels = tuple(traces.domains[i] for i in idx)
-
+    idx = [i for i in range(num_declared) if n_d[i] > 0]
+    labels = tuple(traces.domains[i] for i in idx)
     sel_counts = sel_counts[:, idx]
     k_totals = k_totals[idx]
     n_d = n_d[idx]
@@ -227,11 +210,7 @@ def parse_layer_policy(raw: str) -> LayerPolicy:
     return int(raw) if raw.lstrip("+-").isdigit() else raw
 
 
-def signature_bundle(
-    traces: RoutingTraceSet,
-    layer_policy: LayerPolicy = "last",
-    domains: Sequence[str] | None = None,
-) -> SignatureBundle:
+def signature_bundle(traces: RoutingTraceSet, layer_policy: LayerPolicy = "last") -> SignatureBundle:
     """Compute both signatures at the layer chosen by ``layer_policy``.
 
     The default policy is the last layer, where routing carries the most
@@ -239,7 +218,7 @@ def signature_bundle(
     """
     layer = resolve_layer(layer_policy, traces.num_layers)
     return SignatureBundle(
-        spec=compute_specialization(traces, layer, domains=domains),
+        spec=compute_specialization(traces, layer),
         collab=compute_collaboration(traces, layer),
     )
 

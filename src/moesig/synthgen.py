@@ -314,7 +314,7 @@ def _sweep_row(config: ScenarioConfig, mode: str, layer_policy: LayerPolicy) -> 
         "d_spec_scratch": s_s.d_spec,
         "d_collab_distilled": s_d.d_collab,
         "d_collab_scratch": s_s.d_collab,
-        "method": s_d.distance.method if s_d.distance is not None else "",
+        "method": s_d.distance.method,
     }
 
 

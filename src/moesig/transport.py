@@ -13,6 +13,12 @@ minimizing over expert relabelings. Two matching strategies are provided:
 
 ``auto`` mode picks exact enumeration up to 8 experts (40320 permutations)
 and the heuristic above that.
+
+The invariance is one-sided. Relabeling the teacher only reorders the
+permutations scanned, so the exact distance does not change. Relabeling
+the student does change it in general: the positional W1 integrates the
+CDF along the student's expert order, and that order is not minimized
+over.
 """
 
 from __future__ import annotations
@@ -60,15 +66,6 @@ class Permutation:
         for i, j in enumerate(self.mapping):
             inv[j] = i
         return Permutation(tuple(inv))
-
-    def apply_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """Row i of the result is row mapping[i] of the input."""
-        return np.asarray(matrix)[list(self.mapping)]
-
-    def conjugate(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply the relabeling to both axes of a square matrix."""
-        idx = list(self.mapping)
-        return np.asarray(matrix)[np.ix_(idx, idx)]
 
 
 class TransportResult(NamedTuple):
@@ -206,6 +203,10 @@ def _collab_objectives(perms: np.ndarray, teacher: np.ndarray, student: np.ndarr
     return row_w1.sum(axis=1) / e
 
 
+# each kind's objective, and the element budget (permutations x teacher size) of one exact chunk
+_OBJECTIVES = {"spec": (_spec_objectives, 4_000_000), "collab": (_collab_objectives, 2_000_000)}
+
+
 def _minimize_over_permutations(objectives, size: int, chunk_rows: int) -> tuple[float, Permutation]:
     """Scan all permutations in lexicographic order; first minimum wins ties."""
     best_value = np.inf
@@ -256,17 +257,6 @@ def heuristic_cost_matrix(kind: str, teacher, student) -> np.ndarray:
     raise TransportError(f"unknown cost kind {kind!r} (expected spec or collab)")
 
 
-def _matched_gather_map(cost: np.ndarray) -> Permutation:
-    """Assignment solution converted to a row-gather map.
-
-    The assignment pairs teacher expert i with student expert sigma(i); the
-    gather map pi places teacher row pi[j] at student slot j, so pi is the
-    inverse of sigma.
-    """
-    sigma, _ = hungarian(cost)
-    return sigma.inverse()
-
-
 def _check_profiles(teacher: SpecializationProfile, student: SpecializationProfile) -> np.ndarray:
     """Validate a profile pair; returns student matrix with columns aligned to teacher's."""
     if teacher.num_experts != student.num_experts:
@@ -287,6 +277,32 @@ def _check_profiles(teacher: SpecializationProfile, student: SpecializationProfi
     return student.matrix[:, cols]
 
 
+def _match(kind: str, teacher: np.ndarray, student: np.ndarray, mode: str) -> TransportResult:
+    """Minimize the ``kind`` objective over relabelings of ``teacher``.
+
+    A relabeling is a row-gather map pi that places teacher row pi[j] at
+    student slot j (for ``collab``, column pi[j] at column j as well).
+    Exact mode scans every pi in lexicographic order, the first minimum
+    winning ties. Heuristic mode solves the assignment of
+    :func:`heuristic_cost_matrix`, which pairs teacher expert i with
+    student expert sigma(i), so pi is the inverse of sigma; the objective
+    at that pi is an upper bound on the exact minimum.
+    """
+    objectives, budget = _OBJECTIVES[kind]
+    e = teacher.shape[0]
+    method = _resolve_mode(mode, e)
+    if method == METHOD_EXACT:
+        chunk = max(1, budget // max(1, teacher.size))
+        value, perm = _minimize_over_permutations(
+            lambda perms: objectives(perms, teacher, student), e, chunk
+        )
+    else:
+        sigma, _ = hungarian(heuristic_cost_matrix(kind, teacher, student))
+        perm = sigma.inverse()
+        value = float(objectives(np.asarray([perm.mapping], dtype=np.intp), teacher, student)[0])
+    return TransportResult(value=value, permutation=perm, method=method)
+
+
 def spec_distance(
     teacher: SpecializationProfile,
     student: SpecializationProfile,
@@ -300,20 +316,7 @@ def spec_distance(
     match of :func:`heuristic_cost_matrix`, giving an upper bound.
     """
     s_matrix = _check_profiles(teacher, student)
-    t_matrix = teacher.matrix
-    e = teacher.num_experts
-    method = _resolve_mode(mode, e)
-    if method == METHOD_EXACT:
-        chunk = max(1, 4_000_000 // max(1, e * teacher.num_domains))
-        value, perm = _minimize_over_permutations(
-            lambda perms: _spec_objectives(perms, t_matrix, s_matrix), e, chunk
-        )
-    else:
-        perm = _matched_gather_map(heuristic_cost_matrix("spec", t_matrix, s_matrix))
-        value = float(
-            _spec_objectives(np.asarray([perm.mapping], dtype=np.intp), t_matrix, s_matrix)[0]
-        )
-    return TransportResult(value=value, permutation=perm, method=method)
+    return _match("spec", teacher.matrix, s_matrix, mode)
 
 
 def collab_distance(
@@ -335,23 +338,10 @@ def collab_distance(
         raise TransportError(
             "co-activation mass mismatch: one matrix is zero-mass flagged and the other is not"
         )
-    e = teacher.num_experts
-    method = _resolve_mode(mode, e)
     if teacher.zero_mass:
-        return TransportResult(value=0.0, permutation=Permutation.identity(e), method=method)
-    if method == METHOD_EXACT:
-        chunk = max(1, 2_000_000 // max(1, e * e))
-        value, perm = _minimize_over_permutations(
-            lambda perms: _collab_objectives(perms, teacher.matrix, student.matrix), e, chunk
-        )
-    else:
-        perm = _matched_gather_map(heuristic_cost_matrix("collab", teacher.matrix, student.matrix))
-        value = float(
-            _collab_objectives(
-                np.asarray([perm.mapping], dtype=np.intp), teacher.matrix, student.matrix
-            )[0]
-        )
-    return TransportResult(value=value, permutation=perm, method=method)
+        e = teacher.num_experts
+        return TransportResult(0.0, Permutation.identity(e), _resolve_mode(mode, e))
+    return _match("collab", teacher.matrix, student.matrix, mode)
 
 
 def signature_distance(
@@ -367,19 +357,12 @@ def signature_distance(
     comparable.
     """
     d_spec = spec_distance(teacher.spec, student.spec, mode=mode)
-    if teacher.collab.zero_mass and student.collab.zero_mass:
-        return SignatureDistance(
-            d_spec=d_spec.value,
-            d_collab=None,
-            spec_permutation=d_spec.permutation,
-            collab_permutation=None,
-            method=d_spec.method,
-        )
-    d_collab = collab_distance(teacher.collab, student.collab, mode=mode)
+    both_zero = teacher.collab.zero_mass and student.collab.zero_mass
+    d_collab = None if both_zero else collab_distance(teacher.collab, student.collab, mode=mode)
     return SignatureDistance(
         d_spec=d_spec.value,
-        d_collab=d_collab.value,
+        d_collab=d_collab.value if d_collab else None,
         spec_permutation=d_spec.permutation,
-        collab_permutation=d_collab.permutation,
+        collab_permutation=d_collab.permutation if d_collab else None,
         method=d_spec.method,
     )

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import logging
 
 import pytest
 
+from moesig import _pool
 from moesig.cli import dispatch, emit_report
 from moesig.detector import BenchmarkReport, BenchmarkRow
 from moesig.routing_trace import build_trace_set, write_traces
@@ -89,6 +91,19 @@ def without(doc, key):
 
 SWEEP = ["sweep", "--grid", "grid.json", "--out", "t.csv"]
 REPORT = ["report", "--benchmark", ".", "--out", "r.csv"]
+PIPELINE = dict(
+    seed=1, num_domains=2, n_per_domain=3, input_dim=2, output_dim=1, separation=2.5, spread=0.6,
+    oracle={"hidden_dim": 4, "scale": 1.5}, candidate_epochs=1,
+    proxy=dict(num_layers=1, experts_per_layer=4, top_k=2, hidden_dim=4, load_balance_weight=0.02,
+               learning_rate=0.05, epochs=1, batch_size=8, momentum=0.9),
+    layer_policy="last", mode="auto",
+)
+RUN_PIPELINE = ["pipeline", "--config", "p.json", "--out-dir", "out"]
+
+
+def pipeline_case(change, expected, case_id):
+    return pytest.param({"p.json": {**PIPELINE, **change}}, RUN_PIPELINE, expected, id=case_id)
+
 
 # (files written into a fresh directory, arguments relative to it, expected message fragment)
 MALFORMED_CONFIGS = [
@@ -153,6 +168,16 @@ MALFORMED_CONFIGS = [
                  REPORT, "pair 'd1' needs string 'kd'", id="report-pair-no-kd"),
     pytest.param({"manifest.json": {"teacher": "t.jsonl", "pairs": {"d1": {"kd": "k.jsonl"}}}},
                  REPORT, "pair 'd1' needs string 'kd' and 'scratch'", id="report-pair-no-scratch"),
+    pipeline_case({"seed": "x"}, "'seed'", "pipeline-seed-string"),
+    pipeline_case({"proxy": 5}, "'proxy' and 'oracle'", "pipeline-proxy-number"),
+    pipeline_case({"oracle": [1]}, "'proxy' and 'oracle'", "pipeline-oracle-list"),
+    pipeline_case({"n_per_domain": "3"}, "'n_per_domain'", "pipeline-count-string"),
+    pipeline_case({"separation": "2"}, "'separation'", "pipeline-separation-string"),
+    pipeline_case({"mode": "fastest"}, "unknown mode 'fastest'", "pipeline-unknown-mode"),
+    pipeline_case({"mode": "exact", "proxy": {**PIPELINE["proxy"], "experts_per_layer": 12}},
+                  "capped at 10 experts", "pipeline-exact-above-cap"),
+    pipeline_case({"layer_policy": "middle"}, "unknown layer policy 'middle'",
+                  "pipeline-unknown-layer-policy"),
 ]
 
 
@@ -282,6 +307,7 @@ class TestMalformedInput:
         (message,) = error_lines(caplog)
         assert expected in message and "\n" not in message
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json_config(self, tmp_path, caplog):
         grid = tmp_path / "grid.json"
@@ -290,6 +316,76 @@ class TestMalformedInput:
         assert code == 1
         (message,) = error_lines(caplog)
         assert "malformed JSON" in message and "\n" not in message
+
+
+TRAIN_PROXY_FILES = {
+    "queries.jsonl": QUERY_FILE,
+    "proxy.json": dict(PROXY, hidden_dim=4, load_balance_weight=0.01, learning_rate=0.05, epochs=1,
+                       batch_size=8, momentum=0.5, seed=3),
+    "oracle.json": {"kind": "mlp", "seed": 7, "hidden_dim": 4, "scale": 1.5},
+}
+TRAIN_PROXY = ["train-proxy", "--oracle", "oracle.json", "--queries", "queries.jsonl",
+               "--config", "proxy.json", "--out", "m.bin"]
+SCENARIO_FULL = dict(SCENARIO, relatedness=0.5, permute_labels=True, seed=1, layer_bias=[0.5])
+# (name, valid files, the file whose keys are mutated, keys whose object values are mutated too, argv)
+FUZZ_TARGETS = [
+    ("proxy", TRAIN_PROXY_FILES, "proxy.json", (), TRAIN_PROXY),
+    ("oracle", TRAIN_PROXY_FILES, "oracle.json", (), TRAIN_PROXY),
+    ("model-oracle", {**TRAIN_PROXY_FILES, "oracle.json": {"kind": "shadow-model", "path": "saved.bin"}},
+     "oracle.json", (), TRAIN_PROXY),
+    ("queries", {"q.json": dict(QUERY_CONFIG, separation=2.0, spread=0.5)}, "q.json", (),
+     ["make-queries", "--config", "q.json", "--out", "q.jsonl"]),
+    ("scenario", {"s.json": SCENARIO_FULL}, "s.json", (),
+     ["synth", "--config", "s.json", "--out-dir", "out"]),
+    ("grid", {"grid.json": {"base": SCENARIO, "rho": [0.5, 1.0], "seeds": [0]}}, "grid.json", (), SWEEP),
+    ("grid-configs", {"grid.json": {"configs": [SCENARIO_FULL]}}, "grid.json", (), SWEEP),
+    ("pipeline", {"p.json": PIPELINE}, "p.json", ("proxy", "oracle"), RUN_PIPELINE),
+]
+DELETE = object()
+MUTATIONS = {"deleted": DELETE, "x": "x", "true": True, "null": None, "list": [], "object": {}}
+
+
+def fuzz_cases():
+    for name, files, target, nested, argv in FUZZ_TARGETS:
+        doc = files[target]
+        paths = [(key,) for key in doc] + [(key, sub) for key in nested for sub in doc[key]]
+        for path in paths:
+            for label, value in MUTATIONS.items():
+                yield pytest.param(files, target, path, value, argv,
+                                   id=f"{name}-{'.'.join(path)}-{label}")
+
+
+class TestConfigFuzz:
+    """Deleting or retyping any one key of any config gives exit 0, or exit 1 and one line."""
+
+    @pytest.mark.parametrize("files, target, path, value, argv", list(fuzz_cases()))
+    def test_single_key_mutation(self, tmp_path, monkeypatch, caplog, capsys,
+                                 files, target, path, value, argv):
+        monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+        ShadowMoeModel.initialize(ShadowMoeConfig(**PROXY)).save(tmp_path / "saved.bin")
+        doc = copy.deepcopy(files[target])
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+        for name, content in {**files, target: doc}.items():
+            if isinstance(content, str):
+                (tmp_path / name).write_text(content, encoding="utf-8")
+            else:
+                write_json(tmp_path / name, content)
+        monkeypatch.chdir(tmp_path)
+        code = dispatch(argv)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 0:
+            assert error_lines(caplog) == []
+        else:
+            assert code == 1
+            (message,) = error_lines(caplog)
+            assert "\n" not in message
 
 
 class TestIngest:

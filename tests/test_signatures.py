@@ -149,14 +149,6 @@ def test_empty_domains_excluded_by_default():
     assert prof.matrix.shape == (4, 1)
 
 
-def test_requested_empty_domain_errors():
-    ts = make_traces([("a", 2, 0, (0, 1))], domains=("d1", "d2"))
-    with pytest.raises(SignatureError, match=r"d1"):
-        compute_specialization(ts, 0, domains=("d1", "d2"))
-    with pytest.raises(SignatureError, match="unknown"):
-        compute_specialization(ts, 0, domains=("nope",))
-
-
 def test_missing_layer_errors():
     ts = build_trace_set(
         "m",

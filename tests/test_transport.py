@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,9 +128,6 @@ class TestPermutation:
     def test_inverse_and_apply(self):
         perm = Permutation((2, 0, 1))
         assert perm.inverse().mapping == (1, 2, 0)
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(perm.apply_rows(m), m[[2, 0, 1]])
-        assert np.array_equal(perm.conjugate(m), m[np.ix_([2, 0, 1], [2, 0, 1])])
         assert Permutation.identity(3).mapping == (0, 1, 2)
 
 
@@ -148,6 +151,23 @@ class TestSpecDistance:
             domain_labels=teacher.domain_labels,
         )
         res = spec_distance(teacher, student, mode="exact")
+        assert res.value <= 1e-15
+        assert res.permutation.mapping == gather
+
+    def test_permuted_copy_recovered_at_nine_experts(self):
+        # above the auto cutoff the permutations are streamed in chunks, not cached
+        rng = np.random.default_rng(41)
+        teacher = random_profile(rng, 9, 3)
+        gather = tuple(int(i) for i in rng.permutation(9))
+        student = type(teacher)(
+            layer=0,
+            matrix=teacher.matrix[list(gather)],
+            kappa_per_domain=teacher.kappa_per_domain,
+            counts=teacher.counts,
+            domain_labels=teacher.domain_labels,
+        )
+        res = spec_distance(teacher, student, mode="exact")
+        assert res.method == "exact-brute-force"
         assert res.value <= 1e-15
         assert res.permutation.mapping == gather
 
@@ -257,6 +277,19 @@ class TestCollabDistance:
         res = collab_distance(teacher, student, mode="exact")
         assert res.value <= 1e-15
 
+    def test_conjugated_copy_zero_at_nine_experts(self):
+        rng = np.random.default_rng(42)
+        teacher = random_collab(rng, 9)
+        gather = [int(i) for i in rng.permutation(9)]
+        student = CollaborationMatrix(
+            layer=0,
+            matrix=teacher.matrix[np.ix_(gather, gather)],
+            pair_normalizer=teacher.pair_normalizer,
+        )
+        res = collab_distance(teacher, student, mode="exact")
+        assert res.method == "exact-brute-force"
+        assert res.value <= 1e-15
+
     def test_exact_matches_factorial_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(12):
@@ -363,3 +396,38 @@ def test_heuristic_cost_complexity_growth():
             best = min(best, time.perf_counter() - start)
         timings[num_experts] = best
     assert timings[64] <= 10.0 * timings[32]
+
+
+SCIPY_PROBE = textwrap.dedent(
+    """
+    import json, sys
+    from moesig.cli import dispatch
+
+    def loaded():
+        return "scipy.optimize" in sys.modules
+
+    after_import = loaded()
+    scenario = dict(num_experts=8, num_layers=1, top_k=2, num_domains=3, n_per_domain=20,
+                    relatedness=0.5, seed=1)
+    with open("s.json", "w") as fh:
+        json.dump(scenario, fh)
+    assert dispatch(["synth", "--config", "s.json", "--out-dir", "s"]) == 0
+    detect = ["detect", "--teacher", "s/teacher.jsonl", "--cand1", "s/cand1.jsonl",
+              "--cand2", "s/cand2.jsonl", "--out", "v.json", "--mode"]
+    assert dispatch(detect + ["exact"]) == 0
+    after_exact = loaded()
+    assert dispatch(detect + ["heuristic"]) == 0
+    print(json.dumps([after_import, after_exact, loaded()]))
+    """
+)
+
+
+def test_scipy_loaded_only_by_heuristic_matching(tmp_path):
+    # scipy.optimize dominates start-up time; only the Hungarian solver may import it
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], cwd=tmp_path, capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, True]
