@@ -66,13 +66,6 @@ class RoutingTraceSet:
     def num_queries(self) -> int:
         return len(self.traces)
 
-    def domain_counts(self) -> list[int]:
-        """Per-domain query counts n_d, indexed by domain label order."""
-        counts = [0] * len(self.domains)
-        for trace in self.traces:
-            counts[trace.domain - 1] += 1
-        return counts
-
     def domain_label(self, domain: int) -> str:
         return self.domains[domain - 1]
 

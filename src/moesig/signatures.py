@@ -70,11 +70,6 @@ class SpecializationProfile:
     def num_domains(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def selection_frequency(self) -> np.ndarray:
-        """Raw per-domain selection frequencies (before kappa normalization)."""
-        return self.matrix * self.kappa_per_domain[None, :]
-
 
 @dataclass(frozen=True, eq=False)
 class CollaborationMatrix:

@@ -334,21 +334,3 @@ def sweep(
         raise ScenarioError("sweep needs at least one scenario config")
     return parallel_map(partial(_sweep_row, mode=mode, layer_policy=layer_policy), configs)
 
-
-def summarize_sweep(rows: Sequence[dict]) -> list[dict]:
-    """Aggregate sweep rows per rho: trial count, accuracy, mean margin."""
-    grouped: dict[float, list[dict]] = {}
-    for row in rows:
-        grouped.setdefault(float(row["rho"]), []).append(row)
-    summary = []
-    for rho in sorted(grouped):
-        group = grouped[rho]
-        summary.append(
-            {
-                "rho": rho,
-                "trials": len(group),
-                "accuracy": sum(r["correct"] for r in group) / len(group),
-                "mean_margin": sum(r["margin"] for r in group) / len(group),
-            }
-        )
-    return summary

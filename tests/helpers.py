@@ -1,11 +1,45 @@
-"""Shared random-data builders for the test suite."""
+"""Shared random-data builders and small test-only aggregations for the test suite."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
 from moesig.signatures import CollaborationMatrix, SpecializationProfile
+
+
+def domain_counts(traces: RoutingTraceSet) -> list[int]:
+    """Per-domain query counts n_d, indexed by domain label order."""
+    counts = [0] * len(traces.domains)
+    for trace in traces.traces:
+        counts[trace.domain - 1] += 1
+    return counts
+
+
+def selection_frequency(profile: SpecializationProfile) -> np.ndarray:
+    """Raw per-domain selection frequencies (before kappa normalization)."""
+    return profile.matrix * profile.kappa_per_domain[None, :]
+
+
+def summarize_sweep(rows: Sequence[dict]) -> list[dict]:
+    """Aggregate sweep rows per rho: trial count, accuracy, mean margin."""
+    grouped: dict[float, list[dict]] = {}
+    for row in rows:
+        grouped.setdefault(float(row["rho"]), []).append(row)
+    summary = []
+    for rho in sorted(grouped):
+        group = grouped[rho]
+        summary.append(
+            {
+                "rho": rho,
+                "trials": len(group),
+                "accuracy": sum(r["correct"] for r in group) / len(group),
+                "mean_margin": sum(r["margin"] for r in group) / len(group),
+            }
+        )
+    return summary
 
 
 def random_trace_set(

@@ -32,7 +32,7 @@ from moesig.shadow_moe import (
     model_oracle,
     train_proxy,
 )
-from moesig.synthgen import ScenarioConfig, generate_scenario, summarize_sweep, sweep
+from moesig.synthgen import ScenarioConfig, generate_scenario, sweep
 from moesig.transport import (
     collab_distance,
     hungarian,
@@ -42,7 +42,7 @@ from moesig.transport import (
 from moesig._rng import substream
 
 from _oracles import brute_force_assignment, naive_collaboration, naive_specialization
-from helpers import random_collab, random_profile, random_trace_set
+from helpers import random_collab, random_profile, random_trace_set, summarize_sweep
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_ROOT = Path(__file__).resolve().parent.parent

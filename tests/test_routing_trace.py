@@ -15,7 +15,7 @@ from moesig.routing_trace import (
 )
 from moesig.signatures import compute_specialization
 
-from helpers import random_trace_set
+from helpers import domain_counts, random_trace_set
 
 HEADER = {
     "schema_version": 1,
@@ -48,7 +48,7 @@ def test_ingest_two_queries_single_layer(tmp_path):
     assert ts.experts_per_layer == (4,)
     assert ts.domains == ("math", "code")
     assert ts.traces[0].selections[0] == (0, 1)
-    assert ts.domain_counts() == [1, 1]
+    assert domain_counts(ts) == [1, 1]
 
 
 def test_out_of_range_expert_names_line(tmp_path):
@@ -253,7 +253,7 @@ def test_roundtrip_idempotent_random(seed, tmp_path_factory):
 def test_domain_counts_sum():
     rng = np.random.default_rng(1)
     ts = random_trace_set(rng)
-    counts = ts.domain_counts()
+    counts = domain_counts(ts)
     assert all(c >= 0 for c in counts)
     assert sum(counts) == ts.num_queries
 

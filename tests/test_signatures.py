@@ -19,7 +19,7 @@ from moesig.signatures import (
 )
 
 from _oracles import naive_collaboration, naive_specialization
-from helpers import random_trace_set, relabel_traces
+from helpers import random_trace_set, relabel_traces, selection_frequency
 
 
 def make_traces(records, num_experts=4, num_layers=1, domains=("d1",)):
@@ -45,7 +45,7 @@ def test_specialization_mixed_k_frozen_values():
     # query A selects {2} (k=1), query B selects {0,1,2} (k=3)
     ts = make_traces([("a", 1, 0, (2,)), ("b", 1, 0, (0, 1, 2))])
     prof = compute_specialization(ts, 0)
-    s_bin = prof.selection_frequency
+    s_bin = selection_frequency(prof)
     assert np.allclose(s_bin[:, 0], [0.5, 0.5, 1.0, 0.0], atol=0, rtol=0)
     assert prof.kappa_per_domain[0] == 2.0
     assert np.array_equal(prof.matrix[:, 0], [0.25, 0.25, 0.5, 0.0])

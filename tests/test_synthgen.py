@@ -10,11 +10,12 @@ from moesig.signatures import signature_bundle
 from moesig.synthgen import (
     ScenarioConfig,
     generate_scenario,
-    summarize_sweep,
     sweep,
     write_scenario,
 )
 from moesig.transport import signature_distance
+
+from helpers import summarize_sweep
 
 BASE = dict(
     num_experts=8,

@@ -14,10 +14,20 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moesig import transport
 from moesig.errors import TransportError
-from moesig.signatures import CollaborationMatrix, SignatureBundle
+from moesig.signatures import CollaborationMatrix, SignatureBundle, signature_bundle
+from moesig.synthgen import ScenarioConfig, generate_scenario
 from moesig.transport import (
+    MASS_GUARD,
     Permutation,
+    _all_permutations,
+    _collab_objectives,
+    _dense_collab_objectives,
+    _dense_off_diagonal,
+    _minimize_over_permutations,
+    _spec_candidates,
+    _spec_objectives,
     collab_distance,
     heuristic_cost_matrix,
     hungarian,
@@ -155,7 +165,7 @@ class TestSpecDistance:
         assert res.permutation.mapping == gather
 
     def test_permuted_copy_recovered_at_nine_experts(self):
-        # above the auto cutoff the permutations are streamed in chunks, not cached
+        # above the auto cutoff exact mode runs only on request; the subset DP scans no permutations
         rng = np.random.default_rng(41)
         teacher = random_profile(rng, 9, 3)
         gather = tuple(int(i) for i in rng.permutation(9))
@@ -241,6 +251,37 @@ class TestSpecDistance:
         res = spec_distance(uniform, uniform, mode="exact")
         assert res.permutation.mapping == (0, 1, 2, 3)
 
+    def test_subset_dp_matches_scan(self):
+        # the DP's value (==) and permutation are the lexicographic scan's, ties included
+        rng = np.random.default_rng(43)
+        for case in range(64):
+            num_experts, num_domains = case % 8 + 1, int(rng.integers(1, 10))
+            teacher = random_profile(rng, num_experts, num_domains).matrix
+            student = random_profile(rng, num_experts, num_domains).matrix
+            if case % 3 == 1:  # quantised: many equal entries and tied permutations
+                teacher = np.round(teacher * 4) + 1.0
+                teacher /= teacher.sum(axis=0)
+                student = np.round(student * 4) + 1.0
+                student /= student.sum(axis=0)
+            elif case % 3 == 2:  # a relabelled copy
+                student = teacher[rng.permutation(num_experts)]
+            else:
+                assert _spec_candidates(teacher, student) is not None
+            want_value, want_perm = _minimize_over_permutations(
+                lambda perms: _spec_objectives(perms, teacher, student), num_experts, 40320
+            )
+            got = transport._match("spec", teacher, student, "exact")
+            assert got.value == want_value
+            assert got.permutation == want_perm
+
+    def test_degenerate_ties_fall_back_to_scan(self):
+        # every permutation of a uniform profile is optimal: too many for the DP to hand on
+        matrix = np.full((8, 3), 1.0 / 8)
+        assert _spec_candidates(matrix, matrix) is None
+        res = transport._match("spec", matrix, matrix, "exact")
+        assert res.value == 0.0
+        assert res.permutation == Permutation.identity(8)
+
     def test_relabel_invariance_of_value(self):
         rng = np.random.default_rng(10)
         teacher = random_profile(rng, 5, 2)
@@ -309,6 +350,48 @@ class TestCollabDistance:
             exact = collab_distance(teacher, student, mode="exact").value
             heur = collab_distance(teacher, student, mode="heuristic").value
             assert heur >= exact - 1e-12
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    def test_dense_kernel_bit_identical_on_scenarios(self, rho):
+        config = ScenarioConfig(num_experts=8, num_layers=1, top_k=2, num_domains=9,
+                                n_per_domain=200, relatedness=rho, permute_labels=True, seed=3)
+        scenario = generate_scenario(config)
+        teacher = signature_bundle(scenario.teacher).collab.matrix
+        perms = _all_permutations(8)
+        for cand in (scenario.distilled, scenario.scratch):
+            student = signature_bundle(cand).collab.matrix
+            assert _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
+            for start in range(0, len(perms), 10080):
+                chunk = perms[start : start + 10080]
+                assert np.array_equal(
+                    _dense_collab_objectives(chunk, teacher, student),
+                    _collab_objectives(chunk, teacher, student),
+                )
+
+    @pytest.mark.parametrize("sparse_row", [False, True])
+    def test_non_dense_matrix_takes_general_kernel(self, sparse_row, monkeypatch):
+        rng = np.random.default_rng(44)
+        teacher = random_collab(rng, 5, sparsity=2.0).matrix
+        student = random_collab(rng, 5, sparsity=2.0).matrix
+        assert _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
+        if sparse_row:  # row 2's whole off-diagonal mass below MASS_GUARD
+            teacher[2, :] *= MASS_GUARD / 10
+            teacher[:, 2] *= MASS_GUARD / 10
+        else:  # one zero off-diagonal pair
+            teacher[1, 3] = teacher[3, 1] = 0.0
+        teacher /= teacher.sum()
+        assert not _dense_off_diagonal(teacher)
+
+        def dense_kernel_called(*_args):
+            raise AssertionError("dense kernel used on a non-dense matrix")
+
+        monkeypatch.setattr(transport, "_dense_collab_objectives", dense_kernel_called)
+        res = collab_distance(
+            CollaborationMatrix(0, teacher, 2.0), CollaborationMatrix(0, student, 2.0), mode="exact"
+        )
+        want, want_perm = naive_collab_distance(teacher, student)
+        assert abs(res.value - want) <= 1e-12
+        assert res.permutation.mapping == want_perm
 
     def test_zero_mass_handling(self):
         zero = CollaborationMatrix(0, np.zeros((3, 3)), 0.0, zero_mass=True)
