@@ -53,7 +53,6 @@ from moesig.detector import (
 from moesig.shadow_moe import (
     ShadowMoeConfig,
     ShadowMoeModel,
-    TrainingBatchStats,
     export_traces,
     load_balance_loss,
     train_proxy,
@@ -100,7 +99,6 @@ __all__ = [
     "run_benchmark",
     "ShadowMoeConfig",
     "ShadowMoeModel",
-    "TrainingBatchStats",
     "load_balance_loss",
     "train_proxy",
     "export_traces",

@@ -153,7 +153,7 @@ def _cmd_train_proxy(args) -> int:
     oracle_dir = Path(args.oracle).parent
     oracle = build_oracle(read_json(args.oracle), oracle_dir, config)
     queries = read_queries(args.queries)
-    model, losses = train_proxy(oracle, queries, config)
+    model, losses = train_proxy(oracle, queries.inputs, config)
     model.save(args.out)
     log.info("trained proxy: loss %.6g -> %.6g over %d epochs", losses[0], losses[-1], config.epochs)
     if args.losses:

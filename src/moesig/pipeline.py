@@ -47,7 +47,6 @@ from moesig.shadow_moe import (
     export_traces,
     gaussian_domain_queries,
     mlp_oracle,
-    model_oracle,
     train_proxy,
     write_queries,
 )
@@ -130,9 +129,9 @@ class _Setup:
             scale=self.oracle_scale,
         )
 
-    def train(self, oracle: Oracle, queries: QuerySet, name: str, seed: int, epochs: int):
-        """Fit, save as ``models/<name>.bin``; returns the model and its log line."""
-        model, losses = train_proxy(oracle, queries, replace(self.proxy, seed=seed, epochs=epochs))
+    def train(self, oracle: Oracle, x: np.ndarray, name: str, seed: int, epochs: int):
+        """Fit on inputs ``x``, save as ``models/<name>.bin``; returns the model and its log line."""
+        model, losses = train_proxy(oracle, x, replace(self.proxy, seed=seed, epochs=epochs))
         model.save(self.models_dir / f"{name}.bin")
         return model, f"{name}: distill loss {losses[0]:.5g} -> {losses[-1]:.5g}"
 
@@ -146,15 +145,10 @@ class _Job:
     kind: str
 
 
-def _emphasize(queries: QuerySet, domain: str) -> QuerySet:
+def _emphasize(queries: QuerySet, domain: str) -> np.ndarray:
     # domain-specific training mix: the pair's task domain appears twice
-    ids, xs, doms = list(queries.query_ids), list(queries.inputs), list(queries.domains)
-    for qid, x, d in zip(queries.query_ids, queries.inputs, queries.domains):
-        if d == domain:
-            ids.append(f"{qid}+")
-            xs.append(x)
-            doms.append(d)
-    return QuerySet(query_ids=tuple(ids), inputs=np.array(xs), domains=tuple(doms))
+    repeat = np.array(queries.domains) == domain
+    return np.concatenate([queries.inputs, queries.inputs[repeat]])
 
 
 def _run_job(job: _Job) -> tuple[RoutingTraceSet, list[str]]:
@@ -163,7 +157,7 @@ def _run_job(job: _Job) -> tuple[RoutingTraceSet, list[str]]:
     proxy_seed = _sub_seed(s.seed, "proxy-shared-init")
     teacher_fn = s.oracle("teacher-oracle")
     if kind == "teacher":
-        proxy, line = s.train(teacher_fn, s.queries, "proxy_teacher", proxy_seed, s.proxy.epochs)
+        proxy, line = s.train(teacher_fn, s.queries.inputs, "proxy_teacher", proxy_seed, s.proxy.epochs)
         return export_traces(proxy, s.queries, model_id="teacher-proxy"), [line]
     oracle = teacher_fn if kind == "kd" else s.oracle(f"unrelated-oracle-{domain}")
     candidate, cand_line = s.train(
@@ -171,7 +165,7 @@ def _run_job(job: _Job) -> tuple[RoutingTraceSet, list[str]]:
         _sub_seed(s.seed, f"candidate-{kind}-{domain}"), s.candidate_epochs,
     )
     proxy, proxy_line = s.train(
-        model_oracle(candidate), s.queries, f"proxy_{domain}_{kind}", proxy_seed, s.proxy.epochs,
+        candidate.predict, s.queries.inputs, f"proxy_{domain}_{kind}", proxy_seed, s.proxy.epochs,
     )
     traces = export_traces(proxy, s.queries, model_id=f"{domain}-{kind}-proxy")
     return traces, [cand_line, proxy_line]

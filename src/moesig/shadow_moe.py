@@ -22,7 +22,7 @@ import json
 import struct
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
 
 Oracle = Callable[[np.ndarray], np.ndarray]
-
-GATE_SUM_TOL = 1e-9
 
 MODEL_MAGIC = b"MOESIG-SHADOW-V1\n"
 
@@ -128,32 +126,15 @@ class ShadowMoeConfig:
         return config_digest(self.to_dict())
 
 
-@dataclass(frozen=True)
-class TrainingBatchStats:
-    """Per-batch routing statistics: mean softmax gate usage per layer."""
-
-    mean_gate_usage: tuple[np.ndarray, ...]
-    distill_loss: float | None = None
-    omega: float | None = None
-
-    def __post_init__(self) -> None:
-        usage = tuple(np.asarray(u, dtype=np.float64) for u in self.mean_gate_usage)
-        object.__setattr__(self, "mean_gate_usage", usage)
-        for layer, u in enumerate(usage):
-            if abs(float(u.sum()) - 1.0) > GATE_SUM_TOL:
-                raise ShadowMoeError(
-                    f"layer {layer}: mean gate usage sums to {float(u.sum())!r}, not 1"
-                )
-
-
-def load_balance_loss(stats: TrainingBatchStats) -> float:
+def load_balance_loss(mean_gate_usage: Sequence[np.ndarray]) -> float:
     """Squared deviation of mean gate usage from uniform, summed over layers.
 
-    Each layer contributes E * sum_i (mean_usage_i - 1/E)^2; zero exactly
-    when usage is uniform in every layer.
+    ``mean_gate_usage`` holds one usage vector per layer. Each layer
+    contributes E * sum_i (usage_i - 1/E)^2; zero exactly when usage is
+    uniform in every layer.
     """
     total = 0.0
-    for usage in stats.mean_gate_usage:
+    for usage in mean_gate_usage:
         e = usage.shape[0]
         total += float(e * np.sum((usage - 1.0 / e) ** 2))
     return total
@@ -169,6 +150,7 @@ class _LayerCache:
     w_full: np.ndarray  # (B, E) renormalized weights scattered, 0 elsewhere
     mid: np.ndarray  # (B, E, H) expert hidden activations
     expert_out: np.ndarray  # (B, E, H)
+    out: np.ndarray  # (B, H) gate-weighted mix of the expert outputs
 
 
 @dataclass
@@ -262,6 +244,7 @@ class ShadowMoeModel:
                     w_full=w_full,
                     mid=mid,
                     expert_out=expert_out,
+                    out=out,
                 )
             )
             h = out
@@ -275,71 +258,32 @@ class ShadowMoeModel:
         y, _ = self._forward_batch(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         return y
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, tuple[int, ...]]]]:
-        """Single-input forward pass.
-
-        Returns the output vector and, per layer, the full softmax gate
-        vector together with the selected top-k expert set (ascending
-        indices; score ties resolve to the lower index).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ShadowMoeError(f"forward expects a single input vector, got shape {x.shape}")
-        y, caches = self._forward_batch(x[None, :])
-        routing = [
-            (cache.gates[0].copy(), tuple(sorted(int(i) for i in cache.topk[0])))
-            for cache in caches
-        ]
-        return y[0], routing
-
-    def batch_stats(self, x: np.ndarray, targets: np.ndarray | None = None) -> TrainingBatchStats:
-        """Routing statistics (and losses, when targets are given) for a batch."""
-        y, caches = self._forward_batch(x)
-        usage = tuple(cache.gates.mean(axis=0) for cache in caches)
-        distill = None
-        if targets is not None:
-            distill = float(np.mean((y - np.asarray(targets, dtype=np.float64)) ** 2))
-        stats = TrainingBatchStats(mean_gate_usage=usage, distill_loss=distill)
-        return TrainingBatchStats(
-            mean_gate_usage=usage, distill_loss=distill, omega=load_balance_loss(stats)
-        )
-
-    def loss_and_grads(
-        self, x: np.ndarray, targets: np.ndarray, lam: float | None = None
-    ) -> tuple[float, float, float, dict[str, np.ndarray]]:
-        """Total loss (MSE + lam * balance penalty) and analytic gradients.
+    def loss_and_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+        """Total loss (MSE + load_balance_weight * balance penalty) and analytic gradients.
 
         The top-k index sets are held fixed; gradients reach the routers
         through the renormalized weights of the selected gates and through
         the dense balance penalty on all gates.
         """
         cfg = self.config
-        if lam is None:
-            lam = cfg.load_balance_weight
+        lam = cfg.load_balance_weight
         t = np.asarray(targets, dtype=np.float64)
         y, caches = self._forward_batch(x)
         if t.shape != y.shape:
             raise ShadowMoeError(f"target shape {t.shape} does not match output {y.shape}")
         n = x.shape[0]
+        usage = [cache.gates.mean(axis=0) for cache in caches]
         with np.errstate(over="ignore", invalid="ignore"):
-            distill = float(np.mean((y - t) ** 2))
-        omega = 0.0
-        for cache in caches:
-            e = cache.gates.shape[1]
-            p_bar = cache.gates.mean(axis=0)
-            omega += float(e * np.sum((p_bar - 1.0 / e) ** 2))
-        total = distill + lam * omega
+            total = float(np.mean((y - t) ** 2)) + lam * load_balance_loss(usage)
 
         grads: dict[str, np.ndarray] = {}
         dy = 2.0 * (y - t) / y.size
-        h_last = np.einsum("be,beh->bh", caches[-1].w_full, caches[-1].expert_out)
-        grads["w_out"] = dy.T @ h_last
+        grads["w_out"] = dy.T @ caches[-1].out
         grads["b_out"] = dy.sum(axis=0)
         dh = dy @ self.w_out
 
         for layer in reversed(range(cfg.num_layers)):
             cache = caches[layer]
-            e = cache.gates.shape[1]
             de_out = cache.w_full[:, :, None] * dh[:, None, :]
             dw_full = np.einsum("beh,bh->be", cache.expert_out, dh)
 
@@ -357,8 +301,8 @@ class ShadowMoeModel:
             dgates = np.zeros_like(cache.gates)
             np.put_along_axis(dgates, cache.topk, dp_sel, axis=1)
             if lam > 0:
-                p_bar = cache.gates.mean(axis=0)
-                dgates = dgates + lam * 2.0 * e * (p_bar - 1.0 / e)[None, :] / n
+                e = usage[layer].shape[0]
+                dgates = dgates + lam * 2.0 * e * (usage[layer] - 1.0 / e)[None, :] / n
             dot = (dgates * cache.gates).sum(axis=1, keepdims=True)
             dlogits = cache.gates * (dgates - dot)
             grads[f"router.{layer}"] = dlogits.T @ cache.h_in
@@ -368,25 +312,7 @@ class ShadowMoeModel:
         da0 = dh * (1.0 - h0**2)
         grads["w_in"] = da0.T @ np.asarray(x, dtype=np.float64)
         grads["b_in"] = da0.sum(axis=0)
-        return total, distill, omega, grads
-
-    def selection_margin(self, x: np.ndarray) -> float:
-        """Smallest gap between the k-th and (k+1)-th gate over all layers and inputs.
-
-        Infinite when k equals the expert count everywhere (no selection
-        boundary exists). Gradient checks are only meaningful when this
-        margin is comfortably positive.
-        """
-        _, caches = self._forward_batch(np.atleast_2d(x))
-        margin = np.inf
-        for layer, cache in enumerate(caches):
-            k = self.config.top_k[layer]
-            e = cache.gates.shape[1]
-            if k == e:
-                continue
-            ordered = -np.sort(-cache.gates, axis=1)
-            margin = min(margin, float((ordered[:, k - 1] - ordered[:, k]).min()))
-        return margin
+        return total, grads
 
     def save(self, path: str | Path) -> None:
         """Versioned binary: magic, JSON manifest line, raw float64 tensors."""
@@ -620,11 +546,6 @@ def linear_oracle(seed: int, input_dim: int, output_dim: int, scale: float = 1.0
     return oracle
 
 
-def model_oracle(model: ShadowMoeModel) -> Oracle:
-    """Treat a trained proxy as a black-box oracle (its input-output map only)."""
-    return model.predict
-
-
 def build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig) -> Oracle:
     """An oracle from its JSON spec, with model paths relative to ``base_dir``.
 
@@ -653,23 +574,23 @@ def build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig) -> Oracle:
         path = spec.get("path")
         if not isinstance(path, str):
             raise ShadowMoeError(f"shadow-model {what} needs a string 'path', got {path!r}")
-        return model_oracle(ShadowMoeModel.load(base_dir / path))
+        return ShadowMoeModel.load(base_dir / path).predict
     raise ShadowMoeError(f"unknown oracle kind {kind!r} (expected mlp, linear, or shadow-model)")
 
 
 def train_proxy(
     oracle: Oracle,
-    queries: QuerySet | np.ndarray,
+    x: np.ndarray,
     config: ShadowMoeConfig,
 ) -> tuple[ShadowMoeModel, list[float]]:
-    """Fit a proxy to an oracle by mini-batch gradient descent.
+    """Fit a proxy to an oracle on the inputs ``x`` by mini-batch gradient descent.
 
     Returns the trained model and the distillation-loss curve; entry 0 is
     the loss before any update, entry e the full-dataset loss after epoch e.
     Training is seed-deterministic: identical config and data give bitwise
     identical parameters.
     """
-    x = queries.inputs if isinstance(queries, QuerySet) else np.asarray(queries, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShadowMoeError(f"queries must be a nonempty (n, input_dim) array, got {x.shape}")
     targets = np.asarray(oracle(x), dtype=np.float64)
@@ -683,8 +604,9 @@ def train_proxy(
     model = ShadowMoeModel.initialize(config)
     rng = substream(config.seed, "shadow-train")
     n = x.shape[0]
-    lam = config.load_balance_weight
-    velocity: dict[str, np.ndarray] = {}
+    # the model's own arrays, updated in place below, so the list is built once
+    params = model.param_items()
+    velocity = {name: np.zeros_like(param) for name, param in params}
 
     def full_distill_loss() -> float:
         # divergence shows up as inf/nan here and is reported, not warned about
@@ -698,19 +620,16 @@ def train_proxy(
             batch = order[start : start + config.batch_size]
             # a diverging step is reported by the checks below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                total, _, _, grads = model.loss_and_grads(x[batch], targets[batch], lam=lam)
+                total, grads = model.loss_and_grads(x[batch], targets[batch])
             if not np.isfinite(total):
                 raise ShadowMoeError(
                     f"training diverged at epoch {epoch}: batch loss {total!r} "
-                    f"(lr={config.learning_rate}, lambda={lam})"
+                    f"(lr={config.learning_rate}, lambda={config.load_balance_weight})"
                 )
-            for name, param in model.param_items():
+            for name, param in params:
                 g = grads[name]
                 if config.momentum > 0:
-                    v = velocity.get(name)
-                    if v is None:
-                        v = np.zeros_like(param)
-                        velocity[name] = v
+                    v = velocity[name]
                     v *= config.momentum
                     v += g
                     g = v

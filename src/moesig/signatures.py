@@ -247,8 +247,9 @@ def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = N
 def load_bundle(path: str | Path) -> SignatureBundle:
     """Load a signature bundle written by :func:`save_bundle`.
 
-    Invalid JSON, a missing field or matrices whose shapes disagree raise
-    SignatureError.
+    Invalid JSON, a missing field, matrices whose shapes disagree, a
+    negative or non-finite matrix entry or a ``zero_mass`` that is not a
+    boolean raise SignatureError.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -270,12 +271,17 @@ def load_bundle(path: str | Path) -> SignatureBundle:
             layer=layer,
             matrix=np.asarray(collab_doc["matrix"], dtype=np.float64),
             pair_normalizer=float(collab_doc["pair_normalizer"]),
-            zero_mass=bool(collab_doc["zero_mass"]),
+            zero_mass=collab_doc["zero_mass"],
         )
     except KeyError as exc:
         raise SignatureError(f"{path}: signature file is missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise SignatureError(f"{path}: malformed signature file: {exc}") from None
+    if not isinstance(collab.zero_mass, bool):
+        raise SignatureError(f"{path}: zero_mass must be true or false, got {collab.zero_mass!r}")
+    for name, matrix in (("specialization", spec.matrix), ("collaboration", collab.matrix)):
+        if not np.all(np.isfinite(matrix) & (matrix >= 0)):
+            raise SignatureError(f"{path}: {name} matrix has a negative or non-finite entry")
     if collab.num_experts != spec.num_experts:
         raise SignatureError(
             f"{path}: collaboration matrix has {collab.num_experts} experts, "

@@ -284,8 +284,8 @@ def _scan(objectives, teacher: np.ndarray, student: np.ndarray) -> tuple[float, 
 # absolute slack (in domain-summed W1 units) within which the subset DP keeps a
 # permutation as a candidate; both float sums are off by ~1e-15 at most
 _SPEC_DP_TOL = 1e-9
-# candidates the subset DP may hand on; degenerate ties (identical teacher rows)
-# can exceed it, and then the exact minimum comes from the full scan
+# candidates the subset DP may hand on; degenerate ties (teacher rows equal in
+# value but not in bits) can exceed it, and then the exact minimum comes from the full scan
 _SPEC_DP_CAP = 4096
 
 
@@ -300,6 +300,11 @@ def _spec_candidates(teacher: np.ndarray, student: np.ndarray) -> np.ndarray | N
     position, the prefixes whose cost so far plus ``g`` stays within the
     slack of the optimum, in lexicographic order. Returns those permutations
     as rows, or ``None`` when there are more than _SPEC_DP_CAP of them.
+
+    Bitwise-identical teacher rows are placed in index order only. Swapping
+    two of them gathers the same matrix, so the objective is equal bit for
+    bit, and the scan's first minimum is the permutation that has them in
+    index order.
     """
     e = teacher.shape[0]
     size = 1 << e
@@ -321,6 +326,13 @@ def _spec_candidates(teacher: np.ndarray, student: np.ndarray) -> np.ndarray | N
         step[nxt == layer[:, None]] = np.inf  # u already in U
         cost_to_go[layer] = step.min(axis=1)
 
+    earlier = {}  # row bytes -> bitmask of the rows seen so far with those bytes
+    needs = np.zeros(e, dtype=np.intp)  # needs[b]: the identical rows that precede b
+    for b in range(e):
+        key = teacher[b].tobytes()
+        needs[b] = earlier.get(key, 0)
+        earlier[key] = needs[b] | (1 << b)
+
     bound = cost_to_go[0] + _SPEC_DP_TOL
     prefixes = np.zeros((1, 0), dtype=np.intp)
     state = np.zeros(1, dtype=np.intp)
@@ -328,7 +340,8 @@ def _spec_candidates(teacher: np.ndarray, student: np.ndarray) -> np.ndarray | N
     for _ in range(e):
         nxt = state[:, None] | bits
         reached = so_far[:, None] + cost[nxt]
-        keep = (nxt != state[:, None]) & (reached + cost_to_go[nxt] <= bound)
+        in_order = (state[:, None] & needs) == needs
+        keep = (nxt != state[:, None]) & in_order & (reached + cost_to_go[nxt] <= bound)
         rows, cols = np.nonzero(keep)  # row-major: lexicographic order of the new prefixes
         if rows.size > _SPEC_DP_CAP:
             return None

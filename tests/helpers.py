@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
+from moesig.shadow_moe import ShadowMoeModel
 from moesig.signatures import CollaborationMatrix, SpecializationProfile
 
 
@@ -40,6 +41,29 @@ def summarize_sweep(rows: Sequence[dict]) -> list[dict]:
             }
         )
     return summary
+
+
+def mean_gate_usage(model: ShadowMoeModel, x: np.ndarray) -> list[np.ndarray]:
+    """Per-layer softmax gate usage of a proxy, averaged over the batch ``x``."""
+    _, caches = model._forward_batch(x)
+    return [cache.gates.mean(axis=0) for cache in caches]
+
+
+def selection_margin(model: ShadowMoeModel, x: np.ndarray) -> float:
+    """Smallest gap between the k-th and (k+1)-th gate over all layers and inputs.
+
+    Infinite when k equals the expert count everywhere (no selection
+    boundary exists). Gradient checks are only meaningful when this margin
+    is comfortably positive.
+    """
+    _, caches = model._forward_batch(x)
+    margin = np.inf
+    for k, cache in zip(model.config.top_k, caches):
+        if k == cache.gates.shape[1]:
+            continue
+        ordered = -np.sort(-cache.gates, axis=1)
+        margin = min(margin, float((ordered[:, k - 1] - ordered[:, k]).min()))
+    return margin
 
 
 def random_trace_set(

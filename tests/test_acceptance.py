@@ -26,10 +26,8 @@ from moesig.signatures import (
 from moesig.shadow_moe import (
     ShadowMoeConfig,
     ShadowMoeModel,
-    TrainingBatchStats,
     load_balance_loss,
     mlp_oracle,
-    model_oracle,
     train_proxy,
 )
 from moesig.synthgen import ScenarioConfig, generate_scenario, sweep
@@ -42,7 +40,14 @@ from moesig.transport import (
 from moesig._rng import substream
 
 from _oracles import brute_force_assignment, naive_collaboration, naive_specialization
-from helpers import random_collab, random_profile, random_trace_set, summarize_sweep
+from helpers import (
+    mean_gate_usage,
+    random_collab,
+    random_profile,
+    random_trace_set,
+    selection_margin,
+    summarize_sweep,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -224,9 +229,9 @@ def test_criterion_7_shadow_moe_training():
         model = ShadowMoeModel.initialize(cfg)
         x = rng.normal(size=(3, 3))
         targets = rng.normal(size=(3, 2))
-        if model.selection_margin(x) <= 1e-3:
+        if selection_margin(model, x) <= 1e-3:
             continue
-        _, _, _, grads = model.loss_and_grads(x, targets, lam=0.01)
+        _, grads = model.loss_and_grads(x, targets)
         step = 1e-6
         worst = 0.0
         for name, arr in model.param_items():
@@ -236,9 +241,9 @@ def test_criterion_7_shadow_moe_training():
                 idx = it.multi_index
                 original = arr[idx]
                 arr[idx] = original + step
-                up, _, _, _ = model.loss_and_grads(x, targets, lam=0.01)
+                up, _ = model.loss_and_grads(x, targets)
                 arr[idx] = original - step
-                down, _, _, _ = model.loss_and_grads(x, targets, lam=0.01)
+                down, _ = model.loss_and_grads(x, targets)
                 arr[idx] = original
                 fd[idx] = (up - down) / (2 * step)
                 it.iternext()
@@ -249,13 +254,10 @@ def test_criterion_7_shadow_moe_training():
         checked += 1
 
     # balance-penalty worked examples, exact to 1e-12
-    assert load_balance_loss(TrainingBatchStats(mean_gate_usage=(np.full(4, 0.25),))) == 0.0
+    assert load_balance_loss([np.full(4, 0.25)]) == 0.0
     skew = np.array([0.75, 0.25])
-    assert abs(load_balance_loss(TrainingBatchStats(mean_gate_usage=(skew,))) - 0.25) <= 1e-12
-    assert (
-        abs(load_balance_loss(TrainingBatchStats(mean_gate_usage=(skew, skew.copy()))) - 0.5)
-        <= 1e-12
-    )
+    assert abs(load_balance_loss([skew]) - 0.25) <= 1e-12
+    assert abs(load_balance_loss([skew, skew.copy()]) - 0.5) <= 1e-12
 
     # self-distillation: proxy initialized at the oracle's own weights
     tiny = ShadowMoeConfig(
@@ -270,13 +272,12 @@ def test_criterion_7_shadow_moe_training():
     )
     base = ShadowMoeModel.initialize(tiny)
     x = np.random.default_rng(7).normal(size=(20, 3))
-    _, losses = train_proxy(model_oracle(base), x, tiny)
+    _, losses = train_proxy(base.predict, x, tiny)
     assert losses[0] == 0.0
 
     # balance penalty reduces max-expert usage share on skewed data, 5/5 seeds
     def max_share(model: ShadowMoeModel, inputs: np.ndarray) -> float:
-        stats = model.batch_stats(inputs)
-        return max(float(u.max()) for u in stats.mean_gate_usage)
+        return max(float(u.max()) for u in mean_gate_usage(model, inputs))
 
     wins = 0
     for seed in range(5):

@@ -224,6 +224,34 @@ class TestMalformedInput:
         (message,) = error_lines(caplog)
         assert "specialization" in message and "\n" not in message
 
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("collaboration", "matrix", float("nan"), "collaboration matrix"),
+            ("collaboration", "matrix", -0.25, "collaboration matrix"),
+            ("specialization", "matrix", float("nan"), "specialization matrix"),
+            ("collaboration", "zero_mass", "false", "zero_mass"),
+        ],
+        ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string"],
+    )
+    def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
+        src = tmp_path / "t.jsonl"
+        simple_trace_file(src)
+        sig = tmp_path / "sig.json"
+        assert dispatch(["profile", "--input", str(src), "--out", str(sig)]) == 0
+        doc = json.loads(sig.read_text())
+        if key == "matrix":
+            doc[section]["matrix"][1][0] = value
+        else:
+            doc[section][key] = value
+        sig.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "d.json"
+        code = dispatch(["distance", "--teacher", str(sig), "--student", str(sig), "--out", str(out)])
+        assert code == 1
+        (message,) = error_lines(caplog)
+        assert named in message and "\n" not in message
+        assert not out.exists()
+
     def test_query_without_domain(self, tmp_path, caplog):
         queries = tmp_path / "queries.jsonl"
         queries.write_text(

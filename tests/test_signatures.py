@@ -236,6 +236,20 @@ def _ragged_matrix(doc, text):
     return json.dumps(doc)
 
 
+def _set_entry(kind, value):
+    # entry [1][0] exists in both matrices, whatever the domain count
+    def corrupt(doc, text):
+        doc[kind]["matrix"][1][0] = value
+        return json.dumps(doc)
+
+    return corrupt
+
+
+def _zero_mass_string(doc, text):
+    doc["collaboration"]["zero_mass"] = "false"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "corrupt, match",
     [
@@ -244,6 +258,12 @@ def _ragged_matrix(doc, text):
         (_shrink_collaboration, "collaboration matrix has"),
         (_ragged_kappa, "inconsistent"),
         (_ragged_matrix, "malformed"),
+        (_set_entry("collaboration", float("nan")), "collaboration matrix has a negative or non-finite"),
+        (_set_entry("collaboration", -0.25), "collaboration matrix has a negative or non-finite"),
+        (_set_entry("specialization", float("nan")), "specialization matrix has a negative or non-finite"),
+        (_set_entry("specialization", float("inf")), "specialization matrix has a negative or non-finite"),
+        (_set_entry("specialization", -0.25), "specialization matrix has a negative or non-finite"),
+        (_zero_mass_string, "zero_mass must be true or false"),
     ],
 )
 def test_load_bundle_rejects_malformed_file(tmp_path, corrupt, match):

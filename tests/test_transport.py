@@ -251,6 +251,15 @@ class TestSpecDistance:
         res = spec_distance(uniform, uniform, mode="exact")
         assert res.permutation.mapping == (0, 1, 2, 3)
 
+    @staticmethod
+    def _assert_dp_equals_scan(teacher, student):
+        want_value, want_perm = _minimize_over_permutations(
+            lambda perms: _spec_objectives(perms, teacher, student), teacher.shape[0], 40320
+        )
+        got = transport._match("spec", teacher, student, "exact")
+        assert got.value == want_value
+        assert got.permutation == want_perm
+
     def test_subset_dp_matches_scan(self):
         # the DP's value (==) and permutation are the lexicographic scan's, ties included
         rng = np.random.default_rng(43)
@@ -267,16 +276,44 @@ class TestSpecDistance:
                 student = teacher[rng.permutation(num_experts)]
             else:
                 assert _spec_candidates(teacher, student) is not None
-            want_value, want_perm = _minimize_over_permutations(
-                lambda perms: _spec_objectives(perms, teacher, student), num_experts, 40320
-            )
-            got = transport._match("spec", teacher, student, "exact")
-            assert got.value == want_value
-            assert got.permutation == want_perm
+            self._assert_dp_equals_scan(teacher, student)
+        for case in range(32):  # bitwise-identical teacher rows: repeated rows or all-zero rows
+            num_experts, num_domains = case % 7 + 2, int(rng.integers(1, 10))
+            teacher = random_profile(rng, num_experts, num_domains).matrix
+            student = random_profile(rng, num_experts, num_domains).matrix
+            if case % 2:
+                teacher = teacher[rng.integers(0, num_experts, size=num_experts)]
+            else:
+                teacher[rng.permutation(num_experts)[: num_experts // 2 + 1]] = 0.0
+                teacher[rng.integers(0, num_experts)] += 0.5  # at least one nonzero row
+            teacher /= teacher.sum(axis=0)
+            if case % 4 < 2:
+                student = teacher[rng.permutation(num_experts)]
+            assert _spec_candidates(teacher, student) is not None
+            self._assert_dp_equals_scan(teacher, student)
+
+    def test_zero_rows_stay_in_the_dp(self):
+        # 7 all-zero teacher rows of 9 give 7! tied orders; only the one in index order is kept
+        rng = np.random.default_rng(44)
+        teacher, student = (random_profile(rng, 9, 4).matrix for _ in range(2))
+        for matrix in (teacher, student):
+            matrix[rng.permutation(9)[:7]] = 0.0
+            matrix /= matrix.sum(axis=0)
+        assert _spec_candidates(teacher, student) is not None
+        self._assert_dp_equals_scan(teacher, student)
+
+    def test_uniform_profile_is_one_candidate(self):
+        # all rows identical: every permutation is optimal, and the identity is lex-first
+        matrix = np.full((8, 3), 1.0 / 8)
+        assert _spec_candidates(matrix, matrix).tolist() == [list(range(8))]
+        res = transport._match("spec", matrix, matrix, "exact")
+        assert res.value == 0.0
+        assert res.permutation == Permutation.identity(8)
 
     def test_degenerate_ties_fall_back_to_scan(self):
-        # every permutation of a uniform profile is optimal: too many for the DP to hand on
-        matrix = np.full((8, 3), 1.0 / 8)
+        # rows that differ only past 1e-9 tie within the DP's slack: too many to hand on
+        matrix = np.full((8, 3), 1.0 / 8) + np.arange(8)[:, None] * 1e-14
+        matrix /= matrix.sum(axis=0)
         assert _spec_candidates(matrix, matrix) is None
         res = transport._match("spec", matrix, matrix, "exact")
         assert res.value == 0.0
