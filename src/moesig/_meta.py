@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -43,6 +44,11 @@ def is_int(value: object) -> bool:
 def is_number(value: object) -> bool:
     """True for a JSON number (``bool`` is not one)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_finite_number(value: object) -> bool:
+    """True for a JSON number that converts to a finite float (NaN, Infinity and huge integers do not)."""
+    return is_number(value) and abs(value) <= sys.float_info.max
 
 
 def read_json(path: str | Path):

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, config_digest, is_int, is_number
+from moesig._meta import artifact_meta, config_digest, is_finite_number, is_int, is_number
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -401,10 +401,7 @@ class QuerySet:
         return len(self.query_ids)
 
     def domain_labels(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for d in self.domains:
-            seen.setdefault(d, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.domains))
 
 
 def gaussian_domain_queries(
@@ -414,21 +411,18 @@ def gaussian_domain_queries(
     input_dim: int,
     separation: float = 2.0,
     spread: float = 0.5,
-    label_prefix: str = "d",
 ) -> QuerySet:
     """Domain-clustered Gaussian inputs: one well-separated center per domain."""
     rng = substream(seed, "queries")
     centers = rng.normal(0.0, 1.0, size=(num_domains, input_dim)) * separation
-    ids, xs, labels = [], [], []
-    idx = 0
-    for d in range(num_domains):
-        pts = centers[d] + rng.normal(0.0, 1.0, size=(n_per_domain, input_dim)) * spread
-        for row in pts:
-            ids.append(f"q{idx:06d}")
-            xs.append(row)
-            labels.append(f"{label_prefix}{d + 1}")
-            idx += 1
-    return QuerySet(query_ids=tuple(ids), inputs=np.array(xs), domains=tuple(labels))
+    inputs = np.concatenate(
+        [center + rng.normal(0.0, 1.0, size=(n_per_domain, input_dim)) * spread for center in centers]
+    )
+    return QuerySet(
+        query_ids=tuple(f"q{i:06d}" for i in range(len(inputs))),
+        inputs=inputs,
+        domains=tuple(f"d{d + 1}" for d in range(num_domains) for _ in range(n_per_domain)),
+    )
 
 
 def write_queries(queries: QuerySet, path: str | Path, meta: dict | None = None) -> None:
@@ -449,18 +443,24 @@ def write_queries(queries: QuerySet, path: str | Path, meta: dict | None = None)
 def read_queries(path: str | Path) -> QuerySet:
     """Read a query-set file written by :func:`write_queries`.
 
-    A malformed line, or a record whose fields are missing or of the wrong
-    type, raises ShadowMoeError naming its line.
+    A line that is not UTF-8 or not JSON, or a record whose fields are
+    missing, of the wrong type or not finite, raises ShadowMoeError naming
+    its line.
     """
     path = Path(path)
     ids, xs, labels = [], [], []
     input_dim = None
-    with path.open("r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so the line that holds them can be named
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             where = f"{path}: line {lineno}"
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ShadowMoeError(f"{where}: not UTF-8 text") from None
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -478,12 +478,8 @@ def read_queries(path: str | Path) -> QuerySet:
             x = doc["x"]
             if not isinstance(doc["query_id"], str) or not isinstance(doc["domain"], str):
                 raise ShadowMoeError(f"{where}: query_id and domain must be strings")
-            if (
-                not isinstance(x, list)
-                or len(x) != input_dim
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-            ):
-                raise ShadowMoeError(f"{where}: x must be a list of {input_dim} numbers")
+            if not isinstance(x, list) or len(x) != input_dim or not all(map(is_finite_number, x)):
+                raise ShadowMoeError(f"{where}: x must be a list of {input_dim} finite numbers")
             ids.append(doc["query_id"])
             xs.append(x)
             labels.append(doc["domain"])
@@ -651,12 +647,12 @@ def export_traces(
     _, caches = model._forward_batch(queries.inputs)
     labels = queries.domain_labels()
     label_index = {lab: i + 1 for i, lab in enumerate(labels)}
-    records = []
-    for q, qid in enumerate(queries.query_ids):
-        dom = label_index[queries.domains[q]]
-        for layer, cache in enumerate(caches):
-            selected = tuple(sorted(int(i) for i in cache.topk[q]))
-            records.append((qid, dom, layer, selected))
+    domains = [label_index[d] for d in queries.domains]
+    records = [
+        (qid, dom, layer, selected)
+        for layer, cache in enumerate(caches)
+        for qid, dom, selected in zip(queries.query_ids, domains, cache.topk.tolist())
+    ]
     return build_trace_set(
         model_id=model_id if model_id is not None else model.model_id,
         num_layers=cfg.num_layers,

@@ -28,13 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from moesig._meta import write_csv
+from moesig._meta import is_finite_number, is_int, write_csv
 from moesig.errors import SignatureError
 from moesig.routing_trace import RoutingTraceSet
 
 LayerPolicy = str | int
-
-COLUMN_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +245,10 @@ def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = N
 def load_bundle(path: str | Path) -> SignatureBundle:
     """Load a signature bundle written by :func:`save_bundle`.
 
-    Invalid JSON, a missing field, matrices whose shapes disagree, a
-    negative or non-finite matrix entry or a ``zero_mass`` that is not a
+    Invalid JSON, a missing field, matrices whose shapes disagree, a layer
+    that is not an integer >= 0, domains that are not a list of strings,
+    counts that are not integers >= 0, a negative or non-finite matrix,
+    kappa or pair-normalizer entry, or a ``zero_mass`` that is not a
     boolean raise SignatureError.
     """
     try:
@@ -258,30 +258,43 @@ def load_bundle(path: str | Path) -> SignatureBundle:
     if not isinstance(doc, dict) or doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
         raise SignatureError(f"{path}: not a version-1 signature file")
     try:
-        layer = int(doc["layer"])
+        layer, labels = doc["layer"], doc["domains"]
         spec_doc, collab_doc = doc["specialization"], doc["collaboration"]
+        counts, pair_normalizer = spec_doc["counts"], collab_doc["pair_normalizer"]
+        if not is_int(layer) or layer < 0:
+            raise SignatureError(f"{path}: layer must be an integer >= 0, got {layer!r}")
+        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+            raise SignatureError(f"{path}: domains must be a list of strings")
+        if not isinstance(counts, list) or not all(is_int(c) and c >= 0 for c in counts):
+            raise SignatureError(f"{path}: counts must be a list of integers >= 0")
+        if not is_finite_number(pair_normalizer) or pair_normalizer < 0:
+            raise SignatureError(f"{path}: pair_normalizer must be a finite number >= 0")
         spec = SpecializationProfile(
             layer=layer,
             matrix=np.asarray(spec_doc["matrix"], dtype=np.float64),
             kappa_per_domain=np.asarray(spec_doc["kappa_per_domain"], dtype=np.float64),
-            counts=np.asarray(spec_doc["counts"], dtype=np.int64),
-            domain_labels=tuple(doc["domains"]),
+            counts=np.asarray(counts, dtype=np.int64),
+            domain_labels=tuple(labels),
         )
         collab = CollaborationMatrix(
             layer=layer,
             matrix=np.asarray(collab_doc["matrix"], dtype=np.float64),
-            pair_normalizer=float(collab_doc["pair_normalizer"]),
+            pair_normalizer=float(pair_normalizer),
             zero_mass=collab_doc["zero_mass"],
         )
     except KeyError as exc:
         raise SignatureError(f"{path}: signature file is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SignatureError(f"{path}: malformed signature file: {exc}") from None
     if not isinstance(collab.zero_mass, bool):
         raise SignatureError(f"{path}: zero_mass must be true or false, got {collab.zero_mass!r}")
-    for name, matrix in (("specialization", spec.matrix), ("collaboration", collab.matrix)):
-        if not np.all(np.isfinite(matrix) & (matrix >= 0)):
-            raise SignatureError(f"{path}: {name} matrix has a negative or non-finite entry")
+    for name, values in (
+        ("specialization matrix", spec.matrix),
+        ("kappa_per_domain", spec.kappa_per_domain),
+        ("collaboration matrix", collab.matrix),
+    ):
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise SignatureError(f"{path}: {name} has a negative or non-finite entry")
     if collab.num_experts != spec.num_experts:
         raise SignatureError(
             f"{path}: collaboration matrix has {collab.num_experts} experts, "

@@ -21,6 +21,7 @@ reflects shared surface statistics rather than inherited structure; bias 1
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
@@ -87,10 +88,6 @@ class ScenarioConfig:
                 raise ScenarioError("layer_bias entries must lie in [0, 1]")
             object.__setattr__(self, "layer_bias", bias)
 
-    @property
-    def resolved_layer_bias(self) -> tuple[float, ...]:
-        return self.layer_bias if self.layer_bias is not None else (1.0,) * self.num_layers
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -118,7 +115,6 @@ class Scenario:
     teacher: RoutingTraceSet
     distilled: RoutingTraceSet
     scratch: RoutingTraceSet
-    ground_truth: str  # model id of the distilled member
     hidden_permutation: Permutation | None
 
 
@@ -126,9 +122,8 @@ def _block_preferences(starts: np.ndarray, num_experts: int, num_domains: int) -
     """(D, E) preference rows: elevated weight on a contiguous wrap-around block."""
     block = math.ceil(num_experts / num_domains)
     weights = np.full((num_domains, num_experts), BASE_WEIGHT, dtype=np.float64)
-    for d in range(num_domains):
-        idx = (int(starts[d]) + np.arange(block)) % num_experts
-        weights[d, idx] = PREFERRED_WEIGHT
+    blocks = (starts[:, None] + np.arange(block)) % num_experts
+    weights[np.arange(num_domains)[:, None], blocks] = PREFERRED_WEIGHT
     return weights / weights.sum(axis=1, keepdims=True)
 
 
@@ -146,7 +141,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     """Generate teacher, distilled, and scratch trace sets under one seed."""
     e, l, k, d = config.num_experts, config.num_layers, config.top_k, config.num_domains
     n = d * config.n_per_domain
-    bias = config.resolved_layer_bias
+    bias = config.layer_bias if config.layer_bias is not None else (1.0,) * l
     seed = config.seed
 
     teacher_starts = (np.arange(d) * math.ceil(e / d)) % e
@@ -156,12 +151,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 
     domain_of_query = np.repeat(np.arange(d), config.n_per_domain)
     query_ids = [f"q{i:06d}" for i in range(n)]
-    labels = tuple(f"d{j + 1}" for j in range(d))
-
-    rng_teacher = substream(seed, "teacher-draw")
-    rng_distilled = substream(seed, "distilled-draw")
-    rng_scratch = substream(seed, "scratch-draw")
-    rng_copy = substream(seed, "copy-mask")
+    domain_index = (domain_of_query + 1).tolist()
 
     # Every candidate's expert indices are arbitrary, so both students get
     # independent hidden relabelings. Relabeling only one would bias the pair:
@@ -173,52 +163,38 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         sigma = substream(seed, "hidden-permutation").permutation(e)
         tau = substream(seed, "scratch-relabel").permutation(e)
 
+    # (model id, preferences, draw substream, relabeling); the distilled
+    # model's own draw is its fallback wherever it does not copy the teacher
+    models = (
+        ("teacher", teacher_pref, substream(seed, "teacher-draw"), None),
+        ("distilled", own_pref, substream(seed, "distilled-draw"), sigma),
+        ("scratch", scratch_pref, substream(seed, "scratch-draw"), tau),
+    )
+    rng_copy = substream(seed, "copy-mask")
     uniform = np.full(e, 1.0 / e)
-    teacher_sel: list[np.ndarray] = []
-    distilled_sel: list[np.ndarray] = []
-    scratch_sel: list[np.ndarray] = []
-    for layer in range(l):
-        b = bias[layer]
-        t_weights = (1.0 - b) * uniform[None, :] + b * teacher_pref[domain_of_query]
-        o_weights = (1.0 - b) * uniform[None, :] + b * own_pref[domain_of_query]
-        s_weights = (1.0 - b) * uniform[None, :] + b * scratch_pref[domain_of_query]
-
-        t_sets = _sample_topk(rng_teacher, t_weights, k)
-        own_sets = _sample_topk(rng_distilled, o_weights, k)
+    records: dict[str, list] = {model_id: [] for model_id, *_ in models}
+    for layer, b in enumerate(bias):
+        draws = {
+            model_id: _sample_topk(rng, (1.0 - b) * uniform[None, :] + b * pref[domain_of_query], k)
+            for model_id, pref, rng, _ in models
+        }
         copy = rng_copy.random(n) < config.relatedness * b
-        d_sets = np.where(copy[:, None], t_sets, own_sets)
-        if sigma is not None:
-            d_sets = sigma[d_sets]
-        s_sets = _sample_topk(rng_scratch, s_weights, k)
-        if tau is not None:
-            s_sets = tau[s_sets]
+        draws["distilled"] = np.where(copy[:, None], draws["teacher"], draws["distilled"])
+        for model_id, _, _, relabel in models:
+            sets = draws[model_id] if relabel is None else relabel[draws[model_id]]
+            records[model_id].extend(zip(query_ids, domain_index, itertools.repeat(layer), sets.tolist()))
 
-        teacher_sel.append(np.sort(t_sets, axis=1))
-        distilled_sel.append(np.sort(d_sets, axis=1))
-        scratch_sel.append(np.sort(s_sets, axis=1))
-
-    def _build(model_id: str, selections: list[np.ndarray]) -> RoutingTraceSet:
-        records = []
-        for q in range(n):
-            dom = int(domain_of_query[q]) + 1
-            for layer in range(l):
-                records.append((query_ids[q], dom, layer, tuple(int(i) for i in selections[layer][q])))
-        return build_trace_set(
-            model_id=model_id,
-            num_layers=l,
-            experts_per_layer=(e,) * l,
-            domains=labels,
-            records=records,
-            meta={"seed": seed, "config_digest": config.digest()},
-        )
-
+    labels = tuple(f"d{j + 1}" for j in range(d))
+    meta = {"seed": seed, "config_digest": config.digest()}
+    # popping frees each model's records once its trace set is built
+    trace_sets = {
+        model_id: build_trace_set(model_id, l, (e,) * l, labels, records.pop(model_id), meta)
+        for model_id in list(records)
+    }
     return Scenario(
         config=config,
-        teacher=_build("teacher", teacher_sel),
-        distilled=_build("distilled", distilled_sel),
-        scratch=_build("scratch", scratch_sel),
-        ground_truth="distilled",
-        hidden_permutation=Permutation(tuple(int(i) for i in sigma)) if sigma is not None else None,
+        **trace_sets,
+        hidden_permutation=Permutation(sigma) if sigma is not None else None,
     )
 
 

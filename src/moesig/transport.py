@@ -143,7 +143,7 @@ def hungarian(cost: np.ndarray) -> tuple[Permutation, float]:
     sigma = np.empty(cost.shape[0], dtype=np.intp)
     sigma[row_ind] = col_ind
     total = float(cost[np.arange(cost.shape[0]), sigma].sum())
-    return Permutation(tuple(sigma)), total
+    return Permutation(sigma), total
 
 
 @lru_cache(maxsize=8)
@@ -253,32 +253,23 @@ def _dense_off_diagonal(matrix: np.ndarray) -> bool:
     return bool(np.all(off > 0) and np.all(off.max(axis=1) >= MASS_GUARD))
 
 
-# each kind's objective, evaluated at a stack of row-gather permutations
-_OBJECTIVES = {"spec": _spec_objectives, "collab": _collab_objectives}
 # element budget (permutations x teacher size) of one chunk of the exact scan
 _SCAN_BUDGET = 2_000_000
 
 
-def _minimize_over_permutations(objectives, size: int, chunk_rows: int) -> tuple[float, Permutation]:
-    """Scan all permutations in lexicographic order; first minimum wins ties."""
+def _scan(objectives, teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permutation]:
+    """Exact minimum of ``objectives`` over every permutation in lexicographic order; first wins ties."""
+    chunk = max(1, _SCAN_BUDGET // max(1, teacher.size))
     best_value = np.inf
     best_perm: np.ndarray | None = None
-    for perms in _permutation_chunks(size, chunk_rows):
-        values = objectives(perms)
+    for perms in _permutation_chunks(teacher.shape[0], chunk):
+        values = objectives(perms, teacher, student)
         idx = int(np.argmin(values))
         if values[idx] < best_value:
             best_value = float(values[idx])
             best_perm = perms[idx]
     assert best_perm is not None
-    return best_value, Permutation(tuple(int(i) for i in best_perm))
-
-
-def _scan(objectives, teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permutation]:
-    """Exact minimum of ``objectives`` by scanning every permutation."""
-    chunk = max(1, _SCAN_BUDGET // max(1, teacher.size))
-    return _minimize_over_permutations(
-        lambda perms: objectives(perms, teacher, student), teacher.shape[0], chunk
-    )
+    return best_value, Permutation(best_perm)
 
 
 # absolute slack (in domain-summed W1 units) within which the subset DP keeps a
@@ -358,7 +349,7 @@ def _exact_spec(teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permut
         return _scan(_spec_objectives, teacher, student)
     values = _spec_objectives(perms, teacher, student)
     idx = int(np.argmin(values))
-    return float(values[idx]), Permutation(tuple(int(i) for i in perms[idx]))
+    return float(values[idx]), Permutation(perms[idx])
 
 
 def _resolve_mode(mode: str, num_experts: int) -> str:
@@ -432,15 +423,16 @@ def _match(kind: str, teacher: np.ndarray, student: np.ndarray, mode: str) -> Tr
     at that pi is an upper bound on the exact minimum.
     """
     method = _resolve_mode(mode, teacher.shape[0])
+    objectives = _spec_objectives if kind == "spec" else _collab_objectives
     if method == METHOD_EXACT and kind == "spec":
         value, perm = _exact_spec(teacher, student)
     elif method == METHOD_EXACT:
         dense = _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
-        value, perm = _scan(_dense_collab_objectives if dense else _collab_objectives, teacher, student)
+        value, perm = _scan(_dense_collab_objectives if dense else objectives, teacher, student)
     else:
         sigma, _ = hungarian(heuristic_cost_matrix(kind, teacher, student))
         perm = sigma.inverse()
-        value = float(_OBJECTIVES[kind](np.asarray([perm.mapping], dtype=np.intp), teacher, student)[0])
+        value = float(objectives(np.asarray([perm.mapping], dtype=np.intp), teacher, student)[0])
     return TransportResult(value=value, permutation=perm, method=method)
 
 

@@ -231,8 +231,18 @@ class TestMalformedInput:
             ("collaboration", "matrix", -0.25, "collaboration matrix"),
             ("specialization", "matrix", float("nan"), "specialization matrix"),
             ("collaboration", "zero_mass", "false", "zero_mass"),
+            (None, "layer", 1.5, "layer must be an integer"),
+            (None, "layer", True, "layer must be an integer"),
+            (None, "layer", -3, "layer must be an integer"),
+            (None, "domains", "ab", "domains must be a list of strings"),
+            ("specialization", "kappa_per_domain", [float("nan"), 2.0], "kappa_per_domain"),
+            ("specialization", "counts", [-5, 1], "counts must be a list of integers"),
+            ("specialization", "counts", [2.5, 1], "counts must be a list of integers"),
+            ("collaboration", "pair_normalizer", float("nan"), "pair_normalizer must be a finite"),
         ],
-        ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string"],
+        ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "layer-float",
+             "layer-bool", "layer-negative", "domains-string", "kappa-nan", "counts-negative",
+             "counts-float", "pair-normalizer-nan"],
     )
     def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
         src = tmp_path / "t.jsonl"
@@ -243,7 +253,7 @@ class TestMalformedInput:
         if key == "matrix":
             doc[section]["matrix"][1][0] = value
         else:
-            doc[section][key] = value
+            (doc if section is None else doc[section])[key] = value
         sig.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "d.json"
         code = dispatch(["distance", "--teacher", str(sig), "--student", str(sig), "--out", str(out)])
@@ -414,6 +424,64 @@ class TestConfigFuzz:
             assert code == 1
             (message,) = error_lines(caplog)
             assert "\n" not in message
+
+
+DETECT = ["detect", "--teacher", "t.jsonl", "--cand1", "c1.jsonl", "--cand2", "c2.jsonl",
+          "--out", "v.json"]
+DISTANCE = ["distance", "--teacher", "s1.json", "--student", "s2.json", "--out", "d.json"]
+# (arguments relative to a directory of valid inputs, the input file replaced by non-UTF-8 bytes)
+NON_UTF8_CASES = [
+    (["ingest", "--input", "t.jsonl", "--out", "o.jsonl"], "t.jsonl"),
+    (["profile", "--input", "t.jsonl", "--out", "o.json"], "t.jsonl"),
+    (DISTANCE, "s1.json"),
+    (DISTANCE, "s2.json"),
+    (DETECT, "t.jsonl"),
+    (DETECT, "c1.jsonl"),
+    (DETECT, "c2.jsonl"),
+    (TRAIN_PROXY, "oracle.json"),
+    (TRAIN_PROXY, "queries.jsonl"),
+    (TRAIN_PROXY, "proxy.json"),
+    (["make-queries", "--config", "q.json", "--out", "q.jsonl"], "q.json"),
+    (["synth", "--config", "s.json", "--out-dir", "out"], "s.json"),
+    (SWEEP, "grid.json"),
+    (REPORT, "manifest.json"),
+    (REPORT, "t.jsonl"),
+    (REPORT, "c2.jsonl"),
+    (RUN_PIPELINE, "p.json"),
+]
+
+
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 gives exit 1 and one line naming it, whatever reads it."""
+
+    @pytest.mark.parametrize(
+        "argv, name", NON_UTF8_CASES, ids=[f"{argv[0]}-{name}" for argv, name in NON_UTF8_CASES]
+    )
+    def test_non_utf8_file(self, tmp_path, monkeypatch, caplog, capsys, argv, name):
+        monkeypatch.chdir(tmp_path)
+        for trace in ("t.jsonl", "c1.jsonl", "c2.jsonl"):
+            simple_trace_file(tmp_path / trace)
+        for sig in ("s1.json", "s2.json"):
+            assert dispatch(["profile", "--input", "t.jsonl", "--out", sig]) == 0
+        docs = {
+            **TRAIN_PROXY_FILES,
+            "q.json": QUERY_CONFIG,
+            "s.json": SCENARIO_FULL,
+            "grid.json": {"base": SCENARIO, "rho": [0.5]},
+            "manifest.json": {"teacher": "t.jsonl",
+                              "pairs": {"math": {"kd": "c1.jsonl", "scratch": "c2.jsonl"}}},
+            "p.json": PIPELINE,
+        }
+        for doc_name, content in docs.items():
+            if isinstance(content, str):
+                (tmp_path / doc_name).write_text(content, encoding="utf-8")
+            else:
+                write_json(tmp_path / doc_name, content)
+        (tmp_path / name).write_bytes(b'{"schema_version": 1, "kind": "\xff"}\n')
+        assert dispatch(argv) == 1
+        (message,) = error_lines(caplog)
+        assert name in message and "\n" not in message
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestIngest:

@@ -320,6 +320,26 @@ class TestExport:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1 + 10 * 3  # header + one record per (query, layer)
 
+    # sha256 of write_queries and of the written export after a two-epoch fit:
+    # a change to the query draws, the fit or the export moves them
+    FROZEN_QUERIES = "d15042275b3edb65b2894903e237f82b481f93f7e1c67c924c455236e24cf0cb"
+    FROZEN_TRACES = "ddb26f827c1f361a72fcf9a619ecb3a8451217e859fae5ce2139b4883beb1103"
+
+    def test_frozen_bits(self, tmp_path):
+        queries = gaussian_domain_queries(
+            5, num_domains=3, n_per_domain=7, input_dim=3, separation=2.5, spread=0.6
+        )
+        write_queries(queries, tmp_path / "q.jsonl")
+        cfg = ShadowMoeConfig(
+            **{**TINY, "num_layers": 2, "experts_per_layer": [6, 5], "top_k": [2, 3], "epochs": 2},
+            batch_size=8,
+            momentum=0.9,
+        )
+        model, _ = train_proxy(mlp_oracle(11, 3, 2), queries.inputs, cfg)
+        write_traces(export_traces(model, queries), tmp_path / "t.jsonl")
+        digests = [hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in ("q.jsonl", "t.jsonl")]
+        assert digests == [self.FROZEN_QUERIES, self.FROZEN_TRACES]
+
     def test_export_roundtrip_preserves_signatures(self, tmp_path):
         cfg = ShadowMoeConfig(**{**TINY, "input_dim": 4})
         model = ShadowMoeModel.initialize(cfg)
@@ -400,13 +420,21 @@ class TestQueries:
             ('{"domain": "d1", "x": [0.0, 1.0, 2.0]}', r"line 3: .*missing.*'query_id'"),
             ('{"query_id": "q1", "domain": "d1"}', r"line 3: .*missing.*'x'"),
             ('{"query_id": "q1", "domain": "d1", "x": [0.0, 1.0]}', "line 3: x must be a list of 3"),
+            ('{"query_id": "q1", "domain": "d1", "x": [0.0, NaN, 2.0]}', "line 3: x must be a list of 3 finite"),
+            ('{"query_id": "q1", "domain": "d1", "x": [Infinity, 1.0, 2.0]}', "line 3: x must .* finite"),
+            ('{"query_id": "q1", "domain": "d1", "x": [0.0, 1.0, -Infinity]}', "line 3: x must .* finite"),
+            ('{"query_id": "q1", "domain": "d1", "x": [0.0, 1e999, 2.0]}', "line 3: x must .* finite"),
+            pytest.param('{"query_id": "q1", "domain": "d1", "x": [0.0, 1' + "0" * 309 + ', 2.0]}',
+                         "line 3: x must .* finite", id="int-past-float-range"),
+            (b'{"query_id": "q1", "domain": "d\xff", "x": [0.0, 1.0, 2.0]}', "q.jsonl: line 3: not UTF-8 text"),
+            (b'{"query_id": "q1", \xc3"domain": "d1", "x": [0.0, 1.0, 2.0]}', "q.jsonl: line 3: not UTF-8 text"),
         ],
     )
     def test_read_rejects_malformed_record(self, tmp_path, record, match):
         queries = gaussian_domain_queries(3, num_domains=1, n_per_domain=1, input_dim=3)
         path = tmp_path / "q.jsonl"
         write_queries(queries, path)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(record + "\n")
+        with path.open("ab") as fh:
+            fh.write((record if isinstance(record, bytes) else record.encode("utf-8")) + b"\n")
         with pytest.raises(ShadowMoeError, match=match):
             read_queries(path)

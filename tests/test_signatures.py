@@ -250,6 +250,15 @@ def _zero_mass_string(doc, text):
     return json.dumps(doc)
 
 
+def _set_field(section, key, value):
+    # section None sets a top-level field
+    def corrupt(doc, text):
+        (doc if section is None else doc[section])[key] = value
+        return json.dumps(doc)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, match",
     [
@@ -264,6 +273,24 @@ def _zero_mass_string(doc, text):
         (_set_entry("specialization", float("inf")), "specialization matrix has a negative or non-finite"),
         (_set_entry("specialization", -0.25), "specialization matrix has a negative or non-finite"),
         (_zero_mass_string, "zero_mass must be true or false"),
+        (_set_field(None, "layer", 1.5), "layer must be an integer >= 0, got 1.5"),
+        (_set_field(None, "layer", True), "layer must be an integer >= 0, got True"),
+        (_set_field(None, "layer", -3), "layer must be an integer >= 0, got -3"),
+        (_set_field(None, "domains", "d"), "domains must be a list of strings"),
+        (_set_field(None, "domains", [1]), "domains must be a list of strings"),
+        (_set_field("specialization", "kappa_per_domain", [float("nan")]),
+         "kappa_per_domain has a negative or non-finite"),
+        (_set_field("specialization", "kappa_per_domain", [-1.0]),
+         "kappa_per_domain has a negative or non-finite"),
+        (_set_field("specialization", "counts", [-5]), "counts must be a list of integers >= 0"),
+        (_set_field("specialization", "counts", [2.5]), "counts must be a list of integers >= 0"),
+        (_set_field("specialization", "counts", [10**30]), "malformed"),
+        (_set_field("collaboration", "pair_normalizer", float("nan")),
+         "pair_normalizer must be a finite number >= 0"),
+        (_set_field("collaboration", "pair_normalizer", "2.0"),
+         "pair_normalizer must be a finite number >= 0"),
+        (_set_field("collaboration", "pair_normalizer", -1.0),
+         "pair_normalizer must be a finite number >= 0"),
     ],
 )
 def test_load_bundle_rejects_malformed_file(tmp_path, corrupt, match):

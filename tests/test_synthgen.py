@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import filecmp
+import hashlib
 
 import pytest
 
@@ -42,7 +43,6 @@ class TestConfig:
     def test_dict_roundtrip(self):
         cfg = ScenarioConfig(**{**BASE, "layer_bias": (1.0,)})
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
-        assert ScenarioConfig.from_dict(BASE).resolved_layer_bias == (1.0,)
 
 
 class TestGenerate:
@@ -56,7 +56,6 @@ class TestGenerate:
         ids = [t.query_id for t in scenario.teacher.traces]
         assert ids == [t.query_id for t in scenario.distilled.traces]
         assert ids == [t.query_id for t in scenario.scratch.traces]
-        assert scenario.ground_truth == "distilled"
 
     def test_rho_one_without_relabeling_copies_teacher(self):
         cfg = ScenarioConfig(**{**BASE, "permute_labels": False})
@@ -109,6 +108,35 @@ class TestGenerate:
         )
         assert copies_l1 == scenario.teacher.num_queries  # full copy at biased layer
         assert copies_l0 < scenario.teacher.num_queries  # chance-level agreement only
+
+    # sha256 of the write_scenario directory: a change to any draw, the weight
+    # mix, the copy mask, a relabeling or the writer moves them, and so does a
+    # tool version bump, because the manifest carries the version
+    FROZEN = {
+        "e8-d9": (
+            {**BASE, "num_domains": 9, "n_per_domain": 20, "relatedness": 0.5, "seed": 3},
+            "60e2bd24bf28ce3aff4ccbef505264500630b940be28bfdb10340a5109a16834",
+        ),
+        "layer-bias-k4": (
+            {**BASE, "num_layers": 3, "top_k": 4, "n_per_domain": 15, "relatedness": 0.7,
+             "seed": 5, "layer_bias": [0.0, 0.5, 1.0]},
+            "6d60f718fd22b0b324628b8411ca03607a9d4e17fcbb8e81f65178d5943bfbb7",
+        ),
+        "no-relabel-k1": (
+            {**BASE, "num_experts": 6, "num_layers": 2, "top_k": 1, "num_domains": 3,
+             "n_per_domain": 10, "relatedness": 0.4, "seed": 9, "permute_labels": False},
+            "49f2a343b5f5c97675993441c1b8eb4f79ee412aa075d3a144051a42bee78787",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_frozen_bits(self, tmp_path, name):
+        config, digest = self.FROZEN[name]
+        write_scenario(generate_scenario(ScenarioConfig.from_dict(config)), tmp_path)
+        tree = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            tree.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+        assert tree.hexdigest() == digest
 
 
 class TestSweep:
