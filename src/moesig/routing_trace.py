@@ -12,8 +12,12 @@ one per (query, layer):
 In memory a trace set is flat: one ``QueryTrace(query_id, domain,
 selections)`` per query, where ``selections[layer]`` is the sorted tuple of
 experts the query chose at that layer and ``()`` marks a layer the file did
-not record. Files and programmatic records reach that form through one
-merge-and-validate path, so every record is checked exactly once.
+not record. A file in the exact layout :func:`write_traces` produces
+(compact records with keys in that order, strings without escapes, integers
+of at most nine digits, ``\n`` line ends) is parsed in blocks by one regular
+expression and checked as integer columns. Programmatic records, every other
+file and any such file that fails a check take one merge-and-validate path,
+which checks each record once and owns every file diagnostic.
 
 Records carrying a ``gate_probs`` field are accepted; the field is ignored
 because all downstream signatures are built from binary activations only.
@@ -24,14 +28,28 @@ routed experts appear.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from moesig._meta import is_int
 from moesig.errors import TraceError
 
 SCHEMA_VERSION = 1
+
+# One record line as write_traces lays it out. Strings with escapes or control
+# characters, -0, leading zeros, longer integers and [] do not match.
+_STR, _INT = r'([^"\\\x00-\x1f]*+)', r"(?:0|[1-9][0-9]{0,8}+)"
+_CANONICAL_RECORD = re.compile(
+    rf'^\{{"query_id":"{_STR}","domain":"{_STR}","layer":({_INT}),'
+    rf'"selected":\[({_INT}(?:,{_INT})*+)\]\}}\n',
+    re.MULTILINE,
+)
+_BLOCK_BYTES = 1 << 20
 
 
 class QueryTrace(NamedTuple):
@@ -204,16 +222,88 @@ def _file_records(
         yield qid, dom, layer, selected, lineno
 
 
-def ingest_traces(path: str | Path) -> RoutingTraceSet:
-    """Read and validate a trace file into a RoutingTraceSet.
+def _canonical_block(text: str, query_index: dict, domain_index: dict, declared, limits):
+    """(query, domain, layer) columns and sorted selections of a block of record lines.
 
-    Records sharing a query_id are merged into one QueryTrace. If the header
-    declares ``domains``, labels outside that list are rejected; otherwise
-    the label-to-index mapping follows first occurrence order.
+    None if a line is not canonical, a label is undeclared or a record fails a check.
+    Query ids and new labels are numbered by first occurrence, as in ``_file_records``.
     """
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file not found: {path}")
+    rows = _CANONICAL_RECORD.findall(text)
+    if len(rows) != text.count("\n"):
+        return None
+    qids, labels, layers, selected = zip(*rows)
+    new_labels = [label for label in dict.fromkeys(labels) if label not in domain_index]
+    if new_labels and declared is not None:
+        return None
+    domain_index.update({label: len(domain_index) + i for i, label in enumerate(new_labels, 1)})
+    for qid in dict.fromkeys(qids):
+        query_index.setdefault(qid, len(query_index))
+    layer = np.fromstring(",".join(layers), np.int64, sep=",")
+    flat = np.fromstring(",".join(selected), np.int64, sep=",")
+    lengths = np.fromiter(map(str.count, selected, repeat(",")), np.int64, len(rows)) + 1
+    if layer.max() >= len(limits) or (flat >= np.repeat(limits[layer], lengths)).any():
+        return None
+    # sorting row * stride + expert sorts each record and puts repeats side by side
+    row = np.repeat(np.arange(len(rows)), lengths)
+    stride = int(flat.max()) + 1
+    keys = np.sort(row * stride + flat)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    query = np.fromiter(map(query_index.__getitem__, qids), np.int64, len(rows))
+    domain = np.fromiter(map(domain_index.__getitem__, labels), np.int64, len(rows))
+    # tuples from list slices are allocated at their exact size, unlike tuples from iterators
+    experts, ends = (keys - row * stride).tolist(), np.cumsum(lengths).tolist()
+    return query, domain, layer, [tuple(experts[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _read_canonical(path: Path) -> tuple[dict, tuple[str, ...], tuple[QueryTrace, ...]] | None:
+    """Header, domain labels and traces of a canonical-layout file, or None.
+
+    Blocks of about ``_BLOCK_BYTES`` are checked on their own, then for repeated
+    (query, layer) pairs and one domain per query. A bad header, a carriage return,
+    no record, a non-canonical line or a missing final newline also gives None.
+    """
+    blocks, query_index = [], {}
+    try:
+        with path.open("rb") as fh:
+            first = fh.readline()
+            line = first.decode("utf-8").strip()
+            if not line or b"\r" in first:
+                return None
+            header = _parse_header(line, 1)
+            declared = header.get("domains")
+            domain_index = {label: i + 1 for i, label in enumerate(declared or [])}
+            # record values are below 10**9, so clipping keeps the range check exact
+            limits = np.minimum(header["experts_per_layer"], 10**9)
+            tail = b""
+            while chunk := fh.read(_BLOCK_BYTES):
+                lines, newline, tail = (tail + chunk).rpartition(b"\n")
+                if newline:
+                    text = lines.decode("utf-8") + "\n"
+                    blocks.append(_canonical_block(text, query_index, domain_index, declared, limits))
+                    if blocks[-1] is None:
+                        return None
+    except (UnicodeDecodeError, TraceError):
+        return None
+    if tail or not blocks:
+        return None
+    num_layers = header["num_layers"]
+    query, domain, layer, selections = zip(*blocks)
+    query, domain, layer = map(np.concatenate, (query, domain, layer))
+    query_domain = np.zeros(len(query_index), np.int64)
+    query_domain[query] = domain
+    pairs = np.sort(query * num_layers + layer)
+    if (query_domain[query] != domain).any() or (pairs[1:] == pairs[:-1]).any():
+        return None
+    slots = [[()] * num_layers for _ in query_index]
+    for q, at, selected in zip(query.tolist(), layer.tolist(), chain.from_iterable(selections)):
+        slots[q][at] = selected
+    traces = tuple(map(QueryTrace, query_index, query_domain.tolist(), map(tuple, slots)))
+    return header, tuple(domain_index), traces
+
+
+def _read_validating(path: Path) -> tuple[dict, tuple[str, ...], tuple[QueryTrace, ...]]:
+    """Header, domain labels and traces of any trace file; the first fault raises TraceError."""
     try:
         with path.open("r", encoding="utf-8") as fh:
             lines = ((n, raw.strip()) for n, raw in enumerate(fh, start=1))
@@ -231,11 +321,25 @@ def ingest_traces(path: str | Path) -> RoutingTraceSet:
             )
     except UnicodeDecodeError as exc:
         raise TraceError(f"trace file {path} is not UTF-8 text: {exc}") from None
+    return header, tuple(domain_index), traces
+
+
+def ingest_traces(path: str | Path) -> RoutingTraceSet:
+    """Read and validate a trace file into a RoutingTraceSet.
+
+    Records sharing a query_id are merged into one QueryTrace. If the header
+    declares ``domains``, labels outside that list are rejected; otherwise
+    the label-to-index mapping follows first occurrence order.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise TraceError(f"trace file not found: {path}")
+    header, domains, traces = _read_canonical(path) or _read_validating(path)
     return RoutingTraceSet(
         model_id=header["model_id"],
         num_layers=header["num_layers"],
         experts_per_layer=tuple(header["experts_per_layer"]),
-        domains=tuple(domain_index),
+        domains=domains,
         traces=traces,
         meta=dict(header.get("meta", {})),
     )
@@ -246,7 +350,7 @@ def write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
 
     Output is byte-deterministic: header first, then one record per recorded
     (query, layer) in trace order with layers ascending, sorted expert
-    indices, and compact JSON separators.
+    indices, and compact JSON separators, written one query at a time.
     """
     path = Path(path)
     header = {
@@ -258,20 +362,14 @@ def write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
     }
     if trace_set.meta:
         header["meta"] = dict(trace_set.meta)
+    labels = [json.dumps(label, ensure_ascii=False) for label in trace_set.domains]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n")
         for trace in trace_set.traces:
-            label = trace_set.domain_label(trace.domain)
-            for layer, selected in enumerate(trace.selections):
-                if not selected:
-                    continue
-                rec = {
-                    "query_id": trace.query_id,
-                    "domain": label,
-                    "layer": layer,
-                    "selected": list(selected),
-                }
-                fh.write(json.dumps(rec, separators=(",", ":"), ensure_ascii=False) + "\n")
+            qid = json.dumps(trace.query_id, ensure_ascii=False)
+            prefix = f'{{"query_id":{qid},"domain":{labels[trace.domain - 1]},"layer":'
+            fh.write("".join(f'{prefix}{layer},"selected":[{",".join(map(str, selected))}]}}\n'
+                             for layer, selected in enumerate(trace.selections) if selected))
 
 
 def build_trace_set(

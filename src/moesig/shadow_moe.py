@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, config_digest, is_finite_number, is_int, is_number
+from moesig._meta import artifact_meta, config_digest, is_finite_number, is_int
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -45,8 +45,8 @@ def _field_int(doc: dict, key: str, what: str, default: int | None = None, minim
 
 def _field_number(doc: dict, key: str, what: str, default: float) -> float:
     value = doc.get(key, default)
-    if not is_number(value):
-        raise ShadowMoeError(f"{what} needs a numeric {key!r}, got {value!r}")
+    if not is_finite_number(value):
+        raise ShadowMoeError(f"{what} needs a finite numeric {key!r}, got {value!r}")
     return float(value)
 
 
@@ -82,7 +82,7 @@ class ShadowMoeConfig:
             if not is_int(getattr(self, name)):
                 raise ShadowMoeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("load_balance_weight", "learning_rate", "momentum"):
-            if not is_number(getattr(self, name)):
+            if not is_finite_number(getattr(self, name)):
                 raise ShadowMoeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not is_int(self.seed) or self.seed < 0:
             raise ShadowMoeError(f"seed must be an integer >= 0, got {self.seed!r}")

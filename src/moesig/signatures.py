@@ -246,7 +246,7 @@ def load_bundle(path: str | Path) -> SignatureBundle:
     """Load a signature bundle written by :func:`save_bundle`.
 
     Invalid JSON, a missing field, matrices whose shapes disagree, a layer
-    that is not an integer >= 0, domains that are not a list of strings,
+    that is not an integer >= 0, domains that are not a list of distinct strings,
     counts that are not integers >= 0, a negative or non-finite matrix,
     kappa or pair-normalizer entry, or a ``zero_mass`` that is not a
     boolean raise SignatureError.
@@ -265,6 +265,8 @@ def load_bundle(path: str | Path) -> SignatureBundle:
             raise SignatureError(f"{path}: layer must be an integer >= 0, got {layer!r}")
         if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
             raise SignatureError(f"{path}: domains must be a list of strings")
+        if len(set(labels)) != len(labels):
+            raise SignatureError(f"{path}: domains must not repeat a label")
         if not isinstance(counts, list) or not all(is_int(c) and c >= 0 for c in counts):
             raise SignatureError(f"{path}: counts must be a list of integers >= 0")
         if not is_finite_number(pair_normalizer) or pair_normalizer < 0:

@@ -8,10 +8,40 @@ judged against, so they must not share any code path with it.
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 
-from moesig.routing_trace import RoutingTraceSet
+from moesig.routing_trace import SCHEMA_VERSION, RoutingTraceSet
+
+
+def naive_write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
+    """The canonical trace layout with one ``json.dumps`` per record."""
+    path = Path(path)
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "model_id": trace_set.model_id,
+        "num_layers": trace_set.num_layers,
+        "experts_per_layer": list(trace_set.experts_per_layer),
+        "domains": list(trace_set.domains),
+    }
+    if trace_set.meta:
+        header["meta"] = dict(trace_set.meta)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n")
+        for trace in trace_set.traces:
+            label = trace_set.domain_label(trace.domain)
+            for layer, selected in enumerate(trace.selections):
+                if not selected:
+                    continue
+                rec = {
+                    "query_id": trace.query_id,
+                    "domain": label,
+                    "layer": layer,
+                    "selected": list(selected),
+                }
+                fh.write(json.dumps(rec, separators=(",", ":"), ensure_ascii=False) + "\n")
 
 
 def naive_specialization(traces: RoutingTraceSet, layer: int):

@@ -117,6 +117,10 @@ MALFORMED_CONFIGS = [
                  "learning_rate must be a number", id="proxy-rate-string"),
     pytest.param(*train_proxy_case({**PROXY, "momentum": False}), "momentum must be a number",
                  id="proxy-momentum-bool"),
+    pytest.param(*train_proxy_case({**PROXY, "learning_rate": float("nan")}),
+                 "learning_rate must be a number, got nan", id="proxy-rate-nan"),
+    pytest.param(*train_proxy_case({**PROXY, "learning_rate": float("inf")}),
+                 "learning_rate must be a number, got inf", id="proxy-rate-infinity"),
     pytest.param(*train_proxy_case({**PROXY, "experts_per_layer": "4"}), "experts_per_layer",
                  id="proxy-experts-string"),
     pytest.param(*train_proxy_case(without(PROXY, "top_k")), "missing field(s) ['top_k']",
@@ -144,6 +148,9 @@ MALFORMED_CONFIGS = [
     pytest.param({"q.json": {**QUERY_CONFIG, "n_per_domain": 0}},
                  ["make-queries", "--config", "q.json", "--out", "q.jsonl"], "'n_per_domain' >= 1",
                  id="queries-empty-domain"),
+    pytest.param({"q.json": {**QUERY_CONFIG, "separation": float("nan")}},
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
+                 "needs a finite numeric 'separation', got nan", id="queries-separation-nan"),
     pytest.param({"grid.json": {"rho": [0.5]}}, SWEEP, "'base'", id="grid-no-base"),
     pytest.param({"grid.json": [SCENARIO]}, SWEEP, "JSON object", id="grid-list"),
     pytest.param({"grid.json": {"base": {**SCENARIO, "num_experts": "4"}}}, SWEEP,
@@ -235,14 +242,15 @@ class TestMalformedInput:
             (None, "layer", True, "layer must be an integer"),
             (None, "layer", -3, "layer must be an integer"),
             (None, "domains", "ab", "domains must be a list of strings"),
+            (None, "domains", ["math", "math"], "domains must not repeat a label"),
             ("specialization", "kappa_per_domain", [float("nan"), 2.0], "kappa_per_domain"),
             ("specialization", "counts", [-5, 1], "counts must be a list of integers"),
             ("specialization", "counts", [2.5, 1], "counts must be a list of integers"),
             ("collaboration", "pair_normalizer", float("nan"), "pair_normalizer must be a finite"),
         ],
         ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "layer-float",
-             "layer-bool", "layer-negative", "domains-string", "kappa-nan", "counts-negative",
-             "counts-float", "pair-normalizer-nan"],
+             "layer-bool", "layer-negative", "domains-string", "domains-repeated", "kappa-nan",
+             "counts-negative", "counts-float", "pair-normalizer-nan"],
     )
     def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
         src = tmp_path / "t.jsonl"
