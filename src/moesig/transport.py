@@ -124,24 +124,81 @@ def wasserstein1_discrete(p, q, positions) -> float:
     return float(np.abs(cdf_gap) @ np.diff(positions))
 
 
+def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row in a minimum-cost assignment of a finite square ``cost``.
+
+    Rows enter one at a time. Each runs a Dijkstra search over the reduced
+    costs ``cost[i, j] - u[i] - v[j]`` until it settles an unassigned
+    column; then the duals ``u``, ``v`` are updated and the path is flipped.
+    Operand order and tie-breaks are those of scipy's ``linear_sum_assignment``.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    path = np.full(n, -1, dtype=np.intp)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(n, -1, dtype=np.intp)
+    for cur in range(n):
+        spc = np.full(n, np.inf)  # shortest-path cost to each column
+        rows_seen = np.zeros(n, dtype=bool)
+        cols_seen = np.zeros(n, dtype=bool)
+        remaining = np.arange(n - 1, -1, -1)  # reversed, so a constant matrix gives the identity
+        num = n
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink < 0:
+            rows_seen[i] = True
+            rem = remaining[:num]
+            r = min_val + cost[i, rem] - u[i] - v[rem]
+            dist = spc[rem]
+            better = r < dist
+            path[rem[better]] = i
+            dist[better] = r[better]
+            spc[rem] = dist
+            min_val = dist.min()
+            # the first minimum in remaining order, or the last one on an unassigned column
+            hits = np.flatnonzero(dist == min_val)
+            free = hits[row4col[rem[hits]] < 0]
+            index = free[-1] if free.size else hits[0]
+            j = rem[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen[j] = True
+            num -= 1
+            remaining[index] = remaining[num]
+        u[cur] += min_val
+        others = np.flatnonzero(rows_seen)
+        others = others[others != cur]
+        u[others] += min_val - spc[col4row[others]]
+        v[cols_seen] -= min_val - spc[cols_seen]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def hungarian(cost: np.ndarray) -> tuple[Permutation, float]:
     """Minimum-cost assignment: permutation minimizing sum_i cost[i, perm(i)].
 
-    Backed by a standard O(E^3) linear-assignment solver; the total cost is
-    re-summed in row order so it is reproducible bit-for-bit.
+    Solved in O(E^3) by shortest augmenting paths (Crouse, "On implementing
+    2D rectangular assignment algorithms", IEEE TAES 2016). Ties break as in
+    scipy's ``linear_sum_assignment``, whose assignment this reproduces
+    element for element; a constant matrix gives the identity. The total
+    cost is re-summed in row order so it is reproducible bit-for-bit.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise TransportError(f"cost matrix must be square, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise TransportError("cost matrix contains non-finite entries")
-    # imported here: scipy.optimize dominates the package's import time, and
-    # exact matching never reaches this solver
-    from scipy.optimize import linear_sum_assignment
-
-    row_ind, col_ind = linear_sum_assignment(cost)
-    sigma = np.empty(cost.shape[0], dtype=np.intp)
-    sigma[row_ind] = col_ind
+    sigma = _shortest_augmenting_paths(cost)
     total = float(cost[np.arange(cost.shape[0]), sigma].sum())
     return Permutation(sigma), total
 
@@ -384,7 +441,11 @@ def heuristic_cost_matrix(kind: str, teacher, student) -> np.ndarray:
     if kind == "collab":
         t_sorted = -np.sort(-t, axis=1)
         s_sorted = -np.sort(-s, axis=1)
-        return np.abs(t_sorted[:, None, :] - s_sorted[None, :, :]).sum(axis=2)
+        # one teacher row at a time: the broadcast (E, E, E) difference is 134 MB at E = 256
+        cost = np.empty(t.shape)
+        for i, row in enumerate(t_sorted):
+            cost[i] = np.abs(row - s_sorted).sum(axis=1)
+        return cost
     raise TransportError(f"unknown cost kind {kind!r} (expected spec or collab)")
 
 
