@@ -19,7 +19,6 @@ from moesig.errors import (
     TransportError,
 )
 from moesig.routing_trace import (
-    QueryTrace,
     RoutingTraceSet,
     ingest_traces,
     write_traces,
@@ -73,7 +72,6 @@ __all__ = [
     "DetectorError",
     "ShadowMoeError",
     "ScenarioError",
-    "QueryTrace",
     "RoutingTraceSet",
     "ingest_traces",
     "write_traces",

@@ -169,7 +169,7 @@ def _cmd_train_proxy(args) -> int:
     if args.traces:
         traces = export_traces(model, queries)
         write_traces(traces, args.traces)
-        records = sum(1 for t in traces.traces for selected in t.selections if selected)
+        records = sum(int((counts > 0).sum()) for counts in traces.counts)
         log.info("exported %d trace records -> %s", records, args.traces)
     return 0
 
@@ -323,6 +323,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(args.func(args))
     except (MoesigError, OSError) as exc:
         log.error("%s", exc)
+        return 1
+    except MemoryError:
+        log.error("%s ran out of memory", args.command)
         return 1
 
 

@@ -9,15 +9,16 @@ one per (query, layer):
     {"query_id": "q0", "domain": "math", "layer": 0, "selected": [1, 5]}
     ...
 
-In memory a trace set is flat: one ``QueryTrace(query_id, domain,
-selections)`` per query, where ``selections[layer]`` is the sorted tuple of
-experts the query chose at that layer and ``()`` marks a layer the file did
-not record. A file in the exact layout :func:`write_traces` produces
-(compact records with keys in that order, strings without escapes, integers
-of at most nine digits, ``\n`` line ends) is parsed in blocks by one regular
-expression and checked as integer columns. Programmatic records, every other
-file and any such file that fails a check take one merge-and-validate path,
-which checks each record once and owns every file diagnostic.
+In memory a trace set is columnar: query ids in first-occurrence order, one
+domain index per query and, per layer, each query's selection count (0 for a
+layer the file did not record) plus one flat int16 array of the selected
+experts, sorted within each query. A file in the exact layout
+:func:`write_traces` produces (compact records with keys in that order,
+strings without escapes, integers of at most nine digits, ``\n`` line ends)
+is parsed in blocks by one regular expression. Every other file, and any
+such file that fails a check, is decoded line by line on the path that owns
+every file diagnostic. Both readers and :func:`build_trace_set` turn records
+into row columns and run one shared set of column checks.
 
 Records carrying a ``gate_probs`` field are accepted; the field is ignored
 because all downstream signatures are built from binary activations only.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -40,6 +41,7 @@ from moesig._meta import is_int
 from moesig.errors import TraceError
 
 SCHEMA_VERSION = 1
+MAX_EXPERTS = np.iinfo(np.int16).max  # experts are stored as int16
 
 # One record line as write_traces lays it out. Strings with escapes or control
 # characters, -0, leading zeros, longer integers and [] do not match.
@@ -50,109 +52,167 @@ _CANONICAL_RECORD = re.compile(
     re.MULTILINE,
 )
 _BLOCK_BYTES = 1 << 20
+_CHUNK_ROWS = 1 << 14  # record rows the column checks sort, and the validating reader converts, at once
+_WRITE_QUERIES = 1 << 9  # queries per block of lines write_traces joins
 
 
 class QueryTrace(NamedTuple):
-    """All per-layer selections recorded for a single query.
-
-    ``domain`` is a dense 1-based index into the owning trace set's domain
-    label list. ``selections[layer]`` is the sorted top-k expert tuple chosen
-    at that layer, or ``()`` if the layer was not recorded.
-    """
+    """One query of the per-query view :attr:`RoutingTraceSet.traces`; ``()`` marks an unrecorded layer."""
 
     query_id: str
     domain: int
     selections: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingTraceSet:
-    """Validated, immutable collection of query traces for one model.
+    """Validated, immutable routing columns of one model.
 
-    Built by :func:`build_trace_set` or :func:`ingest_traces`, which do all
-    validation; the constructor itself checks nothing.
+    At layer l, query q selected ``counts[l][q]`` experts of ``experts[l]``, after those of
+    the queries before it. Built and validated by :func:`build_trace_set` or
+    :func:`ingest_traces`; the constructor checks nothing.
     """
 
     model_id: str
-    num_layers: int
     experts_per_layer: tuple[int, ...]
     domains: tuple[str, ...]
-    traces: tuple[QueryTrace, ...]
-    meta: Mapping[str, object] = field(default_factory=dict, compare=False)
+    query_ids: tuple[str, ...]
+    domain: np.ndarray  # (n,) 1-based index into domains
+    counts: tuple[np.ndarray, ...]  # per layer, (n,) int32
+    experts: tuple[np.ndarray, ...]  # per layer, (counts[l].sum(),) int16
+    meta: Mapping[str, object] = field(default_factory=dict)
+
+    def _values(self) -> tuple:
+        return (self.model_id, self.experts_per_layer, self.domains, self.query_ids, self.domain,
+                *self.counts, *self.experts)
+
+    def __eq__(self, other: object) -> bool:
+        # unequal layer counts differ in experts_per_layer, which comes first
+        return isinstance(other, RoutingTraceSet) and all(
+            map(np.array_equal, self._values(), other._values()))
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.experts_per_layer)
 
     @property
     def num_queries(self) -> int:
-        return len(self.traces)
+        return len(self.query_ids)
 
-    def domain_label(self, domain: int) -> str:
-        return self.domains[domain - 1]
+    @property
+    def traces(self) -> tuple[QueryTrace, ...]:
+        """Per-query view of the columns, built on every access; the library never reads it."""
+        layers = []
+        for counts, experts in zip(self.counts, self.experts):
+            flat, ends = experts.tolist(), np.cumsum(counts).tolist()
+            layers.append([tuple(flat[a:b]) for a, b in zip([0, *ends], ends)])
+        return tuple(map(QueryTrace, self.query_ids, self.domain.tolist(), zip(*layers)))
 
 
-def _at(lineno: int | None) -> str:
-    return "" if lineno is None else f"line {lineno}: "
+class _RowFault(Exception):
+    """args: the first record row that fails a column check, and the check."""
 
 
-def _check_shape(
-    num_layers: int, experts_per_layer: Sequence[int], domains: Sequence[str], where: str
-) -> None:
+def _check_shape(num_layers: int, experts_per_layer: Sequence[int], domains: Sequence[str],
+                 where: str) -> None:
     if num_layers < 1:
         raise TraceError(f"{where}num_layers must be >= 1, got {num_layers}")
     if len(experts_per_layer) != num_layers:
         raise TraceError(
-            f"{where}experts_per_layer has {len(experts_per_layer)} entries "
-            f"for {num_layers} layers"
-        )
+            f"{where}experts_per_layer has {len(experts_per_layer)} entries for {num_layers} layers")
     if any(e < 1 for e in experts_per_layer):
         raise TraceError(f"{where}every layer must have at least one expert")
+    if any(e > MAX_EXPERTS for e in experts_per_layer):
+        raise TraceError(f"{where}a layer may have at most {MAX_EXPERTS} experts")
     if len(set(domains)) != len(domains):
         raise TraceError(f"{where}domain labels must be unique")
 
 
-def _merge(
-    records: Iterable[tuple[str, int, int, Sequence[int], int | None]],
-    num_layers: int,
-    experts_per_layer: Sequence[int],
-) -> tuple[QueryTrace, ...]:
-    """Validate (query_id, domain, layer, selected, lineno) records and merge them by query id.
+def _number(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """Index of every id, adding unseen ids to ``index`` in first-occurrence order."""
+    fresh = [qid for qid in dict.fromkeys(ids) if qid not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
-    Queries keep first-occurrence order. ``lineno`` is the record's line in
-    a trace file, or None for programmatic records; it prefixes every
-    diagnostic as ``line N: ``.
-    """
-    merged: dict[str, tuple[int, list[tuple[int, ...]]]] = {}
-    for qid, dom, layer, selected, lineno in records:
-        if not 0 <= layer < num_layers:
-            raise TraceError(
-                f"{_at(lineno)}layer {layer} out of range (model has {num_layers} layers)"
-            )
-        selected = tuple(sorted(selected))
-        if not selected:
-            raise TraceError(f"{_at(lineno)}selected expert set must be nonempty")
-        if len(set(selected)) != len(selected):
-            raise TraceError(f"{_at(lineno)}duplicate expert index in selected {selected}")
-        limit = experts_per_layer[layer]
-        if selected[0] < 0 or selected[-1] >= limit:
-            bad = selected[0] if selected[0] < 0 else selected[-1]
-            raise TraceError(
-                f"{_at(lineno)}expert index {bad} out of range at layer {layer} "
-                f"(valid 0..{limit - 1})"
-            )
-        entry = merged.get(qid)
-        if entry is None:
-            entry = merged[qid] = (dom, [()] * num_layers)
-        elif entry[0] != dom:
-            raise TraceError(
-                f"{_at(lineno)}query {qid!r} re-appears with a different domain label"
-            )
-        if entry[1][layer]:
-            raise TraceError(f"{_at(lineno)}duplicate (query_id={qid!r}, layer={layer}) record")
-        entry[1][layer] = selected
-    return tuple(QueryTrace(qid, dom, tuple(layers)) for qid, (dom, layers) in merged.items())
+
+def _int64(values: list[int]) -> np.ndarray:
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:  # such a value fails a range check, and so does -1 or 2**62
+        return np.array([min(max(v, -1), 1 << 62) for v in values], np.int64)
+
+
+def _columns(rows: tuple, num_queries: int, experts_per_layer: tuple[int, ...]):
+    """Check record rows; return each query's domain, then per-layer counts and experts.
+
+    ``rows`` holds, per record row, its query index (numbered by first occurrence),
+    1-based domain, layer and expert count, then the experts of all rows, row after row.
+
+    Raises _RowFault(row, check) for the first row that fails a check, with the first
+    check it fails in the order "layer" (out of range), "experts" (none, a repeat or one
+    out of range), "domain" (not that of the query's first row) and "pair" (a (query,
+    layer) pair of an earlier row)."""
+    query, domain, layer, length, flat = rows
+    limits, m = np.asarray(experts_per_layer), len(query)
+    bad_layer = (layer < 0) | (layer >= len(limits))
+    layer = np.where(bad_layer, 0, layer)
+    bounds = np.concatenate(([0], np.cumsum(length)))
+    start, stride = bounds[:-1], int(limits.max()) + 2
+    experts = np.empty(len(flat), np.int16)
+    bad_experts = length == 0
+    # per chunk of rows, sorting row * stride + expert sorts each row and puts repeats side
+    # by side; clipping keeps keys apart by row, and an expert it changes is out of range anyway
+    for r in range(0, m, _CHUNK_ROWS):
+        chunk = length[r:r + _CHUNK_ROWS]
+        a, b = bounds[r], bounds[r + len(chunk)]
+        offset = np.repeat(np.arange(len(chunk)) * stride + 1, chunk)
+        keys = np.clip(flat[a:b], -1, stride - 2) + offset
+        keys.sort()
+        bad_experts[r + keys[1:][keys[1:] == keys[:-1]] // stride] = True
+        experts[a:b] = keys - offset
+    nonempty = np.flatnonzero(length)
+    low, high = experts[start[nonempty]], experts[bounds[nonempty + 1] - 1]
+    bad_experts[nonempty] |= (low < 0) | (high >= limits[layer[nonempty]])
+    query_domain = domain[np.unique(query, return_index=True)[1]]
+    pair = layer * num_queries + query
+    order = np.argsort(pair, kind="stable")
+    bad_pair = np.zeros(m, bool)
+    bad_pair[order[1:][pair[order[1:]] == pair[order[:-1]]]] = True
+    checks = {"layer": bad_layer, "experts": bad_experts,
+              "domain": query_domain[query] != domain, "pair": bad_pair}
+    bad = np.logical_or.reduce(list(checks.values()))
+    if bad.any():
+        first = int(bad.argmax())
+        raise _RowFault(first, next(name for name, flags in checks.items() if flags[first]))
+    counts, selected = [], []
+    for rows_at in np.split(order, np.searchsorted(pair[order], np.arange(1, len(limits)) * num_queries)):
+        n = length[rows_at]
+        counts.append(np.zeros(num_queries, np.int32))
+        counts[-1][query[rows_at]] = n
+        selected.append(experts[np.repeat(start[rows_at] - np.cumsum(n) + n, n) + np.arange(n.sum())])
+    return query_domain, tuple(counts), tuple(selected)
+
+
+def _fault(check: str, qid: str, layer: int, selected: Sequence[int], experts_per_layer) -> str:
+    """The diagnostic of a record that fails ``check``, from its own values."""
+    if check == "layer":
+        return f"layer {layer} out of range (model has {len(experts_per_layer)} layers)"
+    if check == "domain":
+        return f"query {qid!r} re-appears with a different domain label"
+    if check == "pair":
+        return f"duplicate (query_id={qid!r}, layer={layer}) record"
+    selected = tuple(sorted(selected))
+    if not selected:
+        return "selected expert set must be nonempty"
+    if len(set(selected)) != len(selected):
+        return f"duplicate expert index in selected {selected}"
+    bad = selected[0] if selected[0] < 0 else selected[-1]
+    return f"expert index {bad} out of range at layer {layer} (valid 0..{experts_per_layer[layer] - 1})"
 
 
 def _parse_header(line: str, lineno: int) -> dict:
     """Decode and fully validate the header line before any record is read."""
-    where = _at(lineno)
+    where = f"line {lineno}: "
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -161,9 +221,7 @@ def _parse_header(line: str, lineno: int) -> dict:
         raise TraceError(f"{where}first line must be a header with a schema_version field")
     version = header["schema_version"]
     if not is_int(version) or version != SCHEMA_VERSION:
-        raise TraceError(
-            f"{where}unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"
-        )
+        raise TraceError(f"{where}unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})")
     for key in ("model_id", "num_layers", "experts_per_layer"):
         if key not in header:
             raise TraceError(f"{where}header is missing required field {key!r}")
@@ -176,9 +234,7 @@ def _parse_header(line: str, lineno: int) -> dict:
     if not isinstance(experts, list) or not all(is_int(e) for e in experts):
         raise TraceError(f"{where}header experts_per_layer must be a list of integers")
     domains = header.get("domains")
-    if domains is not None and (
-        not isinstance(domains, list) or not all(isinstance(d, str) for d in domains)
-    ):
+    if domains is not None and (not isinstance(domains, list) or not all(isinstance(d, str) for d in domains)):
         raise TraceError(f"{where}header domains must be a list of strings")
     if not isinstance(header.get("meta", {}), dict):
         raise TraceError(f"{where}header meta must be a JSON object")
@@ -186,14 +242,10 @@ def _parse_header(line: str, lineno: int) -> dict:
     return header
 
 
-def _file_records(
-    lines: Iterator[tuple[int, str]], domain_index: dict[str, int], declared: bool
-) -> Iterator[tuple[str, int, int, list[int], int]]:
-    """Decode record lines, check field types and map domain labels to indices.
-
-    Without declared domains, new labels are numbered in first-occurrence
-    order by adding them to ``domain_index``.
-    """
+def _file_records(lines: Iterator[tuple[int, str]], domain_index: dict[str, int],
+                  declared: bool) -> Iterator[tuple[str, int, int, list[int], int]]:
+    """Decode record lines, check field types and map domain labels to indices; without
+    declared domains, new labels are added to ``domain_index`` in first-occurrence order."""
     for lineno, line in lines:
         try:
             rec = json.loads(line)
@@ -215,19 +267,14 @@ def _file_records(
         if dom is None:
             if declared:
                 raise TraceError(
-                    f"line {lineno}: unknown domain label {label!r} "
-                    f"(declared: {list(domain_index)})"
-                )
+                    f"line {lineno}: unknown domain label {label!r} (declared: {list(domain_index)})")
             dom = domain_index[label] = len(domain_index) + 1
         yield qid, dom, layer, selected, lineno
 
 
-def _canonical_block(text: str, query_index: dict, domain_index: dict, declared, limits):
-    """(query, domain, layer) columns and sorted selections of a block of record lines.
-
-    None if a line is not canonical, a label is undeclared or a record fails a check.
-    Query ids and new labels are numbered by first occurrence, as in ``_file_records``.
-    """
+def _canonical_block(text: str, query_index: dict, domain_index: dict, declared) -> tuple | None:
+    """Row columns of a block of record lines; None if a line is not canonical or a label
+    is undeclared. Query ids and new labels are numbered as in ``_file_records``."""
     rows = _CANONICAL_RECORD.findall(text)
     if len(rows) != text.count("\n"):
         return None
@@ -236,33 +283,19 @@ def _canonical_block(text: str, query_index: dict, domain_index: dict, declared,
     if new_labels and declared is not None:
         return None
     domain_index.update({label: len(domain_index) + i for i, label in enumerate(new_labels, 1)})
-    for qid in dict.fromkeys(qids):
-        query_index.setdefault(qid, len(query_index))
-    layer = np.fromstring(",".join(layers), np.int64, sep=",")
-    flat = np.fromstring(",".join(selected), np.int64, sep=",")
-    lengths = np.fromiter(map(str.count, selected, repeat(",")), np.int64, len(rows)) + 1
-    if layer.max() >= len(limits) or (flat >= np.repeat(limits[layer], lengths)).any():
-        return None
-    # sorting row * stride + expert sorts each record and puts repeats side by side
-    row = np.repeat(np.arange(len(rows)), lengths)
-    stride = int(flat.max()) + 1
-    keys = np.sort(row * stride + flat)
-    if (keys[1:] == keys[:-1]).any():
-        return None
-    query = np.fromiter(map(query_index.__getitem__, qids), np.int64, len(rows))
-    domain = np.fromiter(map(domain_index.__getitem__, labels), np.int64, len(rows))
-    # tuples from list slices are allocated at their exact size, unlike tuples from iterators
-    experts, ends = (keys - row * stride).tolist(), np.cumsum(lengths).tolist()
-    return query, domain, layer, [tuple(experts[a:b]) for a, b in zip([0, *ends], ends)]
+    return (
+        _number(qids, query_index),
+        np.fromiter(map(domain_index.__getitem__, labels), np.int64, len(rows)),
+        np.fromstring(",".join(layers), np.int64, sep=","),
+        np.fromiter(map(str.count, selected, repeat(",")), np.int64, len(rows)) + 1,
+        np.fromstring(",".join(selected), np.int32, sep=","),
+    )
 
 
-def _read_canonical(path: Path) -> tuple[dict, tuple[str, ...], tuple[QueryTrace, ...]] | None:
-    """Header, domain labels and traces of a canonical-layout file, or None.
-
-    Blocks of about ``_BLOCK_BYTES`` are checked on their own, then for repeated
-    (query, layer) pairs and one domain per query. A bad header, a carriage return,
-    no record, a non-canonical line or a missing final newline also gives None.
-    """
+def _read_canonical(path: Path) -> tuple | None:
+    """Header, domain and query indices and columns of a canonical-layout file, or None for a
+    bad header, a carriage return, no record, a non-canonical line, a missing final newline
+    or a record that fails a column check."""
     blocks, query_index = [], {}
     try:
         with path.open("rb") as fh:
@@ -273,37 +306,34 @@ def _read_canonical(path: Path) -> tuple[dict, tuple[str, ...], tuple[QueryTrace
             header = _parse_header(line, 1)
             declared = header.get("domains")
             domain_index = {label: i + 1 for i, label in enumerate(declared or [])}
-            # record values are below 10**9, so clipping keeps the range check exact
-            limits = np.minimum(header["experts_per_layer"], 10**9)
             tail = b""
             while chunk := fh.read(_BLOCK_BYTES):
                 lines, newline, tail = (tail + chunk).rpartition(b"\n")
                 if newline:
                     text = lines.decode("utf-8") + "\n"
-                    blocks.append(_canonical_block(text, query_index, domain_index, declared, limits))
+                    blocks.append(_canonical_block(text, query_index, domain_index, declared))
                     if blocks[-1] is None:
                         return None
-    except (UnicodeDecodeError, TraceError):
+        if tail or not blocks:
+            return None
+        rows = tuple(map(np.concatenate, zip(*blocks)))
+        columns = _columns(rows, len(query_index), tuple(header["experts_per_layer"]))
+    except (UnicodeDecodeError, TraceError, _RowFault):
         return None
-    if tail or not blocks:
-        return None
-    num_layers = header["num_layers"]
-    query, domain, layer, selections = zip(*blocks)
-    query, domain, layer = map(np.concatenate, (query, domain, layer))
-    query_domain = np.zeros(len(query_index), np.int64)
-    query_domain[query] = domain
-    pairs = np.sort(query * num_layers + layer)
-    if (query_domain[query] != domain).any() or (pairs[1:] == pairs[:-1]).any():
-        return None
-    slots = [[()] * num_layers for _ in query_index]
-    for q, at, selected in zip(query.tolist(), layer.tolist(), chain.from_iterable(selections)):
-        slots[q][at] = selected
-    traces = tuple(map(QueryTrace, query_index, query_domain.tolist(), map(tuple, slots)))
-    return header, tuple(domain_index), traces
+    return header, domain_index, query_index, columns
 
 
-def _read_validating(path: Path) -> tuple[dict, tuple[str, ...], tuple[QueryTrace, ...]]:
-    """Header, domain labels and traces of any trace file; the first fault raises TraceError."""
+def _batch_rows(records: list, query_index: dict[str, int]) -> tuple:
+    """Row columns and line numbers of decoded (query_id, domain, layer, selected, lineno) records."""
+    qids, doms, layers, selected, linenos = zip(*records) if records else ((),) * 5
+    return (_number(qids, query_index), np.array(doms, np.int64), _int64(list(layers)),
+            np.fromiter(map(len, selected), np.int64, len(records)),
+            _int64(list(chain.from_iterable(selected))), np.array(linenos, np.int64))
+
+
+def _read_validating(path: Path) -> tuple:
+    """As ``_read_canonical`` for any trace file; the first fault in line order raises TraceError."""
+    blocks, batch, query_index, fault = [], [], {}, None
     try:
         with path.open("r", encoding="utf-8") as fh:
             lines = ((n, raw.strip()) for n, raw in enumerate(fh, start=1))
@@ -314,97 +344,122 @@ def _read_validating(path: Path) -> tuple[dict, tuple[str, ...], tuple[QueryTrac
             header = _parse_header(first[1], first[0])
             declared = header.get("domains")
             domain_index = {label: i + 1 for i, label in enumerate(declared or [])}
-            traces = _merge(
-                _file_records(lines, domain_index, declared is not None),
-                header["num_layers"],
-                header["experts_per_layer"],
-            )
+            try:
+                for record in _file_records(lines, domain_index, declared is not None):
+                    batch.append(record)
+                    if len(batch) == _CHUNK_ROWS:
+                        blocks.append(_batch_rows(batch, query_index))
+                        batch.clear()
+            except TraceError as exc:
+                fault = exc
     except UnicodeDecodeError as exc:
-        raise TraceError(f"trace file {path} is not UTF-8 text: {exc}") from None
-    return header, tuple(domain_index), traces
+        fault = TraceError(f"trace file {path} is not UTF-8 text: {exc}")
+        if not blocks and not batch:
+            raise fault from None
+    # records before a decode fault come first in line order, so their faults win
+    *rows, linenos = map(np.concatenate, zip(*blocks, _batch_rows(batch, query_index)))
+    experts = tuple(header["experts_per_layer"])
+    try:
+        columns = _columns(rows, len(query_index), experts)
+    except _RowFault as exc:
+        row, check = exc.args
+        with path.open(encoding="utf-8") as fh:  # the record's own values, as the file holds them
+            rec = json.loads(next(islice(fh, linenos[row] - 1, None)))
+        message = _fault(check, rec["query_id"], rec["layer"], rec["selected"], experts)
+        raise TraceError(f"line {linenos[row]}: {message}") from None
+    if fault is not None:
+        raise fault
+    return header, domain_index, query_index, columns
 
 
 def ingest_traces(path: str | Path) -> RoutingTraceSet:
     """Read and validate a trace file into a RoutingTraceSet.
 
-    Records sharing a query_id are merged into one QueryTrace. If the header
+    Records sharing a query_id are merged into one query. If the header
     declares ``domains``, labels outside that list are rejected; otherwise
     the label-to-index mapping follows first occurrence order.
     """
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
-    header, domains, traces = _read_canonical(path) or _read_validating(path)
-    return RoutingTraceSet(
-        model_id=header["model_id"],
-        num_layers=header["num_layers"],
-        experts_per_layer=tuple(header["experts_per_layer"]),
-        domains=domains,
-        traces=traces,
-        meta=dict(header.get("meta", {})),
-    )
+    header, domains, query_ids, columns = _read_canonical(path) or _read_validating(path)
+    return RoutingTraceSet(header["model_id"], tuple(header["experts_per_layer"]), tuple(domains),
+                           tuple(query_ids), *columns, meta=dict(header.get("meta", {})))
 
 
 def write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
     """Write a trace set in the canonical line-delimited format.
 
     Output is byte-deterministic: header first, then one record per recorded
-    (query, layer) in trace order with layers ascending, sorted expert
-    indices, and compact JSON separators, written one query at a time.
+    (query, layer) in query order with layers ascending, sorted expert
+    indices, and compact JSON separators, written in blocks of queries.
     """
     path = Path(path)
-    header = {
-        "schema_version": SCHEMA_VERSION,
-        "model_id": trace_set.model_id,
-        "num_layers": trace_set.num_layers,
-        "experts_per_layer": list(trace_set.experts_per_layer),
-        "domains": list(trace_set.domains),
-    }
+    header = {"schema_version": SCHEMA_VERSION, "model_id": trace_set.model_id,
+              "num_layers": trace_set.num_layers, "experts_per_layer": list(trace_set.experts_per_layer),
+              "domains": list(trace_set.domains)}
     if trace_set.meta:
         header["meta"] = dict(trace_set.meta)
     labels = [json.dumps(label, ensure_ascii=False) for label in trace_set.domains]
+    names = np.array([str(i) for i in range(max(trace_set.experts_per_layer))], object)
+    flat = np.concatenate(trace_set.experts)
+    counts = np.stack(trace_set.counts)
+    # where the experts of each (layer, query) start in flat
+    first = np.cumsum(counts, axis=None).reshape(counts.shape) - counts
+    layer_heads = np.array([f'{layer},"selected":[' for layer in range(trace_set.num_layers)], object)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n")
-        for trace in trace_set.traces:
-            qid = json.dumps(trace.query_id, ensure_ascii=False)
-            prefix = f'{{"query_id":{qid},"domain":{labels[trace.domain - 1]},"layer":'
-            fh.write("".join(f'{prefix}{layer},"selected":[{",".join(map(str, selected))}]}}\n'
-                             for layer, selected in enumerate(trace.selections) if selected))
+        for a in range(0, trace_set.num_queries, _WRITE_QUERIES):
+            block = slice(a, a + _WRITE_QUERIES)
+            prefixes = np.array([
+                f'{{"query_id":{json.dumps(qid, ensure_ascii=False)},"domain":{labels[d - 1]},"layer":'
+                for qid, d in zip(trace_set.query_ids[block], trace_set.domain[block].tolist())
+            ], object)
+            # records in (query, layer) order; the block is one join of expert names with
+            # "," between experts and the end of a record plus the next record's head between records
+            queries, layers = np.nonzero(counts[:, block].T)
+            heads = prefixes[queries] + layer_heads[layers]
+            k = counts[layers, queries + a]
+            take = np.repeat(first[layers, queries + a] - np.cumsum(k) + k, k) + np.arange(k.sum())
+            tokens = np.empty(2 * len(take), object)
+            tokens[0::2] = names[flat[take]]
+            tokens[1::2] = ","
+            tokens[2 * np.cumsum(k) - 1] = "]}\n" + np.append(heads[1:], "")
+            fh.write(heads[0] + "".join(tokens.tolist()))
 
 
-def build_trace_set(
-    model_id: str,
-    num_layers: int,
-    experts_per_layer: Sequence[int],
-    domains: Sequence[str],
-    records: Iterable[tuple[str, int, int, Sequence[int]]],
-    meta: Mapping[str, object] | None = None,
-) -> RoutingTraceSet:
-    """Assemble a RoutingTraceSet from (query_id, domain, layer, selected) tuples.
+def build_trace_set(model_id: str, num_layers: int, experts_per_layer: Sequence[int], domains: Sequence[str],
+                    records: Iterable[tuple], meta: Mapping[str, object] | None = None) -> RoutingTraceSet:
+    """Assemble a RoutingTraceSet from (query_id, domain, layer, selected) records.
 
-    ``domain`` is a 1-based index into ``domains``. Used by the trace
-    exporters and the synthetic generator; records are merged and validated
-    by the same path as file ingestion.
+    ``domain`` is a 1-based index into ``domains``. A record may also hold
+    many queries at one layer: a sequence of n query ids, n domains, the
+    layer and an (n, k) array of selected experts, as the trace exporters
+    and the synthetic generator pass them. Records are checked by the same
+    column checks as file ingestion.
     """
     experts = tuple(int(e) for e in experts_per_layer)
     domains = tuple(domains)
     _check_shape(num_layers, experts, domains, "")
-    traces = _merge(
-        ((qid, dom, layer, selected, None) for qid, dom, layer, selected in records),
-        num_layers,
-        experts,
-    )
-    for trace in traces:
-        if not 1 <= trace.domain <= len(domains):
-            raise TraceError(
-                f"query {trace.query_id!r} has domain index {trace.domain} "
-                f"but {len(domains)} domains are declared"
-            )
-    return RoutingTraceSet(
-        model_id=model_id,
-        num_layers=num_layers,
-        experts_per_layer=experts,
-        domains=domains,
-        traces=traces,
-        meta=dict(meta or {}),
-    )
+    ids, blocks = [], []
+    for qid, dom, layer, selected in records:
+        if isinstance(qid, str):  # one record is a block of one query
+            qid, dom, selected = (qid,), (dom,), (selected,)
+        selected = np.asarray(selected, np.int64)
+        n, k = selected.shape
+        ids.extend(qid)
+        blocks.append((np.asarray(dom, np.int64), np.full(n, layer), np.full(n, k), selected.ravel()))
+    query_index: dict[str, int] = {}
+    query = _number(ids, query_index)
+    dom, layer, length, flat = map(np.concatenate, zip(*blocks)) if blocks else [np.zeros(0, np.int64)] * 4
+    try:
+        domain, counts, selected = _columns((query, dom, layer, length, flat), len(query_index), experts)
+    except _RowFault as exc:
+        row, check = exc.args
+        own = flat[length[:row].sum():][:length[row]].tolist()
+        raise TraceError(_fault(check, ids[row], int(layer[row]), own, experts)) from None
+    query_ids = tuple(query_index)
+    for q in np.flatnonzero((domain < 1) | (domain > len(domains)))[:1]:
+        raise TraceError(
+            f"query {query_ids[q]!r} has domain index {domain[q]} but {len(domains)} domains are declared")
+    return RoutingTraceSet(model_id, experts, domains, query_ids, domain, counts, selected, dict(meta or {}))

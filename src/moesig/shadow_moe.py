@@ -647,12 +647,8 @@ def export_traces(
     _, caches = model._forward_batch(queries.inputs)
     labels = queries.domain_labels()
     label_index = {lab: i + 1 for i, lab in enumerate(labels)}
-    domains = [label_index[d] for d in queries.domains]
-    records = [
-        (qid, dom, layer, selected)
-        for layer, cache in enumerate(caches)
-        for qid, dom, selected in zip(queries.query_ids, domains, cache.topk.tolist())
-    ]
+    domains = np.array([label_index[d] for d in queries.domains])
+    records = [(queries.query_ids, domains, layer, cache.topk) for layer, cache in enumerate(caches)]
     return build_trace_set(
         model_id=model_id if model_id is not None else model.model_id,
         num_layers=cfg.num_layers,

@@ -1,11 +1,13 @@
 """Expert specialization profiles and expert collaboration matrices.
 
-Both signatures are built from the binary (queries x experts) top-k
-activation matrix A of one layer: specialization counts are A^T times the
-one-hot domain matrix, collaboration counts are A^T A off the diagonal.
-Every count is an integer, exact in float64 below 2**53, and is divided
-once at the end, so results are bitwise deterministic regardless of trace
-order or parallelism.
+Both signatures count the top-k selections of one layer, read straight
+from the trace set's columns. With A the binary (queries x experts)
+activation matrix, specialization counts are A^T times the one-hot domain
+matrix, taken as one bincount over (domain, expert) cells; collaboration
+counts are A^T A off the diagonal, summed over query chunks so that only a
+bounded slice of A exists at a time. Every count is an integer, exact in
+float64 below 2**53, and is divided once at the end, so results are
+bitwise deterministic regardless of trace order or chunking.
 
 Specialization: the selection frequency of expert i on domain d, divided by
 the mean active-expert count of that domain, so every domain column is a
@@ -20,7 +22,6 @@ falls back to the specialization distance alone.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,7 @@ from moesig.errors import SignatureError
 from moesig.routing_trace import RoutingTraceSet
 
 LayerPolicy = str | int
+_CHUNK_CELLS = 1 << 20  # cells of the activation matrix built at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,30 +96,17 @@ class SignatureBundle(NamedTuple):
     collab: CollaborationMatrix
 
 
-def _activations(traces: RoutingTraceSet, layer: int) -> np.ndarray:
-    """Binary (n, E) activation matrix at ``layer``: row q marks query q's top-k set.
-
-    Stored as float64 so the count products below run in BLAS; every count
-    is an integer below 2**53, so the products are exact.
-    """
+def _layer(traces: RoutingTraceSet, layer: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every query's selection count and the selected experts at ``layer``; all must be recorded."""
     if not 0 <= layer < traces.num_layers:
         raise SignatureError(
-            f"layer {layer} out of range (model {traces.model_id!r} has "
-            f"{traces.num_layers} layers)"
+            f"layer {layer} out of range (model {traces.model_id!r} has {traces.num_layers} layers)"
         )
     if traces.num_queries == 0:
         raise SignatureError("trace set is empty")
-    selected = [trace.selections[layer] for trace in traces.traces]
-    ks = np.fromiter(map(len, selected), dtype=np.intp, count=len(selected))
-    missing = np.flatnonzero(ks == 0)
-    if missing.size:
-        raise SignatureError(
-            f"query {traces.traces[missing[0]].query_id!r} has no selection at layer {layer}"
-        )
-    acts = np.zeros((len(selected), traces.experts_per_layer[layer]), dtype=np.float64)
-    rows = np.repeat(np.arange(len(selected)), ks)
-    acts[rows, np.fromiter(itertools.chain.from_iterable(selected), np.intp, rows.size)] = 1.0
-    return acts
+    for q in np.flatnonzero(traces.counts[layer] == 0)[:1]:
+        raise SignatureError(f"query {traces.query_ids[q]!r} has no selection at layer {layer}")
+    return traces.counts[layer], traces.experts[layer]
 
 
 def compute_specialization(traces: RoutingTraceSet, layer: int) -> SpecializationProfile:
@@ -126,31 +115,19 @@ def compute_specialization(traces: RoutingTraceSet, layer: int) -> Specializatio
     Every declared domain with at least one query is included, in
     declaration order.
     """
-    acts = _activations(traces, layer)
-    num_declared = len(traces.domains)
-    onehot = np.zeros((traces.num_queries, num_declared), dtype=np.float64)
-    onehot[np.arange(traces.num_queries), [trace.domain - 1 for trace in traces.traces]] = 1.0
-    # sel_counts = A^T onehot(domain); each query contributes k ones, so the
-    # column sums are the per-domain k totals
-    sel_counts = (acts.T @ onehot).astype(np.int64)
+    counts, experts = _layer(traces, layer)
+    num_experts, num_declared = traces.experts_per_layer[layer], len(traces.domains)
+    # sel_counts[i, d]: selections of expert i by queries of domain d; each query
+    # contributes k selections, so the column sums are the per-domain k totals
+    cell = np.repeat(traces.domain - 1, counts) * num_experts + experts
+    sel_counts = np.bincount(cell, minlength=num_declared * num_experts).reshape(-1, num_experts).T
+    n_d = np.bincount(traces.domain - 1, minlength=num_declared)
+    idx = np.flatnonzero(n_d)
+    sel_counts, n_d = sel_counts[:, idx], n_d[idx]
     k_totals = sel_counts.sum(axis=0)
-    n_d = onehot.sum(axis=0).astype(np.int64)
-
-    idx = [i for i in range(num_declared) if n_d[i] > 0]
-    labels = tuple(traces.domains[i] for i in idx)
-    sel_counts = sel_counts[:, idx]
-    k_totals = k_totals[idx]
-    n_d = n_d[idx]
     # S_bar[i, d] = (count[i, d] / n_d) / (k_total[d] / n_d) = count / k_total
-    matrix = sel_counts.astype(np.float64) / k_totals.astype(np.float64)[None, :]
-    kappa = k_totals.astype(np.float64) / n_d.astype(np.float64)
-    return SpecializationProfile(
-        layer=layer,
-        matrix=matrix,
-        kappa_per_domain=kappa,
-        counts=n_d,
-        domain_labels=labels,
-    )
+    return SpecializationProfile(layer, sel_counts / k_totals[None, :], k_totals / n_d, n_d,
+                                 tuple(traces.domains[i] for i in idx))
 
 
 def compute_collaboration(traces: RoutingTraceSet, layer: int) -> CollaborationMatrix:
@@ -159,28 +136,24 @@ def compute_collaboration(traces: RoutingTraceSet, layer: int) -> CollaborationM
     If every query selects a single expert there is no co-activation mass;
     the result is all-zero with ``zero_mass=True`` rather than an error.
     """
-    acts = _activations(traces, layer)
-    num_experts = acts.shape[1]
-    # pair_counts = A^T A off the diagonal; the diagonal holds per-expert counts
-    pair_counts = (acts.T @ acts).astype(np.int64)
+    counts, experts = _layer(traces, layer)
+    num_experts = traces.experts_per_layer[layer]
+    # pair_counts = A^T A off the diagonal, A the binary (query, expert) activation
+    # matrix, summed over chunks of at most _CHUNK_CELLS cells of A
+    products = np.zeros((num_experts, num_experts))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    rows = max(1, _CHUNK_CELLS // num_experts)
+    for a in range(0, len(counts), rows):
+        chunk = counts[a:a + rows]
+        acts = np.zeros((len(chunk), num_experts))
+        acts[np.repeat(np.arange(len(chunk)), chunk), experts[offsets[a]:offsets[a + len(chunk)]]] = 1.0
+        products += acts.T @ acts
+    pair_counts = products.astype(np.int64)
     np.fill_diagonal(pair_counts, 0)
     pair_total = int(pair_counts.sum())
-
-    if pair_total == 0:
-        return CollaborationMatrix(
-            layer=layer,
-            matrix=np.zeros((num_experts, num_experts), dtype=np.float64),
-            pair_normalizer=0.0,
-            zero_mass=True,
-        )
-    # B_bar = (pair_counts / n) / (pair_total / n) = pair_counts / pair_total
-    matrix = pair_counts.astype(np.float64) / float(pair_total)
-    return CollaborationMatrix(
-        layer=layer,
-        matrix=matrix,
-        pair_normalizer=pair_total / traces.num_queries,
-        zero_mass=False,
-    )
+    # B_bar = (pair_counts / n) / (pair_total / n) = pair_counts / pair_total, all-zero without pairs
+    return CollaborationMatrix(layer, pair_counts / max(pair_total, 1),
+                               pair_total / traces.num_queries, pair_total == 0)
 
 
 def resolve_layer(policy: LayerPolicy, num_layers: int) -> int:
@@ -210,36 +183,22 @@ def signature_bundle(traces: RoutingTraceSet, layer_policy: LayerPolicy = "last"
     model-specific signal; first and median exist for layer ablations.
     """
     layer = resolve_layer(layer_policy, traces.num_layers)
-    return SignatureBundle(
-        spec=compute_specialization(traces, layer),
-        collab=compute_collaboration(traces, layer),
-    )
+    return SignatureBundle(compute_specialization(traces, layer), compute_collaboration(traces, layer))
 
 
 def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = None) -> None:
     """Serialize a signature bundle to a structured JSON file."""
     spec, collab = bundle
     doc = {
-        "format": "moesig-signatures",
-        "version": 1,
-        "layer": spec.layer,
-        "num_experts": spec.num_experts,
-        "domains": list(spec.domain_labels),
-        "specialization": {
-            "matrix": spec.matrix.tolist(),
-            "kappa_per_domain": spec.kappa_per_domain.tolist(),
-            "counts": spec.counts.tolist(),
-        },
-        "collaboration": {
-            "matrix": collab.matrix.tolist(),
-            "pair_normalizer": collab.pair_normalizer,
-            "zero_mass": collab.zero_mass,
-        },
+        "format": "moesig-signatures", "version": 1, "layer": spec.layer,
+        "num_experts": spec.num_experts, "domains": list(spec.domain_labels),
+        "specialization": {"matrix": spec.matrix.tolist(), "kappa_per_domain": spec.kappa_per_domain.tolist(),
+                           "counts": spec.counts.tolist()},
+        "collaboration": {"matrix": collab.matrix.tolist(), "pair_normalizer": collab.pair_normalizer,
+                          "zero_mass": collab.zero_mass},
         "meta": meta or {},
     }
-    Path(path).write_text(
-        json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def load_bundle(path: str | Path) -> SignatureBundle:
@@ -272,29 +231,20 @@ def load_bundle(path: str | Path) -> SignatureBundle:
         if not is_finite_number(pair_normalizer) or pair_normalizer < 0:
             raise SignatureError(f"{path}: pair_normalizer must be a finite number >= 0")
         spec = SpecializationProfile(
-            layer=layer,
-            matrix=np.asarray(spec_doc["matrix"], dtype=np.float64),
-            kappa_per_domain=np.asarray(spec_doc["kappa_per_domain"], dtype=np.float64),
-            counts=np.asarray(counts, dtype=np.int64),
-            domain_labels=tuple(labels),
+            layer, np.asarray(spec_doc["matrix"], dtype=np.float64),
+            np.asarray(spec_doc["kappa_per_domain"], dtype=np.float64), np.asarray(counts, dtype=np.int64),
+            tuple(labels),
         )
-        collab = CollaborationMatrix(
-            layer=layer,
-            matrix=np.asarray(collab_doc["matrix"], dtype=np.float64),
-            pair_normalizer=float(pair_normalizer),
-            zero_mass=collab_doc["zero_mass"],
-        )
+        collab = CollaborationMatrix(layer, np.asarray(collab_doc["matrix"], dtype=np.float64),
+                                     float(pair_normalizer), collab_doc["zero_mass"])
     except KeyError as exc:
         raise SignatureError(f"{path}: signature file is missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise SignatureError(f"{path}: malformed signature file: {exc}") from None
     if not isinstance(collab.zero_mass, bool):
         raise SignatureError(f"{path}: zero_mass must be true or false, got {collab.zero_mass!r}")
-    for name, values in (
-        ("specialization matrix", spec.matrix),
-        ("kappa_per_domain", spec.kappa_per_domain),
-        ("collaboration matrix", collab.matrix),
-    ):
+    for name, values in (("specialization matrix", spec.matrix), ("kappa_per_domain", spec.kappa_per_domain),
+                         ("collaboration matrix", collab.matrix)):
         if not np.all(np.isfinite(values) & (values >= 0)):
             raise SignatureError(f"{path}: {name} has a negative or non-finite entry")
     if collab.num_experts != spec.num_experts:
@@ -302,7 +252,7 @@ def load_bundle(path: str | Path) -> SignatureBundle:
             f"{path}: collaboration matrix has {collab.num_experts} experts, "
             f"specialization profile has {spec.num_experts}"
         )
-    return SignatureBundle(spec=spec, collab=collab)
+    return SignatureBundle(spec, collab)
 
 
 def dump_bundle_csv(bundle: SignatureBundle, path: str | Path, meta_line: str | None = None) -> None:
@@ -314,16 +264,9 @@ def dump_bundle_csv(bundle: SignatureBundle, path: str | Path, meta_line: str | 
     """
     spec, collab = bundle
     labels = spec.domain_labels
-    rows = [
-        ["specialization", spec.layer, label, i, "", spec.matrix[i, d]]
-        for d, label in enumerate(labels)
-        for i in range(spec.num_experts)
-    ]
+    rows = [["specialization", spec.layer, label, i, "", spec.matrix[i, d]]
+            for d, label in enumerate(labels) for i in range(spec.num_experts)]
     rows += [["kappa", spec.layer, lab, "", "", k] for lab, k in zip(labels, spec.kappa_per_domain)]
-    rows += [
-        ["collaboration", collab.layer, "", i, j, collab.matrix[i, j]]
-        for i in range(collab.num_experts)
-        for j in range(collab.num_experts)
-        if i != j
-    ]
+    rows += [["collaboration", collab.layer, "", i, j, collab.matrix[i, j]]
+             for i in range(collab.num_experts) for j in range(collab.num_experts) if i != j]
     write_csv(path, meta_line, ["kind", "layer", "domain", "i", "j", "value"], rows)

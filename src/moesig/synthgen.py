@@ -21,7 +21,6 @@ reflects shared surface statistics rather than inherited structure; bias 1
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
@@ -151,7 +150,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 
     domain_of_query = np.repeat(np.arange(d), config.n_per_domain)
     query_ids = [f"q{i:06d}" for i in range(n)]
-    domain_index = (domain_of_query + 1).tolist()
+    domain_index = domain_of_query + 1
 
     # Every candidate's expert indices are arbitrary, so both students get
     # independent hidden relabelings. Relabeling only one would bias the pair:
@@ -182,7 +181,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         draws["distilled"] = np.where(copy[:, None], draws["teacher"], draws["distilled"])
         for model_id, _, _, relabel in models:
             sets = draws[model_id] if relabel is None else relabel[draws[model_id]]
-            records[model_id].extend(zip(query_ids, domain_index, itertools.repeat(layer), sets.tolist()))
+            records[model_id].append((query_ids, domain_index, layer, sets))
 
     labels = tuple(f"d{j + 1}" for j in range(d))
     meta = {"seed": seed, "config_digest": config.digest()}

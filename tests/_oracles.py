@@ -31,7 +31,7 @@ def naive_write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n")
         for trace in trace_set.traces:
-            label = trace_set.domain_label(trace.domain)
+            label = trace_set.domains[trace.domain - 1]
             for layer, selected in enumerate(trace.selections):
                 if not selected:
                     continue

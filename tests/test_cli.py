@@ -7,7 +7,7 @@ import logging
 
 import pytest
 
-from moesig import _pool
+from moesig import _pool, cli
 from moesig.cli import dispatch, emit_report
 from moesig.detector import BenchmarkReport, BenchmarkRow
 from moesig.routing_trace import build_trace_set, write_traces
@@ -216,6 +216,26 @@ class TestMalformedInput:
         assert code == 1
         (message,) = error_lines(caplog)
         assert message.startswith("line 1: header") and "\n" not in message
+
+    def test_expert_count_beyond_int16(self, tmp_path, caplog):
+        path = tmp_path / "t.jsonl"
+        header = {**TWO_LAYER_HEADER, "num_layers": 1, "experts_per_layer": [40000]}
+        record = {"query_id": "a", "domain": "math", "layer": 0, "selected": [39999]}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        assert dispatch(["ingest", "--input", str(path), "--out", str(tmp_path / "o.jsonl")]) == 1
+        (message,) = error_lines(caplog)
+        assert message == "line 1: header a layer may have at most 32767 experts"
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_out_of_memory(self, tmp_path, monkeypatch, caplog, capsys):
+        def no_memory(*_args, **_kwargs):
+            raise MemoryError
+
+        simple_trace_file(tmp_path / "t.jsonl")
+        monkeypatch.setattr(cli, "signature_bundle", no_memory)
+        assert dispatch(["profile", "--input", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "s")]) == 1
+        assert error_lines(caplog) == ["profile ran out of memory"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_signature_file_missing_field(self, tmp_path, caplog):
         src = tmp_path / "t.jsonl"

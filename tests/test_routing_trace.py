@@ -436,3 +436,56 @@ def test_write_traces_matches_per_record_oracle(seed, tmp_path_factory):
     write_traces(ts, tmp / "fast.jsonl")
     naive_write_traces(ts, tmp / "naive.jsonl")
     assert (tmp / "fast.jsonl").read_bytes() == (tmp / "naive.jsonl").read_bytes()
+
+
+def test_expert_count_beyond_int16_rejected(tmp_path):
+    with pytest.raises(TraceError, match="at most 32767 experts"):
+        build_trace_set("m", 1, (40000,), ("d1",), [("a", 1, 0, (0,))])
+    path = tmp_path / "t.jsonl"
+    write_lines(path, {**HEADER, "experts_per_layer": [40000]},
+                [{"query_id": "a", "domain": "math", "layer": 0, "selected": [39999]}])
+    with pytest.raises(TraceError, match="line 1: header a layer may have at most 32767 experts"):
+        ingest_traces(path)
+
+
+@st.composite
+def shuffled_records(draw):
+    """Records with missing layers, mixed k and unsorted selections, in shuffled order."""
+    experts = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+    num_domains = draw(st.integers(1, 3))
+    records = []
+    for q in range(draw(st.integers(1, 8))):
+        dom = draw(st.integers(1, num_domains))
+        for layer in sorted(draw(st.sets(st.sampled_from(range(len(experts))), min_size=1))):
+            selected = st.lists(st.integers(0, experts[layer] - 1), min_size=1, unique=True)
+            records.append((f"q{q}", dom, layer, draw(selected)))
+    return experts, num_domains, draw(st.permutations(records))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shuffled_records())
+def test_entry_points_give_equal_columns(case, tmp_path_factory):
+    experts, num_domains, records = case
+    labels = tuple(f"d{j}" for j in range(1, num_domains + 1))
+    built = build_trace_set("m", len(experts), experts, labels, records)
+    header = {**HEADER, "num_layers": len(experts), "experts_per_layer": experts, "domains": list(labels)}
+    lines = [json.dumps(header)] + [
+        json.dumps({"query_id": qid, "domain": labels[dom - 1], "layer": layer, "selected": selected},
+                   separators=(",", ":"))
+        for qid, dom, layer, selected in records
+    ]
+    tmp = tmp_path_factory.mktemp("entry")
+    canonical, spaced = tmp / "canonical.jsonl", tmp / "spaced.jsonl"
+    canonical.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # a space after a comma is valid JSON but not the canonical layout
+    spaced.write_text("\n".join(lines).replace(',"domain"', ', "domain"') + "\n", encoding="utf-8")
+    assert routing_trace._read_canonical(canonical) is not None
+    assert routing_trace._read_canonical(spaced) is None
+    assert ingest_traces(canonical) == built
+    assert ingest_traces(spaced) == built
+    recorded = {(t.query_id, layer): s for t in built.traces for layer, s in enumerate(t.selections) if s}
+    assert recorded == {(qid, layer): tuple(sorted(s)) for qid, _, layer, s in records}
+    assert built.query_ids == tuple(dict.fromkeys(qid for qid, *_ in records))
+    write_traces(built, tmp / "fast.jsonl")
+    naive_write_traces(built, tmp / "naive.jsonl")
+    assert (tmp / "fast.jsonl").read_bytes() == (tmp / "naive.jsonl").read_bytes()

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from moesig import signatures
 from moesig.errors import SignatureError
 from moesig.routing_trace import build_trace_set
 from moesig.signatures import (
@@ -319,3 +321,38 @@ def test_csv_dump_columns_sum_to_one(tmp_path):
         values = [float(r[5]) for r in spec_rows if r[2] == dom]
         assert len(values) == 4  # one row per expert
         assert abs(sum(values) - 1.0) <= 1e-9
+
+
+def block_trace_set(n, num_experts, k, seed=0):
+    """One-layer trace set of n queries in three domains, k distinct experts each, built from arrays."""
+    rng = np.random.default_rng(seed)
+    steps = np.cumsum(rng.integers(1, num_experts // k, (n, k)), axis=1)
+    topk = (rng.integers(0, num_experts, (n, 1)) + steps) % num_experts
+    ids = [f"q{i}" for i in range(n)]
+    return build_trace_set("t", 1, (num_experts,), ("d1", "d2", "d3"), [(ids, rng.integers(1, 4, n), 0, topk)])
+
+
+def test_signature_bundle_memory_is_bounded():
+    # a dense float64 (n, E) activation matrix of this set alone takes 205 MB
+    ts = block_trace_set(100_000, 256, 8)
+    tracemalloc.start()
+    try:
+        bundle = signature_bundle(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert bundle.collab.pair_normalizer == 56.0
+    assert np.array_equal(bundle.spec.kappa_per_domain, [8.0, 8.0, 8.0])
+
+
+def test_chunked_collaboration_equals_one_shot(monkeypatch):
+    ts = block_trace_set(1000, 32, 4, seed=3)
+    acts = np.zeros((ts.num_queries, 32))
+    acts[np.repeat(np.arange(ts.num_queries), ts.counts[0]), ts.experts[0]] = 1.0
+    pair_counts = (acts.T @ acts).astype(np.int64)
+    np.fill_diagonal(pair_counts, 0)
+    monkeypatch.setattr(signatures, "_CHUNK_CELLS", 32 * 7)  # seven queries per chunk
+    collab = compute_collaboration(ts, 0)
+    assert np.array_equal(collab.matrix, pair_counts / pair_counts.sum())
+    assert collab.pair_normalizer == 12.0
