@@ -2,7 +2,9 @@
 
 Jobs must be picklable: a module-level function and plain-data arguments.
 Each job seeds its own randomness, so results do not depend on which worker
-runs it or when, and they come back in submission order.
+runs it or when, and they come back in submission order. Jobs that run
+faster together (proxy fits trained as one stack) go through
+:func:`parallel_map_runs`, which hands each worker one contiguous run.
 """
 
 from __future__ import annotations
@@ -51,3 +53,19 @@ def parallel_map(fn: Callable[[J], R], jobs: Sequence[J]) -> list[R]:
                 pool.shutdown(cancel_futures=True)
                 raise future.exception()
         return [future.result() for future in futures]
+
+
+def split_runs(items: Sequence[J], parts: int) -> list[list[J]]:
+    """``items`` cut into ``min(parts, len(items))`` contiguous runs whose lengths differ by at most one."""
+    items = list(items)
+    n, parts = len(items), min(parts, len(items))
+    return [items[n * i // parts : n * (i + 1) // parts] for i in range(parts)]
+
+
+def parallel_map_runs(fn: Callable[[list[J]], list[R]], items: Sequence[J]) -> list[R]:
+    """``fn`` over one contiguous run of ``items`` per usable CPU; the results, flattened in item order.
+
+    ``fn`` maps a run to one result per item, and must not depend on how
+    ``items`` are cut, so that the results do not depend on the CPU count.
+    """
+    return [result for run in parallel_map(fn, split_runs(items, _usable_cpus())) for result in run]

@@ -9,10 +9,13 @@ one shared pretrained checkpoint), the proxies' routing traces are exported
 on the shared calibration queries, and the per-domain benchmark report is
 emitted.
 
-The fits form independent jobs: the teacher proxy, and one chain per
-(domain, kind) that trains the candidate and then its proxy. Every job
-rebuilds its oracles from the seed, so the jobs run on a process pool and
-the artifacts do not depend on the number of workers.
+The fits run in two rounds: first every (domain, kind) candidate, then
+the teacher proxy and one proxy per candidate. Within a round the fits
+share a config apart from the seed, so each round is cut into one
+contiguous run per usable CPU and every run is trained as one stacked
+model on a process pool. Jobs rebuild their oracles from the seed and a
+stacked fit is bitwise the fit alone, so the artifacts depend neither on
+the number of workers nor on how the fits are cut into stacks.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from moesig._meta import (
     write_csv,
     write_json,
 )
-from moesig._pool import parallel_map
+from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import BenchmarkReport, run_benchmark
 from moesig.errors import MoesigError
@@ -42,12 +45,13 @@ from moesig.shadow_moe import (
     Oracle,
     QuerySet,
     ShadowMoeConfig,
+    ShadowMoeModel,
     _field_int,
     _field_number,
     export_traces,
     gaussian_domain_queries,
     mlp_oracle,
-    train_proxy,
+    train_proxies,
     write_queries,
 )
 from moesig.signatures import parse_layer_policy, resolve_layer
@@ -129,20 +133,30 @@ class _Setup:
             scale=self.oracle_scale,
         )
 
-    def train(self, oracle: Oracle, x: np.ndarray, name: str, seed: int, epochs: int):
-        """Fit on inputs ``x``, save as ``models/<name>.bin``; returns the model and its log line."""
-        model, losses = train_proxy(oracle, x, replace(self.proxy, seed=seed, epochs=epochs))
-        model.save(self.models_dir / f"{name}.bin")
-        return model, f"{name}: distill loss {losses[0]:.5g} -> {losses[-1]:.5g}"
+    def train(self, fits: list[tuple[str, Oracle, np.ndarray, int]], epochs: int):
+        """Fit ``(name, oracle, inputs, seed)`` as one stack, save each as ``models/<name>.bin``.
+
+        Returns the models with their log lines.
+        """
+        stack = [(oracle, x, replace(self.proxy, seed=seed, epochs=epochs)) for _, oracle, x, seed in fits]
+        results = []
+        for (name, *_), (model, losses) in zip(fits, train_proxies(stack)):
+            model.save(self.models_dir / f"{name}.bin")
+            results.append((model, f"{name}: distill loss {losses[0]:.5g} -> {losses[-1]:.5g}"))
+        return results
 
 
 @dataclass(frozen=True)
-class _Job:
-    """The teacher proxy (kind ``teacher``, no domain) or one (domain, kind) candidate chain."""
+class _Fit:
+    """The teacher proxy (kind ``teacher``, no domain) or one (domain, kind) candidate.
+
+    In the second round ``candidate`` holds the trained candidate whose proxy is fitted.
+    """
 
     setup: _Setup
     domain: str | None
     kind: str
+    candidate: ShadowMoeModel | None = None
 
 
 def _emphasize(queries: QuerySet, domain: str) -> np.ndarray:
@@ -151,24 +165,39 @@ def _emphasize(queries: QuerySet, domain: str) -> np.ndarray:
     return np.concatenate([queries.inputs, queries.inputs[repeat]])
 
 
-def _run_job(job: _Job) -> tuple[RoutingTraceSet, list[str]]:
-    """Fit a job's models and export its proxy's traces; returns them with the log lines."""
-    s, domain, kind = job.setup, job.domain, job.kind
+def _fit_candidates(run: list[_Fit]) -> list[tuple[ShadowMoeModel, str]]:
+    """Train a run of candidates as one stack; returns each model with its log line."""
+    s = run[0].setup
+    teacher_fn = s.oracle("teacher-oracle")
+    fits = [
+        (
+            f"{fit.domain}_{fit.kind}",
+            teacher_fn if fit.kind == "kd" else s.oracle(f"unrelated-oracle-{fit.domain}"),
+            _emphasize(s.queries, fit.domain),
+            _sub_seed(s.seed, f"candidate-{fit.kind}-{fit.domain}"),
+        )
+        for fit in run
+    ]
+    return s.train(fits, s.candidate_epochs)
+
+
+def _fit_proxies(run: list[_Fit]) -> list[tuple[RoutingTraceSet, str]]:
+    """Train a run of proxies as one stack and export their traces; returns them with the log lines."""
+    s = run[0].setup
     proxy_seed = _sub_seed(s.seed, "proxy-shared-init")
     teacher_fn = s.oracle("teacher-oracle")
-    if kind == "teacher":
-        proxy, line = s.train(teacher_fn, s.queries.inputs, "proxy_teacher", proxy_seed, s.proxy.epochs)
-        return export_traces(proxy, s.queries, model_id="teacher-proxy"), [line]
-    oracle = teacher_fn if kind == "kd" else s.oracle(f"unrelated-oracle-{domain}")
-    candidate, cand_line = s.train(
-        oracle, _emphasize(s.queries, domain), f"{domain}_{kind}",
-        _sub_seed(s.seed, f"candidate-{kind}-{domain}"), s.candidate_epochs,
-    )
-    proxy, proxy_line = s.train(
-        candidate.predict, s.queries.inputs, f"proxy_{domain}_{kind}", proxy_seed, s.proxy.epochs,
-    )
-    traces = export_traces(proxy, s.queries, model_id=f"{domain}-{kind}-proxy")
-    return traces, [cand_line, proxy_line]
+    fits, model_ids = [], []
+    for fit in run:
+        if fit.candidate is None:
+            fits.append(("proxy_teacher", teacher_fn, s.queries.inputs, proxy_seed))
+            model_ids.append("teacher-proxy")
+        else:
+            fits.append((f"proxy_{fit.domain}_{fit.kind}", fit.candidate.predict, s.queries.inputs, proxy_seed))
+            model_ids.append(f"{fit.domain}-{fit.kind}-proxy")
+    return [
+        (export_traces(proxy, s.queries, model_id=model_id), line)
+        for model_id, (proxy, line) in zip(model_ids, s.train(fits, s.proxy.epochs))
+    ]
 
 
 def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
@@ -230,11 +259,17 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
         models_dir=out / "models",
     )
     domains = queries.domain_labels()
-    jobs = [_Job(setup, None, "teacher")] + [_Job(setup, domain, kind) for domain in domains for kind in KINDS]
-    results = parallel_map(_run_job, jobs)
-    for _traces, lines in results:
-        for line in lines:
-            log.info("%s", line)
+    # round 1: the candidates; round 2: the teacher proxy and a proxy per candidate
+    candidates = [_Fit(setup, domain, kind) for domain in domains for kind in KINDS]
+    trained = parallel_map_runs(_fit_candidates, candidates)
+    proxies = [_Fit(setup, None, "teacher")] + [
+        replace(fit, candidate=model) for fit, (model, _) in zip(candidates, trained)
+    ]
+    results = parallel_map_runs(_fit_proxies, proxies)
+    log.info("%s", results[0][1])
+    for (_, cand_line), (_, proxy_line) in zip(trained, results[1:]):
+        log.info("%s", cand_line)
+        log.info("%s", proxy_line)
 
     (teacher_traces, _), *chains = results
     write_traces(teacher_traces, out / "traces" / "teacher.jsonl")

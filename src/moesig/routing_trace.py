@@ -135,11 +135,13 @@ def _number(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
-def _int64(values: list[int]) -> np.ndarray:
+def _narrow(values: list[int], dtype, high: int) -> np.ndarray:
+    """``values`` as ``dtype``; one beyond its range becomes -1 or ``high``, which fail the
+    same range check, and the diagnostic prints the value as the file holds it."""
     try:
-        return np.array(values, np.int64)
-    except OverflowError:  # such a value fails a range check, and so does -1 or 2**62
-        return np.array([min(max(v, -1), 1 << 62) for v in values], np.int64)
+        return np.array(values, dtype)
+    except OverflowError:
+        return np.array([min(max(v, -1), high) for v in values], dtype)
 
 
 def _columns(rows: tuple, num_queries: int, experts_per_layer: tuple[int, ...]):
@@ -174,7 +176,7 @@ def _columns(rows: tuple, num_queries: int, experts_per_layer: tuple[int, ...]):
     low, high = experts[start[nonempty]], experts[bounds[nonempty + 1] - 1]
     bad_experts[nonempty] |= (low < 0) | (high >= limits[layer[nonempty]])
     query_domain = domain[np.unique(query, return_index=True)[1]]
-    pair = layer * num_queries + query
+    pair = layer * np.int64(num_queries) + query
     order = np.argsort(pair, kind="stable")
     bad_pair = np.zeros(m, bool)
     bad_pair[order[1:][pair[order[1:]] == pair[order[:-1]]]] = True
@@ -323,12 +325,14 @@ def _read_canonical(path: Path) -> tuple | None:
     return header, domain_index, query_index, columns
 
 
-def _batch_rows(records: list, query_index: dict[str, int]) -> tuple:
-    """Row columns and line numbers of decoded (query_id, domain, layer, selected, lineno) records."""
+def _batch_rows(records: list, query_index: dict[str, int], num_layers: int) -> tuple:
+    """Row columns and line numbers of decoded (query_id, domain, layer, selected, lineno) records,
+    in the narrowest types that keep every check's outcome (experts as int16)."""
     qids, doms, layers, selected, linenos = zip(*records) if records else ((),) * 5
-    return (_number(qids, query_index), np.array(doms, np.int64), _int64(list(layers)),
-            np.fromiter(map(len, selected), np.int64, len(records)),
-            _int64(list(chain.from_iterable(selected))), np.array(linenos, np.int64))
+    return (_number(qids, query_index).astype(np.int32), np.array(doms, np.int64),
+            _narrow(list(layers), np.int32, num_layers),
+            np.fromiter(map(len, selected), np.int32, len(records)),
+            _narrow(list(chain.from_iterable(selected)), np.int16, MAX_EXPERTS), np.array(linenos, np.int64))
 
 
 def _read_validating(path: Path) -> tuple:
@@ -348,7 +352,7 @@ def _read_validating(path: Path) -> tuple:
                 for record in _file_records(lines, domain_index, declared is not None):
                     batch.append(record)
                     if len(batch) == _CHUNK_ROWS:
-                        blocks.append(_batch_rows(batch, query_index))
+                        blocks.append(_batch_rows(batch, query_index, header["num_layers"]))
                         batch.clear()
             except TraceError as exc:
                 fault = exc
@@ -357,7 +361,10 @@ def _read_validating(path: Path) -> tuple:
         if not blocks and not batch:
             raise fault from None
     # records before a decode fault come first in line order, so their faults win
-    *rows, linenos = map(np.concatenate, zip(*blocks, _batch_rows(batch, query_index)))
+    blocks.append(_batch_rows(batch, query_index, header["num_layers"]))
+    batch.clear()
+    *rows, linenos = map(np.concatenate, zip(*blocks))
+    blocks.clear()  # the column checks need room of their own
     experts = tuple(header["experts_per_layer"])
     try:
         columns = _columns(rows, len(query_index), experts)

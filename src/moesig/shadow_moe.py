@@ -14,13 +14,25 @@ is small, so training runs in seconds on a CPU. The default learning rate
 of 1e-3 is a toy-scale choice; LLM-scale distillation recipes use values
 around 5e-6, which do not transfer to tiny freshly initialized networks.
 Optimization is plain mini-batch gradient descent with optional momentum.
+
+One set of kernels does all the arithmetic, on a stack of M same-shape
+proxies: every tensor, batch and layer cache carries a leading model axis,
+and each product and reduction runs per model slice in the order a single
+proxy's 2-D call runs it, so every slice is bitwise that proxy's own
+result. :func:`train_proxies` fits several proxies that share a config
+apart from the seed as one stack, with their parameters, gradients and
+velocities in one flat buffer each, so a step costs one set of numpy calls
+however many fits it carries. :func:`train_proxy` is its one-fit case, and
+``ShadowMoeModel``'s forward pass and ``loss_and_grads`` run the same
+kernels on live ``[None]`` views of the model's own tensors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -126,6 +138,15 @@ class ShadowMoeConfig:
         return config_digest(self.to_dict())
 
 
+def _balance_penalty(mean_gate_usage: Sequence[np.ndarray]):
+    """:func:`load_balance_loss` over the last axis: (M, E) usages give one penalty per model."""
+    total = 0.0
+    for usage in mean_gate_usage:
+        e = usage.shape[-1]
+        total = total + e * np.sum((usage - 1.0 / e) ** 2, axis=-1)
+    return total
+
+
 def load_balance_loss(mean_gate_usage: Sequence[np.ndarray]) -> float:
     """Squared deviation of mean gate usage from uniform, summed over layers.
 
@@ -133,16 +154,14 @@ def load_balance_loss(mean_gate_usage: Sequence[np.ndarray]) -> float:
     contributes E * sum_i (usage_i - 1/E)^2; zero exactly when usage is
     uniform in every layer.
     """
-    total = 0.0
-    for usage in mean_gate_usage:
-        e = usage.shape[0]
-        total += float(e * np.sum((usage - 1.0 / e) ** 2))
-    return total
+    return float(_balance_penalty(mean_gate_usage))
 
 
 @dataclass
 class _LayerCache:
-    h_in: np.ndarray
+    """One MoE layer's forward values; stacked caches carry a leading model axis M."""
+
+    h_in: np.ndarray  # (B, H) layer input
     gates: np.ndarray  # (B, E) softmax
     topk: np.ndarray  # (B, k) selected indices, descending gate order
     sel_weights: np.ndarray  # (B, k) renormalized
@@ -151,6 +170,147 @@ class _LayerCache:
     mid: np.ndarray  # (B, E, H) expert hidden activations
     expert_out: np.ndarray  # (B, E, H)
     out: np.ndarray  # (B, H) gate-weighted mix of the expert outputs
+
+    def member(self, m: int) -> "_LayerCache":
+        return _LayerCache(*(getattr(self, f.name)[m] for f in fields(self)))
+
+
+def _param_shapes(config: ShadowMoeConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every tensor, in the order of :meth:`ShadowMoeModel.param_items`."""
+    h, i, o = config.hidden_dim, config.input_dim, config.output_dim
+    shapes = [("w_in", (h, i)), ("b_in", (h,))]
+    for layer, e in enumerate(config.experts_per_layer):
+        shapes += [
+            (f"router.{layer}", (e, h)),
+            (f"expert_u.{layer}", (e, h, h)),
+            (f"expert_c.{layer}", (e, h)),
+            (f"expert_v.{layer}", (e, h, h)),
+            (f"expert_d.{layer}", (e, h)),
+        ]
+    return shapes + [("w_out", (o, h)), ("b_out", (o,))]
+
+
+def _stacked_buffer(shapes: list[tuple[str, tuple[int, ...]]], models: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed (models, P) buffer, and each tensor of ``shapes`` as a view of it with a leading model axis."""
+    buffer = np.zeros((models, sum(math.prod(shape) for _, shape in shapes)))
+    views, start = [], 0
+    for _, shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(buffer[:, start:stop].reshape((models, *shape)))
+        start = stop
+    return buffer, views
+
+
+def _layer_params(params: list[np.ndarray], layer: int) -> list[np.ndarray]:
+    """Router, expert_u, expert_c, expert_v and expert_d of one layer."""
+    return params[2 + 5 * layer : 7 + 5 * layer]
+
+
+def _forward(params: list[np.ndarray], x: np.ndarray, top_k: Sequence[int]) -> tuple[np.ndarray, list[_LayerCache]]:
+    """Outputs (M, B, O) and layer caches of M stacked proxies on inputs ``x`` of shape (M, B, input_dim).
+
+    ``params`` holds every tensor of :meth:`ShadowMoeModel.param_items` with a
+    leading model axis. Each product and reduction runs per model slice, in
+    the order one proxy's own pass would run it, so every slice is bitwise
+    that proxy's result.
+    """
+    models, batch = x.shape[:2]
+    pick = (np.arange(models)[:, None, None], np.arange(batch)[None, :, None])
+    h = np.tanh(x @ params[0].transpose(0, 2, 1) + params[1][:, None])
+    caches: list[_LayerCache] = []
+    for layer, k in enumerate(top_k):
+        router, u, c, v, d = _layer_params(params, layer)
+        logits = h @ router.transpose(0, 2, 1)
+        shifted = logits - logits.max(axis=2, keepdims=True)
+        exp = np.exp(shifted)
+        gates = exp / exp.sum(axis=2, keepdims=True)
+        # stable argsort on logits: equal scores resolve to the lower index
+        topk = np.argsort(-logits, axis=2, kind="stable")[..., :k]
+        sel = gates[pick + (topk,)]
+        sel_sum = sel.sum(axis=2)
+        weights = sel / sel_sum[..., None]
+        w_full = np.zeros_like(gates)
+        w_full[pick + (topk,)] = weights
+        mid = np.tanh(np.einsum("meij,mbj->mbei", u, h) + c[:, None])
+        expert_out = np.einsum("meij,mbej->mbei", v, mid) + d[:, None]
+        out = np.einsum("mbe,mbeh->mbh", w_full, expert_out)
+        caches.append(_LayerCache(h, gates, topk, weights, sel_sum, w_full, mid, expert_out, out))
+        h = out
+    return h @ params[-2].transpose(0, 2, 1) + params[-1][:, None], caches
+
+
+def _backward(
+    params: list[np.ndarray],
+    x: np.ndarray,
+    targets: np.ndarray,
+    y: np.ndarray,
+    caches: list[_LayerCache],
+    lam: float,
+    grads: list[np.ndarray],
+) -> np.ndarray:
+    """Loss per model (MSE + lam * balance penalty) of a stacked forward pass; gradients go into ``grads``.
+
+    ``grads`` holds one array per tensor, shaped like ``params``. The top-k
+    index sets are held fixed; gradients reach the routers through the
+    renormalized weights of the selected gates and through the dense balance
+    penalty on all gates.
+    """
+    models, n = x.shape[:2]
+    pick = (np.arange(models)[:, None, None], np.arange(n)[None, :, None])
+    usage = [cache.gates.mean(axis=1) for cache in caches]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = ((y - targets) ** 2).mean(axis=(1, 2)) + lam * _balance_penalty(usage)
+
+    dy = 2.0 * (y - targets) / (y.shape[1] * y.shape[2])
+    np.matmul(dy.transpose(0, 2, 1), caches[-1].out, out=grads[-2])
+    dy.sum(axis=1, out=grads[-1])
+    dh = dy @ params[-2]
+
+    for layer in reversed(range(len(caches))):
+        cache = caches[layer]
+        router, u, _, v, _ = _layer_params(params, layer)
+        g_router, g_u, g_c, g_v, g_d = _layer_params(grads, layer)
+        de_out = cache.w_full[..., None] * dh[:, :, None, :]
+        dw_full = np.einsum("mbeh,mbh->mbe", cache.expert_out, dh)
+
+        np.einsum("mbei,mbej->meij", de_out, cache.mid, out=g_v)
+        de_out.sum(axis=1, out=g_d)
+        dmid = np.einsum("meij,mbei->mbej", v, de_out)
+        da = dmid * (1.0 - cache.mid**2)
+        np.einsum("mbei,mbj->meij", da, cache.h_in, out=g_u)
+        da.sum(axis=1, out=g_c)
+        dh_experts = np.einsum("meij,mbei->mbj", u, da)
+
+        selected = pick + (cache.topk,)
+        dw_sel = dw_full[selected]
+        inner = (dw_sel * cache.sel_weights).sum(axis=2, keepdims=True)
+        dp_sel = (dw_sel - inner) / cache.sel_sum[..., None]
+        dgates = np.zeros_like(cache.gates)
+        dgates[selected] = dp_sel
+        if lam > 0:
+            e = usage[layer].shape[-1]
+            dgates = dgates + lam * 2.0 * e * (usage[layer] - 1.0 / e)[:, None, :] / n
+        dot = (dgates * cache.gates).sum(axis=2, keepdims=True)
+        dlogits = cache.gates * (dgates - dot)
+        np.matmul(dlogits.transpose(0, 2, 1), cache.h_in, out=g_router)
+        dh = dh_experts + dlogits @ router
+
+    da0 = dh * (1.0 - caches[0].h_in ** 2)
+    np.matmul(da0.transpose(0, 2, 1), x, out=grads[0])
+    da0.sum(axis=1, out=grads[1])
+    return total
+
+
+def _checked_forward(
+    params: list[np.ndarray], x: np.ndarray, config: ShadowMoeConfig
+) -> tuple[np.ndarray, list[_LayerCache]]:
+    """:func:`_forward` of one proxy on inputs (B, input_dim), as a stack of one; non-finite outputs raise."""
+    if x.ndim != 2 or x.shape[1] != config.input_dim:
+        raise ShadowMoeError(f"expected inputs of shape (n, {config.input_dim}), got {x.shape}")
+    y, caches = _forward(params, x[None], config.top_k)
+    if not np.all(np.isfinite(y)):
+        raise ShadowMoeError("non-finite activations in forward pass")
+    return y, caches
 
 
 @dataclass
@@ -192,66 +352,26 @@ class ShadowMoeModel:
             b_out=np.zeros(o),
         )
 
+    @classmethod
+    def _from_tensors(cls, config: ShadowMoeConfig, tensors: list[np.ndarray]) -> "ShadowMoeModel":
+        """A model over ``tensors``, given in :meth:`param_items` order (not copied)."""
+        layers = [_layer_params(tensors, layer) for layer in range(config.num_layers)]
+        return cls(config, tensors[0], tensors[1], *(list(kind) for kind in zip(*layers)), tensors[-2], tensors[-1])
+
+    def _tensors(self) -> list[np.ndarray]:
+        layers = zip(self.routers, self.expert_u, self.expert_c, self.expert_v, self.expert_d)
+        return [self.w_in, self.b_in, *(t for layer in layers for t in layer), self.w_out, self.b_out]
+
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        items = [("w_in", self.w_in), ("b_in", self.b_in)]
-        for layer in range(self.config.num_layers):
-            items.extend(
-                [
-                    (f"router.{layer}", self.routers[layer]),
-                    (f"expert_u.{layer}", self.expert_u[layer]),
-                    (f"expert_c.{layer}", self.expert_c[layer]),
-                    (f"expert_v.{layer}", self.expert_v[layer]),
-                    (f"expert_d.{layer}", self.expert_d[layer]),
-                ]
-            )
-        items.extend([("w_out", self.w_out), ("b_out", self.b_out)])
-        return items
+        return [(name, t) for (name, _), t in zip(_param_shapes(self.config), self._tensors())]
+
+    def _stacked(self) -> list[np.ndarray]:
+        # live views, so an in-place change to a tensor shows in the next pass
+        return [t[None] for t in self._tensors()]
 
     def _forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, list[_LayerCache]]:
-        cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-            raise ShadowMoeError(f"expected inputs of shape (n, {cfg.input_dim}), got {x.shape}")
-        h = np.tanh(x @ self.w_in.T + self.b_in)
-        caches: list[_LayerCache] = []
-        for layer in range(cfg.num_layers):
-            k = cfg.top_k[layer]
-            logits = h @ self.routers[layer].T
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            exp = np.exp(shifted)
-            gates = exp / exp.sum(axis=1, keepdims=True)
-            # stable argsort on logits: equal scores resolve to the lower index
-            topk = np.argsort(-logits, axis=1, kind="stable")[:, :k]
-            sel = np.take_along_axis(gates, topk, axis=1)
-            sel_sum = sel.sum(axis=1)
-            weights = sel / sel_sum[:, None]
-            w_full = np.zeros_like(gates)
-            np.put_along_axis(w_full, topk, weights, axis=1)
-            mid = np.tanh(
-                np.einsum("eij,bj->bei", self.expert_u[layer], h) + self.expert_c[layer][None]
-            )
-            expert_out = (
-                np.einsum("eij,bej->bei", self.expert_v[layer], mid) + self.expert_d[layer][None]
-            )
-            out = np.einsum("be,beh->bh", w_full, expert_out)
-            caches.append(
-                _LayerCache(
-                    h_in=h,
-                    gates=gates,
-                    topk=topk,
-                    sel_weights=weights,
-                    sel_sum=sel_sum,
-                    w_full=w_full,
-                    mid=mid,
-                    expert_out=expert_out,
-                    out=out,
-                )
-            )
-            h = out
-        y = h @ self.w_out.T + self.b_out
-        if not np.all(np.isfinite(y)):
-            raise ShadowMoeError("non-finite activations in forward pass")
-        return y, caches
+        y, caches = _checked_forward(self._stacked(), np.asarray(x, dtype=np.float64), self.config)
+        return y[0], [cache.member(0) for cache in caches]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Batch forward without routing records; usable as a training oracle."""
@@ -266,53 +386,16 @@ class ShadowMoeModel:
         the dense balance penalty on all gates.
         """
         cfg = self.config
-        lam = cfg.load_balance_weight
         t = np.asarray(targets, dtype=np.float64)
-        y, caches = self._forward_batch(x)
-        if t.shape != y.shape:
-            raise ShadowMoeError(f"target shape {t.shape} does not match output {y.shape}")
-        n = x.shape[0]
-        usage = [cache.gates.mean(axis=0) for cache in caches]
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.mean((y - t) ** 2)) + lam * load_balance_loss(usage)
-
-        grads: dict[str, np.ndarray] = {}
-        dy = 2.0 * (y - t) / y.size
-        grads["w_out"] = dy.T @ caches[-1].out
-        grads["b_out"] = dy.sum(axis=0)
-        dh = dy @ self.w_out
-
-        for layer in reversed(range(cfg.num_layers)):
-            cache = caches[layer]
-            de_out = cache.w_full[:, :, None] * dh[:, None, :]
-            dw_full = np.einsum("beh,bh->be", cache.expert_out, dh)
-
-            grads[f"expert_v.{layer}"] = np.einsum("bei,bej->eij", de_out, cache.mid)
-            grads[f"expert_d.{layer}"] = de_out.sum(axis=0)
-            dmid = np.einsum("eij,bei->bej", self.expert_v[layer], de_out)
-            da = dmid * (1.0 - cache.mid**2)
-            grads[f"expert_u.{layer}"] = np.einsum("bei,bj->eij", da, cache.h_in)
-            grads[f"expert_c.{layer}"] = da.sum(axis=0)
-            dh_experts = np.einsum("eij,bei->bj", self.expert_u[layer], da)
-
-            dw_sel = np.take_along_axis(dw_full, cache.topk, axis=1)
-            inner = (dw_sel * cache.sel_weights).sum(axis=1, keepdims=True)
-            dp_sel = (dw_sel - inner) / cache.sel_sum[:, None]
-            dgates = np.zeros_like(cache.gates)
-            np.put_along_axis(dgates, cache.topk, dp_sel, axis=1)
-            if lam > 0:
-                e = usage[layer].shape[0]
-                dgates = dgates + lam * 2.0 * e * (usage[layer] - 1.0 / e)[None, :] / n
-            dot = (dgates * cache.gates).sum(axis=1, keepdims=True)
-            dlogits = cache.gates * (dgates - dot)
-            grads[f"router.{layer}"] = dlogits.T @ cache.h_in
-            dh = dh_experts + dlogits @ self.routers[layer]
-
-        h0 = caches[0].h_in
-        da0 = dh * (1.0 - h0**2)
-        grads["w_in"] = da0.T @ np.asarray(x, dtype=np.float64)
-        grads["b_in"] = da0.sum(axis=0)
-        return total, grads
+        x = np.asarray(x, dtype=np.float64)
+        params = self._stacked()
+        y, caches = _checked_forward(params, x, cfg)
+        if t.shape != y.shape[1:]:
+            raise ShadowMoeError(f"target shape {t.shape} does not match output {y.shape[1:]}")
+        shapes = _param_shapes(cfg)
+        _, grads = _stacked_buffer(shapes, 1)
+        total = _backward(params, x[None], t[None], y, caches, cfg.load_balance_weight, grads)
+        return float(total[0]), {name: g[0] for (name, _), g in zip(shapes, grads)}
 
     def save(self, path: str | Path) -> None:
         """Versioned binary: magic, JSON manifest line, raw float64 tensors."""
@@ -574,6 +657,118 @@ def build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig) -> Oracle:
     raise ShadowMoeError(f"unknown oracle kind {kind!r} (expected mlp, linear, or shadow-model)")
 
 
+def train_proxies(
+    fits: Sequence[tuple[Oracle, np.ndarray, ShadowMoeConfig]],
+) -> list[tuple[ShadowMoeModel, list[float]]]:
+    """Fit proxies in lockstep as one stacked model; each result is :func:`train_proxy` of its fit, bit for bit.
+
+    Each fit is (oracle, inputs, config). The configs must agree on every
+    field but ``seed``, and the inputs must share one shape. Parameters,
+    gradients and velocities of all fits live in one (fits, P) buffer each,
+    so a step is one set of array operations for the whole stack, and every
+    product and reduction runs per fit in the order a single fit runs it.
+    Inputs and oracle outputs are checked first, fit by fit. A fit that
+    diverges is zeroed and left out of every later check, so no inf or nan
+    reaches the others; once training ends, the ShadowMoeError that
+    :func:`train_proxy` raises for the first diverged fit in order is raised.
+    """
+    fits = list(fits)
+    configs = [config for _, _, config in fits]
+    config = configs[0]
+    if any(replace(other, seed=config.seed) != config for other in configs):
+        raise ShadowMoeError("proxies fitted together must share a config apart from seed")
+    xs, targets = [], []
+    for oracle, x, cfg in fits:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ShadowMoeError(f"queries must be a nonempty (n, input_dim) array, got {x.shape}")
+        t = np.asarray(oracle(x), dtype=np.float64)
+        if t.shape != (x.shape[0], cfg.output_dim):
+            raise ShadowMoeError(
+                f"oracle returned shape {t.shape}, expected ({x.shape[0]}, {cfg.output_dim})"
+            )
+        if not np.all(np.isfinite(t)):
+            raise ShadowMoeError("oracle returned non-finite targets")
+        xs.append(x)
+        targets.append(t)
+    if any(x.shape != xs[0].shape for x in xs):
+        raise ShadowMoeError("proxies fitted together must share an input shape")
+    xs, targets = np.stack(xs), np.stack(targets)
+    stack, n = xs.shape[:2]
+
+    shapes = _param_shapes(config)
+    buffer, params = _stacked_buffer(shapes, stack)
+    models = []
+    for m, cfg in enumerate(configs):
+        for view, tensor in zip(params, ShadowMoeModel.initialize(cfg)._tensors()):
+            view[m] = tensor
+        models.append(ShadowMoeModel._from_tensors(cfg, [view[m] for view in params]))
+    grad_buffer, grads = _stacked_buffer(shapes, stack)
+    velocity = np.zeros_like(buffer)
+    losses: list[list[float]] = [[] for _ in fits]
+    failed: dict[int, str] = {}
+
+    def fail(m: int, message: str) -> None:
+        failed.setdefault(m, message)
+        # a zero proxy computes finite values, so the slice stays quiet until training ends
+        for array in (buffer, grad_buffer, velocity):
+            array[m] = 0.0
+
+    def record_losses(epoch: int | None) -> None:
+        # the full-dataset loss, one fit at a time as a stack of one
+        for m in range(stack):
+            if m in failed:
+                continue
+            # divergence shows up as inf/nan here and is reported, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    y, _ = _checked_forward([view[m : m + 1] for view in params], xs[m], config)
+                except ShadowMoeError as exc:
+                    fail(m, str(exc))
+                    continue
+                loss = float(np.mean((y[0] - targets[m]) ** 2))
+            if epoch is not None and not np.isfinite(loss):
+                fail(m, f"training diverged at epoch {epoch}: loss {loss!r}")
+            else:
+                losses[m].append(loss)
+
+    record_losses(None)
+    # fits that share a seed share their batch order
+    streams = {cfg.seed: substream(cfg.seed, "shadow-train") for cfg in configs}
+    rows = np.arange(stack)[:, None]
+    for epoch in range(config.epochs):
+        if 0 in failed:  # no fit before it is left to fail first
+            break
+        orders = {seed: rng.permutation(n) for seed, rng in streams.items()}
+        order = np.stack([orders[cfg.seed] for cfg in configs])
+        for start in range(0, n, config.batch_size):
+            batch = order[:, start : start + config.batch_size]
+            x, t = xs[rows, batch], targets[rows, batch]
+            # a diverging step is reported by the checks below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                y, caches = _forward(params, x, config.top_k)
+                total = _backward(params, x, t, y, caches, config.load_balance_weight, grads)
+            for m in np.flatnonzero(~np.isfinite(total)).tolist():
+                if not np.all(np.isfinite(y[m])):
+                    fail(m, "non-finite activations in forward pass")
+                else:
+                    fail(
+                        m,
+                        f"training diverged at epoch {epoch}: batch loss {float(total[m])!r} "
+                        f"(lr={config.learning_rate}, lambda={config.load_balance_weight})",
+                    )
+            if config.momentum > 0:
+                velocity *= config.momentum
+                velocity += grad_buffer
+                buffer -= config.learning_rate * velocity
+            else:
+                buffer -= config.learning_rate * grad_buffer
+        record_losses(epoch)
+    if failed:
+        raise ShadowMoeError(failed[min(failed)])
+    return list(zip(models, losses))
+
+
 def train_proxy(
     oracle: Oracle,
     x: np.ndarray,
@@ -584,56 +779,9 @@ def train_proxy(
     Returns the trained model and the distillation-loss curve; entry 0 is
     the loss before any update, entry e the full-dataset loss after epoch e.
     Training is seed-deterministic: identical config and data give bitwise
-    identical parameters.
+    identical parameters. This is :func:`train_proxies` with a single fit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShadowMoeError(f"queries must be a nonempty (n, input_dim) array, got {x.shape}")
-    targets = np.asarray(oracle(x), dtype=np.float64)
-    if targets.shape != (x.shape[0], config.output_dim):
-        raise ShadowMoeError(
-            f"oracle returned shape {targets.shape}, expected ({x.shape[0]}, {config.output_dim})"
-        )
-    if not np.all(np.isfinite(targets)):
-        raise ShadowMoeError("oracle returned non-finite targets")
-
-    model = ShadowMoeModel.initialize(config)
-    rng = substream(config.seed, "shadow-train")
-    n = x.shape[0]
-    # the model's own arrays, updated in place below, so the list is built once
-    params = model.param_items()
-    velocity = {name: np.zeros_like(param) for name, param in params}
-
-    def full_distill_loss() -> float:
-        # divergence shows up as inf/nan here and is reported, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.mean((model.predict(x) - targets) ** 2))
-
-    losses = [full_distill_loss()]
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            # a diverging step is reported by the checks below, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                total, grads = model.loss_and_grads(x[batch], targets[batch])
-            if not np.isfinite(total):
-                raise ShadowMoeError(
-                    f"training diverged at epoch {epoch}: batch loss {total!r} "
-                    f"(lr={config.learning_rate}, lambda={config.load_balance_weight})"
-                )
-            for name, param in params:
-                g = grads[name]
-                if config.momentum > 0:
-                    v = velocity[name]
-                    v *= config.momentum
-                    v += g
-                    g = v
-                param -= config.learning_rate * g
-        loss = full_distill_loss()
-        if not np.isfinite(loss):
-            raise ShadowMoeError(f"training diverged at epoch {epoch}: loss {loss!r}")
-        losses.append(loss)
+    ((model, losses),) = train_proxies([(oracle, x, config)])
     return model, losses
 
 

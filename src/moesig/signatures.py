@@ -4,10 +4,11 @@ Both signatures count the top-k selections of one layer, read straight
 from the trace set's columns. With A the binary (queries x experts)
 activation matrix, specialization counts are A^T times the one-hot domain
 matrix, taken as one bincount over (domain, expert) cells; collaboration
-counts are A^T A off the diagonal, summed over query chunks so that only a
-bounded slice of A exists at a time. Every count is an integer, exact in
-float64 below 2**53, and is divided once at the end, so results are
-bitwise deterministic regardless of trace order or chunking.
+counts are A^T A off the diagonal, taken as a bincount over each query's
+expert pairs in bounded query chunks, so A itself is never built.
+Every count is an integer, exact in float64 below 2**53, and is divided
+once at the end, so results are bitwise deterministic regardless of trace
+order or chunking.
 
 Specialization: the selection frequency of expert i on domain d, divided by
 the mean active-expert count of that domain, so every domain column is a
@@ -34,7 +35,7 @@ from moesig.errors import SignatureError
 from moesig.routing_trace import RoutingTraceSet
 
 LayerPolicy = str | int
-_CHUNK_CELLS = 1 << 20  # cells of the activation matrix built at once
+_CHUNK_CELLS = 1 << 20  # collaboration work cells per query chunk, as in _pair_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +131,36 @@ def compute_specialization(traces: RoutingTraceSet, layer: int) -> Specializatio
                                  tuple(traces.domains[i] for i in idx))
 
 
+def _pair_counts(counts: np.ndarray, experts: np.ndarray, num_experts: int) -> np.ndarray:
+    """(E, E) int64 counts of the queries that select both experts, zero on the diagonal.
+
+    Query q selects ``counts[q]`` distinct experts of ``experts``, sorted, after those
+    of the queries before it. Each pair of a query's selections adds one to its cell
+    above the diagonal, and the result is that triangle plus its transpose: A^T A off
+    the diagonal in n * k^2 rather than n * E^2 work. Queries go in chunks, each
+    query's selections left-aligned in a row padded with the sentinel expert E, whose
+    pairs are dropped at the end.
+    """
+    side = num_experts + 1
+    upper = np.zeros(side * side, np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    # a chunk holds about 4k cells per query, the row of k and k - 1 pair codes with a
+    # temporary of each, against the E of an activation-matrix row
+    rows = max(1, _CHUNK_CELLS // max(num_experts, 4 * int(counts.max(initial=0))))
+    for a in range(0, len(counts), rows):
+        chunk = counts[a:a + rows]
+        start, stop = offsets[a], offsets[a + len(chunk)]
+        k = int(chunk.max(initial=0))
+        picked = np.full(len(chunk) * k, num_experts, np.int64)
+        picked[np.repeat(np.arange(len(chunk)) * k - offsets[a:a + len(chunk)], chunk) + np.arange(start, stop)] = \
+            experts[start:stop]
+        picked = picked.reshape(len(chunk), k)
+        for d in range(1, k):  # the pairs d positions apart
+            upper += np.bincount((picked[:, :-d] * side + picked[:, d:]).ravel(), minlength=side * side)
+    upper = upper.reshape(side, side)[:num_experts, :num_experts]
+    return upper + upper.T
+
+
 def compute_collaboration(traces: RoutingTraceSet, layer: int) -> CollaborationMatrix:
     """Build the collaboration matrix at ``layer``.
 
@@ -137,19 +168,7 @@ def compute_collaboration(traces: RoutingTraceSet, layer: int) -> CollaborationM
     the result is all-zero with ``zero_mass=True`` rather than an error.
     """
     counts, experts = _layer(traces, layer)
-    num_experts = traces.experts_per_layer[layer]
-    # pair_counts = A^T A off the diagonal, A the binary (query, expert) activation
-    # matrix, summed over chunks of at most _CHUNK_CELLS cells of A
-    products = np.zeros((num_experts, num_experts))
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    rows = max(1, _CHUNK_CELLS // num_experts)
-    for a in range(0, len(counts), rows):
-        chunk = counts[a:a + rows]
-        acts = np.zeros((len(chunk), num_experts))
-        acts[np.repeat(np.arange(len(chunk)), chunk), experts[offsets[a]:offsets[a + len(chunk)]]] = 1.0
-        products += acts.T @ acts
-    pair_counts = products.astype(np.int64)
-    np.fill_diagonal(pair_counts, 0)
+    pair_counts = _pair_counts(counts, experts, traces.experts_per_layer[layer])
     pair_total = int(pair_counts.sum())
     # B_bar = (pair_counts / n) / (pair_total / n) = pair_counts / pair_total, all-zero without pairs
     return CollaborationMatrix(layer, pair_counts / max(pair_total, 1),

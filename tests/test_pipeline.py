@@ -45,6 +45,32 @@ def test_pipeline_reruns_byte_identical_on_any_worker_count(tmp_path, monkeypatc
     assert serial == first
 
 
+def test_pipeline_out_dir_does_not_depend_on_stack_split(tmp_path, monkeypatch):
+    # proxies train in stacks, one contiguous run of fits per CPU; the artifacts must not
+    # depend on how the fits are cut into stacks
+    config = toy_config(tmp_path / "toy.json")
+    three = run_with_cpus(monkeypatch, 3, config, tmp_path / "three")
+    serial = run_with_cpus(monkeypatch, 1, config, tmp_path / "serial")
+
+    cuts = []
+
+    def uneven(items, _parts):
+        # runs of 1, 2, 3, ... fits, whatever the CPU count
+        items, runs = list(items), []
+        while items:
+            runs.append(items[: len(runs) + 1])
+            items = items[len(runs[-1]) :]
+        cuts.append([len(run) for run in runs])
+        return runs
+
+    monkeypatch.setattr(_pool, "split_runs", uneven)
+    uneven_tree = run_with_cpus(monkeypatch, 2, config, tmp_path / "uneven")
+    # the 6 candidates and the 7 proxies were cut as 1 + 2 + 3 and 1 + 2 + 3 + 1
+    assert cuts == [[1, 2, 3], [1, 2, 3, 1]]
+    assert three == serial
+    assert uneven_tree == serial
+
+
 def test_pipeline_config_missing_field(tmp_path, caplog):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"seed": 1, "num_domains": 2}), encoding="utf-8")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from moesig import _pool
-from moesig._pool import parallel_map
+from moesig._pool import parallel_map, parallel_map_runs, split_runs
 from moesig.errors import ScenarioError
 from moesig.synthgen import ScenarioConfig, sweep
 
@@ -21,6 +21,10 @@ def _square(x: int) -> int:
 
 def _pid(_job) -> int:
     return os.getpid()
+
+
+def _run_pids(run: list) -> list[tuple[int, int]]:
+    return [(x, os.getpid()) for x in run]
 
 
 def _fail_on_three(x: int) -> int:
@@ -88,6 +92,23 @@ def test_first_failure_cancels_pending_jobs(two_cpus, tmp_path):
         parallel_map(partial(_fail_first_then_mark, tmp_path), range(40))
     # only the jobs already handed to a worker ran, not the other 39
     assert len(list(tmp_path.iterdir())) < 10
+
+
+def test_split_runs_cuts_contiguous_runs_of_near_equal_length():
+    for n in range(12):
+        for parts in range(1, 5):
+            runs = split_runs(range(n), parts)
+            assert [x for run in runs for x in run] == list(range(n))
+            assert len(runs) == min(n, parts)
+            assert max(map(len, runs), default=0) - min(map(len, runs), default=0) <= 1
+
+
+def test_runs_go_one_per_worker_and_come_back_flat(two_cpus):
+    results = parallel_map_runs(_run_pids, range(7))
+    assert [x for x, _ in results] == list(range(7))
+    # runs 0-2 and 3-6, each run in one worker process
+    pids = [pid for _, pid in results]
+    assert len(set(pids[:3])) == len(set(pids[3:])) == 1 and os.getpid() not in pids
 
 
 BASE = dict(num_experts=6, num_layers=2, top_k=2, num_domains=3, n_per_domain=20)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,54 @@ def test_expert_count_beyond_int16_rejected(tmp_path):
                 [{"query_id": "a", "domain": "math", "layer": 0, "selected": [39999]}])
     with pytest.raises(TraceError, match="line 1: header a layer may have at most 32767 experts"):
         ingest_traces(path)
+
+
+# values no int16 expert or int32 layer column holds (65537 and 2**32 would wrap to 1 and 0)
+# still fail their range check on the validating path, printed as the file holds them
+WIDE_VALUES = [
+    ({"layer": 0, "selected": [1, 40000]}, "expert index 40000 out of range at layer 0 (valid 0..3)"),
+    ({"layer": 0, "selected": [50000, 40000]}, "expert index 50000 out of range at layer 0 (valid 0..3)"),
+    ({"layer": 0, "selected": [-40000, 1]}, "expert index -40000 out of range at layer 0 (valid 0..3)"),
+    ({"layer": 0, "selected": [2**70, 0]}, f"expert index {2**70} out of range at layer 0 (valid 0..3)"),
+    ({"layer": 0, "selected": [40000, 40000]}, "duplicate expert index in selected (40000, 40000)"),
+    ({"layer": 0, "selected": [65537]}, "expert index 65537 out of range at layer 0 (valid 0..3)"),
+    ({"layer": 2**31 - 1, "selected": [0]}, "layer 2147483647 out of range (model has 1 layers)"),
+    ({"layer": 2**32, "selected": [0]}, f"layer {2**32} out of range (model has 1 layers)"),
+    ({"layer": 2**40, "selected": [0]}, f"layer {2**40} out of range (model has 1 layers)"),
+    ({"layer": -(2**70), "selected": [0]}, f"layer {-(2**70)} out of range (model has 1 layers)"),
+]
+
+
+@pytest.mark.parametrize("record, message", WIDE_VALUES)
+def test_wide_values_reach_the_range_checks(tmp_path, record, message):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, HEADER, [{"query_id": "a", "domain": "math", "layer": 0, "selected": [0, 1]},
+                               {"query_id": "b", "domain": "code", **record}])
+    with pytest.raises(TraceError) as exc:
+        ingest_traces(path)
+    assert str(exc.value) == f"line 3: {message}"
+
+
+def test_validating_reader_memory_is_bounded(tmp_path, monkeypatch):
+    # 20000 records of 16 experts in the non-canonical layout; batches are narrowed to
+    # int16 experts and 32-bit rows once converted, and freed before the column checks:
+    # the tracemalloc peak is about 4.6 MB, against 10.2 MB with int64 rows kept twice
+    monkeypatch.setattr(routing_trace, "_CHUNK_ROWS", 1024)
+    header = {**HEADER, "num_layers": 8, "experts_per_layer": [64] * 8}
+    records = [
+        {"query_id": f"q{q}", "domain": "math", "layer": layer, "selected": list(range(layer, layer + 16))}
+        for q in range(2500) for layer in range(8)
+    ]
+    path = tmp_path / "t.jsonl"
+    write_lines(path, header, records)
+    tracemalloc.start()
+    try:
+        ts = ingest_traces(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.num_queries == 2500 and all(len(e) == 2500 * 16 for e in ts.experts)
+    assert peak < 6.5e6
 
 
 @st.composite

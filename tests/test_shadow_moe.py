@@ -18,9 +18,11 @@ from moesig.shadow_moe import (
     load_balance_loss,
     mlp_oracle,
     read_queries,
+    train_proxies,
     train_proxy,
     write_queries,
 )
+from moesig import shadow_moe
 from moesig._rng import substream
 
 from helpers import mean_gate_usage, selection_margin
@@ -305,6 +307,117 @@ class TestTraining:
         cfg = ShadowMoeConfig(**TINY)
         with pytest.raises(ShadowMoeError, match="oracle returned shape"):
             train_proxy(lambda inp: np.zeros((5, 7)), x, cfg)
+
+
+class TestStacking:
+    """Fits trained as one stack give what each fit's own train_proxy gives, bit for bit."""
+
+    SPLITS = [(5,), (2, 3), (1, 1, 1, 1, 1)]
+    # the shapes of TestTraining::test_frozen_bits and TestExport::test_frozen_bits
+    SHAPES = {
+        "training": dict(num_layers=2, load_balance_weight=0.02, learning_rate=0.05, batch_size=8),
+        "export": dict(num_layers=2, experts_per_layer=[6, 5], top_k=[2, 3], epochs=2, batch_size=8),
+    }
+
+    @staticmethod
+    def fits(shape, momentum):
+        # five seeds, oracles and input sets of 20 rows each, so batches of 8, 8 and 4
+        cfg = {**TINY, **TestStacking.SHAPES[shape], "momentum": momentum}
+        return [
+            (mlp_oracle(11 + i, 3, 2), np.random.default_rng(8 + i).normal(size=(20, 3)),
+             ShadowMoeConfig(**{**cfg, "seed": 7 + 3 * i}))
+            for i in range(5)
+        ]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_stack_splits_equal_single_fits(self, tmp_path, shape, momentum):
+        fits = self.fits(shape, momentum)
+
+        def saved(model, name):
+            model.save(tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        alone = [train_proxy(*fit) for fit in fits]
+        expected = [(saved(m, "alone.bin"), [repr(loss) for loss in losses]) for m, losses in alone]
+        for split in self.SPLITS:
+            results, start = [], 0
+            for size in split:
+                results += train_proxies(fits[start : start + size])
+                start += size
+            got = [(saved(m, "stacked.bin"), [repr(loss) for loss in losses]) for m, losses in results]
+            assert got == expected, split
+
+    @staticmethod
+    def diverging_fits():
+        """Fits sharing a config but the seed, each with its own train_proxy outcome."""
+        cfg = [ShadowMoeConfig(**{**TINY, "learning_rate": 3.0, "epochs": 8, "seed": s}) for s in range(4)]
+        x = [np.random.default_rng(seed).normal(size=(20, 3)) for seed in range(4)]
+        oracle = mlp_oracle(5, 3, 2)
+        return {
+            "survivor": (ShadowMoeModel.initialize(cfg[3]).predict, x[3], cfg[3]),
+            "late": (oracle, x[0] * 0.5, cfg[0]),
+            "early": (oracle, x[0] * 3.0, cfg[0]),
+            "activations": (oracle, x[1] * 3.0, cfg[1]),
+            "batch": (lambda inp: np.full((len(inp), 2), 1e200), x[0], cfg[0]),
+        }
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ["survivor", "late", "early", "activations", "batch"],
+            ["early", "late"],
+            ["survivor", "activations", "late"],
+            ["batch", "survivor"],
+        ],
+    )
+    def test_first_diverging_fit_in_order_raises_its_own_error(self, order):
+        fits = self.diverging_fits()
+        own = {}
+        for name, fit in fits.items():
+            try:
+                train_proxy(*fit)
+                own[name] = None
+            except ShadowMoeError as exc:
+                own[name] = str(exc)
+        # the fits fail in different ways and at different epochs
+        assert own["survivor"] is None
+        assert len({own[name] for name in fits if name != "survivor"}) == 4
+        assert "epoch 7: loss" in own["late"] and "epoch 5: loss" in own["early"]
+        assert own["activations"] == "non-finite activations in forward pass"
+        assert own["batch"] == "training diverged at epoch 0: batch loss inf (lr=3.0, lambda=0.001)"
+        expected = next(own[name] for name in order if own[name] is not None)
+        with pytest.raises(ShadowMoeError) as exc:
+            train_proxies([fits[name] for name in order])
+        assert str(exc.value) == expected
+
+    def test_non_finite_slice_stays_in_its_slice(self):
+        cfg = ShadowMoeConfig(**{**TINY, "num_layers": 2})
+        models = [ShadowMoeModel.initialize(ShadowMoeConfig(**{**cfg.to_dict(), "seed": s})) for s in range(3)]
+        params = [np.stack(tensors) for tensors in zip(*(m._tensors() for m in models))]
+        for tensor in params:
+            tensor[1] = np.nan
+        rng = np.random.default_rng(9)
+        x, targets = rng.normal(size=(3, 7, 3)), rng.normal(size=(3, 7, 2))
+        shapes = shadow_moe._param_shapes(cfg)
+        _, grads = shadow_moe._stacked_buffer(shapes, 3)
+        with np.errstate(invalid="ignore"):
+            y, caches = shadow_moe._forward(params, x, cfg.top_k)
+            total = shadow_moe._backward(params, x, targets, y, caches, cfg.load_balance_weight, grads)
+        assert np.isnan(total[1]) and np.isnan(y[1]).all()
+        for m in (0, 2):
+            loss, own = models[m].loss_and_grads(x[m], targets[m])
+            assert total[m] == loss
+            assert np.array_equal(y[m], models[m].predict(x[m]))
+            assert all(np.array_equal(g[m], own[name]) for (name, _), g in zip(shapes, grads))
+
+    def test_fits_must_share_config_and_input_shape(self):
+        oracle, x = mlp_oracle(11, 3, 2), np.zeros((6, 3))
+        cfg = ShadowMoeConfig(**TINY)
+        with pytest.raises(ShadowMoeError, match="apart from seed"):
+            train_proxies([(oracle, x, cfg), (oracle, x, ShadowMoeConfig(**{**TINY, "epochs": 4}))])
+        with pytest.raises(ShadowMoeError, match="input shape"):
+            train_proxies([(oracle, x, cfg), (oracle, np.zeros((7, 3)), cfg)])
 
 
 class TestExport:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moesig import signatures
 from moesig.errors import SignatureError
@@ -356,3 +358,23 @@ def test_chunked_collaboration_equals_one_shot(monkeypatch):
     collab = compute_collaboration(ts, 0)
     assert np.array_equal(collab.matrix, pair_counts / pair_counts.sum())
     assert collab.pair_normalizer == 12.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pair_counts_equal_dense_formula(data):
+    # mixed k, unrecorded rows (k = 0) and chunks down to one query, against A^T A off the diagonal
+    num_experts = data.draw(st.integers(1, 12))
+    selections = data.draw(st.lists(st.sets(st.integers(0, num_experts - 1)), min_size=1, max_size=30))
+    chunk_cells = data.draw(st.integers(1, 300))
+    counts = np.array([len(s) for s in selections], np.int32)
+    experts = np.array([e for s in selections for e in sorted(s)], np.int16)
+    acts = np.zeros((len(selections), num_experts))
+    acts[np.repeat(np.arange(len(selections)), counts), experts] = 1.0
+    dense = (acts.T @ acts).astype(np.int64)
+    np.fill_diagonal(dense, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signatures, "_CHUNK_CELLS", chunk_cells)
+        got = signatures._pair_counts(counts, experts, num_experts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, dense)
