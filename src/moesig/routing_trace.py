@@ -136,12 +136,13 @@ def _number(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
 
 
 def _narrow(values: list[int], dtype, high: int) -> np.ndarray:
-    """``values`` as ``dtype``; one beyond its range becomes -1 or ``high``, which fail the
+    """``values`` as ``dtype``, each clipped to -1..``high`` first: a clipped value fails the
     same range check, and the diagnostic prints the value as the file holds it."""
     try:
-        return np.array(values, dtype)
-    except OverflowError:
-        return np.array([min(max(v, -1), high) for v in values], dtype)
+        wide = np.array(values, np.int64)
+    except OverflowError:  # beyond int64, so clipped as well
+        wide = np.array([min(max(v, -1), high) for v in values], np.int64)
+    return np.clip(wide, -1, high).astype(dtype)
 
 
 def _columns(rows: tuple, num_queries: int, experts_per_layer: tuple[int, ...]):

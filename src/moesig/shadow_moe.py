@@ -667,10 +667,10 @@ def train_proxies(
     gradients and velocities of all fits live in one (fits, P) buffer each,
     so a step is one set of array operations for the whole stack, and every
     product and reduction runs per fit in the order a single fit runs it.
-    Inputs and oracle outputs are checked first, fit by fit. A fit that
-    diverges is zeroed and left out of every later check, so no inf or nan
-    reaches the others; once training ends, the ShadowMoeError that
-    :func:`train_proxy` raises for the first diverged fit in order is raised.
+    Inputs and oracle outputs are checked first, fit by fit. Training stops
+    as soon as any fit diverges; a stack of one raises its ShadowMoeError,
+    and a larger stack refits its fits one at a time in order, so the first
+    fit that diverges raises the error :func:`train_proxy` raises for it.
     """
     fits = list(fits)
     configs = [config for _, _, config in fits]
@@ -706,66 +706,53 @@ def train_proxies(
     grad_buffer, grads = _stacked_buffer(shapes, stack)
     velocity = np.zeros_like(buffer)
     losses: list[list[float]] = [[] for _ in fits]
-    failed: dict[int, str] = {}
-
-    def fail(m: int, message: str) -> None:
-        failed.setdefault(m, message)
-        # a zero proxy computes finite values, so the slice stays quiet until training ends
-        for array in (buffer, grad_buffer, velocity):
-            array[m] = 0.0
 
     def record_losses(epoch: int | None) -> None:
         # the full-dataset loss, one fit at a time as a stack of one
         for m in range(stack):
-            if m in failed:
-                continue
             # divergence shows up as inf/nan here and is reported, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    y, _ = _checked_forward([view[m : m + 1] for view in params], xs[m], config)
-                except ShadowMoeError as exc:
-                    fail(m, str(exc))
-                    continue
+                y, _ = _checked_forward([view[m : m + 1] for view in params], xs[m], config)
                 loss = float(np.mean((y[0] - targets[m]) ** 2))
             if epoch is not None and not np.isfinite(loss):
-                fail(m, f"training diverged at epoch {epoch}: loss {loss!r}")
-            else:
-                losses[m].append(loss)
+                raise ShadowMoeError(f"training diverged at epoch {epoch}: loss {loss!r}")
+            losses[m].append(loss)
 
-    record_losses(None)
     # fits that share a seed share their batch order
     streams = {cfg.seed: substream(cfg.seed, "shadow-train") for cfg in configs}
     rows = np.arange(stack)[:, None]
-    for epoch in range(config.epochs):
-        if 0 in failed:  # no fit before it is left to fail first
-            break
-        orders = {seed: rng.permutation(n) for seed, rng in streams.items()}
-        order = np.stack([orders[cfg.seed] for cfg in configs])
-        for start in range(0, n, config.batch_size):
-            batch = order[:, start : start + config.batch_size]
-            x, t = xs[rows, batch], targets[rows, batch]
-            # a diverging step is reported by the checks below, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                y, caches = _forward(params, x, config.top_k)
-                total = _backward(params, x, t, y, caches, config.load_balance_weight, grads)
-            for m in np.flatnonzero(~np.isfinite(total)).tolist():
-                if not np.all(np.isfinite(y[m])):
-                    fail(m, "non-finite activations in forward pass")
-                else:
-                    fail(
-                        m,
+    try:
+        record_losses(None)
+        for epoch in range(config.epochs):
+            orders = {seed: rng.permutation(n) for seed, rng in streams.items()}
+            order = np.stack([orders[cfg.seed] for cfg in configs])
+            for start in range(0, n, config.batch_size):
+                batch = order[:, start : start + config.batch_size]
+                x, t = xs[rows, batch], targets[rows, batch]
+                # a diverging step is reported by the check below, not warned about
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y, caches = _forward(params, x, config.top_k)
+                    total = _backward(params, x, t, y, caches, config.load_balance_weight, grads)
+                if not np.all(np.isfinite(total)):
+                    m = int(np.argmin(np.isfinite(total)))
+                    if not np.all(np.isfinite(y[m])):
+                        raise ShadowMoeError("non-finite activations in forward pass")
+                    raise ShadowMoeError(
                         f"training diverged at epoch {epoch}: batch loss {float(total[m])!r} "
-                        f"(lr={config.learning_rate}, lambda={config.load_balance_weight})",
+                        f"(lr={config.learning_rate}, lambda={config.load_balance_weight})"
                     )
-            if config.momentum > 0:
-                velocity *= config.momentum
-                velocity += grad_buffer
-                buffer -= config.learning_rate * velocity
-            else:
-                buffer -= config.learning_rate * grad_buffer
-        record_losses(epoch)
-    if failed:
-        raise ShadowMoeError(failed[min(failed)])
+                if config.momentum > 0:
+                    velocity *= config.momentum
+                    velocity += grad_buffer
+                    buffer -= config.learning_rate * velocity
+                else:
+                    buffer -= config.learning_rate * grad_buffer
+            record_losses(epoch)
+    except ShadowMoeError:
+        if stack == 1:
+            raise
+        # refit one at a time, in order, so the first fit that diverges raises its own error
+        return [train_proxy(*fit) for fit in fits]
     return list(zip(models, losses))
 
 

@@ -35,7 +35,7 @@ from moesig.errors import SignatureError
 from moesig.routing_trace import RoutingTraceSet
 
 LayerPolicy = str | int
-_CHUNK_CELLS = 1 << 20  # collaboration work cells per query chunk, as in _pair_counts
+_CHUNK_CELLS = 1 << 20  # array cells a collaboration query chunk holds at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,25 +138,26 @@ def _pair_counts(counts: np.ndarray, experts: np.ndarray, num_experts: int) -> n
     of the queries before it. Each pair of a query's selections adds one to its cell
     above the diagonal, and the result is that triangle plus its transpose: A^T A off
     the diagonal in n * k^2 rather than n * E^2 work. Queries go in chunks, each
-    query's selections left-aligned in a row padded with the sentinel expert E, whose
-    pairs are dropped at the end.
+    query's selections left-aligned in a row of k padded with the sentinel expert E,
+    whose pairs are dropped at the end; a chunk's pair codes go to one bincount.
     """
     side = num_experts + 1
-    upper = np.zeros(side * side, np.int64)
+    k = int(counts.max(initial=0))
+    first, second = np.triu_indices(k, 1)  # the row positions of each pair
+    # a chunk holds two arrays of pair codes and about four of selections at once
+    rows = max(1, _CHUNK_CELLS // (2 * len(first) + 4 * k + 1))
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    # a chunk holds about 4k cells per query, the row of k and k - 1 pair codes with a
-    # temporary of each, against the E of an activation-matrix row
-    rows = max(1, _CHUNK_CELLS // max(num_experts, 4 * int(counts.max(initial=0))))
+    upper = np.zeros(side * side, np.int64)
     for a in range(0, len(counts), rows):
         chunk = counts[a:a + rows]
         start, stop = offsets[a], offsets[a + len(chunk)]
-        k = int(chunk.max(initial=0))
-        picked = np.full(len(chunk) * k, num_experts, np.int64)
-        picked[np.repeat(np.arange(len(chunk)) * k - offsets[a:a + len(chunk)], chunk) + np.arange(start, stop)] = \
-            experts[start:stop]
-        picked = picked.reshape(len(chunk), k)
-        for d in range(1, k):  # the pairs d positions apart
-            upper += np.bincount((picked[:, :-d] * side + picked[:, d:]).ravel(), minlength=side * side)
+        picked = np.full((len(chunk), k), num_experts, np.int64)
+        picked.reshape(-1)[np.repeat(np.arange(len(chunk)) * k - offsets[a:a + len(chunk)], chunk)
+                           + np.arange(start, stop)] = experts[start:stop]
+        codes = picked[:, first]
+        codes *= side
+        codes += picked[:, second]
+        upper += np.bincount(codes.reshape(-1), minlength=side * side)
     upper = upper.reshape(side, side)[:num_experts, :num_experts]
     return upper + upper.T
 

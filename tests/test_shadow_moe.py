@@ -22,7 +22,6 @@ from moesig.shadow_moe import (
     train_proxy,
     write_queries,
 )
-from moesig import shadow_moe
 from moesig._rng import substream
 
 from helpers import mean_gate_usage, selection_margin
@@ -390,26 +389,6 @@ class TestStacking:
         with pytest.raises(ShadowMoeError) as exc:
             train_proxies([fits[name] for name in order])
         assert str(exc.value) == expected
-
-    def test_non_finite_slice_stays_in_its_slice(self):
-        cfg = ShadowMoeConfig(**{**TINY, "num_layers": 2})
-        models = [ShadowMoeModel.initialize(ShadowMoeConfig(**{**cfg.to_dict(), "seed": s})) for s in range(3)]
-        params = [np.stack(tensors) for tensors in zip(*(m._tensors() for m in models))]
-        for tensor in params:
-            tensor[1] = np.nan
-        rng = np.random.default_rng(9)
-        x, targets = rng.normal(size=(3, 7, 3)), rng.normal(size=(3, 7, 2))
-        shapes = shadow_moe._param_shapes(cfg)
-        _, grads = shadow_moe._stacked_buffer(shapes, 3)
-        with np.errstate(invalid="ignore"):
-            y, caches = shadow_moe._forward(params, x, cfg.top_k)
-            total = shadow_moe._backward(params, x, targets, y, caches, cfg.load_balance_weight, grads)
-        assert np.isnan(total[1]) and np.isnan(y[1]).all()
-        for m in (0, 2):
-            loss, own = models[m].loss_and_grads(x[m], targets[m])
-            assert total[m] == loss
-            assert np.array_equal(y[m], models[m].predict(x[m]))
-            assert all(np.array_equal(g[m], own[name]) for (name, _), g in zip(shapes, grads))
 
     def test_fits_must_share_config_and_input_shape(self):
         oracle, x = mlp_oracle(11, 3, 2), np.zeros((6, 3))
