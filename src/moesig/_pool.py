@@ -38,7 +38,8 @@ def parallel_map(fn: Callable[[J], R], jobs: Sequence[J]) -> list[R]:
 
     With a single worker the jobs run serially in this process. Otherwise the
     first failure cancels the jobs not yet started; once the running ones have
-    finished, the exception of the earliest submitted failed job is re-raised.
+    finished, the exception of the earliest submitted failed job is re-raised,
+    so the error does not depend on the CPU count or on timing.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
@@ -48,9 +49,10 @@ def parallel_map(fn: Callable[[J], R], jobs: Sequence[J]) -> list[R]:
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
         futures = [pool.submit(fn, job) for job in jobs]
         wait(futures, return_when=FIRST_EXCEPTION)
+        # after a failure: drop the jobs not yet started and wait for the running ones
+        pool.shutdown(cancel_futures=True)
         for future in futures:
-            if future.done() and future.exception() is not None:
-                pool.shutdown(cancel_futures=True)
+            if not future.cancelled() and future.exception() is not None:
                 raise future.exception()
         return [future.result() for future in futures]
 

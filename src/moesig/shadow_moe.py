@@ -19,12 +19,14 @@ One set of kernels does all the arithmetic, on a stack of M same-shape
 proxies: every tensor, batch and layer cache carries a leading model axis,
 and each product and reduction runs per model slice in the order a single
 proxy's 2-D call runs it, so every slice is bitwise that proxy's own
-result. :func:`train_proxies` fits several proxies that share a config
-apart from the seed as one stack, with their parameters, gradients and
-velocities in one flat buffer each, so a step costs one set of numpy calls
-however many fits it carries. :func:`train_proxy` is its one-fit case, and
-``ShadowMoeModel``'s forward pass and ``loss_and_grads`` run the same
-kernels on live ``[None]`` views of the model's own tensors.
+result. A ``ShadowMoeModel`` is its config plus one flat float64 vector,
+and every tensor is a view of that vector, in the order of
+:func:`_param_shapes`. :func:`train_proxies` fits several proxies that share
+a config apart from the seed as one stack: their parameters, gradients and
+velocities are one (M, P) buffer each, whose rows are the models' vectors,
+so a step costs one set of numpy calls however many fits it carries.
+:func:`train_proxy` is its one-fit case, and a model's forward pass and
+``loss_and_grads`` run the same kernels on its vector as a stack of one.
 """
 
 from __future__ import annotations
@@ -190,15 +192,14 @@ def _param_shapes(config: ShadowMoeConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes + [("w_out", (o, h)), ("b_out", (o,))]
 
 
-def _stacked_buffer(shapes: list[tuple[str, tuple[int, ...]]], models: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A zeroed (models, P) buffer, and each tensor of ``shapes`` as a view of it with a leading model axis."""
-    buffer = np.zeros((models, sum(math.prod(shape) for _, shape in shapes)))
-    views, start = [], 0
-    for _, shape in shapes:
+def _param_views(buffer: np.ndarray, config: ShadowMoeConfig) -> list[np.ndarray]:
+    """Each tensor of :func:`_param_shapes` as a view of ``buffer``'s last axis, leading axes kept."""
+    lead, views, start = buffer.shape[:-1], [], 0
+    for _, shape in _param_shapes(config):
         stop = start + math.prod(shape)
-        views.append(buffer[:, start:stop].reshape((models, *shape)))
+        views.append(buffer[..., start:stop].reshape(lead + shape))
         start = stop
-    return buffer, views
+    return views
 
 
 def _layer_params(params: list[np.ndarray], layer: int) -> list[np.ndarray]:
@@ -301,82 +302,64 @@ def _backward(
     return total
 
 
-def _checked_forward(
-    params: list[np.ndarray], x: np.ndarray, config: ShadowMoeConfig
-) -> tuple[np.ndarray, list[_LayerCache]]:
-    """:func:`_forward` of one proxy on inputs (B, input_dim), as a stack of one; non-finite outputs raise."""
-    if x.ndim != 2 or x.shape[1] != config.input_dim:
-        raise ShadowMoeError(f"expected inputs of shape (n, {config.input_dim}), got {x.shape}")
-    y, caches = _forward(params, x[None], config.top_k)
-    if not np.all(np.isfinite(y)):
-        raise ShadowMoeError("non-finite activations in forward pass")
-    return y, caches
-
-
 @dataclass
 class ShadowMoeModel:
-    """Parameter container plus forward/training machinery."""
+    """A proxy: its config and every parameter in one flat float64 vector.
+
+    ``flat`` holds the tensors of :meth:`param_items` back to back, and each
+    of them is a view of it, so an in-place change to a tensor shows in the
+    next pass.
+    """
 
     config: ShadowMoeConfig
-    w_in: np.ndarray
-    b_in: np.ndarray
-    routers: list[np.ndarray]
-    expert_u: list[np.ndarray]
-    expert_c: list[np.ndarray]
-    expert_v: list[np.ndarray]
-    expert_d: list[np.ndarray]
-    w_out: np.ndarray
-    b_out: np.ndarray
+    flat: np.ndarray  # (P,)
 
     @classmethod
     def initialize(cls, config: ShadowMoeConfig) -> "ShadowMoeModel":
+        """Seeded weights, each drawn from N(0, 1/sqrt(fan-in)); biases, expert_c and expert_d start at zero.
+
+        The draw order is router, expert_u and expert_v of each layer, then
+        w_in, then w_out.
+        """
         rng = substream(config.seed, "shadow-init")
-        h, i, o = config.hidden_dim, config.input_dim, config.output_dim
-        routers, e_u, e_c, e_v, e_d = [], [], [], [], []
-        for e in config.experts_per_layer:
-            routers.append(rng.normal(0.0, 1.0 / np.sqrt(h), size=(e, h)))
-            e_u.append(rng.normal(0.0, 1.0 / np.sqrt(h), size=(e, h, h)))
-            e_c.append(np.zeros((e, h)))
-            e_v.append(rng.normal(0.0, 1.0 / np.sqrt(h), size=(e, h, h)))
-            e_d.append(np.zeros((e, h)))
-        return cls(
-            config=config,
-            w_in=rng.normal(0.0, 1.0 / np.sqrt(i), size=(h, i)),
-            b_in=np.zeros(h),
-            routers=routers,
-            expert_u=e_u,
-            expert_c=e_c,
-            expert_v=e_v,
-            expert_d=e_d,
-            w_out=rng.normal(0.0, 1.0 / np.sqrt(h), size=(o, h)),
-            b_out=np.zeros(o),
-        )
+        model = cls._zeros(config)
+        named = dict(model.param_items())
+        kinds = ("router", "expert_u", "expert_v")
+        for name in [f"{kind}.{layer}" for layer in range(config.num_layers) for kind in kinds] + ["w_in", "w_out"]:
+            tensor = named[name]
+            # the last axis of every drawn tensor is its fan-in
+            tensor[...] = rng.normal(0.0, 1.0 / np.sqrt(tensor.shape[-1]), size=tensor.shape)
+        return model
 
     @classmethod
-    def _from_tensors(cls, config: ShadowMoeConfig, tensors: list[np.ndarray]) -> "ShadowMoeModel":
-        """A model over ``tensors``, given in :meth:`param_items` order (not copied)."""
-        layers = [_layer_params(tensors, layer) for layer in range(config.num_layers)]
-        return cls(config, tensors[0], tensors[1], *(list(kind) for kind in zip(*layers)), tensors[-2], tensors[-1])
-
-    def _tensors(self) -> list[np.ndarray]:
-        layers = zip(self.routers, self.expert_u, self.expert_c, self.expert_v, self.expert_d)
-        return [self.w_in, self.b_in, *(t for layer in layers for t in layer), self.w_out, self.b_out]
+    def _zeros(cls, config: ShadowMoeConfig) -> "ShadowMoeModel":
+        return cls(config, np.zeros(sum(math.prod(shape) for _, shape in _param_shapes(config))))
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, t) for (name, _), t in zip(_param_shapes(self.config), self._tensors())]
+        names = [name for name, _ in _param_shapes(self.config)]
+        return list(zip(names, _param_views(self.flat, self.config)))
 
     def _stacked(self) -> list[np.ndarray]:
-        # live views, so an in-place change to a tensor shows in the next pass
-        return [t[None] for t in self._tensors()]
+        return _param_views(self.flat[None], self.config)
+
+    def _run(self, x: np.ndarray) -> tuple[np.ndarray, list[_LayerCache]]:
+        """:func:`_forward` on inputs (B, input_dim), as a stack of one; non-finite outputs raise."""
+        cfg = self.config
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+            raise ShadowMoeError(f"expected inputs of shape (n, {cfg.input_dim}), got {x.shape}")
+        y, caches = _forward(self._stacked(), x[None], cfg.top_k)
+        if not np.all(np.isfinite(y)):
+            raise ShadowMoeError("non-finite activations in forward pass")
+        return y, caches
 
     def _forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, list[_LayerCache]]:
-        y, caches = _checked_forward(self._stacked(), np.asarray(x, dtype=np.float64), self.config)
+        y, caches = self._run(x)
         return y[0], [cache.member(0) for cache in caches]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Batch forward without routing records; usable as a training oracle."""
-        y, _ = self._forward_batch(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        return y
+        return self._run(np.atleast_2d(x))[0][0]
 
     def loss_and_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         """Total loss (MSE + load_balance_weight * balance penalty) and analytic gradients.
@@ -388,14 +371,13 @@ class ShadowMoeModel:
         cfg = self.config
         t = np.asarray(targets, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
-        params = self._stacked()
-        y, caches = _checked_forward(params, x, cfg)
+        y, caches = self._run(x)
         if t.shape != y.shape[1:]:
             raise ShadowMoeError(f"target shape {t.shape} does not match output {y.shape[1:]}")
-        shapes = _param_shapes(cfg)
-        _, grads = _stacked_buffer(shapes, 1)
-        total = _backward(params, x[None], t[None], y, caches, cfg.load_balance_weight, grads)
-        return float(total[0]), {name: g[0] for (name, _), g in zip(shapes, grads)}
+        grads = self._zeros(cfg)  # the gradients, in the parameters' layout
+        lam = cfg.load_balance_weight
+        total = _backward(self._stacked(), x[None], t[None], y, caches, lam, grads._stacked())
+        return float(total[0]), dict(grads.param_items())
 
     def save(self, path: str | Path) -> None:
         """Versioned binary: magic, JSON manifest line, raw float64 tensors."""
@@ -435,7 +417,7 @@ class ShadowMoeModel:
                 config = ShadowMoeConfig.from_dict(config)
             except ShadowMoeError as exc:
                 raise ShadowMoeError(f"{path}: {exc}") from None
-            model = cls.initialize(config)
+            model = cls._zeros(config)
             named = dict(model.param_items())
             for entry in tensors:
                 name = entry.get("name") if isinstance(entry, dict) else None
@@ -682,6 +664,10 @@ def train_proxies(
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ShadowMoeError(f"queries must be a nonempty (n, input_dim) array, got {x.shape}")
+        if x.shape[1] != cfg.input_dim:
+            raise ShadowMoeError(
+                f"queries have input_dim {x.shape[1]}, the proxy config has input_dim {cfg.input_dim}"
+            )
         t = np.asarray(oracle(x), dtype=np.float64)
         if t.shape != (x.shape[0], cfg.output_dim):
             raise ShadowMoeError(
@@ -696,24 +682,18 @@ def train_proxies(
     xs, targets = np.stack(xs), np.stack(targets)
     stack, n = xs.shape[:2]
 
-    shapes = _param_shapes(config)
-    buffer, params = _stacked_buffer(shapes, stack)
-    models = []
-    for m, cfg in enumerate(configs):
-        for view, tensor in zip(params, ShadowMoeModel.initialize(cfg)._tensors()):
-            view[m] = tensor
-        models.append(ShadowMoeModel._from_tensors(cfg, [view[m] for view in params]))
-    grad_buffer, grads = _stacked_buffer(shapes, stack)
-    velocity = np.zeros_like(buffer)
+    buffer = np.stack([ShadowMoeModel.initialize(cfg).flat for cfg in configs])
+    models = [ShadowMoeModel(cfg, buffer[m]) for m, cfg in enumerate(configs)]
+    grad_buffer, velocity = np.zeros_like(buffer), np.zeros_like(buffer)
+    params, grads = _param_views(buffer, config), _param_views(grad_buffer, config)
     losses: list[list[float]] = [[] for _ in fits]
 
     def record_losses(epoch: int | None) -> None:
-        # the full-dataset loss, one fit at a time as a stack of one
-        for m in range(stack):
+        # the full-dataset loss, one fit at a time
+        for m, model in enumerate(models):
             # divergence shows up as inf/nan here and is reported, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                y, _ = _checked_forward([view[m : m + 1] for view in params], xs[m], config)
-                loss = float(np.mean((y[0] - targets[m]) ** 2))
+                loss = float(np.mean((model.predict(xs[m]) - targets[m]) ** 2))
             if epoch is not None and not np.isfinite(loss):
                 raise ShadowMoeError(f"training diverged at epoch {epoch}: loss {loss!r}")
             losses[m].append(loss)

@@ -60,8 +60,8 @@ class SpecializationProfile:
         axes = (len(self.domain_labels),), np.shape(self.kappa_per_domain), np.shape(self.counts)
         if any(axis != (d,) for axis in axes):
             raise SignatureError("profile domain axis is inconsistent")
-        if e < 1:
-            raise SignatureError("profile needs at least one expert")
+        if e < 1 or d < 1:
+            raise SignatureError("profile needs at least one expert and one domain")
 
     @property
     def num_experts(self) -> int:
@@ -225,10 +225,10 @@ def load_bundle(path: str | Path) -> SignatureBundle:
     """Load a signature bundle written by :func:`save_bundle`.
 
     Invalid JSON, a missing field, matrices whose shapes disagree, a layer
-    that is not an integer >= 0, domains that are not a list of distinct strings,
-    counts that are not integers >= 0, a negative or non-finite matrix,
-    kappa or pair-normalizer entry, or a ``zero_mass`` that is not a
-    boolean raise SignatureError.
+    that is not an integer >= 0, domains that are not a nonempty list of
+    distinct strings, counts that are not integers >= 0, a negative or
+    non-finite matrix, kappa or pair-normalizer entry, or a ``zero_mass``
+    that is not a boolean raise SignatureError.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -43,6 +43,13 @@ def summarize_sweep(rows: Sequence[dict]) -> list[dict]:
     return summary
 
 
+def drop_domains(doc: dict) -> None:
+    """Empty the domain axis of a signature-file document, leaving it consistent otherwise."""
+    spec = doc["specialization"]
+    doc["domains"], spec["kappa_per_domain"], spec["counts"] = [], [], []
+    spec["matrix"] = [[] for _ in spec["matrix"]]
+
+
 def mean_gate_usage(model: ShadowMoeModel, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer softmax gate usage of a proxy, averaged over the batch ``x``."""
     _, caches = model._forward_batch(x)

@@ -14,6 +14,8 @@ from moesig.routing_trace import build_trace_set, write_traces
 from moesig.shadow_moe import ShadowMoeConfig, ShadowMoeModel
 from moesig.synthgen import ScenarioConfig, generate_scenario
 
+from helpers import drop_domains
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -109,6 +111,10 @@ def pipeline_case(change, expected, case_id):
 MALFORMED_CONFIGS = [
     pytest.param(*train_proxy_case({**PROXY, "num_layers": "2"}), "num_layers must be an integer",
                  id="proxy-layers-string"),
+    pytest.param(*train_proxy_case({**PROXY, "input_dim": 5}),
+                 "queries have input_dim 2, the proxy config has input_dim 5", id="proxy-wider-linear"),
+    pytest.param(*train_proxy_case({**PROXY, "input_dim": 5}, oracle={"kind": "mlp", "seed": 2}),
+                 "queries have input_dim 2, the proxy config has input_dim 5", id="proxy-wider-mlp"),
     pytest.param(*train_proxy_case({**PROXY, "epochs": True}), "epochs must be an integer",
                  id="proxy-epochs-bool"),
     pytest.param(*train_proxy_case({**PROXY, "seed": 1.5}), "seed must be an integer",
@@ -267,18 +273,22 @@ class TestMalformedInput:
             ("specialization", "counts", [-5, 1], "counts must be a list of integers"),
             ("specialization", "counts", [2.5, 1], "counts must be a list of integers"),
             ("collaboration", "pair_normalizer", float("nan"), "pair_normalizer must be a finite"),
+            (None, drop_domains, None, "at least one expert and one domain"),
         ],
         ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "layer-float",
              "layer-bool", "layer-negative", "domains-string", "domains-repeated", "kappa-nan",
-             "counts-negative", "counts-float", "pair-normalizer-nan"],
+             "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains"],
     )
     def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
+        # a callable key edits the whole document
         src = tmp_path / "t.jsonl"
         simple_trace_file(src)
         sig = tmp_path / "sig.json"
         assert dispatch(["profile", "--input", str(src), "--out", str(sig)]) == 0
         doc = json.loads(sig.read_text())
-        if key == "matrix":
+        if callable(key):
+            key(doc)
+        elif key == "matrix":
             doc[section]["matrix"][1][0] = value
         else:
             (doc if section is None else doc[section])[key] = value

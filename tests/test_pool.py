@@ -33,6 +33,12 @@ def _fail_on_three(x: int) -> int:
     return x
 
 
+def _fail_slow_then_fast(x: int) -> None:
+    if x == 0:
+        time.sleep(0.5)
+    raise ScenarioError(f"job {x} failed")
+
+
 def _fail_first_then_mark(marks: Path, x: int) -> None:
     if x == 0:
         raise ScenarioError("job 0 failed")
@@ -85,6 +91,14 @@ def test_worker_failure_is_reraised(two_cpus):
     # the worker's exception type and message survive the trip to this process
     with pytest.raises(ScenarioError, match="job 3 failed"):
         parallel_map(_fail_on_three, range(8))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_earliest_submitted_failure_wins_whatever_finishes_first(monkeypatch, cpus):
+    # job 1 fails while job 0 still runs; job 0's error is raised all the same
+    monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+    with pytest.raises(ScenarioError, match="job 0 failed"):
+        parallel_map(_fail_slow_then_fast, [0, 1])
 
 
 def test_first_failure_cancels_pending_jobs(two_cpus, tmp_path):

@@ -21,6 +21,7 @@ from moesig.shadow_moe import (
     train_proxies,
     train_proxy,
     write_queries,
+    _param_shapes,
 )
 from moesig._rng import substream
 
@@ -76,7 +77,7 @@ class TestForward:
     def test_equal_logits_tie_selects_expert_zero(self):
         cfg = ShadowMoeConfig(**{**TINY, "top_k": 1})
         model = ShadowMoeModel.initialize(cfg)
-        model.routers[0][...] = 0.0  # all logits identical
+        dict(model.param_items())["router.0"][...] = 0.0  # all logits identical
         _, caches = model._forward_batch(np.ones((1, 3)))
         assert caches[0].topk[0].tolist() == [0]
 
@@ -456,6 +457,35 @@ class TestExport:
             write_traces(export_traces(model, queries), path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestLayout:
+    def test_param_items_are_views_of_flat_in_shape_order(self):
+        cfg = ShadowMoeConfig(**{**TINY, "num_layers": 2, "experts_per_layer": [4, 3]})
+        model = ShadowMoeModel.initialize(cfg)
+        model.flat[...] = np.arange(model.flat.size)
+        start = 0
+        for (name, tensor), (want, shape) in zip(model.param_items(), _param_shapes(cfg), strict=True):
+            assert name == want and tensor.shape == shape and np.shares_memory(tensor, model.flat)
+            stop = start + tensor.size
+            assert np.array_equal(tensor, np.arange(start, stop).reshape(shape))
+            start = stop
+        assert start == model.flat.size
+
+    def test_in_place_edit_of_a_tensor_changes_predict(self):
+        model = ShadowMoeModel.initialize(ShadowMoeConfig(**TINY))
+        x = np.random.default_rng(3).normal(size=(5, 3))
+        before = model.predict(x)
+        dict(model.param_items())["b_out"][...] += 1.0
+        assert np.allclose(model.predict(x), before + 1.0, rtol=0.0, atol=1e-12)
+
+    def test_load_then_save_reproduces_the_file(self, tmp_path):
+        x = np.random.default_rng(4).normal(size=(20, 3))
+        model, _ = train_proxy(mlp_oracle(2, 3, 2), x, ShadowMoeConfig(**{**TINY, "num_layers": 2}))
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        model.save(first)
+        ShadowMoeModel.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestModelSerialization:

@@ -23,7 +23,7 @@ from moesig.signatures import (
 )
 
 from _oracles import naive_collaboration, naive_specialization
-from helpers import random_trace_set, relabel_traces, selection_frequency
+from helpers import drop_domains, random_trace_set, relabel_traces, selection_frequency
 
 
 def make_traces(records, num_experts=4, num_layers=1, domains=("d1",)):
@@ -240,6 +240,11 @@ def _ragged_matrix(doc, text):
     return json.dumps(doc)
 
 
+def _drop_domains(doc, text):
+    drop_domains(doc)
+    return json.dumps(doc)
+
+
 def _set_entry(kind, value):
     # entry [1][0] exists in both matrices, whatever the domain count
     def corrupt(doc, text):
@@ -271,6 +276,7 @@ def _set_field(section, key, value):
         (_shrink_collaboration, "collaboration matrix has"),
         (_ragged_kappa, "inconsistent"),
         (_ragged_matrix, "malformed"),
+        (_drop_domains, "at least one expert and one domain"),
         (_set_entry("collaboration", float("nan")), "collaboration matrix has a negative or non-finite"),
         (_set_entry("collaboration", -0.25), "collaboration matrix has a negative or non-finite"),
         (_set_entry("specialization", float("nan")), "specialization matrix has a negative or non-finite"),
