@@ -10,7 +10,10 @@ minimizing over expert relabelings. Two matching modes are provided:
   itself, so the result is the full scan's bit for bit; degenerate ties
   fall back to that scan. The collaboration distance scans every
   permutation, with a lean kernel when both matrices are positive off the
-  diagonal.
+  diagonal. That kernel keeps the permutations on the last axis and adds
+  E contiguous slabs where the general kernel reduces an E-long axis, in
+  the order numpy's float sum takes on such an axis, so the two agree bit
+  for bit.
 * ``hungarian-heuristic``: solve a linear assignment on a surrogate
   per-expert cost matrix, then evaluate the true objective at the matched
   permutation. The surrogate is needed because the true objective couples
@@ -205,8 +208,19 @@ def hungarian(cost: np.ndarray) -> tuple[Permutation, float]:
 
 @lru_cache(maxsize=8)
 def _all_permutations(size: int) -> np.ndarray:
-    """All permutations of 0..size-1 in lexicographic order. Cached for small sizes."""
-    return np.array(list(itertools.permutations(range(size))), dtype=np.intp)
+    """All permutations of 0..size-1 in lexicographic order. Cached for small sizes.
+
+    Built by first element: the permutations of 0..n-1 that start with f
+    are f followed by those of 0..n-2, in order, with every value >= f
+    raised by one.
+    """
+    table = np.zeros((1, 0), dtype=np.intp)
+    for n in range(1, size + 1):
+        first = np.repeat(np.arange(n), len(table))
+        rest = np.tile(table, (n, 1))
+        rest += rest >= first[:, None]
+        table = np.column_stack([first, rest])
+    return table
 
 
 def _permutation_chunks(size: int, chunk: int) -> Iterator[np.ndarray]:
@@ -268,14 +282,47 @@ def _collab_objectives(perms: np.ndarray, teacher: np.ndarray, student: np.ndarr
     return row_w1.sum(axis=1) / e
 
 
+def _ordered_sum(slabs) -> np.ndarray:
+    """``slabs`` added up in the order of numpy's float sum over a short contiguous axis.
+
+    Below 8 terms that is left to right. From 8 to 15 terms numpy's
+    pairwise sum keeps eight partial sums, so the first eight are added as
+    ``((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))`` and the rest left
+    to right. Longer axes take further blocks of eight, which no exact scan
+    (at most EXACT_ENUM_CAP experts) reaches.
+    """
+    assert len(slabs) < 16
+    if len(slabs) < 8:
+        total = slabs[0].copy()
+        rest = slabs[1:]
+    else:
+        total = slabs[0] + slabs[1]
+        total += slabs[2] + slabs[3]
+        half = slabs[4] + slabs[5]
+        half += slabs[6] + slabs[7]
+        total += half
+        rest = slabs[8:]
+    for slab in rest:
+        total += slab
+    return total
+
+
 def _dense_collab_objectives(perms: np.ndarray, teacher: np.ndarray, student: np.ndarray) -> np.ndarray:
     """:func:`_collab_objectives` for matrices that pass :func:`_dense_off_diagonal`.
 
     Every row's union support is then all of its off-diagonal columns,
     whatever the permutation, so the mask, the uniform fallback and the
     search for the last support column drop out. What remains runs the same
-    divisions, cumsum, abs and E-wide row sums in the same order, so every
-    value equals the general kernel's bit for bit.
+    divisions, cumsum, abs and E-wide row sums, so every value equals the
+    general kernel's bit for bit.
+
+    The permutations sit on the last axis: ``w[i, j, c]`` is entry (i, j)
+    of the teacher conjugated by ``perms[c]``, so every reduction over i or
+    j adds E slabs of C contiguous values instead of reducing E values at a
+    time. :func:`_ordered_sum` adds the slabs in numpy's own order for an
+    E-long axis and the cumsum runs left to right as numpy's does, so the
+    rounding is that of the general kernel's ``sum(axis=2)``,
+    ``cumsum(axis=2)`` and ``sum(axis=1)``.
     """
     e = teacher.shape[0]
     diag = np.arange(e)
@@ -283,17 +330,21 @@ def _dense_collab_objectives(perms: np.ndarray, teacher: np.ndarray, student: np
     t[diag, diag] = 0.0  # conjugating keeps a zero diagonal at the diagonal
     s = student.copy()
     s[diag, diag] = 0.0
-    w = t.ravel()[perms[:, :, None] * e + perms[:, None, :]]  # (C, E, E) conjugated teachers
+    pt = np.ascontiguousarray(perms.T)  # else the broadcast index is not C-ordered and take slows
+    w = t.ravel().take(pt[:, None, :] * e + pt[None, :, :])  # (E, E, C) conjugated teachers
     # the teacher row sums are taken per permutation: a reordered sum can round differently
-    w /= w.sum(axis=2, keepdims=True)
-    w -= s / s.sum(axis=1, keepdims=True)
-    np.cumsum(w, axis=2, out=w)
+    w /= _ordered_sum(w.swapaxes(0, 1))[:, None, :]
+    w -= (s / s.sum(axis=1, keepdims=True))[:, :, None]
+    for j in range(1, e):
+        w[:, j] += w[:, j - 1]
     np.abs(w, out=w)
     last = np.full(e, e - 1)  # the last support column: E-1, or E-2 in the last row
     last[-1] = e - 2
-    at_last = w[:, diag, last]
-    w[:, diag, diag] = 0.0
-    return (w.sum(axis=2) - at_last).sum(axis=1) / e
+    at_last = w[diag, last]
+    w[diag, diag] = 0.0
+    rows = _ordered_sum(w.swapaxes(0, 1))
+    rows -= at_last
+    return _ordered_sum(rows) / e
 
 
 def _dense_off_diagonal(matrix: np.ndarray) -> bool:
@@ -310,8 +361,15 @@ def _dense_off_diagonal(matrix: np.ndarray) -> bool:
     return bool(np.all(off > 0) and np.all(off.max(axis=1) >= MASS_GUARD))
 
 
-# element budget (permutations x teacher size) of one chunk of the exact scan
-_SCAN_BUDGET = 2_000_000
+# element budget (permutations x teacher size) of one chunk of the exact scan:
+# 32768 float64 values, 256 KB per chunk array, 512 relabelings at E = 8.
+# Chunks this small reuse the pages the previous chunk freed. The 16 dense
+# collab scans of the sweep-e8 grid, each run in a fresh process on a 2-core
+# VM, took about 100 minor page faults and 0.44-0.59 s at 512 relabelings per
+# chunk; 162k-173k faults and 0.55-0.88 s at 4096-7812, where every chunk's
+# temporaries fault in fresh pages; and 27k-34k faults, 0.50-0.60 s and a
+# 76 MB peak RSS (44 MB at 512) at the former 31250.
+_SCAN_BUDGET = 32_768
 
 
 def _scan(objectives, teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permutation]:
@@ -524,6 +582,9 @@ def collab_distance(
     The teacher matrix is conjugated by the candidate permutation (rows and
     columns relabeled together) and compared row-by-row against the student
     using the sparse union-support W1 described in :func:`_collab_objectives`.
+    A matrix not flagged zero-mass must have entries in [0, 1] summing to 1
+    within NORMALIZATION_TOL, as the profile columns must in
+    :func:`_check_profiles`.
     """
     if teacher.num_experts != student.num_experts:
         raise TransportError(
@@ -536,6 +597,14 @@ def collab_distance(
     if teacher.zero_mass:
         e = teacher.num_experts
         return TransportResult(0.0, Permutation.identity(e), _resolve_mode(mode, e))
+    for mat, name in ((teacher, "teacher"), (student, "student")):
+        m = mat.matrix
+        # entries in [0, 1] first, so the sum can neither overflow nor warn
+        if not (np.all((m >= 0.0) & (m <= 1.0)) and abs(float(m.sum()) - 1.0) <= NORMALIZATION_TOL):
+            raise TransportError(
+                f"{name} collaboration matrix is not normalized: its entries must lie in "
+                f"[0, 1] and sum to 1 within {NORMALIZATION_TOL}"
+            )
     return _match("collab", teacher.matrix, student.matrix, mode)
 
 

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import logging
+import warnings
 
 import pytest
 
@@ -298,6 +299,29 @@ class TestMalformedInput:
         assert code == 1
         (message,) = error_lines(caplog)
         assert named in message and "\n" not in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_overflowing_collaboration_matrix(self, tmp_path, caplog, mode):
+        src = tmp_path / "t.jsonl"
+        simple_trace_file(src)
+        sig = tmp_path / "sig.json"
+        assert dispatch(["profile", "--input", str(src), "--out", str(sig)]) == 0
+        doc = json.loads(sig.read_text())
+        matrix = doc["collaboration"]["matrix"]
+        for i, row in enumerate(matrix):
+            matrix[i] = [0.0 if j == i else 1e308 for j in range(len(row))]
+        sig.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "d.json"
+        argv = ["distance", "--teacher", str(sig), "--student", str(sig), "--out", str(out),
+                "--mode", mode]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = dispatch(argv)
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        (message,) = error_lines(caplog)
+        assert "teacher collaboration matrix is not normalized" in message
         assert not out.exists()
 
     def test_query_without_domain(self, tmp_path, caplog):

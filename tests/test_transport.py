@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +21,15 @@ from moesig.errors import TransportError
 from moesig.signatures import CollaborationMatrix, SignatureBundle, signature_bundle
 from moesig.synthgen import ScenarioConfig, generate_scenario
 from moesig.transport import (
+    EXACT_ENUM_CAP,
     MASS_GUARD,
     Permutation,
     _all_permutations,
     _collab_objectives,
     _dense_collab_objectives,
     _dense_off_diagonal,
+    _ordered_sum,
+    _permutation_chunks,
     _scan,
     _spec_candidates,
     _spec_objectives,
@@ -177,6 +182,14 @@ class TestPermutation:
         perm = Permutation((2, 0, 1))
         assert perm.inverse().mapping == (1, 2, 0)
         assert Permutation.identity(3).mapping == (0, 1, 2)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_permutation_table_is_itertools_order(size):
+    want = np.array(list(itertools.permutations(range(size))), dtype=np.intp)
+    got = _all_permutations(size)
+    assert got.dtype == np.intp and got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 class TestSpecDistance:
@@ -466,6 +479,27 @@ class TestCollabDistance:
         assert abs(res.value - want) <= 1e-12
         assert res.permutation.mapping == want_perm
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("edit", ["overflow", "half-mass", "negative", "nan"])
+    def test_unnormalized_matrix_rejected(self, edit, mode):
+        rng = np.random.default_rng(16)
+        teacher = random_collab(rng, 5)
+        matrix = random_collab(rng, 5).matrix
+        if edit == "overflow":
+            matrix = np.where(np.eye(5, dtype=bool), 0.0, 1e308)
+        elif edit == "half-mass":
+            matrix *= 0.5
+        elif edit == "negative":  # the sum stays 1
+            matrix[0, 1] -= 0.5
+            matrix[0, 2] += 0.5
+        else:
+            matrix[0, 1] = np.nan
+        student = CollaborationMatrix(0, matrix, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TransportError, match="student collaboration matrix is not normalized"):
+                collab_distance(teacher, student, mode=mode)
+
     def test_zero_mass_handling(self):
         zero = CollaborationMatrix(0, np.zeros((3, 3)), 0.0, zero_mass=True)
         rng = np.random.default_rng(15)
@@ -474,6 +508,68 @@ class TestCollabDistance:
         assert res.value == 0.0
         with pytest.raises(TransportError, match="zero-mass"):
             collab_distance(zero, live)
+
+
+def _random_dense(rng: np.random.Generator, num_experts: int) -> np.ndarray:
+    matrix = random_collab(rng, num_experts, sparsity=2.0).matrix
+    assert _dense_off_diagonal(matrix)
+    return matrix
+
+
+def _uniform_dense(num_experts: int) -> np.ndarray:
+    matrix = 1.0 - np.eye(num_experts)
+    return matrix / matrix.sum()
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("n", range(1, EXACT_ENUM_CAP + 1))
+    def test_ordered_sum_is_numpy_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        shape = (4096, n)
+        data = rng.choice([-1.0, 1.0], shape) * rng.random(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        want = data.sum(axis=-1)  # a short contiguous axis
+        got = _ordered_sum([data[:, k] for k in range(n)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+            f"numpy {np.__version__} sums a contiguous axis of {n} values in another order "
+            "than _ordered_sum"
+        )
+
+    @pytest.mark.parametrize("num_experts", range(2, EXACT_ENUM_CAP + 1))
+    def test_bit_identical_to_general_kernel(self, num_experts):
+        rng = np.random.default_rng(200 + num_experts)
+        teacher = _random_dense(rng, num_experts)
+        student = _random_dense(rng, num_experts)
+        if num_experts <= 8:
+            perms = _all_permutations(num_experts)
+        else:  # the first 5000 in scan order, then random ones
+            head = next(_permutation_chunks(num_experts, 5000))
+            perms = np.vstack([head, np.argsort(rng.random((2000, num_experts)), axis=1)])
+        for start in range(0, len(perms), 5040):
+            chunk = perms[start : start + 5040]
+            want = _collab_objectives(chunk, teacher, student)
+            got = _dense_collab_objectives(chunk, teacher, student)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("chunk", [1, 97, None, 5040], ids=["one", "odd", "default", "whole"])
+    @pytest.mark.parametrize("teacher_kind", ["random", "uniform"])
+    def test_scan_result_is_independent_of_chunk_size(self, chunk, teacher_kind, monkeypatch):
+        rng = np.random.default_rng(300)
+        num_experts = 7
+        if teacher_kind == "uniform":
+            teacher = _uniform_dense(num_experts)
+        else:
+            teacher = _random_dense(rng, num_experts)
+        student = _random_dense(rng, num_experts)
+        perms = _all_permutations(num_experts)
+        values = _collab_objectives(perms, teacher, student)
+        idx = int(np.argmin(values))
+        if teacher_kind == "uniform":  # every relabeling ties, so the identity must win
+            assert np.all(values == values[0]) and idx == 0
+        if chunk is not None:
+            monkeypatch.setattr(transport, "_SCAN_BUDGET", chunk * num_experts**2)
+        value, perm = _scan(_dense_collab_objectives, teacher, student)
+        assert value == float(values[idx])
+        assert perm.mapping == tuple(perms[idx])
 
 
 class TestHeuristicCost:
