@@ -5,9 +5,12 @@ traces, compares them with permutation-invariant Wasserstein-1 distances,
 and scores candidate students against a teacher to detect knowledge
 distillation. Includes a toy trainable MoE proxy for black-box models and
 a synthetic scenario generator with known ground truth.
+
+Importing the package loads no numpy: apart from ``__version__`` and the
+error classes, each public name imports its submodule on first use.
 """
 
-__version__ = "0.1.0"
+import importlib
 
 from moesig.errors import (
     DetectorError,
@@ -18,90 +21,50 @@ from moesig.errors import (
     TraceError,
     TransportError,
 )
-from moesig.routing_trace import (
-    RoutingTraceSet,
-    ingest_traces,
-    write_traces,
-)
-from moesig.signatures import (
-    CollaborationMatrix,
-    SignatureBundle,
-    SpecializationProfile,
-    compute_collaboration,
-    compute_specialization,
-    signature_bundle,
-)
-from moesig.transport import (
-    Permutation,
-    SignatureDistance,
-    collab_distance,
-    heuristic_cost_matrix,
-    hungarian,
-    signature_distance,
-    spec_distance,
-    wasserstein1_discrete,
-)
-from moesig.detector import (
-    BenchmarkReport,
-    DetectionScore,
-    PairVerdict,
-    detect_pair,
-    run_benchmark,
-    score_candidate,
-)
-from moesig.shadow_moe import (
-    ShadowMoeConfig,
-    ShadowMoeModel,
-    export_traces,
-    load_balance_loss,
-    train_proxy,
-)
-from moesig.synthgen import (
-    Scenario,
-    ScenarioConfig,
-    generate_scenario,
-    sweep,
-)
+
+__version__ = "0.1.0"
+
+# every other public name -> the submodule that defines it
+_LAZY = {
+    **dict.fromkeys(("RoutingTraceSet", "ingest_traces", "write_traces"), "routing_trace"),
+    **dict.fromkeys(
+        ("SpecializationProfile", "CollaborationMatrix", "SignatureBundle", "compute_specialization",
+         "compute_collaboration", "signature_bundle"),
+        "signatures",
+    ),
+    **dict.fromkeys(
+        ("Permutation", "SignatureDistance", "wasserstein1_discrete", "hungarian", "spec_distance",
+         "collab_distance", "heuristic_cost_matrix", "signature_distance"),
+        "transport",
+    ),
+    **dict.fromkeys(
+        ("DetectionScore", "PairVerdict", "BenchmarkReport", "score_candidate", "detect_pair",
+         "run_benchmark"),
+        "detector",
+    ),
+    **dict.fromkeys(
+        ("ShadowMoeConfig", "ShadowMoeModel", "load_balance_loss", "train_proxy", "export_traces"),
+        "shadow_moe",
+    ),
+    **dict.fromkeys(("ScenarioConfig", "Scenario", "generate_scenario", "sweep"), "synthgen"),
+}
 
 __all__ = [
     "__version__",
-    "MoesigError",
-    "TraceError",
-    "SignatureError",
-    "TransportError",
-    "DetectorError",
-    "ShadowMoeError",
-    "ScenarioError",
-    "RoutingTraceSet",
-    "ingest_traces",
-    "write_traces",
-    "SpecializationProfile",
-    "CollaborationMatrix",
-    "SignatureBundle",
-    "compute_specialization",
-    "compute_collaboration",
-    "signature_bundle",
-    "Permutation",
-    "SignatureDistance",
-    "wasserstein1_discrete",
-    "hungarian",
-    "spec_distance",
-    "collab_distance",
-    "heuristic_cost_matrix",
-    "signature_distance",
-    "DetectionScore",
-    "PairVerdict",
-    "BenchmarkReport",
-    "score_candidate",
-    "detect_pair",
-    "run_benchmark",
-    "ShadowMoeConfig",
-    "ShadowMoeModel",
-    "load_balance_loss",
-    "train_proxy",
-    "export_traces",
-    "ScenarioConfig",
-    "Scenario",
-    "generate_scenario",
-    "sweep",
+    *(name for name, value in list(globals().items())
+      if isinstance(value, type) and issubclass(value, MoesigError)),
+    *_LAZY,
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a lazy public name (PEP 562) and bind it, so later lookups skip this hook."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

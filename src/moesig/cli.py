@@ -3,7 +3,8 @@
 Numeric results go to files; logs go to stderr and are never meant to be
 parsed. Every artifact embeds the seed it was produced under, a digest of
 the effective configuration, and the tool version, so re-running a command
-with identical inputs reproduces identical bytes.
+with identical inputs reproduces identical bytes. Each handler imports what
+it runs, so ``--version``, ``--help`` and usage errors load no numpy.
 """
 
 from __future__ import annotations
@@ -12,39 +13,11 @@ import argparse
 import hashlib
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from moesig import __version__
-from moesig._meta import (
-    artifact_meta,
-    config_digest,
-    meta_comment,
-    read_json,
-    write_csv,
-    write_json,
-)
-from moesig.detector import detect_pair, run_benchmark
+from moesig._meta import artifact_meta, config_digest, meta_comment, read_json, write_csv, write_json
 from moesig.errors import MoesigError
-from moesig.pipeline import emit_report, read_benchmark, run_pipeline
-from moesig.routing_trace import ingest_traces, write_traces
-from moesig.signatures import (
-    dump_bundle_csv,
-    load_bundle,
-    parse_layer_policy,
-    save_bundle,
-    signature_bundle,
-)
-from moesig.shadow_moe import (
-    ShadowMoeConfig,
-    build_oracle,
-    export_traces,
-    make_queries,
-    read_queries,
-    train_proxy,
-)
-from moesig.synthgen import ScenarioConfig, expand_grid, generate_scenario, sweep, write_scenario
-from moesig.transport import signature_distance
 
 log = logging.getLogger("moesig")
 
@@ -54,6 +27,10 @@ def _file_digest(path: Path) -> str:
 
 
 def _cmd_ingest(args) -> int:
+    from dataclasses import replace
+
+    from moesig.routing_trace import ingest_traces, write_traces
+
     traces = ingest_traces(args.input)
     out = replace(
         traces,
@@ -65,6 +42,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from moesig.routing_trace import ingest_traces
+    from moesig.signatures import dump_bundle_csv, parse_layer_policy, save_bundle, signature_bundle
+
     traces = ingest_traces(args.input)
     bundle = signature_bundle(traces, parse_layer_policy(args.layer_policy))
     meta = artifact_meta(None, _file_digest(Path(args.input)))
@@ -85,6 +65,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from moesig.signatures import load_bundle
+    from moesig.transport import signature_distance
+
     teacher = load_bundle(args.teacher)
     student = load_bundle(args.student)
     dist = signature_distance(teacher, student, mode=args.mode)
@@ -110,9 +93,13 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    teacher = ingest_traces(args.teacher)
-    cand1 = ingest_traces(args.cand1)
-    cand2 = ingest_traces(args.cand2)
+    from moesig._pool import parallel_map
+    from moesig.detector import detect_pair
+    from moesig.routing_trace import ingest_traces
+    from moesig.signatures import parse_layer_policy, signature_bundle
+
+    # read on the pool in this order, so the earliest file that fails gives the diagnostic
+    teacher, cand1, cand2 = parallel_map(ingest_traces, [args.teacher, args.cand1, args.cand2])
     policy = parse_layer_policy(args.layer)
     t_sig = signature_bundle(teacher, policy)
     verdict = detect_pair(
@@ -149,6 +136,9 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_train_proxy(args) -> int:
+    from moesig.routing_trace import write_traces
+    from moesig.shadow_moe import ShadowMoeConfig, build_oracle, export_traces, read_queries, train_proxy
+
     config = ShadowMoeConfig.from_dict(read_json(args.config))
     oracle_dir = Path(args.oracle).parent
     oracle = build_oracle(read_json(args.oracle), oracle_dir, config)
@@ -175,6 +165,8 @@ def _cmd_train_proxy(args) -> int:
 
 
 def _cmd_make_queries(args) -> int:
+    from moesig.shadow_moe import make_queries
+
     queries = make_queries(read_json(args.config), args.out)
     domains = len(queries.domain_labels())
     log.info("generated %d queries in %d domains -> %s", len(queries), domains, args.out)
@@ -182,6 +174,8 @@ def _cmd_make_queries(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from moesig.synthgen import ScenarioConfig, generate_scenario, write_scenario
+
     config = ScenarioConfig.from_dict(read_json(args.config))
     scenario = generate_scenario(config)
     manifest = write_scenario(scenario, args.out_dir)
@@ -195,6 +189,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from moesig.signatures import parse_layer_policy
+    from moesig.synthgen import expand_grid, sweep
+
     doc = read_json(args.grid)
     configs = expand_grid(doc)
     rows = sweep(configs, mode=args.mode, layer_policy=parse_layer_policy(args.layer))
@@ -205,6 +202,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from moesig.detector import run_benchmark
+    from moesig.pipeline import emit_report, read_benchmark
+    from moesig.signatures import parse_layer_policy
+
     teacher, pairs, meta = read_benchmark(args.benchmark)
     report = run_benchmark(teacher, pairs, layer_policy=parse_layer_policy(args.layer), mode=args.mode)
     emit_report(report, args.out, fmt=args.format, meta=meta)
@@ -213,6 +214,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from moesig.pipeline import run_pipeline
+
     out = Path(args.out_dir)
     report = run_pipeline(read_json(args.config), out)
     log.info("pipeline benchmark accuracy %.3f -> %s", report.accuracy, out / "report.csv")

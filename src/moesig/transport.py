@@ -224,17 +224,24 @@ def _all_permutations(size: int) -> np.ndarray:
 
 
 def _permutation_chunks(size: int, chunk: int) -> Iterator[np.ndarray]:
-    if size <= AUTO_EXACT_MAX_EXPERTS:
-        full = _all_permutations(size)
-        for start in range(0, len(full), chunk):
-            yield full[start : start + chunk]
-        return
-    it = itertools.permutations(range(size))
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
+    """All permutations of 0..size-1 in lexicographic order, in chunks of at most ``chunk`` rows.
+
+    Up to AUTO_EXACT_MAX_EXPERTS (8) the chunks are views of the cached
+    table. Above it, each prefix of size - 8 leading values, in
+    lexicographic order, is followed by the cached table of 8 mapped onto
+    the values the prefix leaves unused, taken in increasing order, which
+    keeps the order lexicographic. No chunk spans two prefixes.
+    """
+    tail = _all_permutations(min(size, AUTO_EXACT_MAX_EXPERTS))
+    values = np.arange(size)
+    for prefix in itertools.permutations(range(size), size - tail.shape[1]):
+        block = tail
+        if prefix:
+            block = np.empty((len(tail), size), dtype=np.intp)
+            block[:, : len(prefix)] = prefix
+            block[:, len(prefix) :] = np.delete(values, prefix)[tail]
+        for start in range(0, len(block), chunk):
+            yield block[start : start + chunk]
 
 
 def _spec_objectives(perms: np.ndarray, teacher: np.ndarray, student: np.ndarray) -> np.ndarray:

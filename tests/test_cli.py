@@ -8,12 +8,13 @@ import warnings
 
 import pytest
 
-from moesig import _pool, cli
-from moesig.cli import dispatch, emit_report
+from moesig import _pool, signatures
+from moesig.cli import dispatch
 from moesig.detector import BenchmarkReport, BenchmarkRow
+from moesig.pipeline import emit_report
 from moesig.routing_trace import build_trace_set, write_traces
 from moesig.shadow_moe import ShadowMoeConfig, ShadowMoeModel
-from moesig.synthgen import ScenarioConfig, generate_scenario
+from moesig.synthgen import ScenarioConfig, generate_scenario, write_scenario
 
 from helpers import drop_domains
 
@@ -239,7 +240,7 @@ class TestMalformedInput:
             raise MemoryError
 
         simple_trace_file(tmp_path / "t.jsonl")
-        monkeypatch.setattr(cli, "signature_bundle", no_memory)
+        monkeypatch.setattr(signatures, "signature_bundle", no_memory)
         assert dispatch(["profile", "--input", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "s")]) == 1
         assert error_lines(caplog) == ["profile ran out of memory"]
         assert "Traceback" not in capsys.readouterr().err
@@ -757,6 +758,59 @@ class TestReport:
         assert rows[0][0] == "domain"
         assert rows[1][0] == "all"
         assert rows[1][rows[0].index("verdict")] == "kd"
+
+
+class TestPooledReads:
+    """``detect`` and ``report`` read their trace files on the pool; outputs and errors do not depend on the CPUs."""
+
+    @staticmethod
+    def run_at(monkeypatch, cpus, argv):
+        monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+        return dispatch(argv)
+
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        # seven trace files: one teacher, a (kd, scratch) pair per domain for three domains
+        bench = tmp_path / "bench"
+        pairs = {}
+        for seed in range(3):
+            scenario = generate_scenario(ScenarioConfig(
+                num_experts=6, num_layers=2, top_k=2, num_domains=3, n_per_domain=30,
+                relatedness=0.8, seed=seed,
+            ))
+            if seed == 0:
+                write_scenario(scenario, bench)
+            pairs[f"d{seed}"] = {"kd": f"kd{seed}.jsonl", "scratch": f"scratch{seed}.jsonl"}
+            write_traces(scenario.distilled, bench / pairs[f"d{seed}"]["kd"])
+            write_traces(scenario.scratch, bench / pairs[f"d{seed}"]["scratch"])
+        write_json(bench / "manifest.json", {"teacher": "teacher.jsonl", "pairs": pairs})
+        outputs = {}
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            detect = ["detect", "--teacher", str(bench / "teacher.jsonl"), "--cand1",
+                      str(bench / "cand1.jsonl"), "--cand2", str(bench / "cand2.jsonl")]
+            assert self.run_at(monkeypatch, cpus, detect + ["--out", str(out / "v.json")]) == 0
+            for fmt in ("csv", "json"):
+                report = ["report", "--benchmark", str(bench), "--format", fmt]
+                assert self.run_at(monkeypatch, cpus, report + ["--out", str(out / f"r.{fmt}")]) == 0
+            outputs[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(outputs[1]) == ["r.csv", "r.json", "v.json"]
+        assert outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_earliest_malformed_file_names_the_error(self, tmp_path, monkeypatch, caplog, cpus):
+        for name in ("t.jsonl", "c1.jsonl", "c2.jsonl"):
+            simple_trace_file(tmp_path / name)
+        with (tmp_path / "t.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write("{bad\n")  # line 4
+        lines = (tmp_path / "c2.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace('"layer":0', '"layer":7')
+        (tmp_path / "c2.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert self.run_at(monkeypatch, cpus, DETECT) == 1
+        (message,) = error_lines(caplog)
+        assert message.startswith("line 4: malformed record")
+        assert not (tmp_path / "v.json").exists()
 
 
 class TestEmitReport:

@@ -192,6 +192,28 @@ def test_permutation_table_is_itertools_order(size):
     assert np.array_equal(got, want)
 
 
+def test_permutation_chunks_at_nine_are_itertools_order():
+    want = itertools.permutations(range(9))
+    for chunk in _permutation_chunks(9, 5000):
+        assert chunk.dtype == np.intp and 0 < len(chunk) <= 5000
+        assert np.array_equal(chunk, list(itertools.islice(want, len(chunk))))
+    assert next(want, None) is None
+
+
+def test_permutation_chunks_at_ten_are_itertools_order():
+    # one chunk of 8! rows per two-value prefix; compare the first three and the last
+    prefixes = list(itertools.permutations(range(10), 2))
+    count = 0
+    for index, chunk in enumerate(_permutation_chunks(10, 40320)):
+        count += 1
+        if index in (0, 1, 2, len(prefixes) - 1):
+            prefix = prefixes[index]
+            rest = [v for v in range(10) if v not in prefix]
+            want = np.array([prefix + tail for tail in itertools.permutations(rest)], dtype=np.intp)
+            assert chunk.dtype == np.intp and np.array_equal(chunk, want)
+    assert count == len(prefixes)
+
+
 class TestSpecDistance:
     def test_self_distance_zero(self):
         rng = np.random.default_rng(3)
