@@ -36,7 +36,7 @@ from moesig._meta import (
     write_csv,
     write_json,
 )
-from moesig._pool import parallel_map, parallel_map_runs
+from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import BenchmarkReport, run_benchmark
 from moesig.errors import MoesigError
@@ -306,7 +306,7 @@ def read_benchmark(
     """Read a benchmark directory laid out as :func:`run_pipeline` writes it.
 
     Returns the teacher traces, the (kd, scratch) traces per domain and the
-    manifest's provenance block. The trace files are read on the process pool. A manifest without a string ``teacher``, a
+    manifest's provenance block. A manifest without a string ``teacher``, a
     ``pairs`` object whose entries name string ``kd`` and ``scratch`` files,
     or with a ``meta`` that is not an object raises MoesigError.
     """
@@ -325,7 +325,9 @@ def read_benchmark(
             raise MoesigError(f"{path}: pair {domain!r} needs string 'kd' and 'scratch' files")
     if not isinstance(meta, dict):
         raise MoesigError(f"{path}: manifest meta must be a JSON object")
-    files = [teacher, *(entry[kind] for entry in pairs.values() for kind in KINDS)]
-    # read on the pool in this order, so the earliest file that fails gives the diagnostic
-    teacher_traces, *kinds = parallel_map(ingest_traces, [bench / f for f in files])
-    return teacher_traces, dict(zip(pairs, zip(kinds[0::2], kinds[1::2]))), meta
+    teacher_traces = ingest_traces(bench / teacher)
+    pair_traces = {
+        domain: (ingest_traces(bench / entry["kd"]), ingest_traces(bench / entry["scratch"]))
+        for domain, entry in pairs.items()
+    }
+    return teacher_traces, pair_traces, meta

@@ -761,7 +761,7 @@ class TestReport:
 
 
 class TestPooledReads:
-    """``detect`` and ``report`` read their trace files on the pool; outputs and errors do not depend on the CPUs."""
+    """``detect`` reads its trace files on the pool; its outputs and errors, and ``report``'s, do not depend on the CPUs."""
 
     @staticmethod
     def run_at(monkeypatch, cpus, argv):
