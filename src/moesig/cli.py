@@ -23,7 +23,11 @@ log = logging.getLogger("moesig")
 
 
 def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()[:16]
 
 
 def _cmd_ingest(args) -> int:

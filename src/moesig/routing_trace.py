@@ -15,10 +15,14 @@ layer the file did not record) plus one flat int16 array of the selected
 experts, sorted within each query. A file in the exact layout
 :func:`write_traces` produces (compact records with keys in that order,
 strings without escapes, integers of at most nine digits, ``\n`` line ends)
-is parsed in blocks by one regular expression. Every other file, and any
-such file that fails a check, is decoded line by line on the path that owns
-every file diagnostic. Both readers and :func:`build_trace_set` turn records
-into row columns and run one shared set of column checks.
+is parsed in 256 KB blocks of bytes by array operations: the quotes of every
+line sit at fixed offsets from five literal pieces, the integers are parsed in
+one pass per block, and only the first line of each run of lines with equal
+query id and label is sliced and decoded. Rows come out as int32 columns and
+int16 experts. Every other file, and any such file that fails a check, is
+decoded line by line on the path that owns every file diagnostic. Both readers
+and :func:`build_trace_set` turn records into row columns and run one shared
+set of column checks.
 
 Records carrying a ``gate_probs`` field are accepted; the field is ignored
 because all downstream signatures are built from binary activations only.
@@ -29,9 +33,8 @@ routed experts appear.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -43,15 +46,14 @@ from moesig.errors import TraceError
 SCHEMA_VERSION = 1
 MAX_EXPERTS = np.iinfo(np.int16).max  # experts are stored as int16
 
-# One record line as write_traces lays it out. Strings with escapes or control
-# characters, -0, leading zeros, longer integers and [] do not match.
-_STR, _INT = r'([^"\\\x00-\x1f]*+)', r"(?:0|[1-9][0-9]{0,8}+)"
-_CANONICAL_RECORD = re.compile(
-    rf'^\{{"query_id":"{_STR}","domain":"{_STR}","layer":({_INT}),'
-    rf'"selected":\[({_INT}(?:,{_INT})*+)\]\}}\n',
-    re.MULTILINE,
-)
-_BLOCK_BYTES = 1 << 20
+# A record line as write_traces lays it out is these five pieces around the query id, the
+# label, the layer and the selected experts; a piece starts at the line start, at the 4th,
+# 8th and (one byte before) the 11th of the line's twelve quotes, and two bytes before its end
+_PIECES = (b'{"query_id":"', b'","domain":"', b'","layer":', b',"selected":[', b"]}\n")
+_PIECE_BYTES = np.array([list(piece.ljust(16, b"\0")) for piece in _PIECES], np.uint8)
+_PIECE_MASK = np.array([[0xFF] * len(piece) + [0] * (16 - len(piece)) for piece in _PIECES], np.uint8)
+_COLUMN = np.arange(16)
+_BLOCK_BYTES = 1 << 18
 _CHUNK_ROWS = 1 << 14  # record rows the column checks sort, and the validating reader converts, at once
 _WRITE_QUERIES = 1 << 9  # queries per block of lines write_traces joins
 
@@ -275,23 +277,90 @@ def _file_records(lines: Iterator[tuple[int, str]], domain_index: dict[str, int]
         yield qid, dom, layer, selected, lineno
 
 
-def _canonical_block(text: str, query_index: dict, domain_index: dict, declared) -> tuple | None:
-    """Row columns of a block of record lines; None if a line is not canonical or a label
-    is undeclared. Query ids and new labels are numbered as in ``_file_records``."""
-    rows = _CANONICAL_RECORD.findall(text)
-    if len(rows) != text.count("\n"):
+def _gather(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The bytes of ``buf[start[i]:stop[i]]`` for every i, back to back; the ranges ascend
+    and do not overlap."""
+    cuts = np.stack([start, stop], axis=1).ravel()
+    inside = np.zeros(len(cuts) + 1, bool)
+    inside[1::2] = True
+    return buf[np.repeat(inside, np.diff(cuts, prepend=0, append=len(buf)))]
+
+
+def _integers(text: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Values and comma offsets of comma-terminated integers of 1-9 digits without leading
+    zeros in the bytes ``text``; None if ``text`` is anything else."""
+    comma = text == ord(",")
+    if not (comma | (text - ord("0") < 10)).all():
         return None
-    qids, labels, layers, selected = zip(*rows)
+    ends = np.flatnonzero(comma)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    width = ends - starts
+    if ((width < 1) | (width > 9) | ((text[starts] == ord("0")) & (width > 1))).any():
+        return None
+    return np.fromstring(text.tobytes(), np.int32, sep=","), ends
+
+
+def _run_starts(window: np.ndarray, key: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Whether each line's key bytes, ``width`` of them from ``key``, differ from the previous
+    line's (the first line's always do); ``window`` is the block's bytes as rows of 16 from
+    every offset."""
+    new = np.ones(len(key), bool)
+    live = np.flatnonzero(width[1:] == width[:-1]) + 1
+    new[live] = False
+    for offset in range(0, int(width.max()), 16):
+        differ = ((window[key[live] + offset] != window[key[live - 1] + offset])
+                  & (_COLUMN < (width[live] - offset)[:, None])).any(axis=1)
+        new[live[differ]] = True
+        live = live[~differ & (width[live] > offset + 16)]
+    return new
+
+
+def _canonical_block(block: bytes, query_index: dict, domain_index: dict, declared) -> tuple | None:
+    """Row columns of a block of record lines, as int32 query, domain, layer and count and
+    int16 experts clipped as ``_narrow`` clips them; None if a line is not canonical or a
+    label is undeclared. Query ids and new labels are numbered as in ``_file_records``."""
+    if not block.endswith(b"\n") or b"\\" in block:
+        return None
+    padded = np.frombuffer(block + bytes(16), np.uint8)
+    buf, window = padded[:len(block)], np.lib.stride_tricks.sliding_window_view(padded, 16)
+    newline, quote = np.flatnonzero(buf == ord("\n")), np.flatnonzero(buf == ord('"'))
+    n = len(newline)
+    if len(quote) != 12 * n or np.count_nonzero(buf < 0x20) != n:
+        return None
+    start = np.concatenate(([0], newline[:-1] + 1))
+    q = quote.reshape(n, 12)
+    if (q[1:, 0] < start[1:]).any() or (q[:, 11] > newline).any():
+        return None  # a line without twelve quotes
+    pieces = window[np.stack([start, q[:, 3], q[:, 7], q[:, 10] - 1, newline - 2], axis=1)]
+    if ((pieces & _PIECE_MASK) != _PIECE_BYTES).any():
+        return None
+    # a layer runs from two bytes after the 10th quote through the comma before the 11th, and
+    # the experts from twelve bytes after the 11th quote through the "]"
+    layers = _integers(_gather(buf, q[:, 9] + 2, q[:, 10]))
+    text = _gather(buf, q[:, 10] + 12, newline - 1)
+    ends = np.cumsum(newline - q[:, 10] - 13) - 1
+    text[ends] = ord(",")  # each line's "]"
+    selected = _integers(text)
+    if layers is None or len(layers[1]) != n or selected is None:
+        return None
+    # the key of a line runs from its query id to the end of its label
+    first = np.flatnonzero(_run_starts(window, start + 13, q[:, 7] - start - 13))
+    try:
+        qids = [block[a:b].decode() for a, b in zip((start[first] + 13).tolist(), q[first, 3].tolist())]
+        labels = [block[a:b].decode() for a, b in zip((q[first, 6] + 1).tolist(), q[first, 7].tolist())]
+    except UnicodeDecodeError:
+        return None
     new_labels = [label for label in dict.fromkeys(labels) if label not in domain_index]
     if new_labels and declared is not None:
         return None
     domain_index.update({label: len(domain_index) + i for i, label in enumerate(new_labels, 1)})
+    runs = np.diff(first, append=n)
     return (
-        _number(qids, query_index),
-        np.fromiter(map(domain_index.__getitem__, labels), np.int64, len(rows)),
-        np.fromstring(",".join(layers), np.int64, sep=","),
-        np.fromiter(map(str.count, selected, repeat(",")), np.int64, len(rows)) + 1,
-        np.fromstring(",".join(selected), np.int32, sep=","),
+        np.repeat(_number(qids, query_index).astype(np.int32), runs),
+        np.repeat(np.fromiter(map(domain_index.__getitem__, labels), np.int32, len(labels)), runs),
+        layers[0],
+        np.diff(np.searchsorted(selected[1], ends), prepend=-1).astype(np.int32),
+        np.minimum(selected[0], MAX_EXPERTS).astype(np.int16),
     )
 
 
@@ -313,17 +382,18 @@ def _read_canonical(path: Path) -> tuple | None:
             while chunk := fh.read(_BLOCK_BYTES):
                 lines, newline, tail = (tail + chunk).rpartition(b"\n")
                 if newline:
-                    text = lines.decode("utf-8") + "\n"
-                    blocks.append(_canonical_block(text, query_index, domain_index, declared))
+                    blocks.append(_canonical_block(lines + newline, query_index, domain_index, declared))
                     if blocks[-1] is None:
                         return None
         if tail or not blocks:
             return None
         rows = tuple(map(np.concatenate, zip(*blocks)))
-        columns = _columns(rows, len(query_index), tuple(header["experts_per_layer"]))
+        blocks.clear()  # the column checks need room of their own
+        domain, *columns = _columns(rows, len(query_index), tuple(header["experts_per_layer"]))
     except (UnicodeDecodeError, TraceError, _RowFault):
         return None
-    return header, domain_index, query_index, columns
+    # the validating reader's domain type
+    return header, domain_index, query_index, (domain.astype(np.int64), *columns)
 
 
 def _batch_rows(records: list, query_index: dict[str, int], num_layers: int) -> tuple:

@@ -278,7 +278,8 @@ def _backward(
         de_out.sum(axis=1, out=g_d)
         dmid = np.einsum("meij,mbei->mbej", v, de_out)
         da = dmid * (1.0 - cache.mid**2)
-        np.einsum("mbei,mbj->meij", da, cache.h_in, out=g_u)
+        for m in range(models):  # one 2-D einsum per model runs faster than the stacked one
+            np.einsum("bei,bj->eij", da[m], cache.h_in[m], out=g_u[m])
         da.sum(axis=1, out=g_c)
         dh_experts = np.einsum("meij,mbei->mbj", u, da)
 

@@ -9,11 +9,37 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from moesig.routing_trace import SCHEMA_VERSION, RoutingTraceSet
+
+
+# One record line as write_traces lays it out. Strings with escapes or control
+# characters, -0, leading zeros, longer integers and [] do not match.
+_STR, _INT = r'([^"\\\x00-\x1f]*+)', r"(?:0|[1-9][0-9]{0,8}+)"
+CANONICAL_RECORD = re.compile(
+    rf'^\{{"query_id":"{_STR}","domain":"{_STR}","layer":({_INT}),'
+    rf'"selected":\[({_INT}(?:,{_INT})*+)\]\}}\n',
+    re.MULTILINE,
+)
+
+
+def canonical_captures(block: bytes) -> list[tuple[str, str, int, list[int]]] | None:
+    """(query_id, label, layer, selected) of every line of a block of record lines, or None
+    if the block is not UTF-8 or a line does not match CANONICAL_RECORD."""
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    *lines, rest = text.split("\n")  # str.splitlines would also split at U+2028
+    matches = [CANONICAL_RECORD.fullmatch(line + "\n") for line in lines]
+    if rest or not all(matches):
+        return None
+    return [(qid, label, int(layer), [int(v) for v in selected.split(",")])
+            for qid, label, layer, selected in (m.groups() for m in matches)]
 
 
 def naive_write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moesig import routing_trace
@@ -18,7 +18,7 @@ from moesig.routing_trace import (
 )
 from moesig.signatures import compute_specialization
 
-from _oracles import naive_write_traces
+from _oracles import canonical_captures, naive_write_traces
 from helpers import domain_counts, random_trace_set
 
 HEADER = {
@@ -429,6 +429,81 @@ def test_canonical_edit_gives_same_outcome_on_both_paths(tmp_path, edit, canonic
     assert (routing_trace._read_canonical(path) is not None) == canonical
 
 
+ORACLE_IDS = ("q0", "q1", "", "0", "naïve", "日本", "sep\u2028", "del\x7f")
+ORACLE_LABELS = ("d1", "é", "")
+# bytes a mutation inserts or writes over one byte; b"\xff" is never UTF-8
+MUTATION_BYTES = [c.encode() for c in '"\\,[]{}:-0123456789 \r\t\x00\x7fé\u2028'] + [b"\xff"]
+# odd text for one string field, and for the layer or the selected list
+STRING_FUZZ = st.text('"\\,[]{}:-09 \r\t\x00\x7fé\u2028q', max_size=6)
+NUMBER_FUZZ = st.lists(st.sampled_from(["", "0", "7", "999999999", "00", "01", "-0", "-3", "1000000000"]),
+                       min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def mutated_canonical_block(draw):
+    """Canonical record lines, maybe one field of one line as odd text, then up to three
+    byte insertions, deletions or replacements at evenly drawn offsets."""
+    values = st.one_of(st.integers(0, 40), st.integers(100_000_000, 999_999_999)).map(str)
+    records = [[draw(st.sampled_from(ORACLE_IDS)), draw(st.sampled_from(ORACLE_LABELS)), draw(values),
+                ",".join(draw(st.lists(values, min_size=1, max_size=4)))]
+               for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        record, field = draw(st.sampled_from(records)), draw(st.integers(0, 3))
+        record[field] = draw(STRING_FUZZ if field < 2 else NUMBER_FUZZ)
+    block = bytearray("".join(
+        f'{{"query_id":"{qid}","domain":"{label}","layer":{layer},"selected":[{selected}]}}\n'
+        for qid, label, layer, selected in records).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(range(len(block) + 1)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        block[at:at + (kind != "insert")] = b"" if kind == "delete" else draw(st.sampled_from(MUTATION_BYTES))
+    return bytes(block)
+
+
+ORACLE_LINE = '{"query_id":"q0","domain":"d1","layer":3,"selected":[5,9]}\n'
+
+
+@settings(max_examples=400, deadline=None)
+@given(block=mutated_canonical_block(), declared=st.sampled_from([None, ["d1", "é"]]))
+@example(block=ORACLE_LINE.encode() * 2, declared=None)
+@example(block=ORACLE_LINE.replace("q0", "q\t0").encode(), declared=None)
+@example(block=ORACLE_LINE.replace(":3,", ":3,4,").encode(), declared=None)
+@example(block=ORACLE_LINE.replace("[5,", "[05,").encode(), declared=None)
+@example(block=ORACLE_LINE.replace("[5,", "[1234567890,").encode(), declared=None)
+def test_canonical_block_accepts_exactly_the_oracle_language(block, declared):
+    query_index, domain_index = {}, {label: i for i, label in enumerate(declared or [], 1)}
+    got_queries, got_domains = {}, dict(domain_index)
+    rows = routing_trace._canonical_block(block, got_queries, got_domains, declared)
+    captures = canonical_captures(block)
+    if captures is not None and declared is not None and any(c[1] not in declared for c in captures):
+        captures = None  # an undeclared label
+    assert (rows is None) == (captures is None)
+    if rows is None:
+        return
+    qids, labels, layers, selected = zip(*captures)
+    want = ([query_index.setdefault(qid, len(query_index)) for qid in qids],
+            [domain_index.setdefault(label, len(domain_index) + 1) for label in labels],
+            list(layers), [len(s) for s in selected],
+            [min(v, routing_trace.MAX_EXPERTS) for s in selected for v in s])
+    assert [r.dtype for r in rows] == [np.int32] * 4 + [np.int16]
+    assert [r.tolist() for r in rows] == list(want)
+    assert (got_queries, got_domains) == (query_index, domain_index)
+
+
+@pytest.mark.parametrize("block_bytes", [7, 64, 333])
+def test_block_cuts_inside_records_keep_the_canonical_path(tmp_path, monkeypatch, block_bytes):
+    # multi-byte ids and labels put some cuts inside a character; one record is longer than a block
+    ids = ["naïve", "日本語", "q" * 400, *map(str, range(9))]
+    records = [(qid, 1 + q % 2, layer, (q % 5, 5 + layer)) for q, qid in enumerate(ids) for layer in range(2)]
+    built = build_trace_set("m", 2, (8, 8), ("数学", "plain"), records)
+    path = tmp_path / "t.jsonl"
+    write_traces(built, path)
+    monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", block_bytes)
+    assert routing_trace._read_canonical(path) is not None
+    fast, validating = read_both_ways(path)
+    assert fast == validating and fast[0] == built
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_write_traces_matches_per_record_oracle(seed, tmp_path_factory):
@@ -487,6 +562,31 @@ def test_validating_reader_memory_is_bounded(tmp_path, monkeypatch):
     ]
     path = tmp_path / "t.jsonl"
     write_lines(path, header, records)
+    tracemalloc.start()
+    try:
+        ts = ingest_traces(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.num_queries == 2500 and all(len(e) == 2500 * 16 for e in ts.experts)
+    assert peak < 6.5e6
+
+
+def test_canonical_reader_memory_is_bounded(tmp_path, monkeypatch):
+    # 20000 canonical records of 16 experts; each 256 KB block is parsed as bytes into
+    # int32 rows and int16 experts, and the blocks are freed before the column checks:
+    # the tracemalloc peak is about 4.4 MB, against 9.3 MB with a regular expression's
+    # string captures, 1 MB blocks and int64 rows
+    monkeypatch.setattr(routing_trace, "_CHUNK_ROWS", 1024)
+    header = {**HEADER, "num_layers": 8, "experts_per_layer": [64] * 8}
+    records = [
+        {"query_id": f"q{q}", "domain": "math", "layer": layer, "selected": list(range(layer, layer + 16))}
+        for q in range(2500) for layer in range(8)
+    ]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join([json.dumps(header)] + [json.dumps(r, separators=(",", ":")) for r in records])
+                    + "\n", encoding="utf-8")
+    assert routing_trace._read_canonical(path) is not None
     tracemalloc.start()
     try:
         ts = ingest_traces(path)
