@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 J = TypeVar("J")
@@ -37,9 +37,9 @@ def parallel_map(fn: Callable[[J], R], jobs: Sequence[J]) -> list[R]:
     """``[fn(job) for job in jobs]``, run on up to one worker process per usable CPU.
 
     With a single worker the jobs run serially in this process. Otherwise the
-    first failure cancels the jobs not yet started; once the running ones have
-    finished, the exception of the earliest submitted failed job is re-raised,
-    so the error does not depend on the CPU count or on timing.
+    exception of the earliest submitted failed job is re-raised once every
+    earlier job has finished, and the jobs not yet started are cancelled, so
+    the error does not depend on the CPU count or on timing.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
@@ -47,14 +47,7 @@ def parallel_map(fn: Callable[[J], R], jobs: Sequence[J]) -> list[R]:
         return [fn(job) for job in jobs]
     context = multiprocessing.get_context(START_METHOD)
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        futures = [pool.submit(fn, job) for job in jobs]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        # after a failure: drop the jobs not yet started and wait for the running ones
-        pool.shutdown(cancel_futures=True)
-        for future in futures:
-            if not future.cancelled() and future.exception() is not None:
-                raise future.exception()
-        return [future.result() for future in futures]
+        return list(pool.map(fn, jobs))
 
 
 def split_runs(items: Sequence[J], parts: int) -> list[list[J]]:

@@ -12,17 +12,17 @@ one per (query, layer):
 In memory a trace set is columnar: query ids in first-occurrence order, one
 domain index per query and, per layer, each query's selection count (0 for a
 layer the file did not record) plus one flat int16 array of the selected
-experts, sorted within each query. A file in the exact layout
-:func:`write_traces` produces (compact records with keys in that order,
-strings without escapes, integers of at most nine digits, ``\n`` line ends)
-is parsed in 256 KB blocks of bytes by array operations: the quotes of every
-line sit at fixed offsets from five literal pieces, the integers are parsed in
-one pass per block, and only the first line of each run of lines with equal
-query id and label is sliced and decoded. Rows come out as int32 columns and
-int16 experts. Every other file, and any such file that fails a check, is
-decoded line by line on the path that owns every file diagnostic. Both readers
-and :func:`build_trace_set` turn records into row columns and run one shared
-set of column checks.
+experts, sorted within each query. One reader parses each file once. Lines in
+the exact layout :func:`write_traces` produces (compact records with keys in
+that order, strings without escapes, integers of at most nine digits, ``\n``
+line ends) are parsed in 256 KB blocks of bytes by array operations: the
+quotes of every line sit at fixed offsets from five literal pieces, the
+integers are parsed in one pass per block, and only the first line of each
+run of lines with equal query id and label is sliced and decoded. From the
+first block that is not in that layout to the end of the file, lines are
+decoded one by one as text, with the line numbers that name every file
+diagnostic. The rows of both parts, and those of :func:`build_trace_set`,
+run one shared set of column checks.
 
 Records carrying a ``gate_probs`` field are accepted; the field is ignored
 because all downstream signatures are built from binary activations only.
@@ -32,6 +32,7 @@ routed experts appear.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -54,7 +55,7 @@ _PIECE_BYTES = np.array([list(piece.ljust(16, b"\0")) for piece in _PIECES], np.
 _PIECE_MASK = np.array([[0xFF] * len(piece) + [0] * (16 - len(piece)) for piece in _PIECES], np.uint8)
 _COLUMN = np.arange(16)
 _BLOCK_BYTES = 1 << 18
-_CHUNK_ROWS = 1 << 14  # record rows the column checks sort, and the validating reader converts, at once
+_CHUNK_ROWS = 1 << 14  # record rows the column checks sort, and the text path converts, at once
 _WRITE_QUERIES = 1 << 9  # queries per block of lines write_traces joins
 
 
@@ -215,8 +216,9 @@ def _fault(check: str, qid: str, layer: int, selected: Sequence[int], experts_pe
     return f"expert index {bad} out of range at layer {layer} (valid 0..{experts_per_layer[layer] - 1})"
 
 
-def _parse_header(line: str, lineno: int) -> dict:
-    """Decode and fully validate the header line before any record is read."""
+def _parse_header(line: str, lineno: int) -> tuple[dict, dict[str, int]]:
+    """Decode and fully validate the header line before any record is read; return it and
+    its declared domain labels, numbered from 1."""
     where = f"line {lineno}: "
     try:
         header = json.loads(line)
@@ -244,7 +246,7 @@ def _parse_header(line: str, lineno: int) -> dict:
     if not isinstance(header.get("meta", {}), dict):
         raise TraceError(f"{where}header meta must be a JSON object")
     _check_shape(num_layers, experts, domains or [], f"{where}header ")
-    return header
+    return header, {label: i for i, label in enumerate(domains or [], 1)}
 
 
 def _file_records(lines: Iterator[tuple[int, str]], domain_index: dict[str, int],
@@ -364,90 +366,87 @@ def _canonical_block(block: bytes, query_index: dict, domain_index: dict, declar
     )
 
 
-def _read_canonical(path: Path) -> tuple | None:
-    """Header, domain and query indices and columns of a canonical-layout file, or None for a
-    bad header, a carriage return, no record, a non-canonical line, a missing final newline
-    or a record that fails a column check."""
-    blocks, query_index = [], {}
-    try:
-        with path.open("rb") as fh:
-            first = fh.readline()
+def _batch_rows(records: list, query_index: dict[str, int], num_layers: int, linenos: list) -> tuple:
+    """Row columns of decoded (query_id, domain, layer, selected, lineno) records, in the
+    narrowest types that keep every check's outcome (experts as int16); their line numbers
+    go to ``linenos``."""
+    qids, doms, layers, selected, numbers = zip(*records) if records else ((),) * 5
+    linenos.append(np.array(numbers, np.int64))
+    return (_number(qids, query_index).astype(np.int32), np.array(doms, np.int32),
+            _narrow(list(layers), np.int32, num_layers),
+            np.fromiter(map(len, selected), np.int32, len(records)),
+            _narrow(list(chain.from_iterable(selected)), np.int16, MAX_EXPERTS))
+
+
+def _read(path: Path) -> tuple:
+    """Header, domain and query indices and columns of a trace file, each line parsed once;
+    the first fault in line order raises TraceError.
+
+    After a first line that is not blank, is UTF-8 and holds no carriage return, the header
+    is parsed and 256 KB blocks of whole lines go to ``_canonical_block`` until it refuses
+    one. The rest of the file, from the start of that block or of an unterminated last line
+    (from byte 0 after any other first line), is decoded as text line by line."""
+    blocks, linenos, batch, query_index, header, fault = [], [], [], {}, None, None
+    with path.open("rb") as fh:
+        first, start = fh.readline(), 0
+        try:
             line = first.decode("utf-8").strip()
-            if not line or b"\r" in first:
-                return None
-            header = _parse_header(line, 1)
-            declared = header.get("domains")
-            domain_index = {label: i + 1 for i, label in enumerate(declared or [])}
-            tail = b""
+        except UnicodeDecodeError:
+            line = ""
+        if line and b"\r" not in first:
+            header, domain_index = _parse_header(line, 1)
+            start, tail = len(first), b""
             while chunk := fh.read(_BLOCK_BYTES):
                 lines, newline, tail = (tail + chunk).rpartition(b"\n")
                 if newline:
-                    blocks.append(_canonical_block(lines + newline, query_index, domain_index, declared))
-                    if blocks[-1] is None:
-                        return None
-        if tail or not blocks:
-            return None
-        rows = tuple(map(np.concatenate, zip(*blocks)))
-        blocks.clear()  # the column checks need room of their own
-        domain, *columns = _columns(rows, len(query_index), tuple(header["experts_per_layer"]))
-    except (UnicodeDecodeError, TraceError, _RowFault):
-        return None
-    # the validating reader's domain type
-    return header, domain_index, query_index, (domain.astype(np.int64), *columns)
-
-
-def _batch_rows(records: list, query_index: dict[str, int], num_layers: int) -> tuple:
-    """Row columns and line numbers of decoded (query_id, domain, layer, selected, lineno) records,
-    in the narrowest types that keep every check's outcome (experts as int16)."""
-    qids, doms, layers, selected, linenos = zip(*records) if records else ((),) * 5
-    return (_number(qids, query_index).astype(np.int32), np.array(doms, np.int64),
-            _narrow(list(layers), np.int32, num_layers),
-            np.fromiter(map(len, selected), np.int32, len(records)),
-            _narrow(list(chain.from_iterable(selected)), np.int16, MAX_EXPERTS), np.array(linenos, np.int64))
-
-
-def _read_validating(path: Path) -> tuple:
-    """As ``_read_canonical`` for any trace file; the first fault in line order raises TraceError."""
-    blocks, batch, query_index, fault = [], [], {}, None
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            lines = ((n, raw.strip()) for n, raw in enumerate(fh, start=1))
-            lines = ((n, line) for n, line in lines if line)
-            first = next(lines, None)
-            if first is None:
-                raise TraceError(f"trace file {path} is empty (missing header line)")
-            header = _parse_header(first[1], first[0])
-            declared = header.get("domains")
-            domain_index = {label: i + 1 for i, label in enumerate(declared or [])}
+                    rows = _canonical_block(lines + newline, query_index, domain_index,
+                                            header.get("domains"))
+                    if rows is None:
+                        break
+                    blocks.append(rows)
+                    start += len(lines) + 1
+        fh.seek(start)
+        # canonical rows hold no line number: row r is line r + 2
+        prefix = sum(len(rows[0]) for rows in blocks)
+        lines = enumerate(io.TextIOWrapper(fh, encoding="utf-8"), start=prefix + 2 if header else 1)
+        lines = ((n, line) for n, line in ((n, raw.strip()) for n, raw in lines) if line)
+        try:
+            if header is None:
+                top = next(lines, None)
+                if top is None:
+                    raise TraceError(f"trace file {path} is empty (missing header line)")
+                header, domain_index = _parse_header(top[1], top[0])
             try:
-                for record in _file_records(lines, domain_index, declared is not None):
+                for record in _file_records(lines, domain_index, header.get("domains") is not None):
                     batch.append(record)
                     if len(batch) == _CHUNK_ROWS:
-                        blocks.append(_batch_rows(batch, query_index, header["num_layers"]))
+                        blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
                         batch.clear()
             except TraceError as exc:
                 fault = exc
-    except UnicodeDecodeError as exc:
-        fault = TraceError(f"trace file {path} is not UTF-8 text: {exc}")
-        if not blocks and not batch:
-            raise fault from None
+        except UnicodeDecodeError as exc:
+            fault = TraceError(f"trace file {path} is not UTF-8 text: {exc}")
+            if header is None:
+                raise fault from None
     # records before a decode fault come first in line order, so their faults win
-    blocks.append(_batch_rows(batch, query_index, header["num_layers"]))
+    blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
     batch.clear()
-    *rows, linenos = map(np.concatenate, zip(*blocks))
+    rows = tuple(map(np.concatenate, zip(*blocks)))
     blocks.clear()  # the column checks need room of their own
     experts = tuple(header["experts_per_layer"])
     try:
-        columns = _columns(rows, len(query_index), experts)
+        domain, *columns = _columns(rows, len(query_index), experts)
     except _RowFault as exc:
         row, check = exc.args
-        with path.open(encoding="utf-8") as fh:  # the record's own values, as the file holds them
-            rec = json.loads(next(islice(fh, linenos[row] - 1, None)))
+        lineno = row + 2 if row < prefix else int(np.concatenate(linenos)[row - prefix])
+        # the record's own values, as the file holds them; a later bad byte must not stop the read
+        with path.open(encoding="utf-8", errors="replace") as fh:
+            rec = json.loads(next(islice(fh, lineno - 1, None)))
         message = _fault(check, rec["query_id"], rec["layer"], rec["selected"], experts)
-        raise TraceError(f"line {linenos[row]}: {message}") from None
+        raise TraceError(f"line {lineno}: {message}") from None
     if fault is not None:
         raise fault
-    return header, domain_index, query_index, columns
+    return header, domain_index, query_index, (domain.astype(np.int64), *columns)
 
 
 def ingest_traces(path: str | Path) -> RoutingTraceSet:
@@ -460,7 +459,7 @@ def ingest_traces(path: str | Path) -> RoutingTraceSet:
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
-    header, domains, query_ids, columns = _read_canonical(path) or _read_validating(path)
+    header, domains, query_ids, columns = _read(path)
     return RoutingTraceSet(header["model_id"], tuple(header["experts_per_layer"]), tuple(domains),
                            tuple(query_ids), *columns, meta=dict(header.get("meta", {})))
 

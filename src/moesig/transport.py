@@ -525,7 +525,11 @@ def _check_profiles(teacher: SpecializationProfile, student: SpecializationProfi
             f"domain sets differ: {teacher.domain_labels} vs {student.domain_labels}"
         )
     for prof, name in ((teacher, "teacher"), (student, "student")):
-        sums = prof.matrix.sum(axis=0)
+        # a NaN column sum would pass the comparison below
+        if not np.all(np.isfinite(prof.matrix) & (prof.matrix >= 0.0)):
+            raise TransportError(f"{name} profile has a negative or non-finite entry")
+        with np.errstate(over="ignore"):  # huge entries sum to inf, which fails the check
+            sums = prof.matrix.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
             raise TransportError(f"{name} profile columns are not normalized: sums {sums}")
     if teacher.domain_labels == student.domain_labels:

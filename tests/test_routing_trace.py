@@ -134,6 +134,16 @@ def test_non_utf8_file(tmp_path):
         ingest_traces(path)
 
 
+def test_non_utf8_header(tmp_path):
+    # a first line that is not UTF-8 is decoded as text from byte 0
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b"\xff" + json.dumps(HEADER).encode() + b"\n")
+    with pytest.raises(TraceError) as exc:
+        ingest_traces(path)
+    assert str(exc.value) == (f"trace file {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                              "in position 0: invalid start byte")
+
+
 def test_duplicate_expert_in_selected(tmp_path):
     path = tmp_path / "t.jsonl"
     write_lines(path, HEADER, [{"query_id": "a", "domain": "math", "layer": 0, "selected": [1, 1]}])
@@ -352,15 +362,46 @@ def odd_trace_set(rng: np.random.Generator):
 def read_both_ways(path):
     """ingest_traces with and without the canonical path: each a trace set or a TraceError message."""
     outcomes = []
-    for canonical in (routing_trace._read_canonical, lambda _path: None):
+    for canonical in (routing_trace._canonical_block, lambda *_args: None):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(routing_trace, "_read_canonical", canonical)
+            patch.setattr(routing_trace, "_canonical_block", canonical)
             try:
                 ts = ingest_traces(path)
                 outcomes.append((ts, ts.meta))
             except TraceError as exc:
                 outcomes.append(str(exc))
     return outcomes
+
+
+def spy_on_reader(patch):
+    """Log every block ``_canonical_block`` takes, with the rows it returns, and every record
+    ``_file_records`` decodes."""
+    blocks, records = [], []
+    canonical_block, file_records = routing_trace._canonical_block, routing_trace._file_records
+
+    def block_spy(block, *args):
+        blocks.append((block, canonical_block(block, *args)))
+        return blocks[-1][1]
+
+    def records_spy(*args):
+        for record in file_records(*args):
+            records.append(record)
+            yield record
+
+    patch.setattr(routing_trace, "_canonical_block", block_spy)
+    patch.setattr(routing_trace, "_file_records", records_spy)
+    return blocks, records
+
+
+def read_canonically(path) -> bool:
+    """Whether the file reads without error and ``_canonical_block`` parses every record of it."""
+    with pytest.MonkeyPatch.context() as patch:
+        blocks, _ = spy_on_reader(patch)
+        try:
+            ts = ingest_traces(path)
+        except TraceError:
+            return False
+    return sum(len(rows[0]) for _, rows in blocks if rows is not None) == sum(map(np.count_nonzero, ts.counts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,7 +422,7 @@ def test_canonical_path_matches_validating_path(seed, shuffle, declared, tmp_pat
     assert fast == validating
     # a canonical record holds a backslash only where JSON escaped a character
     escaped = any("\\" in line for line in records)
-    assert (routing_trace._read_canonical(path) is None) == escaped
+    assert (not read_canonically(path)) == escaped
 
 
 TWO_QUERIES = build_trace_set(
@@ -426,7 +467,7 @@ def test_canonical_edit_gives_same_outcome_on_both_paths(tmp_path, edit, canonic
     path.write_bytes(edited.encode("utf-8"))
     fast, validating = read_both_ways(path)
     assert fast == validating
-    assert (routing_trace._read_canonical(path) is not None) == canonical
+    assert read_canonically(path) == canonical
 
 
 ORACLE_IDS = ("q0", "q1", "", "0", "naïve", "日本", "sep\u2028", "del\x7f")
@@ -499,9 +540,84 @@ def test_block_cuts_inside_records_keep_the_canonical_path(tmp_path, monkeypatch
     path = tmp_path / "t.jsonl"
     write_traces(built, path)
     monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", block_bytes)
-    assert routing_trace._read_canonical(path) is not None
+    assert read_canonically(path)
     fast, validating = read_both_ways(path)
     assert fast == validating and fast[0] == built
+
+
+# 400 records of about 60 bytes, read in 1 KB blocks in the tests below
+MANY_QUERIES = build_trace_set("m", 2, (8, 8), ("math", "code"), [
+    (f"q{q}", 1 + q % 2, layer, (q % 8, (q + 3 + layer) % 8)) for q in range(200) for layer in range(2)])
+
+
+def test_row_fault_after_canonical_records_decodes_nothing_as_text(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    write_traces(MANY_QUERIES, path)
+    with path.open("ab") as fh:  # the first record again
+        fh.write(path.read_bytes().split(b"\n")[1] + b"\n")
+    monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", 1024)
+    _, records = spy_on_reader(monkeypatch)
+    with pytest.raises(TraceError) as exc:
+        ingest_traces(path)
+    assert str(exc.value) == "line 402: duplicate (query_id='q0', layer=0) record"
+    assert records == []
+
+
+@pytest.mark.parametrize("at", [-1, 200])
+def test_text_decoding_starts_at_the_refused_block(tmp_path, monkeypatch, at):
+    # record ``at`` carries a gate_probs field, which the canonical layout does not hold
+    path = tmp_path / "t.jsonl"
+    write_traces(MANY_QUERIES, path)
+    header, *records = path.read_bytes().split(b"\n")[:-1]
+    records[at] = records[at][:-1] + b',"gate_probs":[0.6,0.4]}'
+    path.write_bytes(b"\n".join([header, *records, b""]))
+    monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", 1024)
+    fast, text_only = read_both_ways(path)
+    blocks, decoded = spy_on_reader(monkeypatch)
+    ts = ingest_traces(path)
+    assert ts == fast[0] == text_only[0] == MANY_QUERIES and ts.domain.dtype == MANY_QUERIES.domain.dtype
+    # no block after the refused one is parsed as bytes, and no record before it is decoded as text
+    assert [rows is None for _, rows in blocks] == [False] * (len(blocks) - 1) + [True]
+    assert len(decoded) == len(records) - sum(len(rows[0]) for _, rows in blocks[:-1])
+    assert len(decoded) < 20 if at == -1 else len(decoded) > 190
+
+
+def test_row_fault_before_a_later_bad_byte_is_reported(tmp_path, monkeypatch):
+    # the repeated pair (line 102) is read as canonical bytes, the bad byte (line 122) as text;
+    # both lie in the first 8 KB, so re-reading line 102 must not stop at the bad byte
+    path = tmp_path / "t.jsonl"
+    write_traces(MANY_QUERIES, path)
+    header, *records = path.read_bytes().split(b"\n")[:-1]
+    records[100] = records[0]
+    records[120] = records[120].replace(b"[", b"[\xff", 1)
+    body = b"\n".join([header, *records, b""])
+    assert body.rindex(records[0]) + 1024 < body.index(b"\xff") < 8192  # in a later block
+    path.write_bytes(body)
+    monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", 1024)
+    with pytest.raises(TraceError) as exc:
+        ingest_traces(path)
+    assert str(exc.value) == "line 102: duplicate (query_id='q0', layer=0) record"
+
+
+@pytest.mark.parametrize("fault", [None, "crlf", "cr"])
+def test_text_after_canonical_records_numbers_lines_as_text_mode_does(tmp_path, monkeypatch, fault):
+    # the last four records end in \r\n, \r, \r\n and \r; a fault repeats the first record's pair
+    path = tmp_path / "t.jsonl"
+    write_traces(MANY_QUERIES, path)
+    header, *records = path.read_bytes().split(b"\n")[:-1]
+    if fault:
+        records[-4 if fault == "crlf" else -3] = records[0]
+    ends = [b"\n"] * (len(records) - 4) + [b"\r\n", b"\r", b"\r\n", b"\r"]
+    path.write_bytes(header + b"\n" + b"".join(record + end for record, end in zip(records, ends)))
+    monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", 1024)
+    fast, text_only = read_both_ways(path)
+    assert fast == text_only
+    if fault:
+        line = 398 if fault == "crlf" else 399
+        assert fast == f"line {line}: duplicate (query_id='q0', layer=0) record"
+    else:
+        _, decoded = spy_on_reader(monkeypatch)
+        assert ingest_traces(path) == MANY_QUERIES and len(decoded) < 20
 
 
 @settings(max_examples=40, deadline=None)
@@ -586,7 +702,7 @@ def test_canonical_reader_memory_is_bounded(tmp_path, monkeypatch):
     path = tmp_path / "t.jsonl"
     path.write_text("\n".join([json.dumps(header)] + [json.dumps(r, separators=(",", ":")) for r in records])
                     + "\n", encoding="utf-8")
-    assert routing_trace._read_canonical(path) is not None
+    assert read_canonically(path)
     tracemalloc.start()
     try:
         ts = ingest_traces(path)
@@ -628,8 +744,8 @@ def test_entry_points_give_equal_columns(case, tmp_path_factory):
     canonical.write_text("\n".join(lines) + "\n", encoding="utf-8")
     # a space after a comma is valid JSON but not the canonical layout
     spaced.write_text("\n".join(lines).replace(',"domain"', ', "domain"') + "\n", encoding="utf-8")
-    assert routing_trace._read_canonical(canonical) is not None
-    assert routing_trace._read_canonical(spaced) is None
+    assert read_canonically(canonical)
+    assert not read_canonically(spaced)
     assert ingest_traces(canonical) == built
     assert ingest_traces(spaced) == built
     recorded = {(t.query_id, layer): s for t in built.traces for layer, s in enumerate(t.selections) if s}

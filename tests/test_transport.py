@@ -406,6 +406,37 @@ class TestSpecDistance:
         again = spec_distance(relabeled, student, mode="exact").value
         assert abs(base - again) <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("side", ["teacher", "student"])
+    @pytest.mark.parametrize("edit", ["nan", "inf", "negative"])
+    def test_bad_profile_entry_rejected(self, edit, side, mode):
+        # NaN once passed the column-sum check; the sum of the negative edit stays 1
+        rng = np.random.default_rng(19)
+        profiles = {"teacher": random_profile(rng, 5, 2), "student": random_profile(rng, 5, 2)}
+        matrix = profiles[side].matrix
+        if edit == "negative":
+            matrix[1, 1] += matrix[0, 1] + 0.5
+            matrix[0, 1] = -0.5
+        else:
+            matrix[0, 1] = np.nan if edit == "nan" else np.inf
+        bundles = {name: SignatureBundle(prof, random_collab(rng, 5)) for name, prof in profiles.items()}
+        message = f"{side} profile has a negative or non-finite entry"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TransportError, match=message):
+                spec_distance(profiles["teacher"], profiles["student"], mode=mode)
+            with pytest.raises(TransportError, match=message):
+                signature_distance(bundles["teacher"], bundles["student"], mode=mode)
+
+    def test_overflowing_column_sum_rejected_without_warning(self):
+        rng = np.random.default_rng(20)
+        teacher, student = random_profile(rng, 4, 2), random_profile(rng, 4, 2)
+        teacher.matrix[:, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TransportError, match=r"teacher profile columns are not normalized: sums \[inf"):
+                spec_distance(teacher, student)
+
 
 class TestCollabDistance:
     def test_self_distance_zero(self):
