@@ -378,6 +378,18 @@ def _batch_rows(records: list, query_index: dict[str, int], num_layers: int, lin
             _narrow(list(chain.from_iterable(selected)), np.int16, MAX_EXPERTS))
 
 
+def _text_line(raw: str) -> str:
+    """``raw`` stripped. A line that held bytes that are not UTF-8, decoded as surrogate escapes,
+    raises the UnicodeDecodeError of a strict decode of its bytes, so that fault takes its
+    place in line order."""
+    if not raw.isascii():
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:
+            raw.encode("utf-8", "surrogateescape").decode("utf-8")
+    return raw.strip()
+
+
 def _read(path: Path) -> tuple:
     """Header, domain and query indices and columns of a trace file, each line parsed once;
     the first fault in line order raises TraceError.
@@ -385,7 +397,8 @@ def _read(path: Path) -> tuple:
     After a first line that is not blank, is UTF-8 and holds no carriage return, the header
     is parsed and 256 KB blocks of whole lines go to ``_canonical_block`` until it refuses
     one. The rest of the file, from the start of that block or of an unterminated last line
-    (from byte 0 after any other first line), is decoded as text line by line."""
+    (from byte 0 after any other first line), is decoded as text line by line; a line that is
+    not UTF-8 faults in its place in line order."""
     blocks, linenos, batch, query_index, header, fault = [], [], [], {}, None, None
     with path.open("rb") as fh:
         first, start = fh.readline(), 0
@@ -408,8 +421,9 @@ def _read(path: Path) -> tuple:
         fh.seek(start)
         # canonical rows hold no line number: row r is line r + 2
         prefix = sum(len(rows[0]) for rows in blocks)
-        lines = enumerate(io.TextIOWrapper(fh, encoding="utf-8"), start=prefix + 2 if header else 1)
-        lines = ((n, line) for n, line in ((n, raw.strip()) for n, raw in lines) if line)
+        text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+        lines = enumerate(map(_text_line, text), start=prefix + 2 if header else 1)
+        lines = ((n, line) for n, line in lines if line)
         try:
             if header is None:
                 top = next(lines, None)

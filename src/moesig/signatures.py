@@ -192,8 +192,13 @@ def resolve_layer(policy: LayerPolicy, num_layers: int) -> int:
 
 
 def parse_layer_policy(raw: str) -> LayerPolicy:
-    """Read a layer policy from text: an integer index or a policy name."""
-    return int(raw) if raw.lstrip("+-").isdigit() else raw
+    """Read a layer policy from text: an integer index of at most 18 ASCII digits, or a policy name.
+
+    Longer digit runs stay names (so ``unknown layer policy``): int() refuses
+    more than 4300 digits, and no model has 10**18 layers.
+    """
+    digits = raw[1:] if raw[:1] in ("+", "-") else raw
+    return int(raw) if len(digits) <= 18 and digits.isascii() and digits.isdigit() else raw
 
 
 def signature_bundle(traces: RoutingTraceSet, layer_policy: LayerPolicy = "last") -> SignatureBundle:
@@ -227,8 +232,9 @@ def load_bundle(path: str | Path) -> SignatureBundle:
     Invalid JSON, a missing field, matrices whose shapes disagree, a layer
     that is not an integer >= 0, domains that are not a nonempty list of
     distinct strings, counts that are not integers >= 0, a negative or
-    non-finite matrix, kappa or pair-normalizer entry, or a ``zero_mass``
-    that is not a boolean raise SignatureError.
+    non-finite matrix, kappa or pair-normalizer entry, a ``zero_mass``
+    that is not a boolean, or a ``zero_mass`` collaboration matrix with a
+    nonzero entry raise SignatureError.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -267,6 +273,8 @@ def load_bundle(path: str | Path) -> SignatureBundle:
                          ("collaboration matrix", collab.matrix)):
         if not np.all(np.isfinite(values) & (values >= 0)):
             raise SignatureError(f"{path}: {name} has a negative or non-finite entry")
+    if collab.zero_mass and np.any(collab.matrix):
+        raise SignatureError(f"{path}: a zero_mass collaboration matrix must be all zero")
     if collab.num_experts != spec.num_experts:
         raise SignatureError(
             f"{path}: collaboration matrix has {collab.num_experts} experts, "

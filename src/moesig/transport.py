@@ -9,16 +9,15 @@ minimizing over expert relabelings. Two matching modes are provided:
   permutations, which are then re-scored by the positional objective
   itself, so the result is the full scan's bit for bit; degenerate ties
   fall back to that scan. The collaboration distance scans every
-  permutation, with a lean kernel when both matrices are positive off the
-  diagonal. That kernel keeps the permutations on the last axis and adds
-  E contiguous slabs where the general kernel reduces an E-long axis, in
-  the order numpy's float sum takes on such an axis, so the two agree bit
-  for bit.
+  permutation through one kernel, which keeps the permutations on the last
+  axis and sums E contiguous slabs in the order numpy's float sum takes on
+  an E-long axis.
 * ``hungarian-heuristic``: solve a linear assignment on a surrogate
   per-expert cost matrix, then evaluate the true objective at the matched
   permutation. The surrogate is needed because the true objective couples
   experts through the positional CDF and is not itself a linear assignment
-  problem; the result is an upper bound on the exact minimum.
+  problem; the result is an upper bound on the exact minimum. The
+  collaboration objective at that permutation comes from the same kernel.
 
 ``auto`` mode picks exact mode up to 8 experts (40320 permutations) and
 the heuristic above that.
@@ -35,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -244,114 +243,47 @@ def _permutation_chunks(size: int, chunk: int) -> Iterator[np.ndarray]:
             yield block[start : start + chunk]
 
 
-def _spec_objectives(perms: np.ndarray, teacher: np.ndarray, student: np.ndarray) -> np.ndarray:
-    """Mean-over-domain unit-grid W1 for each row-gather permutation in ``perms``."""
-    diff = teacher[perms] - student[None, :, :]  # (C, E, D)
-    cdf = np.cumsum(diff, axis=1)[:, :-1, :]
-    return np.abs(cdf).sum(axis=1).mean(axis=1)
+def _spec_objectives(teacher: np.ndarray, student: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The spec objective of a profile pair: mean-over-domain unit-grid W1 per row-gather permutation."""
 
+    def objectives(perms: np.ndarray) -> np.ndarray:
+        diff = teacher[perms] - student[None, :, :]  # (C, E, D)
+        cdf = np.cumsum(diff, axis=1)[:, :-1, :]
+        return np.abs(cdf).sum(axis=1).mean(axis=1)
 
-def _collab_objectives(perms: np.ndarray, teacher: np.ndarray, student: np.ndarray) -> np.ndarray:
-    """Row-aligned sparse W1 objective for each conjugating permutation in ``perms``.
-
-    For every row the two matrices are restricted to the union of their
-    nonzero columns, renormalized (uniform fallback for an all-zero row),
-    and compared by W1 on the reindexed positions 0..m-1 in ascending
-    column order. Rows with empty union support contribute zero.
-    """
-    num = perms.shape[0]
-    e = teacher.shape[0]
-    bp = teacher[perms[:, :, None], perms[:, None, :]]  # (C, E, E)
-    mask = (bp > 0) | (student[None, :, :] > 0)
-    diag = np.arange(e)
-    mask[:, diag, diag] = False
-
-    t = np.where(mask, bp, 0.0)
-    s = np.where(mask, np.broadcast_to(student, (num, e, e)), 0.0)
-    cnt = mask.sum(axis=2)
-    safe_cnt = np.maximum(cnt, 1)[..., None]
-    uniform = mask / safe_cnt
-
-    def _normalize(vec: np.ndarray) -> np.ndarray:
-        mass = vec.sum(axis=2, keepdims=True)
-        low = mass < MASS_GUARD
-        return np.where(low, uniform, vec / np.where(low, 1.0, mass))
-
-    diff = _normalize(t) - _normalize(s)
-    cdf = np.cumsum(diff, axis=2)
-    abs_cdf = np.abs(cdf)
-    totals = (abs_cdf * mask).sum(axis=2)
-    # Drop the final support position: W1 integrates over the m-1 unit gaps
-    # between the m reindexed positions, not past the last one.
-    last = e - 1 - np.argmax(mask[:, :, ::-1], axis=2)
-    at_last = np.take_along_axis(abs_cdf, last[..., None], axis=2)[..., 0]
-    row_w1 = totals - at_last * (cnt > 0)
-    return row_w1.sum(axis=1) / e
+    return objectives
 
 
 def _ordered_sum(slabs) -> np.ndarray:
-    """``slabs`` added up in the order of numpy's float sum over a short contiguous axis.
+    """``slabs`` added up in the order of numpy's pairwise float sum over a contiguous axis.
 
-    Below 8 terms that is left to right. From 8 to 15 terms numpy's
-    pairwise sum keeps eight partial sums, so the first eight are added as
-    ``((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))`` and the rest left
-    to right. Longer axes take further blocks of eight, which no exact scan
-    (at most EXACT_ENUM_CAP experts) reaches.
+    Below 8 terms that is left to right. Up to 128, eight strided partial
+    sums ``r[k] = a[k] + a[k + 8] + ...`` over the largest multiple of 8
+    terms, then ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then
+    the rest left to right. Above 128, each half that way, split at
+    ``n // 2`` rounded down to a multiple of 8.
     """
-    assert len(slabs) < 16
-    if len(slabs) < 8:
+    n = len(slabs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _ordered_sum(slabs[:half]) + _ordered_sum(slabs[half:])
+    if n < 8:
         total = slabs[0].copy()
         rest = slabs[1:]
     else:
-        total = slabs[0] + slabs[1]
-        total += slabs[2] + slabs[3]
-        half = slabs[4] + slabs[5]
-        half += slabs[6] + slabs[7]
+        full = n - n % 8
+        r = list(slabs[:8])
+        for start in range(8, full, 8):
+            r = [a + b for a, b in zip(r, slabs[start : start + 8])]
+        total = r[0] + r[1]
+        total += r[2] + r[3]
+        half = r[4] + r[5]
+        half += r[6] + r[7]
         total += half
-        rest = slabs[8:]
+        rest = slabs[full:]
     for slab in rest:
         total += slab
     return total
-
-
-def _dense_collab_objectives(perms: np.ndarray, teacher: np.ndarray, student: np.ndarray) -> np.ndarray:
-    """:func:`_collab_objectives` for matrices that pass :func:`_dense_off_diagonal`.
-
-    Every row's union support is then all of its off-diagonal columns,
-    whatever the permutation, so the mask, the uniform fallback and the
-    search for the last support column drop out. What remains runs the same
-    divisions, cumsum, abs and E-wide row sums, so every value equals the
-    general kernel's bit for bit.
-
-    The permutations sit on the last axis: ``w[i, j, c]`` is entry (i, j)
-    of the teacher conjugated by ``perms[c]``, so every reduction over i or
-    j adds E slabs of C contiguous values instead of reducing E values at a
-    time. :func:`_ordered_sum` adds the slabs in numpy's own order for an
-    E-long axis and the cumsum runs left to right as numpy's does, so the
-    rounding is that of the general kernel's ``sum(axis=2)``,
-    ``cumsum(axis=2)`` and ``sum(axis=1)``.
-    """
-    e = teacher.shape[0]
-    diag = np.arange(e)
-    t = teacher.copy()
-    t[diag, diag] = 0.0  # conjugating keeps a zero diagonal at the diagonal
-    s = student.copy()
-    s[diag, diag] = 0.0
-    pt = np.ascontiguousarray(perms.T)  # else the broadcast index is not C-ordered and take slows
-    w = t.ravel().take(pt[:, None, :] * e + pt[None, :, :])  # (E, E, C) conjugated teachers
-    # the teacher row sums are taken per permutation: a reordered sum can round differently
-    w /= _ordered_sum(w.swapaxes(0, 1))[:, None, :]
-    w -= (s / s.sum(axis=1, keepdims=True))[:, :, None]
-    for j in range(1, e):
-        w[:, j] += w[:, j - 1]
-    np.abs(w, out=w)
-    last = np.full(e, e - 1)  # the last support column: E-1, or E-2 in the last row
-    last[-1] = e - 2
-    at_last = w[diag, last]
-    w[diag, diag] = 0.0
-    rows = _ordered_sum(w.swapaxes(0, 1))
-    rows -= at_last
-    return _ordered_sum(rows) / e
 
 
 def _dense_off_diagonal(matrix: np.ndarray) -> bool:
@@ -368,24 +300,89 @@ def _dense_off_diagonal(matrix: np.ndarray) -> bool:
     return bool(np.all(off > 0) and np.all(off.max(axis=1) >= MASS_GUARD))
 
 
+def _collab_objectives(teacher: np.ndarray, student: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The collab objective of a matrix pair: row-aligned sparse W1 per conjugating permutation.
+
+    Each row of both matrices is restricted to the union of their nonzero
+    off-diagonal columns, renormalized (uniform when its mass is below
+    MASS_GUARD) and compared by W1 on the reindexed positions 0..m-1; the
+    objective is the mean over rows, an empty support contributing zero.
+
+    The permutations sit on the last axis: ``w[i, j, c]`` is entry (i, j)
+    of the teacher conjugated by ``perms[c]``, so a reduction over i or j
+    adds E slabs of C contiguous values, by :func:`_ordered_sum` in the
+    order numpy's sum takes on an E-long axis. When both matrices pass
+    :func:`_dense_off_diagonal`, decided once per pair, every support is
+    all off-diagonal columns whatever the permutation, and the mask, the
+    uniform fallback and the search for the last support column drop out.
+    The masked path gives the same bits on a dense pair but is slower: the
+    sweep-e8 benchmark (dense pairs at E = 8) took a median 1.00 s per
+    operation with it against 0.67 s with the dense path (10 alternating
+    runs each, 2-core VM).
+    """
+    e = teacher.shape[0]
+    diag = np.arange(e)
+    t = teacher.copy()
+    t[diag, diag] = 0.0  # conjugating keeps a zero diagonal at the diagonal
+    s = student.copy()
+    s[diag, diag] = 0.0
+    # the union support holds every nonzero student entry, so the student's
+    # masked row sums do not depend on the permutation
+    s_mass = s.sum(axis=1, keepdims=True)[:, :, None]
+    s_low = s_mass < MASS_GUARD
+    s_norm = s[:, :, None] / np.where(s_low, 1.0, s_mass)
+    dense = _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
+
+    def objectives(perms: np.ndarray) -> np.ndarray:
+        pt = np.ascontiguousarray(perms.T)  # else the broadcast index is not C-ordered and take slows
+        w = t.ravel().take(pt[:, None, :] * e + pt[None, :, :])  # (E, E, C) conjugated teachers
+        # the teacher row sums are taken per permutation: a reordered sum can round differently
+        mass = _ordered_sum(w.swapaxes(0, 1))[:, None, :]
+        if dense:
+            w /= mass
+            w -= s_norm
+        else:
+            mask = (w > 0) | (s > 0)[:, :, None]
+            uniform = mask / np.maximum(mask.sum(axis=1), 1)[:, None, :]
+            low = mass < MASS_GUARD
+            w = np.where(low, uniform, w / np.where(low, 1.0, mass))
+            w -= np.where(s_low, uniform, s_norm)
+        for j in range(1, e):
+            w[:, j] += w[:, j - 1]
+        np.abs(w, out=w)
+        # W1 integrates over the m-1 unit gaps between the m support positions, not past
+        # the last one; in a dense row that is column E-1, or E-2 in the last row
+        if dense:
+            at_last = w[diag, e - 1 - (diag == e - 1)]
+            w[diag, diag] = 0.0
+        else:
+            at_last = np.take_along_axis(w, e - 1 - np.argmax(mask[:, ::-1], axis=1)[:, None], axis=1)[:, 0]
+            w *= mask
+        rows = _ordered_sum(w.swapaxes(0, 1))
+        rows -= at_last
+        return _ordered_sum(rows) / e
+
+    return objectives
+
+
 # element budget (permutations x teacher size) of one chunk of the exact scan:
 # 32768 float64 values, 256 KB per chunk array, 512 relabelings at E = 8.
-# Chunks this small reuse the pages the previous chunk freed. The 16 dense
-# collab scans of the sweep-e8 grid, each run in a fresh process on a 2-core
-# VM, took about 100 minor page faults and 0.44-0.59 s at 512 relabelings per
-# chunk; 162k-173k faults and 0.55-0.88 s at 4096-7812, where every chunk's
-# temporaries fault in fresh pages; and 27k-34k faults, 0.50-0.60 s and a
-# 76 MB peak RSS (44 MB at 512) at the former 31250.
+# Chunks this small reuse the pages the previous chunk freed; a pair that is
+# not dense off the diagonal adds a mask and a uniform array of the same size.
+# The 16 collab scans of the sweep-e8 grid (dense pairs), each run in a fresh
+# process on a 2-core VM, took about 100 minor page faults and 0.44-0.59 s at
+# 512 relabelings per chunk; 162k-173k faults and 0.55-0.88 s at 4096-7812;
+# and 27k-34k faults and a 76 MB peak RSS (44 MB at 512) at the former 31250.
 _SCAN_BUDGET = 32_768
 
 
-def _scan(objectives, teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permutation]:
+def _scan(objectives, teacher: np.ndarray) -> tuple[float, Permutation]:
     """Exact minimum of ``objectives`` over every permutation in lexicographic order; first wins ties."""
     chunk = max(1, _SCAN_BUDGET // max(1, teacher.size))
     best_value = np.inf
     best_perm: np.ndarray | None = None
     for perms in _permutation_chunks(teacher.shape[0], chunk):
-        values = objectives(perms, teacher, student)
+        values = objectives(perms)
         idx = int(np.argmin(values))
         if values[idx] < best_value:
             best_value = float(values[idx])
@@ -466,10 +463,11 @@ def _spec_candidates(teacher: np.ndarray, student: np.ndarray) -> np.ndarray | N
 
 def _exact_spec(teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permutation]:
     """The scan's result without the scan: re-score the DP's candidates, first minimum wins."""
+    objectives = _spec_objectives(teacher, student)
     perms = _spec_candidates(teacher, student)
     if perms is None:
-        return _scan(_spec_objectives, teacher, student)
-    values = _spec_objectives(perms, teacher, student)
+        return _scan(objectives, teacher)
+    values = objectives(perms)
     idx = int(np.argmin(values))
     return float(values[idx]), Permutation(perms[idx])
 
@@ -545,24 +543,24 @@ def _match(kind: str, teacher: np.ndarray, student: np.ndarray, mode: str) -> Tr
     student slot j (for ``collab``, column pi[j] at column j as well).
     Exact mode returns the minimum over every pi, the lexicographically
     first minimum winning ties: by the subset DP of :func:`_spec_candidates`
-    for ``spec``, and by scanning every pi for ``collab``, with
-    :func:`_dense_collab_objectives` when both matrices pass
-    :func:`_dense_off_diagonal`. Heuristic mode solves the assignment of
-    :func:`heuristic_cost_matrix`, which pairs teacher expert i with
-    student expert sigma(i), so pi is the inverse of sigma; the objective
-    at that pi is an upper bound on the exact minimum.
+    for ``spec``, and by scanning every pi for ``collab``. Heuristic mode
+    solves the assignment of :func:`heuristic_cost_matrix`, which pairs
+    teacher expert i with student expert sigma(i), so pi is the inverse of
+    sigma; the objective at that pi is an upper bound on the exact minimum.
+    Both modes evaluate ``collab`` through the one per-pair kernel of
+    :func:`_collab_objectives`: the scan in chunks of permutations, the
+    heuristic at its single permutation.
     """
     method = _resolve_mode(mode, teacher.shape[0])
-    objectives = _spec_objectives if kind == "spec" else _collab_objectives
     if method == METHOD_EXACT and kind == "spec":
-        value, perm = _exact_spec(teacher, student)
-    elif method == METHOD_EXACT:
-        dense = _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
-        value, perm = _scan(_dense_collab_objectives if dense else objectives, teacher, student)
+        return TransportResult(*_exact_spec(teacher, student), method)
+    objectives = (_spec_objectives if kind == "spec" else _collab_objectives)(teacher, student)
+    if method == METHOD_EXACT:
+        value, perm = _scan(objectives, teacher)
     else:
         sigma, _ = hungarian(heuristic_cost_matrix(kind, teacher, student))
         perm = sigma.inverse()
-        value = float(objectives(np.asarray([perm.mapping], dtype=np.intp), teacher, student)[0])
+        value = float(objectives(np.asarray([perm.mapping], dtype=np.intp))[0])
     return TransportResult(value=value, permutation=perm, method=method)
 
 
@@ -592,7 +590,8 @@ def collab_distance(
 
     The teacher matrix is conjugated by the candidate permutation (rows and
     columns relabeled together) and compared row-by-row against the student
-    using the sparse union-support W1 described in :func:`_collab_objectives`.
+    using the sparse union-support W1 of :func:`_collab_objectives`, the one
+    kernel that both the exact scan and the heuristic's permutation run.
     A matrix not flagged zero-mass must have entries in [0, 1] summing to 1
     within NORMALIZATION_TOL, as the profile columns must in
     :func:`_check_profiles`.

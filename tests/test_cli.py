@@ -193,6 +193,8 @@ MALFORMED_CONFIGS = [
                   "capped at 10 experts", "pipeline-exact-above-cap"),
     pipeline_case({"layer_policy": "middle"}, "unknown layer policy 'middle'",
                   "pipeline-unknown-layer-policy"),
+    # "²".isdigit() holds, but int() refuses it
+    pipeline_case({"layer_policy": "²"}, "unknown layer policy '²'", "pipeline-superscript-layer-policy"),
 ]
 
 
@@ -266,6 +268,7 @@ class TestMalformedInput:
             ("collaboration", "matrix", -0.25, "collaboration matrix"),
             ("specialization", "matrix", float("nan"), "specialization matrix"),
             ("collaboration", "zero_mass", "false", "zero_mass"),
+            ("collaboration", "zero_mass", True, "a zero_mass collaboration matrix must be all zero"),
             (None, "layer", 1.5, "layer must be an integer"),
             (None, "layer", True, "layer must be an integer"),
             (None, "layer", -3, "layer must be an integer"),
@@ -277,9 +280,9 @@ class TestMalformedInput:
             ("collaboration", "pair_normalizer", float("nan"), "pair_normalizer must be a finite"),
             (None, drop_domains, None, "at least one expert and one domain"),
         ],
-        ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "layer-float",
-             "layer-bool", "layer-negative", "domains-string", "domains-repeated", "kappa-nan",
-             "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains"],
+        ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "zero-mass-nonzero",
+             "layer-float", "layer-bool", "layer-negative", "domains-string", "domains-repeated",
+             "kappa-nan", "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains"],
     )
     def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
         # a callable key edits the whole document
@@ -409,6 +412,16 @@ class TestMalformedInput:
         assert expected in message and "\n" not in message
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_detect_superscript_layer_index(self, tmp_path, monkeypatch, caplog, capsys):
+        # "²".isdigit() holds, but int() refuses it
+        monkeypatch.chdir(tmp_path)
+        for trace in ("t.jsonl", "c1.jsonl", "c2.jsonl"):
+            simple_trace_file(tmp_path / trace)
+        assert dispatch(DETECT + ["--layer", "²"]) == 1
+        assert error_lines(caplog) == ["unknown layer policy '²'"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()
 
     def test_malformed_json_config(self, tmp_path, caplog):
         grid = tmp_path / "grid.json"

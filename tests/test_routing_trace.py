@@ -599,6 +599,31 @@ def test_row_fault_before_a_later_bad_byte_is_reported(tmp_path, monkeypatch):
     assert str(exc.value) == "line 102: duplicate (query_id='q0', layer=0) record"
 
 
+@pytest.mark.parametrize("gap", [0, 9000])
+def test_row_fault_before_a_non_utf8_line_in_the_text_part_is_reported(tmp_path, gap):
+    # records with spaces after the commas are read as text; the first one repeats at line 12,
+    # and the bad byte follows within the same 8 KB of text or after it
+    records = [{"query_id": f"q{q}", "domain": "math", "layer": 0, "selected": [q % 4]} for q in range(10)]
+    path = tmp_path / "t.jsonl"
+    write_lines(path, HEADER, records + records[:1])
+    with path.open("ab") as fh:
+        fh.write(b"\n" * gap + b"\xff\n")
+    with pytest.raises(TraceError) as exc:
+        ingest_traces(path)
+    assert str(exc.value) == "line 12: duplicate (query_id='q0', layer=0) record"
+
+
+def test_non_utf8_line_is_reported_at_its_own_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, HEADER, [{"query_id": "a", "domain": "math", "layer": 0, "selected": [1]}])
+    with path.open("ab") as fh:
+        fh.write(b'{"query_id": "b\xff"}\n' + json.dumps({"query_id": "a"}).encode() + b"\n")
+    with pytest.raises(TraceError) as exc:
+        ingest_traces(path)
+    assert str(exc.value) == (f"trace file {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                              "in position 15: invalid start byte")
+
+
 @pytest.mark.parametrize("fault", [None, "crlf", "cr"])
 def test_text_after_canonical_records_numbers_lines_as_text_mode_does(tmp_path, monkeypatch, fault):
     # the last four records end in \r\n, \r, \r\n and \r; a fault repeats the first record's pair

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from moesig.signatures import (
     compute_specialization,
     dump_bundle_csv,
     load_bundle,
+    parse_layer_policy,
     resolve_layer,
     save_bundle,
     signature_bundle,
@@ -186,6 +188,18 @@ def test_layer_policy_resolution():
         resolve_layer("middle", 3)
 
 
+@pytest.mark.parametrize("raw, policy", [("2", 2), ("+2", 2), ("-1", -1), ("last", "last"),
+                                         ("²", "²"), ("٣", "٣"), ("+-2", "+-2"), ("", ""),
+                                         pytest.param("9" * 18, 10**18 - 1, id="18-digits"),
+                                         pytest.param("1" * 19, "1" * 19, id="19-digits"),
+                                         pytest.param("-" + "1" * 5000, "-" + "1" * 5000, id="5000-digits")])
+def test_parse_layer_policy_reads_only_ascii_digits_as_an_index(raw, policy):
+    assert parse_layer_policy(raw) == policy
+    if isinstance(policy, str) and policy != "last":
+        with pytest.raises(SignatureError, match=re.escape(f"unknown layer policy {policy!r}")):
+            resolve_layer(policy, 3)
+
+
 def test_signature_bundle_default_last_layer():
     ts = build_trace_set(
         "m",
@@ -283,6 +297,7 @@ def _set_field(section, key, value):
         (_set_entry("specialization", float("inf")), "specialization matrix has a negative or non-finite"),
         (_set_entry("specialization", -0.25), "specialization matrix has a negative or non-finite"),
         (_zero_mass_string, "zero_mass must be true or false"),
+        (_set_field("collaboration", "zero_mass", True), "a zero_mass collaboration matrix must be all zero"),
         (_set_field(None, "layer", 1.5), "layer must be an integer >= 0, got 1.5"),
         (_set_field(None, "layer", True), "layer must be an integer >= 0, got True"),
         (_set_field(None, "layer", -3), "layer must be an integer >= 0, got -3"),

@@ -26,7 +26,6 @@ from moesig.transport import (
     Permutation,
     _all_permutations,
     _collab_objectives,
-    _dense_collab_objectives,
     _dense_off_diagonal,
     _ordered_sum,
     _permutation_chunks,
@@ -326,7 +325,7 @@ class TestSpecDistance:
 
     @staticmethod
     def _assert_dp_equals_scan(teacher, student):
-        want_value, want_perm = _scan(_spec_objectives, teacher, student)
+        want_value, want_perm = _scan(_spec_objectives(teacher, student), teacher)
         got = transport._match("spec", teacher, student, "exact")
         assert got.value == want_value
         assert got.permutation == want_perm
@@ -490,41 +489,20 @@ class TestCollabDistance:
             heur = collab_distance(teacher, student, mode="heuristic").value
             assert heur >= exact - 1e-12
 
-    @pytest.mark.parametrize("rho", [0.3, 0.9])
-    def test_dense_kernel_bit_identical_on_scenarios(self, rho):
-        config = ScenarioConfig(num_experts=8, num_layers=1, top_k=2, num_domains=9,
-                                n_per_domain=200, relatedness=rho, permute_labels=True, seed=3)
-        scenario = generate_scenario(config)
-        teacher = signature_bundle(scenario.teacher).collab.matrix
-        perms = _all_permutations(8)
-        for cand in (scenario.distilled, scenario.scratch):
-            student = signature_bundle(cand).collab.matrix
-            assert _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
-            for start in range(0, len(perms), 10080):
-                chunk = perms[start : start + 10080]
-                assert np.array_equal(
-                    _dense_collab_objectives(chunk, teacher, student),
-                    _collab_objectives(chunk, teacher, student),
-                )
-
-    @pytest.mark.parametrize("sparse_row", [False, True])
-    def test_non_dense_matrix_takes_general_kernel(self, sparse_row, monkeypatch):
+    @pytest.mark.parametrize("defect", ["teacher-zero-pair", "teacher-low-row", "student-low-row"])
+    def test_non_dense_matrix_matches_naive_oracle(self, defect):
         rng = np.random.default_rng(44)
         teacher = random_collab(rng, 5, sparsity=2.0).matrix
         student = random_collab(rng, 5, sparsity=2.0).matrix
         assert _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
-        if sparse_row:  # row 2's whole off-diagonal mass below MASS_GUARD
-            teacher[2, :] *= MASS_GUARD / 10
-            teacher[:, 2] *= MASS_GUARD / 10
+        matrix = student if defect.startswith("student") else teacher
+        if defect.endswith("low-row"):  # row 2's whole off-diagonal mass below MASS_GUARD
+            matrix[2, :] *= MASS_GUARD / 10
+            matrix[:, 2] *= MASS_GUARD / 10
         else:  # one zero off-diagonal pair
-            teacher[1, 3] = teacher[3, 1] = 0.0
-        teacher /= teacher.sum()
-        assert not _dense_off_diagonal(teacher)
-
-        def dense_kernel_called(*_args):
-            raise AssertionError("dense kernel used on a non-dense matrix")
-
-        monkeypatch.setattr(transport, "_dense_collab_objectives", dense_kernel_called)
+            matrix[1, 3] = matrix[3, 1] = 0.0
+        matrix /= matrix.sum()
+        assert not _dense_off_diagonal(matrix)
         res = collab_distance(
             CollaborationMatrix(0, teacher, 2.0), CollaborationMatrix(0, student, 2.0), mode="exact"
         )
@@ -574,53 +552,76 @@ def _uniform_dense(num_experts: int) -> np.ndarray:
     return matrix / matrix.sum()
 
 
-class TestDenseKernel:
-    @pytest.mark.parametrize("n", range(1, EXACT_ENUM_CAP + 1))
+def _frozen_collab_pair(kind: str, num_experts: int) -> tuple[CollaborationMatrix, CollaborationMatrix]:
+    """A seeded matrix pair: dense off the diagonal, with one zero pair each, or with one low-mass row each."""
+    rng = np.random.default_rng(500 + num_experts)
+    teacher = random_collab(rng, num_experts, sparsity=2.0).matrix
+    student = random_collab(rng, num_experts, sparsity=2.0).matrix
+    if kind == "zero-pair":
+        teacher[0, 1] = teacher[1, 0] = 0.0
+        student[0, -1] = student[-1, 0] = 0.0
+    elif kind == "low-row":
+        for matrix, row in ((teacher, 2), (student, 0)):
+            matrix[row] *= MASS_GUARD / 10
+            matrix[:, row] *= MASS_GUARD / 10
+    return (
+        CollaborationMatrix(0, teacher / teacher.sum(), 2.0),
+        CollaborationMatrix(0, student / student.sum(), 2.0),
+    )
+
+
+FROZEN_COLLAB_CASES = (
+    [("exact", "dense", 2)]
+    + [("exact", kind, e) for e in range(3, EXACT_ENUM_CAP + 1) for kind in ("dense", "zero-pair", "low-row")]
+    + [("heuristic", kind, e) for e in (16, 64, 129, 256) for kind in ("dense", "zero-pair", "low-row")]
+)
+
+
+class TestCollabKernel:
+    @pytest.mark.parametrize("n", [*range(1, 301), 511, 512, 513, 1031])
     def test_ordered_sum_is_numpy_sum_bit_for_bit(self, n):
         rng = np.random.default_rng(100 + n)
-        shape = (4096, n)
+        shape = (4096 if n <= EXACT_ENUM_CAP else 256, n)
         data = rng.choice([-1.0, 1.0], shape) * rng.random(shape) * 10.0 ** rng.uniform(-8, 8, shape)
-        want = data.sum(axis=-1)  # a short contiguous axis
+        want = data.sum(axis=-1)  # a contiguous axis
         got = _ordered_sum([data[:, k] for k in range(n)])
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
             f"numpy {np.__version__} sums a contiguous axis of {n} values in another order "
             "than _ordered_sum"
         )
 
-    @pytest.mark.parametrize("num_experts", range(2, EXACT_ENUM_CAP + 1))
-    def test_bit_identical_to_general_kernel(self, num_experts):
-        rng = np.random.default_rng(200 + num_experts)
-        teacher = _random_dense(rng, num_experts)
-        student = _random_dense(rng, num_experts)
-        if num_experts <= 8:
-            perms = _all_permutations(num_experts)
-        else:  # the first 5000 in scan order, then random ones
-            head = next(_permutation_chunks(num_experts, 5000))
-            perms = np.vstack([head, np.argsort(rng.random((2000, num_experts)), axis=1)])
-        for start in range(0, len(perms), 5040):
-            chunk = perms[start : start + 5040]
-            want = _collab_objectives(chunk, teacher, student)
-            got = _dense_collab_objectives(chunk, teacher, student)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    @pytest.mark.parametrize(
+        ("mode", "kind", "num_experts"), FROZEN_COLLAB_CASES,
+        ids=[f"{mode}-{kind}-{e}" for mode, kind, e in FROZEN_COLLAB_CASES],
+    )
+    def test_collab_distance_frozen_bits(self, mode, kind, num_experts):
+        # recorded with the former (C, E, E) kernel, which reduced each E-long axis with numpy's sum
+        frozen = json.loads((Path(__file__).parent / "data" / "collab_frozen_bits.json").read_text())
+        res = collab_distance(*_frozen_collab_pair(kind, num_experts), mode=mode)
+        assert [res.value.hex(), list(res.permutation.mapping)] == frozen[f"{mode}-{kind}-{num_experts}"]
 
     @pytest.mark.parametrize("chunk", [1, 97, None, 5040], ids=["one", "odd", "default", "whole"])
-    @pytest.mark.parametrize("teacher_kind", ["random", "uniform"])
+    @pytest.mark.parametrize("teacher_kind", ["random", "uniform", "sparse"])
     def test_scan_result_is_independent_of_chunk_size(self, chunk, teacher_kind, monkeypatch):
         rng = np.random.default_rng(300)
         num_experts = 7
         if teacher_kind == "uniform":
             teacher = _uniform_dense(num_experts)
+        elif teacher_kind == "sparse":
+            teacher = random_collab(rng, num_experts).matrix
+            assert not _dense_off_diagonal(teacher)
         else:
             teacher = _random_dense(rng, num_experts)
         student = _random_dense(rng, num_experts)
+        objectives = _collab_objectives(teacher, student)
         perms = _all_permutations(num_experts)
-        values = _collab_objectives(perms, teacher, student)
+        values = objectives(perms)
         idx = int(np.argmin(values))
         if teacher_kind == "uniform":  # every relabeling ties, so the identity must win
             assert np.all(values == values[0]) and idx == 0
         if chunk is not None:
             monkeypatch.setattr(transport, "_SCAN_BUDGET", chunk * num_experts**2)
-        value, perm = _scan(_dense_collab_objectives, teacher, student)
+        value, perm = _scan(objectives, teacher)
         assert value == float(values[idx])
         assert perm.mapping == tuple(perms[idx])
 
