@@ -51,12 +51,29 @@ def is_finite_number(value: object) -> bool:
     return is_number(value) and abs(value) <= sys.float_info.max
 
 
+def check_unicode(text: str, doc, error: type[MoesigError], where: str) -> None:
+    """Raise ``error`` at ``where`` if a string of ``doc``, parsed from the JSON ``text``, holds
+    a lone surrogate, which UTF-8 cannot encode; only an escape such as ``\\ud800`` makes one."""
+    stack = [doc] if "\\u" in text else []
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (dict, list)):
+            stack += [*value, *value.values()] if isinstance(value, dict) else value
+        elif isinstance(value, str) and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{where}: a lone surrogate escape is not UTF-8 text") from None
+
+
 def read_json(path: str | Path):
-    """Parse a UTF-8 JSON file; malformed content raises MoesigError."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    """Parse a UTF-8 JSON file; malformed content or a lone surrogate escape raises MoesigError."""
+    try:  # ValueError: not UTF-8, not JSON, or an integer past int()'s digit limit
+        doc = json.loads(text := Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise MoesigError(f"{path}: malformed JSON: {exc}") from None
+    check_unicode(text, doc, MoesigError, str(path))
+    return doc
 
 
 def write_json(doc: dict, path: str | Path) -> None:

@@ -37,11 +37,11 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from moesig._meta import is_int
+from moesig._meta import check_unicode, is_int
 from moesig.errors import TraceError
 
 SCHEMA_VERSION = 1
@@ -57,14 +57,6 @@ _COLUMN = np.arange(16)
 _BLOCK_BYTES = 1 << 18
 _CHUNK_ROWS = 1 << 14  # record rows the column checks sort, and the text path converts, at once
 _WRITE_QUERIES = 1 << 9  # queries per block of lines write_traces joins
-
-
-class QueryTrace(NamedTuple):
-    """One query of the per-query view :attr:`RoutingTraceSet.traces`; ``()`` marks an unrecorded layer."""
-
-    query_id: str
-    domain: int
-    selections: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +93,6 @@ class RoutingTraceSet:
     @property
     def num_queries(self) -> int:
         return len(self.query_ids)
-
-    @property
-    def traces(self) -> tuple[QueryTrace, ...]:
-        """Per-query view of the columns, built on every access; the library never reads it."""
-        layers = []
-        for counts, experts in zip(self.counts, self.experts):
-            flat, ends = experts.tolist(), np.cumsum(counts).tolist()
-            layers.append([tuple(flat[a:b]) for a, b in zip([0, *ends], ends)])
-        return tuple(map(QueryTrace, self.query_ids, self.domain.tolist(), zip(*layers)))
 
 
 class _RowFault(Exception):
@@ -216,14 +199,15 @@ def _fault(check: str, qid: str, layer: int, selected: Sequence[int], experts_pe
     return f"expert index {bad} out of range at layer {layer} (valid 0..{experts_per_layer[layer] - 1})"
 
 
-def _parse_header(line: str, lineno: int) -> tuple[dict, dict[str, int]]:
+def _parse_header(line: str, lineno: int, path: Path) -> tuple[dict, dict[str, int]]:
     """Decode and fully validate the header line before any record is read; return it and
     its declared domain labels, numbered from 1."""
     where = f"line {lineno}: "
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TraceError(f"{where}header is not valid JSON: {exc}") from None
+    check_unicode(line, header, TraceError, f"trace file {path}, line {lineno}")
     if not isinstance(header, dict) or "schema_version" not in header:
         raise TraceError(f"{where}first line must be a header with a schema_version field")
     version = header["schema_version"]
@@ -250,14 +234,15 @@ def _parse_header(line: str, lineno: int) -> tuple[dict, dict[str, int]]:
 
 
 def _file_records(lines: Iterator[tuple[int, str]], domain_index: dict[str, int],
-                  declared: bool) -> Iterator[tuple[str, int, int, list[int], int]]:
+                  declared: bool, path: Path) -> Iterator[tuple[str, int, int, list[int], int]]:
     """Decode record lines, check field types and map domain labels to indices; without
     declared domains, new labels are added to ``domain_index`` in first-occurrence order."""
     for lineno, line in lines:
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise TraceError(f"line {lineno}: malformed record: {exc}") from None
+        check_unicode(line, rec, TraceError, f"trace file {path}, line {lineno}")
         if not isinstance(rec, dict):
             raise TraceError(f"line {lineno}: record must be a JSON object")
         for key in ("query_id", "domain", "layer", "selected"):
@@ -407,7 +392,7 @@ def _read(path: Path) -> tuple:
         except UnicodeDecodeError:
             line = ""
         if line and b"\r" not in first:
-            header, domain_index = _parse_header(line, 1)
+            header, domain_index = _parse_header(line, 1, path)
             start, tail = len(first), b""
             while chunk := fh.read(_BLOCK_BYTES):
                 lines, newline, tail = (tail + chunk).rpartition(b"\n")
@@ -429,9 +414,9 @@ def _read(path: Path) -> tuple:
                 top = next(lines, None)
                 if top is None:
                     raise TraceError(f"trace file {path} is empty (missing header line)")
-                header, domain_index = _parse_header(top[1], top[0])
+                header, domain_index = _parse_header(top[1], top[0], path)
             try:
-                for record in _file_records(lines, domain_index, header.get("domains") is not None):
+                for record in _file_records(lines, domain_index, header.get("domains") is not None, path):
                     batch.append(record)
                     if len(batch) == _CHUNK_ROWS:
                         blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))

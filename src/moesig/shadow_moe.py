@@ -25,8 +25,8 @@ and every tensor is a view of that vector, in the order of
 a config apart from the seed as one stack: their parameters, gradients and
 velocities are one (M, P) buffer each, whose rows are the models' vectors,
 so a step costs one set of numpy calls however many fits it carries.
-:func:`train_proxy` is its one-fit case, and a model's forward pass and
-``loss_and_grads`` run the same kernels on its vector as a stack of one.
+:func:`train_proxy` is its one-fit case; a model's forward pass, trace export
+and ``loss_and_grads`` run the same kernels on its vector as a stack of one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, config_digest, is_finite_number, is_int
+from moesig._meta import artifact_meta, check_unicode, config_digest, is_finite_number, is_int
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -161,20 +161,17 @@ def load_balance_loss(mean_gate_usage: Sequence[np.ndarray]) -> float:
 
 @dataclass
 class _LayerCache:
-    """One MoE layer's forward values; stacked caches carry a leading model axis M."""
+    """One MoE layer's forward values for a stack of M proxies on batches of B inputs."""
 
-    h_in: np.ndarray  # (B, H) layer input
-    gates: np.ndarray  # (B, E) softmax
-    topk: np.ndarray  # (B, k) selected indices, descending gate order
-    sel_weights: np.ndarray  # (B, k) renormalized
-    sel_sum: np.ndarray  # (B,)
-    w_full: np.ndarray  # (B, E) renormalized weights scattered, 0 elsewhere
-    mid: np.ndarray  # (B, E, H) expert hidden activations
-    expert_out: np.ndarray  # (B, E, H)
-    out: np.ndarray  # (B, H) gate-weighted mix of the expert outputs
-
-    def member(self, m: int) -> "_LayerCache":
-        return _LayerCache(*(getattr(self, f.name)[m] for f in fields(self)))
+    h_in: np.ndarray  # (M, B, H) layer input
+    gates: np.ndarray  # (M, B, E) softmax
+    topk: np.ndarray  # (M, B, k) selected indices, descending gate order
+    sel_weights: np.ndarray  # (M, B, k) renormalized
+    sel_sum: np.ndarray  # (M, B)
+    w_full: np.ndarray  # (M, B, E) renormalized weights scattered, 0 elsewhere
+    mid: np.ndarray  # (M, B, E, H) expert hidden activations
+    expert_out: np.ndarray  # (M, B, E, H)
+    out: np.ndarray  # (M, B, H) gate-weighted mix of the expert outputs
 
 
 def _param_shapes(config: ShadowMoeConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -354,10 +351,6 @@ class ShadowMoeModel:
             raise ShadowMoeError("non-finite activations in forward pass")
         return y, caches
 
-    def _forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, list[_LayerCache]]:
-        y, caches = self._run(x)
-        return y[0], [cache.member(0) for cache in caches]
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Batch forward without routing records; usable as a training oracle."""
         return self._run(np.atleast_2d(x))[0][0]
@@ -407,7 +400,7 @@ class ShadowMoeModel:
                 raise ShadowMoeError(f"{path}: not a shadow-moe model file")
             try:
                 manifest = json.loads(fh.readline().decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ShadowMoeError(f"{path}: malformed model manifest: {exc}") from None
             if not isinstance(manifest, dict) or manifest.get("version") != 1:
                 raise ShadowMoeError(f"{path}: unsupported model version")
@@ -509,9 +502,9 @@ def write_queries(queries: QuerySet, path: str | Path, meta: dict | None = None)
 def read_queries(path: str | Path) -> QuerySet:
     """Read a query-set file written by :func:`write_queries`.
 
-    A line that is not UTF-8 or not JSON, or a record whose fields are
-    missing, of the wrong type or not finite, raises ShadowMoeError naming
-    its line.
+    A line that is not UTF-8 or not JSON or holds a lone surrogate escape,
+    or a record whose fields are missing, of the wrong type or not finite,
+    raises ShadowMoeError naming its line.
     """
     path = Path(path)
     ids, xs, labels = [], [], []
@@ -529,8 +522,9 @@ def read_queries(path: str | Path) -> QuerySet:
                 raise ShadowMoeError(f"{where}: not UTF-8 text") from None
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ShadowMoeError(f"{where}: malformed JSON: {exc}") from None
+            check_unicode(line, doc, ShadowMoeError, where)
             if not isinstance(doc, dict):
                 raise ShadowMoeError(f"{where}: expected a JSON object")
             if input_dim is None:
@@ -722,12 +716,10 @@ def train_proxies(
                         f"training diverged at epoch {epoch}: batch loss {float(total[m])!r} "
                         f"(lr={config.learning_rate}, lambda={config.load_balance_weight})"
                     )
-                if config.momentum > 0:
-                    velocity *= config.momentum
-                    velocity += grad_buffer
-                    buffer -= config.learning_rate * velocity
-                else:
-                    buffer -= config.learning_rate * grad_buffer
+                # at momentum 0 this is the plain step bit for bit, as no parameter is ever -0.0
+                velocity *= config.momentum
+                velocity += grad_buffer
+                buffer -= config.learning_rate * velocity
             record_losses(epoch)
     except ShadowMoeError:
         if stack == 1:
@@ -760,11 +752,11 @@ def export_traces(
 ) -> RoutingTraceSet:
     """Run the proxy over labeled queries and record per-layer top-k sets."""
     cfg = model.config
-    _, caches = model._forward_batch(queries.inputs)
+    _, caches = model._run(queries.inputs)
     labels = queries.domain_labels()
     label_index = {lab: i + 1 for i, lab in enumerate(labels)}
     domains = np.array([label_index[d] for d in queries.domains])
-    records = [(queries.query_ids, domains, layer, cache.topk) for layer, cache in enumerate(caches)]
+    records = [(queries.query_ids, domains, layer, cache.topk[0]) for layer, cache in enumerate(caches)]
     return build_trace_set(
         model_id=model_id if model_id is not None else model.model_id,
         num_layers=cfg.num_layers,

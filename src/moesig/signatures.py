@@ -232,13 +232,13 @@ def load_bundle(path: str | Path) -> SignatureBundle:
     Invalid JSON, a missing field, matrices whose shapes disagree, a layer
     that is not an integer >= 0, domains that are not a nonempty list of
     distinct strings, counts that are not integers >= 0, a negative or
-    non-finite matrix, kappa or pair-normalizer entry, a ``zero_mass``
-    that is not a boolean, or a ``zero_mass`` collaboration matrix with a
-    nonzero entry raise SignatureError.
+    non-finite matrix, kappa or pair-normalizer entry, a nonzero diagonal
+    collaboration entry, a ``zero_mass`` that is not a boolean, or a
+    ``zero_mass`` collaboration matrix with a nonzero entry raise SignatureError.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SignatureError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
         raise SignatureError(f"{path}: not a version-1 signature file")
@@ -275,6 +275,8 @@ def load_bundle(path: str | Path) -> SignatureBundle:
             raise SignatureError(f"{path}: {name} has a negative or non-finite entry")
     if collab.zero_mass and np.any(collab.matrix):
         raise SignatureError(f"{path}: a zero_mass collaboration matrix must be all zero")
+    if np.any(np.diagonal(collab.matrix)):
+        raise SignatureError(f"{path}: collaboration matrix has a nonzero diagonal entry")
     if collab.num_experts != spec.num_experts:
         raise SignatureError(
             f"{path}: collaboration matrix has {collab.num_experts} experts, "

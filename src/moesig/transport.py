@@ -594,7 +594,7 @@ def collab_distance(
     kernel that both the exact scan and the heuristic's permutation run.
     A matrix not flagged zero-mass must have entries in [0, 1] summing to 1
     within NORMALIZATION_TOL, as the profile columns must in
-    :func:`_check_profiles`.
+    :func:`_check_profiles`, and a zero diagonal, which the kernel drops.
     """
     if teacher.num_experts != student.num_experts:
         raise TransportError(
@@ -615,6 +615,8 @@ def collab_distance(
                 f"{name} collaboration matrix is not normalized: its entries must lie in "
                 f"[0, 1] and sum to 1 within {NORMALIZATION_TOL}"
             )
+        if np.any(np.diagonal(m)):
+            raise TransportError(f"{name} collaboration matrix has a nonzero diagonal entry")
     return _match("collab", teacher.matrix, student.matrix, mode)
 
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,27 @@ CANONICAL_RECORD = re.compile(
     rf'"selected":\[({_INT}(?:,{_INT})*+)\]\}}\n',
     re.MULTILINE,
 )
+
+
+class QueryTrace(NamedTuple):
+    """One query of a trace set; ``()`` marks a layer without a record."""
+
+    query_id: str
+    domain: int
+    selections: tuple[tuple[int, ...], ...]
+
+
+def query_traces(trace_set: RoutingTraceSet) -> list[QueryTrace]:
+    """Every query of a trace set in order, read off its columns one selection at a time."""
+    selections = [[] for _ in trace_set.query_ids]
+    for counts, experts in zip(trace_set.counts, trace_set.experts):
+        flat = experts.tolist()
+        position = 0
+        for q, count in enumerate(counts.tolist()):
+            selections[q].append(tuple(flat[position:position + count]))
+            position += count
+    return [QueryTrace(qid, int(domain), tuple(layers))
+            for qid, domain, layers in zip(trace_set.query_ids, trace_set.domain, selections)]
 
 
 def canonical_captures(block: bytes) -> list[tuple[str, str, int, list[int]]] | None:
@@ -56,7 +78,7 @@ def naive_write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
         header["meta"] = dict(trace_set.meta)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n")
-        for trace in trace_set.traces:
+        for trace in query_traces(trace_set):
             label = trace_set.domains[trace.domain - 1]
             for layer, selected in enumerate(trace.selections):
                 if not selected:
@@ -82,7 +104,7 @@ def naive_specialization(traces: RoutingTraceSet, layer: int):
     labels = []
     s_bin_cols, kappa_list, s_bar_cols, counts = [], [], [], []
     for d in range(1, len(traces.domains) + 1):
-        members = [t for t in traces.traces if t.domain == d]
+        members = [t for t in query_traces(traces) if t.domain == d]
         if not members:
             continue
         labels.append(traces.domains[d - 1])
@@ -107,7 +129,7 @@ def naive_collaboration(traces: RoutingTraceSet, layer: int):
     n = traces.num_queries
     pair_count = [[0] * num_experts for _ in range(num_experts)]
     pair_total = 0
-    for t in traces.traces:
+    for t in query_traces(traces):
         sel = t.selections[layer]
         for i in sel:
             for j in sel:

@@ -10,11 +10,13 @@ from moesig.routing_trace import RoutingTraceSet, build_trace_set
 from moesig.shadow_moe import ShadowMoeModel
 from moesig.signatures import CollaborationMatrix, SpecializationProfile
 
+from _oracles import query_traces
+
 
 def domain_counts(traces: RoutingTraceSet) -> list[int]:
     """Per-domain query counts n_d, indexed by domain label order."""
     counts = [0] * len(traces.domains)
-    for trace in traces.traces:
+    for trace in query_traces(traces):
         counts[trace.domain - 1] += 1
     return counts
 
@@ -52,8 +54,8 @@ def drop_domains(doc: dict) -> None:
 
 def mean_gate_usage(model: ShadowMoeModel, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer softmax gate usage of a proxy, averaged over the batch ``x``."""
-    _, caches = model._forward_batch(x)
-    return [cache.gates.mean(axis=0) for cache in caches]
+    _, caches = model._run(x)
+    return [cache.gates[0].mean(axis=0) for cache in caches]
 
 
 def selection_margin(model: ShadowMoeModel, x: np.ndarray) -> float:
@@ -63,12 +65,13 @@ def selection_margin(model: ShadowMoeModel, x: np.ndarray) -> float:
     boundary exists). Gradient checks are only meaningful when this margin
     is comfortably positive.
     """
-    _, caches = model._forward_batch(x)
+    _, caches = model._run(x)
     margin = np.inf
     for k, cache in zip(model.config.top_k, caches):
-        if k == cache.gates.shape[1]:
+        gates = cache.gates[0]
+        if k == gates.shape[1]:
             continue
-        ordered = -np.sort(-cache.gates, axis=1)
+        ordered = -np.sort(-gates, axis=1)
         margin = min(margin, float((ordered[:, k - 1] - ordered[:, k]).min()))
     return margin
 
@@ -126,7 +129,7 @@ def random_collab(rng: np.random.Generator, num_experts: int, sparsity: float = 
 def relabel_traces(traces: RoutingTraceSet, mapping: tuple[int, ...]) -> RoutingTraceSet:
     """Apply an expert relabeling i -> mapping[i] to every selection."""
     records = []
-    for trace in traces.traces:
+    for trace in query_traces(traces):
         for layer, selected in enumerate(trace.selections):
             records.append(
                 (

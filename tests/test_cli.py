@@ -89,6 +89,19 @@ def train_proxy_case(proxy=PROXY, oracle=None, model=None):
     return files, argv
 
 
+def queries_case(text, *options):
+    """A ``train-proxy`` run on the query file ``text``, with further options."""
+    files, argv = train_proxy_case()
+    return {**files, "queries.jsonl": text}, argv + list(options)
+
+
+def diagonal_mass(doc):
+    """Halve a signature file's collaboration matrix and spread the other half over its diagonal."""
+    matrix = doc["collaboration"]["matrix"]
+    for i, row in enumerate(matrix):
+        matrix[i] = [v / 2 + (0.5 / len(row) if i == j else 0.0) for j, v in enumerate(row)]
+
+
 def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -107,6 +120,19 @@ RUN_PIPELINE = ["pipeline", "--config", "p.json", "--out-dir", "out"]
 
 def pipeline_case(change, expected, case_id):
     return pytest.param({"p.json": {**PIPELINE, **change}}, RUN_PIPELINE, expected, id=case_id)
+
+
+def trace_text(header=None, record=None):
+    """A one-record trace file whose header and record take the given changes."""
+    header = {**TWO_LAYER_HEADER, "num_layers": 1, "experts_per_layer": [4], **(header or {})}
+    record = {"query_id": "a", "domain": "math", "layer": 0, "selected": [0, 1], **(record or {})}
+    return json.dumps(header) + "\n" + json.dumps(record) + "\n"
+
+
+# past the JSON decoder's recursion limit, and past int()'s digit limit
+DEEP = "[" * 100000 + "]" * 100000
+LONG_INTEGER = "1" * 5000
+INGEST = ["ingest", "--input", "t.jsonl", "--out", "o.jsonl"]
 
 
 # (files written into a fresh directory, arguments relative to it, expected message fragment)
@@ -147,6 +173,30 @@ MALFORMED_CONFIGS = [
                  "unknown or repeated tensor 'w_xx'", id="model-unknown-tensor"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"top_k":[2]', b'"top_k":["2"]')),
                  "top_k must be an integer or a list", id="model-bad-config"),
+    pytest.param(*train_proxy_case(model=lambda m: m[:m.index(b"\n") + 1] + DEEP.encode() + b"\n"),
+                 "malformed model manifest", id="model-deep-nesting"),
+    pytest.param(*queries_case(QUERY_FILE + DEEP + "\n"), "queries.jsonl: line 3: malformed JSON",
+                 id="queries-deep-nesting"),
+    pytest.param(*queries_case(QUERY_FILE.replace("0.0", LONG_INTEGER)),
+                 "queries.jsonl: line 2: malformed JSON", id="queries-long-integer"),
+    # a lone surrogate escape decodes to a string that UTF-8 cannot encode
+    pytest.param(*queries_case(QUERY_FILE.replace('"q0"', '"\\ud800"'), "--traces", "tr.jsonl"),
+                 "queries.jsonl: line 2: a lone surrogate escape is not UTF-8 text", id="queries-lone-surrogate"),
+    pytest.param({"t.jsonl": trace_text(record={"query_id": "\ud800"})}, INGEST,
+                 "trace file t.jsonl, line 2: a lone surrogate escape is not UTF-8 text",
+                 id="ingest-lone-surrogate"),
+    pytest.param({"t.jsonl": trace_text(header={"model_id": "\udc80"})},
+                 ["profile", "--input", "t.jsonl", "--out", "s.json"],
+                 "trace file t.jsonl, line 1: a lone surrogate escape is not UTF-8 text",
+                 id="profile-lone-surrogate"),
+    pytest.param({"t.jsonl": trace_text() + DEEP + "\n"}, INGEST, "line 3: malformed record",
+                 id="trace-record-deep-nesting"),
+    pytest.param({"t.jsonl": DEEP + "\n"}, INGEST, "line 1: header is not valid JSON",
+                 id="trace-header-deep-nesting"),
+    pytest.param({"t.jsonl": trace_text().replace('"layer": 0', f'"layer": {LONG_INTEGER}')}, INGEST,
+                 "line 2: malformed record", id="trace-record-long-integer"),
+    pytest.param({"s1.json": DEEP}, ["distance", "--teacher", "s1.json", "--student", "s2.json",
+                                     "--out", "d.json"], "s1.json: not valid JSON", id="signatures-deep-nesting"),
     pytest.param({"q.json": without(QUERY_CONFIG, "seed")},
                  ["make-queries", "--config", "q.json", "--out", "q.jsonl"], "'seed'",
                  id="queries-no-seed"),
@@ -160,6 +210,11 @@ MALFORMED_CONFIGS = [
                  ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
                  "needs a finite numeric 'separation', got nan", id="queries-separation-nan"),
     pytest.param({"grid.json": {"rho": [0.5]}}, SWEEP, "'base'", id="grid-no-base"),
+    pytest.param({"grid.json": DEEP}, SWEEP, "grid.json: malformed JSON", id="grid-deep-nesting"),
+    pytest.param({"grid.json": f'{{"base": {LONG_INTEGER}}}'}, SWEEP, "grid.json: malformed JSON",
+                 id="grid-long-integer"),
+    pytest.param({"grid.json": {"base": SCENARIO, "rho": [0.5], "note": "\ud800"}}, SWEEP,
+                 "grid.json: a lone surrogate escape is not UTF-8 text", id="grid-lone-surrogate"),
     pytest.param({"grid.json": [SCENARIO]}, SWEEP, "JSON object", id="grid-list"),
     pytest.param({"grid.json": {"base": {**SCENARIO, "num_experts": "4"}}}, SWEEP,
                  "num_experts must be an integer", id="grid-experts-string"),
@@ -279,10 +334,12 @@ class TestMalformedInput:
             ("specialization", "counts", [2.5, 1], "counts must be a list of integers"),
             ("collaboration", "pair_normalizer", float("nan"), "pair_normalizer must be a finite"),
             (None, drop_domains, None, "at least one expert and one domain"),
+            (None, diagonal_mass, None, "collaboration matrix has a nonzero diagonal entry"),
         ],
         ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "zero-mass-nonzero",
              "layer-float", "layer-bool", "layer-negative", "domains-string", "domains-repeated",
-             "kappa-nan", "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains"],
+             "kappa-nan", "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains",
+             "collab-diagonal"],
     )
     def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
         # a callable key edits the whole document
@@ -406,12 +463,13 @@ class TestMalformedInput:
                 path.write_text(content, encoding="utf-8")
             else:
                 write_json(path, content)
+        inputs = sorted(tmp_path.iterdir())
         monkeypatch.chdir(tmp_path)
         assert dispatch(argv) == 1
         (message,) = error_lines(caplog)
         assert expected in message and "\n" not in message
         assert "Traceback" not in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert sorted(tmp_path.iterdir()) == inputs  # nothing written
 
     def test_detect_superscript_layer_index(self, tmp_path, monkeypatch, caplog, capsys):
         # "²".isdigit() holds, but int() refuses it

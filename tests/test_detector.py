@@ -14,7 +14,7 @@ from moesig.routing_trace import build_trace_set
 from moesig.signatures import CollaborationMatrix, SignatureBundle, signature_bundle
 from moesig.transport import signature_distance
 
-from _oracles import naive_collab_distance, naive_spec_distance
+from _oracles import naive_collab_distance, naive_spec_distance, query_traces
 from helpers import random_collab, random_profile, random_trace_set
 
 
@@ -117,7 +117,7 @@ class TestDetectPair:
         while (
             other.experts_per_layer != traces.experts_per_layer
             or other.domains != traces.domains
-            or {t.domain for t in other.traces} != {t.domain for t in traces.traces}
+            or {t.domain for t in query_traces(other)} != {t.domain for t in query_traces(traces)}
         ):
             other = random_trace_set(rng, max_queries=40, max_experts=6)
         sig = signature_bundle(traces)
@@ -147,7 +147,7 @@ class TestRunBenchmark:
         def noisy_copy(base, flips, model_id):
             out = []
             local = np.random.default_rng(flips)
-            for trace in base.traces:
+            for trace in query_traces(base):
                 sel = trace.selections[0]
                 if local.random() < 0.3:
                     sel = tuple(
@@ -165,7 +165,7 @@ class TestRunBenchmark:
                     0,
                     tuple(int(i) for i in local.choice(num_experts, size=2, replace=False)),
                 )
-                for t in teacher.traces
+                for t in query_traces(teacher)
             ]
             return build_trace_set(model_id, 1, (num_experts,), ("d1", "d2"), out)
 

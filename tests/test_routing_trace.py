@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from moesig.routing_trace import (
 )
 from moesig.signatures import compute_specialization
 
-from _oracles import canonical_captures, naive_write_traces
+from _oracles import canonical_captures, naive_write_traces, query_traces
 from helpers import domain_counts, random_trace_set
 
 HEADER = {
@@ -51,7 +52,7 @@ def test_ingest_two_queries_single_layer(tmp_path):
     assert ts.num_layers == 1
     assert ts.experts_per_layer == (4,)
     assert ts.domains == ("math", "code")
-    assert ts.traces[0].selections[0] == (0, 1)
+    assert query_traces(ts)[0].selections[0] == (0, 1)
     assert domain_counts(ts) == [1, 1]
 
 
@@ -96,6 +97,21 @@ def test_malformed_line_reports_number(tmp_path):
     path.write_text(json.dumps(HEADER) + "\n{not json\n", encoding="utf-8")
     with pytest.raises(TraceError, match="line 2"):
         ingest_traces(path)
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_lone_surrogate_escape_names_file_and_line(tmp_path, line):
+    path = tmp_path / "t.jsonl"
+    record = {"query_id": "a", "domain": "math", "layer": 0, "selected": [0]}
+    if line == 1:
+        write_lines(path, {**HEADER, "meta": {"note": ["\udc80"]}}, [record])
+    else:
+        write_lines(path, HEADER, [{**record, "query_id": "\ud800"}])
+    with pytest.raises(TraceError, match=re.escape(f"trace file {path}, line {line}: a lone surrogate")):
+        ingest_traces(path)
+    # a surrogate pair escape is one character
+    write_lines(path, HEADER, [{**record, "query_id": "\U0001f600"}])
+    assert ingest_traces(path).query_ids == ("\U0001f600",)
 
 
 def test_unsupported_schema_version(tmp_path):
@@ -180,7 +196,7 @@ def test_first_occurrence_domain_mapping(tmp_path):
     )
     ts = ingest_traces(path)
     assert ts.domains == ("zebra", "apple")
-    assert [t.domain for t in ts.traces] == [1, 2, 1]
+    assert [t.domain for t in query_traces(ts)] == [1, 2, 1]
 
 
 def test_gate_probs_field_accepted_and_ignored(tmp_path):
@@ -199,11 +215,11 @@ def test_gate_probs_field_accepted_and_ignored(tmp_path):
         ],
     )
     ts = ingest_traces(path)
-    assert ts.traces[0].selections[0] == (0, 1)
+    assert query_traces(ts)[0].selections[0] == (0, 1)
 
 
 def test_binary_activation_membership():
-    trace = build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (1, 0))]).traces[0]
+    (trace,) = query_traces(build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (1, 0))]))
     assert 0 in trace.selections[0]
     assert 3 not in trace.selections[0]
     assert sum(i in trace.selections[0] for i in range(4)) == len(trace.selections[0])
@@ -211,7 +227,7 @@ def test_binary_activation_membership():
 
 def test_binary_activation_missing_layer(tmp_path):
     ts = build_trace_set("m", 3, (4, 4, 4), ("d1",), [("a", 1, 0, (0,)), ("a", 1, 2, (1,))])
-    assert ts.traces[0].selections == ((0,), (), (1,))
+    assert query_traces(ts)[0].selections == ((0,), (), (1,))
     with pytest.raises(SignatureError, match="no selection at layer 1"):
         compute_specialization(ts, 1)
     path = tmp_path / "t.jsonl"
@@ -227,7 +243,8 @@ def test_expert_selection_validation():
         build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (1, 1))])
     with pytest.raises(TraceError, match="out of range"):
         build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (-1,))])
-    sel = build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (3, 1, 2))]).traces[0].selections[0]
+    (trace,) = query_traces(build_trace_set("m", 1, (4,), ("d1",), [("a", 1, 0, (3, 1, 2))]))
+    sel = trace.selections[0]
     assert sel == (1, 2, 3)
     assert len(sel) == 3
 
@@ -773,7 +790,7 @@ def test_entry_points_give_equal_columns(case, tmp_path_factory):
     assert not read_canonically(spaced)
     assert ingest_traces(canonical) == built
     assert ingest_traces(spaced) == built
-    recorded = {(t.query_id, layer): s for t in built.traces for layer, s in enumerate(t.selections) if s}
+    recorded = {(t.query_id, layer): s for t in query_traces(built) for layer, s in enumerate(t.selections) if s}
     assert recorded == {(qid, layer): tuple(sorted(s)) for qid, _, layer, s in records}
     assert built.query_ids == tuple(dict.fromkeys(qid for qid, *_ in records))
     write_traces(built, tmp / "fast.jsonl")

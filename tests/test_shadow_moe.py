@@ -25,6 +25,7 @@ from moesig.shadow_moe import (
 )
 from moesig._rng import substream
 
+from _oracles import query_traces
 from helpers import mean_gate_usage, selection_margin
 
 TINY = dict(
@@ -70,33 +71,33 @@ class TestForward:
     def test_k_equals_e_selects_everything(self):
         cfg = ShadowMoeConfig(**{**TINY, "experts_per_layer": 2, "top_k": 2})
         model = ShadowMoeModel.initialize(cfg)
-        _, caches = model._forward_batch(np.zeros((1, 3)))
-        assert sorted(caches[0].topk[0]) == [0, 1]
-        assert abs(caches[0].gates[0].sum() - 1.0) <= 1e-9
+        _, caches = model._run(np.zeros((1, 3)))
+        assert sorted(caches[0].topk[0, 0]) == [0, 1]
+        assert abs(caches[0].gates[0, 0].sum() - 1.0) <= 1e-9
 
     def test_equal_logits_tie_selects_expert_zero(self):
         cfg = ShadowMoeConfig(**{**TINY, "top_k": 1})
         model = ShadowMoeModel.initialize(cfg)
         dict(model.param_items())["router.0"][...] = 0.0  # all logits identical
-        _, caches = model._forward_batch(np.ones((1, 3)))
-        assert caches[0].topk[0].tolist() == [0]
+        _, caches = model._run(np.ones((1, 3)))
+        assert caches[0].topk[0, 0].tolist() == [0]
 
     def test_selected_gate_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
         cfg = ShadowMoeConfig(**{**TINY, "num_layers": 2})
         model = ShadowMoeModel.initialize(cfg)
         x = rng.normal(size=(8, 3))
-        _, caches = model._forward_batch(x)
+        _, caches = model._run(x)
         for cache in caches:
-            assert np.allclose(cache.sel_weights.sum(axis=1), 1.0, atol=1e-12)
-            assert np.allclose(cache.w_full.sum(axis=1), 1.0, atol=1e-12)
+            assert np.allclose(cache.sel_weights[0].sum(axis=1), 1.0, atol=1e-12)
+            assert np.allclose(cache.w_full[0].sum(axis=1), 1.0, atol=1e-12)
 
     def test_routing_deterministic_across_runs(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 3))
         cfg = ShadowMoeConfig(**TINY)
-        y1, c1 = ShadowMoeModel.initialize(cfg)._forward_batch(x)
-        y2, c2 = ShadowMoeModel.initialize(cfg)._forward_batch(x)
+        y1, c1 = ShadowMoeModel.initialize(cfg)._run(x)
+        y2, c2 = ShadowMoeModel.initialize(cfg)._run(x)
         assert np.array_equal(y1, y2)
         assert all(
             np.array_equal(a.gates, b.gates) and np.array_equal(a.topk, b.topk) for a, b in zip(c1, c2)
@@ -407,7 +408,7 @@ class TestExport:
         queries = gaussian_domain_queries(0, num_domains=2, n_per_domain=5, input_dim=4)
         traces = export_traces(model, queries)
         assert traces.num_queries == 10
-        assert all(len(t.selections) == 3 for t in traces.traces)
+        assert all(len(t.selections) == 3 for t in query_traces(traces))
         path = tmp_path / "t.jsonl"
         write_traces(traces, path)
         lines = path.read_text().strip().split("\n")
@@ -538,6 +539,8 @@ class TestQueries:
         "record, match",
         [
             ('{"query_id": "q1", "domain": "d1", "x": [0.0, 1', "line 3: malformed JSON"),
+            ('{"query_id": "q1", "domain": "d1", "x": [0.0, 1.0, 2.0], "note": ["\\udfff"]}',
+             "q.jsonl: line 3: a lone surrogate escape is not UTF-8 text"),
             ('{"query_id": "q1", "x": [0.0, 1.0, 2.0]}', r"line 3: .*missing.*'domain'"),
             ('{"domain": "d1", "x": [0.0, 1.0, 2.0]}', r"line 3: .*missing.*'query_id'"),
             ('{"query_id": "q1", "domain": "d1"}', r"line 3: .*missing.*'x'"),

@@ -16,6 +16,7 @@ from moesig.synthgen import (
 )
 from moesig.transport import signature_distance
 
+from _oracles import query_traces
 from helpers import summarize_sweep
 
 BASE = dict(
@@ -53,15 +54,15 @@ class TestGenerate:
             assert traces.num_layers == 1
             assert traces.domains == ("d1", "d2", "d3", "d4")
             assert traces.num_queries == 200
-        ids = [t.query_id for t in scenario.teacher.traces]
-        assert ids == [t.query_id for t in scenario.distilled.traces]
-        assert ids == [t.query_id for t in scenario.scratch.traces]
+        ids = [t.query_id for t in query_traces(scenario.teacher)]
+        assert ids == [t.query_id for t in query_traces(scenario.distilled)]
+        assert ids == [t.query_id for t in query_traces(scenario.scratch)]
 
     def test_rho_one_without_relabeling_copies_teacher(self):
         cfg = ScenarioConfig(**{**BASE, "permute_labels": False})
         scenario = generate_scenario(cfg)
         assert scenario.hidden_permutation is None
-        for t_trace, d_trace in zip(scenario.teacher.traces, scenario.distilled.traces):
+        for t_trace, d_trace in zip(query_traces(scenario.teacher), query_traces(scenario.distilled)):
             for t_sel, d_sel in zip(t_trace.selections, d_trace.selections):
                 assert t_sel == d_sel
 
@@ -100,11 +101,11 @@ class TestGenerate:
         scenario = generate_scenario(cfg)
         copies_l0 = sum(
             t.selections[0] == d.selections[0]
-            for t, d in zip(scenario.teacher.traces, scenario.distilled.traces)
+            for t, d in zip(query_traces(scenario.teacher), query_traces(scenario.distilled))
         )
         copies_l1 = sum(
             t.selections[1] == d.selections[1]
-            for t, d in zip(scenario.teacher.traces, scenario.distilled.traces)
+            for t, d in zip(query_traces(scenario.teacher), query_traces(scenario.distilled))
         )
         assert copies_l1 == scenario.teacher.num_queries  # full copy at biased layer
         assert copies_l0 < scenario.teacher.num_queries  # chance-level agreement only

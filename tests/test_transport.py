@@ -531,6 +531,19 @@ class TestCollabDistance:
             with pytest.raises(TransportError, match="student collaboration matrix is not normalized"):
                 collab_distance(teacher, student, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("side", ["teacher", "student"])
+    def test_diagonal_mass_rejected(self, side, mode):
+        # halved and given 0.1 on each diagonal entry, the sum stays 1, and the kernel,
+        # which drops the diagonal, would give the original matrix's distance
+        rng = np.random.default_rng(17)
+        dense = CollaborationMatrix(0, _random_dense(rng, 5), 2.0)
+        diagonal = CollaborationMatrix(0, dense.matrix / 2 + 0.1 * np.eye(5), 2.0)
+        assert abs(diagonal.matrix.sum() - 1.0) <= 1e-12
+        pair = (diagonal, dense) if side == "teacher" else (dense, diagonal)
+        with pytest.raises(TransportError, match=f"{side} collaboration matrix has a nonzero diagonal entry"):
+            collab_distance(*pair, mode=mode)
+
     def test_zero_mass_handling(self):
         zero = CollaborationMatrix(0, np.zeros((3, 3)), 0.0, zero_mass=True)
         rng = np.random.default_rng(15)
