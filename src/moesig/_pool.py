@@ -3,8 +3,9 @@
 Jobs must be picklable: a module-level function and plain-data arguments.
 Each job seeds its own randomness, so results do not depend on which worker
 runs it or when, and they come back in submission order. Jobs that run
-faster together (proxy fits trained as one stack) go through
-:func:`parallel_map_runs`, which hands each worker one contiguous run.
+faster together (proxy fits trained as one stack, sweep scenarios that
+share a teacher) go through :func:`parallel_map_runs`, which hands each
+worker one contiguous run.
 """
 
 from __future__ import annotations

@@ -30,6 +30,26 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()[:16]
 
 
+def _layer_policy(raw: str):
+    """``raw`` as a layer policy; an unknown policy name faults here, before any input is opened.
+    An index is checked against each file's layer count when its signatures are built."""
+    from moesig.signatures import parse_layer_policy, resolve_layer
+
+    policy = parse_layer_policy(raw)
+    if isinstance(policy, str):
+        resolve_layer(policy, 1)
+    return policy
+
+
+def _signatures_of(path: str, policy):
+    """The model id and the signature bundle of one trace file (a pool job of ``detect``)."""
+    from moesig.routing_trace import ingest_traces
+    from moesig.signatures import signature_bundle
+
+    traces = ingest_traces(path)
+    return traces.model_id, signature_bundle(traces, policy)
+
+
 def _cmd_ingest(args) -> int:
     from dataclasses import replace
 
@@ -47,10 +67,11 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_profile(args) -> int:
     from moesig.routing_trace import ingest_traces
-    from moesig.signatures import dump_bundle_csv, parse_layer_policy, save_bundle, signature_bundle
+    from moesig.signatures import dump_bundle_csv, save_bundle, signature_bundle
 
+    policy = _layer_policy(args.layer_policy)
     traces = ingest_traces(args.input)
-    bundle = signature_bundle(traces, parse_layer_policy(args.layer_policy))
+    bundle = signature_bundle(traces, policy)
     meta = artifact_meta(None, _file_digest(Path(args.input)))
     meta["model_id"] = traces.model_id
     if args.format == "csv":
@@ -97,22 +118,17 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from functools import partial
+
     from moesig._pool import parallel_map
     from moesig.detector import detect_pair
-    from moesig.routing_trace import ingest_traces
-    from moesig.signatures import parse_layer_policy, signature_bundle
 
-    # read on the pool in this order, so the earliest file that fails gives the diagnostic
-    teacher, cand1, cand2 = parallel_map(ingest_traces, [args.teacher, args.cand1, args.cand2])
-    policy = parse_layer_policy(args.layer)
-    t_sig = signature_bundle(teacher, policy)
-    verdict = detect_pair(
-        t_sig,
-        signature_bundle(cand1, policy),
-        signature_bundle(cand2, policy),
-        mode=args.mode,
-        candidate_ids=(cand1.model_id or "cand1", cand2.model_id or "cand2"),
-    )
+    policy = _layer_policy(args.layer)
+    # each file is read and profiled on the pool, in this order, so the earliest file that
+    # fails gives the diagnostic, and only signatures come back
+    (_, t_sig), (id1, sig1), (id2, sig2) = parallel_map(
+        partial(_signatures_of, policy=policy), [args.teacher, args.cand1, args.cand2])
+    verdict = detect_pair(t_sig, sig1, sig2, mode=args.mode, candidate_ids=(id1 or "cand1", id2 or "cand2"))
     s1, s2 = verdict.scores
     doc = {
         "format": "moesig-verdict",
@@ -208,10 +224,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     from moesig.detector import run_benchmark
     from moesig.pipeline import emit_report, read_benchmark
-    from moesig.signatures import parse_layer_policy
 
+    policy = _layer_policy(args.layer)
     teacher, pairs, meta = read_benchmark(args.benchmark)
-    report = run_benchmark(teacher, pairs, layer_policy=parse_layer_policy(args.layer), mode=args.mode)
+    report = run_benchmark(teacher, pairs, layer_policy=policy, mode=args.mode)
     emit_report(report, args.out, fmt=args.format, meta=meta)
     log.info("benchmark accuracy %.3f over %d domains -> %s", report.accuracy, len(report.rows), args.out)
     return 0

@@ -10,12 +10,12 @@ domain and reports the fraction of domains where the distilled member wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from moesig.errors import DetectorError
 from moesig.routing_trace import RoutingTraceSet
 from moesig.signatures import LayerPolicy, SignatureBundle, signature_bundle
-from moesig.transport import SignatureDistance, signature_distance
+from moesig.transport import SignatureDistance, signature_distances
 
 TIE_EPSILON = 1e-12
 
@@ -106,29 +106,49 @@ class BenchmarkReport:
         return sum(r.margin for r in self.rows) / len(self.rows)
 
 
+def score_candidates(
+    teacher_sig: SignatureBundle,
+    student_sigs: Sequence[SignatureBundle],
+    mode: str = "auto",
+    candidate_ids: Sequence[str] | None = None,
+) -> list[DetectionScore]:
+    """Score candidates against one teacher: each minus the mean of its signature distances.
+
+    Falls back to minus the specialization distance alone when both sides
+    carry no co-activation mass (the collaboration signal is undefined).
+    The distances come from one :func:`signature_distances` call, so an
+    exact collaboration match scans the teacher's relabelings once for all
+    candidates.
+    """
+    ids = candidate_ids if candidate_ids is not None else [""] * len(student_sigs)
+    scores = []
+    for dist, candidate_id in zip(signature_distances(teacher_sig, student_sigs, mode=mode), ids):
+        if dist.d_collab is None:
+            score = -dist.d_spec
+        else:
+            score = -0.5 * (dist.d_spec + dist.d_collab)
+        scores.append(DetectionScore(score=score, d_spec=dist.d_spec, d_collab=dist.d_collab,
+                                     candidate_id=candidate_id, distance=dist))
+    return scores
+
+
 def score_candidate(
     teacher_sig: SignatureBundle,
     student_sig: SignatureBundle,
     mode: str = "auto",
     candidate_id: str = "",
 ) -> DetectionScore:
-    """Score one candidate: minus the mean of its signature distances.
+    """Score one candidate: the one-candidate case of :func:`score_candidates`."""
+    return score_candidates(teacher_sig, [student_sig], mode=mode, candidate_ids=[candidate_id])[0]
 
-    Falls back to minus the specialization distance alone when both sides
-    carry no co-activation mass (the collaboration signal is undefined).
-    """
-    dist = signature_distance(teacher_sig, student_sig, mode=mode)
-    if dist.d_collab is None:
-        score = -dist.d_spec
-    else:
-        score = -0.5 * (dist.d_spec + dist.d_collab)
-    return DetectionScore(
-        score=score,
-        d_spec=dist.d_spec,
-        d_collab=dist.d_collab,
-        candidate_id=candidate_id,
-        distance=dist,
-    )
+
+def pair_verdict(s1: DetectionScore, s2: DetectionScore) -> PairVerdict:
+    """The verdict of :func:`detect_pair` on two scored candidates."""
+    gap = s1.score - s2.score
+    if abs(gap) < TIE_EPSILON:
+        return PairVerdict(predicted_index=1, margin=abs(gap), tie=True, scores=(s1, s2))
+    predicted = 1 if gap > 0 else 2
+    return PairVerdict(predicted_index=predicted, margin=abs(gap), tie=False, scores=(s1, s2))
 
 
 def detect_pair(
@@ -140,16 +160,12 @@ def detect_pair(
 ) -> PairVerdict:
     """Pick the candidate whose routing signatures sit closer to the teacher.
 
+    Both candidates are scored in one :func:`score_candidates` call.
     Near-equal scores (within 1e-12) are flagged as a tie and resolved
     deterministically in favor of candidate 1.
     """
-    s1 = score_candidate(teacher_sig, candidate_1_sig, mode=mode, candidate_id=candidate_ids[0])
-    s2 = score_candidate(teacher_sig, candidate_2_sig, mode=mode, candidate_id=candidate_ids[1])
-    gap = s1.score - s2.score
-    if abs(gap) < TIE_EPSILON:
-        return PairVerdict(predicted_index=1, margin=abs(gap), tie=True, scores=(s1, s2))
-    predicted = 1 if gap > 0 else 2
-    return PairVerdict(predicted_index=predicted, margin=abs(gap), tie=False, scores=(s1, s2))
+    return pair_verdict(*score_candidates(
+        teacher_sig, [candidate_1_sig, candidate_2_sig], mode=mode, candidate_ids=candidate_ids))
 
 
 def run_benchmark(

@@ -56,7 +56,7 @@ _PIECE_MASK = np.array([[0xFF] * len(piece) + [0] * (16 - len(piece)) for piece 
 _COLUMN = np.arange(16)
 _BLOCK_BYTES = 1 << 18
 _CHUNK_ROWS = 1 << 14  # record rows the column checks sort, and the text path converts, at once
-_WRITE_QUERIES = 1 << 9  # queries per block of lines write_traces joins
+_WRITE_RECORDS = 1 << 11  # records (lines) per block write_traces joins, at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,54 +131,82 @@ def _narrow(values: list[int], dtype, high: int) -> np.ndarray:
     return np.clip(wide, -1, high).astype(dtype)
 
 
+def _layer_rows(query: np.ndarray, layer: np.ndarray, num_layers: int) -> Iterator[np.ndarray]:
+    """Per layer, the indices of its rows in (query, row) order."""
+    for at in range(num_layers):
+        rows = np.flatnonzero(layer == at)
+        yield rows[np.argsort(query[rows], kind="stable")]
+
+
+def _expert_faults(flat: np.ndarray, length: np.ndarray, bounds: np.ndarray, layer: np.ndarray,
+                   limits: np.ndarray) -> np.ndarray:
+    """Whether each row's experts are none, hold a repeat or hold one out of range; the
+    int16 experts of each row are sorted in place on the way.
+
+    Per chunk of rows, sorting row * stride + expert + 1 sorts each row and puts repeats
+    side by side; clipping to -1 .. stride - 2 keeps keys apart by row, and an expert it
+    changes is out of range anyway. Keys stay below (_CHUNK_ROWS + 1) * (MAX_EXPERTS + 2)
+    < 2**31, so int32 holds them."""
+    stride = int(limits.max()) + 2
+    bad = length == 0
+    for r in range(0, len(length), _CHUNK_ROWS):
+        chunk = length[r:r + _CHUNK_ROWS]
+        local = bounds[r:r + len(chunk) + 1] - bounds[r]
+        experts = flat[bounds[r]:bounds[r + len(chunk)]]
+        keys = experts.astype(np.int32)
+        np.clip(keys, -1, stride - 2, out=keys)
+        keys += np.repeat(np.arange(len(chunk), dtype=np.int32) * np.int32(stride) + 1, chunk)
+        keys.sort()
+        bad[r + keys[1:][keys[1:] == keys[:-1]] // stride] = True
+        keys %= stride
+        keys -= 1
+        experts[:] = keys
+        full = np.flatnonzero(chunk)
+        bad[r + full] |= (experts[local[full]] < 0) | (experts[local[full + 1] - 1] >= limits[layer[r + full]])
+    return bad
+
+
+def _pair_faults(query: np.ndarray, layer: np.ndarray, num_layers: int) -> np.ndarray:
+    """Whether each row repeats the (query, layer) pair of an earlier row, found one layer at a time."""
+    bad = np.zeros(len(query), bool)
+    for at in _layer_rows(query, layer, num_layers):
+        bad[at[1:][query[at[1:]] == query[at[:-1]]]] = True
+    return bad
+
+
 def _columns(rows: tuple, num_queries: int, experts_per_layer: tuple[int, ...]):
     """Check record rows; return each query's domain, then per-layer counts and experts.
 
     ``rows`` holds, per record row, its query index (numbered by first occurrence),
-    1-based domain, layer and expert count, then the experts of all rows, row after row.
+    1-based domain, layer and expert count, then the int16 experts of all rows, row after
+    row, which are sorted within each row in place.
 
     Raises _RowFault(row, check) for the first row that fails a check, with the first
     check it fails in the order "layer" (out of range), "experts" (none, a repeat or one
     out of range), "domain" (not that of the query's first row) and "pair" (a (query,
     layer) pair of an earlier row)."""
     query, domain, layer, length, flat = rows
-    limits, m = np.asarray(experts_per_layer), len(query)
+    limits = np.asarray(experts_per_layer)
     bad_layer = (layer < 0) | (layer >= len(limits))
     layer = np.where(bad_layer, 0, layer)
-    bounds = np.concatenate(([0], np.cumsum(length)))
-    start, stride = bounds[:-1], int(limits.max()) + 2
-    experts = np.empty(len(flat), np.int16)
-    bad_experts = length == 0
-    # per chunk of rows, sorting row * stride + expert sorts each row and puts repeats side
-    # by side; clipping keeps keys apart by row, and an expert it changes is out of range anyway
-    for r in range(0, m, _CHUNK_ROWS):
-        chunk = length[r:r + _CHUNK_ROWS]
-        a, b = bounds[r], bounds[r + len(chunk)]
-        offset = np.repeat(np.arange(len(chunk)) * stride + 1, chunk)
-        keys = np.clip(flat[a:b], -1, stride - 2) + offset
-        keys.sort()
-        bad_experts[r + keys[1:][keys[1:] == keys[:-1]] // stride] = True
-        experts[a:b] = keys - offset
-    nonempty = np.flatnonzero(length)
-    low, high = experts[start[nonempty]], experts[bounds[nonempty + 1] - 1]
-    bad_experts[nonempty] |= (low < 0) | (high >= limits[layer[nonempty]])
-    query_domain = domain[np.unique(query, return_index=True)[1]]
-    pair = layer * np.int64(num_queries) + query
-    order = np.argsort(pair, kind="stable")
-    bad_pair = np.zeros(m, bool)
-    bad_pair[order[1:][pair[order[1:]] == pair[order[:-1]]]] = True
-    checks = {"layer": bad_layer, "experts": bad_experts,
-              "domain": query_domain[query] != domain, "pair": bad_pair}
+    bounds = np.concatenate(([0], np.cumsum(length, dtype=np.int64)))
+    # a query's first row raises the running maximum of the first-occurrence numbering
+    query_domain = domain[np.flatnonzero(np.diff(np.maximum.accumulate(query), prepend=-1))]
+    checks = {"layer": bad_layer, "experts": _expert_faults(flat, length, bounds, layer, limits),
+              "domain": query_domain[query] != domain, "pair": _pair_faults(query, layer, len(limits))}
     bad = np.logical_or.reduce(list(checks.values()))
     if bad.any():
         first = int(bad.argmax())
         raise _RowFault(first, next(name for name, flags in checks.items() if flags[first]))
+    del checks, bad, bad_layer  # the outputs need the room
     counts, selected = [], []
-    for rows_at in np.split(order, np.searchsorted(pair[order], np.arange(1, len(limits)) * num_queries)):
-        n = length[rows_at]
+    for at in _layer_rows(query, layer, len(limits)):
+        n = length[at]
         counts.append(np.zeros(num_queries, np.int32))
-        counts[-1][query[rows_at]] = n
-        selected.append(experts[np.repeat(start[rows_at] - np.cumsum(n) + n, n) + np.arange(n.sum())])
+        counts[-1][query[at]] = n
+        take = np.repeat(bounds[at] - np.cumsum(n) + n, n)
+        take += np.arange(len(take))
+        selected.append(flat[take])
     return query_domain, tuple(counts), tuple(selected)
 
 
@@ -430,8 +458,14 @@ def _read(path: Path) -> tuple:
     # records before a decode fault come first in line order, so their faults win
     blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
     batch.clear()
-    rows = tuple(map(np.concatenate, zip(*blocks)))
-    blocks.clear()  # the column checks need room of their own
+    # joined one column at a time, each column's pieces dropped once joined: the column
+    # checks need room of their own
+    parts = [list(column) for column in zip(*blocks)]
+    blocks.clear()
+    rows = []
+    for column in parts:
+        rows.append(np.concatenate(column))
+        column.clear()
     experts = tuple(header["experts_per_layer"])
     try:
         domain, *columns = _columns(rows, len(query_index), experts)
@@ -468,7 +502,8 @@ def write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
 
     Output is byte-deterministic: header first, then one record per recorded
     (query, layer) in query order with layers ascending, sorted expert
-    indices, and compact JSON separators, written in blocks of queries.
+    indices, and compact JSON separators, written in blocks of whole queries
+    of at most _WRITE_RECORDS records (one query's, if it has more).
     """
     path = Path(path)
     header = {"schema_version": SCHEMA_VERSION, "model_id": trace_set.model_id,
@@ -478,25 +513,30 @@ def write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
         header["meta"] = dict(trace_set.meta)
     labels = [json.dumps(label, ensure_ascii=False) for label in trace_set.domains]
     names = np.array([str(i) for i in range(max(trace_set.experts_per_layer))], object)
-    flat = np.concatenate(trace_set.experts)
-    counts = np.stack(trace_set.counts)
-    # where the experts of each (layer, query) start in flat
-    first = np.cumsum(counts, axis=None).reshape(counts.shape) - counts
     layer_heads = np.array([f'{layer},"selected":[' for layer in range(trace_set.num_layers)], object)
+    # a query has at most one record per layer
+    size = max(1, _WRITE_RECORDS // trace_set.num_layers)
+    starts = np.zeros(trace_set.num_layers, np.int64)  # where each layer's experts of the block start
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n")
-        for a in range(0, trace_set.num_queries, _WRITE_QUERIES):
-            block = slice(a, a + _WRITE_QUERIES)
+        for a in range(0, trace_set.num_queries, size):
+            block = slice(a, a + size)
+            counts = np.stack([layer_counts[block] for layer_counts in trace_set.counts])
+            ends = starts + counts.sum(axis=1)
+            flat = np.concatenate([e[s:t] for e, s, t in zip(trace_set.experts, starts.tolist(), ends.tolist())])
+            starts = ends
+            # where the experts of each (layer, query) of the block start in flat
+            first = np.cumsum(counts, axis=None).reshape(counts.shape) - counts
             prefixes = np.array([
                 f'{{"query_id":{json.dumps(qid, ensure_ascii=False)},"domain":{labels[d - 1]},"layer":'
                 for qid, d in zip(trace_set.query_ids[block], trace_set.domain[block].tolist())
             ], object)
             # records in (query, layer) order; the block is one join of expert names with
             # "," between experts and the end of a record plus the next record's head between records
-            queries, layers = np.nonzero(counts[:, block].T)
+            queries, layers = np.nonzero(counts.T)
             heads = prefixes[queries] + layer_heads[layers]
-            k = counts[layers, queries + a]
-            take = np.repeat(first[layers, queries + a] - np.cumsum(k) + k, k) + np.arange(k.sum())
+            k = counts[layers, queries]
+            take = np.repeat(first[layers, queries] - np.cumsum(k) + k, k) + np.arange(k.sum())
             tokens = np.empty(2 * len(take), object)
             tokens[0::2] = names[flat[take]]
             tokens[1::2] = ","
@@ -529,7 +569,9 @@ def build_trace_set(model_id: str, num_layers: int, experts_per_layer: Sequence[
     query = _number(ids, query_index)
     dom, layer, length, flat = map(np.concatenate, zip(*blocks)) if blocks else [np.zeros(0, np.int64)] * 4
     try:
-        domain, counts, selected = _columns((query, dom, layer, length, flat), len(query_index), experts)
+        # experts clipped as _narrow clips them; flat keeps the values a diagnostic shows
+        narrow = np.clip(flat, -1, MAX_EXPERTS).astype(np.int16)
+        domain, counts, selected = _columns((query, dom, layer, length, narrow), len(query_index), experts)
     except _RowFault as exc:
         row, check = exc.args
         own = flat[length[:row].sum():][:length[row]].tolist()

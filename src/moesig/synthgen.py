@@ -30,12 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from moesig._meta import artifact_meta, config_digest, is_int, is_number, write_json
-from moesig._pool import parallel_map
+from moesig._pool import parallel_map_runs
 from moesig._rng import substream
-from moesig.detector import detect_pair
+from moesig.detector import DetectionScore, pair_verdict, score_candidates
 from moesig.errors import ScenarioError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set, write_traces
-from moesig.signatures import LayerPolicy, signature_bundle
+from moesig.signatures import LayerPolicy, SignatureBundle, signature_bundle
 from moesig.transport import Permutation
 
 PREFERRED_WEIGHT = 8.0  # elevated selection weight of a domain's expert block
@@ -260,20 +260,19 @@ def expand_grid(doc: dict) -> list[ScenarioConfig]:
     ]
 
 
-def _sweep_row(config: ScenarioConfig, mode: str, layer_policy: LayerPolicy) -> dict:
-    """Generate and detect one scenario."""
-    scenario = generate_scenario(config)
-    teacher_sig = signature_bundle(scenario.teacher, layer_policy)
-    distilled_sig = signature_bundle(scenario.distilled, layer_policy)
-    scratch_sig = signature_bundle(scenario.scratch, layer_policy)
-    verdict = detect_pair(
-        teacher_sig,
-        distilled_sig,
-        scratch_sig,
-        mode=mode,
-        candidate_ids=("distilled", "scratch"),
-    )
-    s_d, s_s = verdict.scores
+def _bundle_key(bundle: SignatureBundle) -> tuple:
+    """Every field of a signature bundle, arrays as their dtype, shape and bytes: equal keys are
+    bitwise-equal bundles."""
+    spec, collab = bundle
+    arrays = (spec.matrix, spec.kappa_per_domain, spec.counts, collab.matrix,
+              np.float64(collab.pair_normalizer))
+    return (spec.layer, spec.domain_labels, collab.layer, collab.zero_mass,
+            *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+
+def _sweep_row(config: ScenarioConfig, distilled: DetectionScore, scratch: DetectionScore) -> dict:
+    """The result row of one scenario from its two scored candidates."""
+    verdict = pair_verdict(distilled, scratch)
     return {
         "rho": config.relatedness,
         "num_experts": config.num_experts,
@@ -284,13 +283,40 @@ def _sweep_row(config: ScenarioConfig, mode: str, layer_policy: LayerPolicy) -> 
         "seed": config.seed,
         "correct": int(verdict.predicted_index == 1),
         "tie": verdict.tie,
-        "margin": s_d.score - s_s.score,
-        "d_spec_distilled": s_d.d_spec,
-        "d_spec_scratch": s_s.d_spec,
-        "d_collab_distilled": s_d.d_collab,
-        "d_collab_scratch": s_s.d_collab,
-        "method": s_d.distance.method,
+        "margin": distilled.score - scratch.score,
+        "d_spec_distilled": distilled.d_spec,
+        "d_spec_scratch": scratch.d_spec,
+        "d_collab_distilled": distilled.d_collab,
+        "d_collab_scratch": scratch.d_collab,
+        "method": distilled.distance.method,
     }
+
+
+def _sweep_run(configs: list[ScenarioConfig], mode: str, layer_policy: LayerPolicy) -> list[dict]:
+    """Generate and detect a run of scenarios; one result row per config.
+
+    Scenarios are generated one at a time and only their signature bundles
+    are kept. Each distinct (teacher, candidate) pair, told apart by bitwise
+    equality of the bundles, is scored once, and all candidates of a
+    teacher in one :func:`score_candidates` call.
+    """
+    teachers: dict[tuple, tuple[SignatureBundle, dict[tuple, SignatureBundle]]] = {}
+    keys = []  # per config: its teacher's, distilled's and scratch's keys
+    for config in configs:
+        scenario = generate_scenario(config)
+        bundles = [signature_bundle(traces, layer_policy)
+                   for traces in (scenario.teacher, scenario.distilled, scenario.scratch)]
+        del scenario
+        teacher, *candidates = map(_bundle_key, bundles)
+        known = teachers.setdefault(teacher, (bundles[0], {}))[1]
+        for key, bundle in zip(candidates, bundles[1:]):
+            known.setdefault(key, bundle)
+        keys.append((teacher, *candidates))
+    scores = {}
+    for teacher, (bundle, candidates) in teachers.items():
+        found = score_candidates(bundle, list(candidates.values()), mode=mode)
+        scores.update(((teacher, key), score) for key, score in zip(candidates, found))
+    return [_sweep_row(config, scores[t, d], scores[t, s]) for config, (t, d, s) in zip(configs, keys)]
 
 
 def sweep(
@@ -301,11 +327,21 @@ def sweep(
     """Generate and detect each scenario; one result row per config.
 
     ``correct`` records whether the distilled member won its pair, and
-    ``margin`` is the signed score gap (distilled minus scratch). Scenarios
-    are independent and seeded by their configs, so they run on a process
-    pool and the rows come back in config order.
+    ``margin`` is the signed score gap (distilled minus scratch). Configs
+    that differ only in ``relatedness`` draw the same teacher and scratch
+    candidate, so they are made adjacent (in order of first appearance) and
+    the grid is cut into one contiguous run per CPU, each run on the process
+    pool through :func:`_sweep_run`, which scores every candidate of a
+    teacher in one exact scan. Scenarios are seeded by their configs and
+    every distance is the one-pair distance bit for bit, so the rows, which
+    come back in config order, do not depend on the order or the CPU count.
     """
     if not configs:
         raise ScenarioError("sweep needs at least one scenario config")
-    return parallel_map(partial(_sweep_row, mode=mode, layer_policy=layer_policy), configs)
-
+    groups: dict[ScenarioConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(replace(config, relatedness=0.0), []).append(i)
+    order = [i for members in groups.values() for i in members]
+    rows = dict(zip(order, parallel_map_runs(partial(_sweep_run, mode=mode, layer_policy=layer_policy),
+                                             [configs[i] for i in order])))
+    return [rows[i] for i in range(len(configs))]

@@ -11,7 +11,10 @@ minimizing over expert relabelings. Two matching modes are provided:
   fall back to that scan. The collaboration distance scans every
   permutation through one kernel, which keeps the permutations on the last
   axis and sums E contiguous slabs in the order numpy's float sum takes on
-  an E-long axis.
+  an E-long axis. One scan serves every student of a teacher
+  (:func:`signature_distances`): the teacher's part of each chunk runs once,
+  and each student keeps its own first minimum, so every result is the
+  one-pair scan's bit for bit.
 * ``hungarian-heuristic``: solve a linear assignment on a surrogate
   per-expert cost matrix, then evaluate the true objective at the matched
   permutation. The surrogate is needed because the true objective couples
@@ -34,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -243,13 +246,16 @@ def _permutation_chunks(size: int, chunk: int) -> Iterator[np.ndarray]:
             yield block[start : start + chunk]
 
 
-def _spec_objectives(teacher: np.ndarray, student: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The spec objective of a profile pair: mean-over-domain unit-grid W1 per row-gather permutation."""
+def _spec_objectives(teacher: np.ndarray, students: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The spec objectives of a teacher and its students: per student, mean-over-domain unit-grid W1
+    per row-gather permutation, as an (S, C) array."""
 
     def objectives(perms: np.ndarray) -> np.ndarray:
-        diff = teacher[perms] - student[None, :, :]  # (C, E, D)
-        cdf = np.cumsum(diff, axis=1)[:, :-1, :]
-        return np.abs(cdf).sum(axis=1).mean(axis=1)
+        gathered = teacher[perms]  # (C, E, D)
+        return np.stack([
+            np.abs(np.cumsum(gathered - student[None, :, :], axis=1)[:, :-1, :]).sum(axis=1).mean(axis=1)
+            for student in students
+        ])
 
     return objectives
 
@@ -300,8 +306,9 @@ def _dense_off_diagonal(matrix: np.ndarray) -> bool:
     return bool(np.all(off > 0) and np.all(off.max(axis=1) >= MASS_GUARD))
 
 
-def _collab_objectives(teacher: np.ndarray, student: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The collab objective of a matrix pair: row-aligned sparse W1 per conjugating permutation.
+def _collab_objectives(teacher: np.ndarray, students: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The collab objectives of a teacher and its students: per student, row-aligned sparse W1 per
+    conjugating permutation, as an (S, C) array.
 
     Each row of both matrices is restricted to the union of their nonzero
     off-diagonal columns, renormalized (uniform when its mass is below
@@ -311,56 +318,71 @@ def _collab_objectives(teacher: np.ndarray, student: np.ndarray) -> Callable[[np
     The permutations sit on the last axis: ``w[i, j, c]`` is entry (i, j)
     of the teacher conjugated by ``perms[c]``, so a reduction over i or j
     adds E slabs of C contiguous values, by :func:`_ordered_sum` in the
-    order numpy's sum takes on an E-long axis. When both matrices pass
-    :func:`_dense_off_diagonal`, decided once per pair, every support is
-    all off-diagonal columns whatever the permutation, and the mask, the
-    uniform fallback and the search for the last support column drop out.
-    The masked path gives the same bits on a dense pair but is slower: the
-    sweep-e8 benchmark (dense pairs at E = 8) took a median 1.00 s per
-    operation with it against 0.67 s with the dense path (10 alternating
-    runs each, 2-core VM).
+    order numpy's sum takes on an E-long axis. The teacher's part of a
+    chunk, the gather, its per-permutation row masses and the division by
+    them, runs once for all students; each student's part then runs in one
+    reused buffer (the last one in the teacher's), so every value is that of
+    a one-student call bit for bit.
+    When the teacher and a student both pass :func:`_dense_off_diagonal`,
+    every support is all off-diagonal columns whatever the permutation, and
+    that student's mask, uniform fallback and search for the last support
+    column drop out. The masked path gives the same bits on a dense pair but
+    is slower: the sweep-e8 benchmark (dense pairs at E = 8) took a median
+    1.00 s per operation with it against 0.67 s with the dense path (10
+    alternating runs each, 2-core VM).
     """
     e = teacher.shape[0]
     diag = np.arange(e)
     t = teacher.copy()
     t[diag, diag] = 0.0  # conjugating keeps a zero diagonal at the diagonal
-    s = student.copy()
-    s[diag, diag] = 0.0
-    # the union support holds every nonzero student entry, so the student's
-    # masked row sums do not depend on the permutation
-    s_mass = s.sum(axis=1, keepdims=True)[:, :, None]
-    s_low = s_mass < MASS_GUARD
-    s_norm = s[:, :, None] / np.where(s_low, 1.0, s_mass)
-    dense = _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
+    t_dense = _dense_off_diagonal(teacher)
+    sides = []
+    for student in students:
+        s = student.copy()
+        s[diag, diag] = 0.0
+        # the union support holds every nonzero student entry, so the student's
+        # masked row sums do not depend on the permutation
+        s_mass = s.sum(axis=1, keepdims=True)[:, :, None]
+        s_low = s_mass < MASS_GUARD
+        sides.append((s, s_low, s[:, :, None] / np.where(s_low, 1.0, s_mass),
+                      t_dense and _dense_off_diagonal(student)))
+    masked = not all(dense for *_, dense in sides)
 
     def objectives(perms: np.ndarray) -> np.ndarray:
         pt = np.ascontiguousarray(perms.T)  # else the broadcast index is not C-ordered and take slows
         w = t.ravel().take(pt[:, None, :] * e + pt[None, :, :])  # (E, E, C) conjugated teachers
         # the teacher row sums are taken per permutation: a reordered sum can round differently
         mass = _ordered_sum(w.swapaxes(0, 1))[:, None, :]
-        if dense:
-            w /= mass
-            w -= s_norm
-        else:
-            mask = (w > 0) | (s > 0)[:, :, None]
-            uniform = mask / np.maximum(mask.sum(axis=1), 1)[:, None, :]
-            low = mass < MASS_GUARD
-            w = np.where(low, uniform, w / np.where(low, 1.0, mass))
-            w -= np.where(s_low, uniform, s_norm)
-        for j in range(1, e):
-            w[:, j] += w[:, j - 1]
-        np.abs(w, out=w)
-        # W1 integrates over the m-1 unit gaps between the m support positions, not past
-        # the last one; in a dense row that is column E-1, or E-2 in the last row
-        if dense:
-            at_last = w[diag, e - 1 - (diag == e - 1)]
-            w[diag, diag] = 0.0
-        else:
-            at_last = np.take_along_axis(w, e - 1 - np.argmax(mask[:, ::-1], axis=1)[:, None], axis=1)[:, 0]
-            w *= mask
-        rows = _ordered_sum(w.swapaxes(0, 1))
-        rows -= at_last
-        return _ordered_sum(rows) / e
+        positive = w > 0 if masked else None
+        low = mass < MASS_GUARD  # never in a dense teacher
+        w /= np.where(low, 1.0, mass)
+        spare = np.empty_like(w) if len(sides) > 1 else None
+        values = []
+        for n, (s, s_low, s_norm, dense) in enumerate(sides):
+            buf = w if n == len(sides) - 1 else spare  # the last student may overwrite the teacher's part
+            if dense:
+                np.subtract(w, s_norm, out=buf)
+            else:
+                mask = positive | (s > 0)[:, :, None]
+                uniform = mask / np.maximum(mask.sum(axis=1), 1)[:, None, :]
+                np.copyto(buf, w)
+                np.copyto(buf, uniform, where=low)
+                buf -= np.where(s_low, uniform, s_norm)
+            for j in range(1, e):
+                buf[:, j] += buf[:, j - 1]
+            np.abs(buf, out=buf)
+            # W1 integrates over the m-1 unit gaps between the m support positions, not past
+            # the last one; in a dense row that is column E-1, or E-2 in the last row
+            if dense:
+                at_last = buf[diag, e - 1 - (diag == e - 1)]
+                buf[diag, diag] = 0.0
+            else:
+                at_last = np.take_along_axis(buf, e - 1 - np.argmax(mask[:, ::-1], axis=1)[:, None], axis=1)[:, 0]
+                buf *= mask
+            rows = _ordered_sum(buf.swapaxes(0, 1))
+            rows -= at_last
+            values.append(_ordered_sum(rows) / e)
+        return np.stack(values)
 
     return objectives
 
@@ -376,19 +398,20 @@ def _collab_objectives(teacher: np.ndarray, student: np.ndarray) -> Callable[[np
 _SCAN_BUDGET = 32_768
 
 
-def _scan(objectives, teacher: np.ndarray) -> tuple[float, Permutation]:
-    """Exact minimum of ``objectives`` over every permutation in lexicographic order; first wins ties."""
+def _scan(objectives, teacher: np.ndarray) -> list[tuple[float, Permutation]]:
+    """Exact minimum of each row of ``objectives`` over every permutation in lexicographic order;
+    first wins ties."""
     chunk = max(1, _SCAN_BUDGET // max(1, teacher.size))
-    best_value = np.inf
-    best_perm: np.ndarray | None = None
+    best_values, best_perms = None, None
     for perms in _permutation_chunks(teacher.shape[0], chunk):
         values = objectives(perms)
-        idx = int(np.argmin(values))
-        if values[idx] < best_value:
-            best_value = float(values[idx])
-            best_perm = perms[idx]
-    assert best_perm is not None
-    return best_value, Permutation(best_perm)
+        idx = values.argmin(axis=1)
+        lows = values[np.arange(len(values)), idx]
+        if best_values is None:
+            best_values, best_perms = np.full(len(values), np.inf), [None] * len(values)
+        for s in np.flatnonzero(lows < best_values):
+            best_values[s], best_perms[s] = lows[s], perms[idx[s]]
+    return [(float(value), Permutation(perm)) for value, perm in zip(best_values, best_perms)]
 
 
 # absolute slack (in domain-summed W1 units) within which the subset DP keeps a
@@ -463,11 +486,11 @@ def _spec_candidates(teacher: np.ndarray, student: np.ndarray) -> np.ndarray | N
 
 def _exact_spec(teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permutation]:
     """The scan's result without the scan: re-score the DP's candidates, first minimum wins."""
-    objectives = _spec_objectives(teacher, student)
+    objectives = _spec_objectives(teacher, [student])
     perms = _spec_candidates(teacher, student)
     if perms is None:
-        return _scan(objectives, teacher)
-    values = objectives(perms)
+        return _scan(objectives, teacher)[0]
+    values = objectives(perms)[0]
     idx = int(np.argmin(values))
     return float(values[idx]), Permutation(perms[idx])
 
@@ -536,32 +559,35 @@ def _check_profiles(teacher: SpecializationProfile, student: SpecializationProfi
     return student.matrix[:, cols]
 
 
-def _match(kind: str, teacher: np.ndarray, student: np.ndarray, mode: str) -> TransportResult:
-    """Minimize the ``kind`` objective over relabelings of ``teacher``.
+def _match(kind: str, teacher: np.ndarray, students: Sequence[np.ndarray], mode: str) -> list[TransportResult]:
+    """Minimize the ``kind`` objective over relabelings of ``teacher``, for each of ``students``.
 
     A relabeling is a row-gather map pi that places teacher row pi[j] at
     student slot j (for ``collab``, column pi[j] at column j as well).
     Exact mode returns the minimum over every pi, the lexicographically
     first minimum winning ties: by the subset DP of :func:`_spec_candidates`
-    for ``spec``, and by scanning every pi for ``collab``. Heuristic mode
-    solves the assignment of :func:`heuristic_cost_matrix`, which pairs
-    teacher expert i with student expert sigma(i), so pi is the inverse of
-    sigma; the objective at that pi is an upper bound on the exact minimum.
-    Both modes evaluate ``collab`` through the one per-pair kernel of
+    for ``spec``, and for ``collab`` by one scan of every pi that scores
+    all students together. Heuristic mode solves, per student, the
+    assignment of :func:`heuristic_cost_matrix`, which pairs teacher expert
+    i with student expert sigma(i), so pi is the inverse of sigma; the
+    objective at that pi is an upper bound on the exact minimum. Both modes
+    evaluate ``collab`` through the one kernel of
     :func:`_collab_objectives`: the scan in chunks of permutations, the
     heuristic at its single permutation.
     """
     method = _resolve_mode(mode, teacher.shape[0])
     if method == METHOD_EXACT and kind == "spec":
-        return TransportResult(*_exact_spec(teacher, student), method)
-    objectives = (_spec_objectives if kind == "spec" else _collab_objectives)(teacher, student)
+        return [TransportResult(*_exact_spec(teacher, student), method) for student in students]
+    objectives = _spec_objectives if kind == "spec" else _collab_objectives
     if method == METHOD_EXACT:
-        value, perm = _scan(objectives, teacher)
-    else:
+        return [TransportResult(*found, method) for found in _scan(objectives(teacher, students), teacher)]
+    results = []
+    for student in students:
         sigma, _ = hungarian(heuristic_cost_matrix(kind, teacher, student))
         perm = sigma.inverse()
-        value = float(objectives(np.asarray([perm.mapping], dtype=np.intp))[0])
-    return TransportResult(value=value, permutation=perm, method=method)
+        value = float(objectives(teacher, [student])(np.asarray([perm.mapping], dtype=np.intp))[0, 0])
+        results.append(TransportResult(value, perm, method))
+    return results
 
 
 def spec_distance(
@@ -578,7 +604,31 @@ def spec_distance(
     :func:`heuristic_cost_matrix`, giving an upper bound.
     """
     s_matrix = _check_profiles(teacher, student)
-    return _match("spec", teacher.matrix, s_matrix, mode)
+    return _match("spec", teacher.matrix, [s_matrix], mode)[0]
+
+
+def _check_collab(teacher: CollaborationMatrix, student: CollaborationMatrix) -> None:
+    """Raise TransportError unless the pair can be matched: the checks of :func:`collab_distance`."""
+    if teacher.num_experts != student.num_experts:
+        raise TransportError(
+            f"expert count mismatch: {teacher.num_experts} vs {student.num_experts}"
+        )
+    if teacher.zero_mass != student.zero_mass:
+        raise TransportError(
+            "co-activation mass mismatch: one matrix is zero-mass flagged and the other is not"
+        )
+    if teacher.zero_mass:
+        return
+    for mat, name in ((teacher, "teacher"), (student, "student")):
+        m = mat.matrix
+        # entries in [0, 1] first, so the sum can neither overflow nor warn
+        if not (np.all((m >= 0.0) & (m <= 1.0)) and abs(float(m.sum()) - 1.0) <= NORMALIZATION_TOL):
+            raise TransportError(
+                f"{name} collaboration matrix is not normalized: its entries must lie in "
+                f"[0, 1] and sum to 1 within {NORMALIZATION_TOL}"
+            )
+        if np.any(np.diagonal(m)):
+            raise TransportError(f"{name} collaboration matrix has a nonzero diagonal entry")
 
 
 def collab_distance(
@@ -596,28 +646,44 @@ def collab_distance(
     within NORMALIZATION_TOL, as the profile columns must in
     :func:`_check_profiles`, and a zero diagonal, which the kernel drops.
     """
-    if teacher.num_experts != student.num_experts:
-        raise TransportError(
-            f"expert count mismatch: {teacher.num_experts} vs {student.num_experts}"
-        )
-    if teacher.zero_mass != student.zero_mass:
-        raise TransportError(
-            "co-activation mass mismatch: one matrix is zero-mass flagged and the other is not"
-        )
+    _check_collab(teacher, student)
     if teacher.zero_mass:
         e = teacher.num_experts
         return TransportResult(0.0, Permutation.identity(e), _resolve_mode(mode, e))
-    for mat, name in ((teacher, "teacher"), (student, "student")):
-        m = mat.matrix
-        # entries in [0, 1] first, so the sum can neither overflow nor warn
-        if not (np.all((m >= 0.0) & (m <= 1.0)) and abs(float(m.sum()) - 1.0) <= NORMALIZATION_TOL):
-            raise TransportError(
-                f"{name} collaboration matrix is not normalized: its entries must lie in "
-                f"[0, 1] and sum to 1 within {NORMALIZATION_TOL}"
-            )
-        if np.any(np.diagonal(m)):
-            raise TransportError(f"{name} collaboration matrix has a nonzero diagonal entry")
-    return _match("collab", teacher.matrix, student.matrix, mode)
+    return _match("collab", teacher.matrix, [student.matrix], mode)[0]
+
+
+def signature_distances(
+    teacher: SignatureBundle,
+    students: Sequence[SignatureBundle],
+    mode: str = "auto",
+) -> list[SignatureDistance]:
+    """:func:`signature_distance` of ``teacher`` to each of ``students``, bit for bit.
+
+    Each pair's specialization distance is matched, and its collaboration
+    pair checked, in student order, so a fault is the one the pairs taken
+    one at a time would raise first; then one exact scan of the teacher's
+    relabelings gives every collaboration distance.
+    """
+    specs = []
+    for student in students:
+        specs.append(spec_distance(teacher.spec, student.spec, mode=mode))
+        if not (teacher.collab.zero_mass and student.collab.zero_mass):
+            _check_collab(teacher.collab, student.collab)
+    if teacher.collab.zero_mass:  # then so is every student's, or the check above raised
+        collabs = [None] * len(students)
+    else:
+        collabs = _match("collab", teacher.collab.matrix, [student.collab.matrix for student in students], mode)
+    return [
+        SignatureDistance(
+            d_spec=d_spec.value,
+            d_collab=d_collab.value if d_collab else None,
+            spec_permutation=d_spec.permutation,
+            collab_permutation=d_collab.permutation if d_collab else None,
+            method=d_spec.method,
+        )
+        for d_spec, d_collab in zip(specs, collabs)
+    ]
 
 
 def signature_distance(
@@ -630,15 +696,6 @@ def signature_distance(
     When both collaboration matrices are zero-mass flagged the collaboration
     distance is reported absent and scoring falls back to specialization
     alone; a one-sided flag is an error because the scores would not be
-    comparable.
+    comparable. The one-student case of :func:`signature_distances`.
     """
-    d_spec = spec_distance(teacher.spec, student.spec, mode=mode)
-    both_zero = teacher.collab.zero_mass and student.collab.zero_mass
-    d_collab = None if both_zero else collab_distance(teacher.collab, student.collab, mode=mode)
-    return SignatureDistance(
-        d_spec=d_spec.value,
-        d_collab=d_collab.value if d_collab else None,
-        spec_permutation=d_spec.permutation,
-        collab_permutation=d_collab.permutation if d_collab else None,
-        method=d_spec.method,
-    )
+    return signature_distances(teacher, [student], mode)[0]

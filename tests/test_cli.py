@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import logging
+import tracemalloc
 import warnings
 
 import pytest
@@ -12,7 +13,7 @@ from moesig import _pool, signatures
 from moesig.cli import dispatch
 from moesig.detector import BenchmarkReport, BenchmarkRow
 from moesig.pipeline import emit_report
-from moesig.routing_trace import build_trace_set, write_traces
+from moesig.routing_trace import build_trace_set, ingest_traces, write_traces
 from moesig.shadow_moe import ShadowMoeConfig, ShadowMoeModel
 from moesig.synthgen import ScenarioConfig, generate_scenario, write_scenario
 
@@ -882,6 +883,60 @@ class TestPooledReads:
         (message,) = error_lines(caplog)
         assert message.startswith("line 4: malformed record")
         assert not (tmp_path / "v.json").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_layer_faults_come_first_then_in_file_order(self, tmp_path, monkeypatch, caplog, cpus):
+        # an unknown --layer name faults before any file is opened; a layer index out of
+        # range for a file faults in file order, together with that file's read faults
+        simple_trace_file(tmp_path / "t.jsonl")
+        simple_trace_file(tmp_path / "c1.jsonl")
+        (tmp_path / "c2.jsonl").write_text("{bad\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        cases = [
+            (DETECT + ["--layer", "middle"], "unknown layer policy 'middle'"),
+            (DETECT + ["--layer", "1"], "explicit layer 1 out of range (0..0)"),
+            (["profile", "--input", "missing.jsonl", "--out", "p.json", "--layer-policy", "middle"],
+             "unknown layer policy 'middle'"),
+            (["report", "--benchmark", "missing", "--out", "r.csv", "--layer", "middle"],
+             "unknown layer policy 'middle'"),
+        ]
+        for argv, expected in cases:
+            caplog.clear()
+            assert self.run_at(monkeypatch, cpus, argv) == 1
+            assert error_lines(caplog) == [expected]
+        # the teacher's read fault comes before a candidate's layer fault
+        (tmp_path / "t.jsonl").write_text("{bad\n", encoding="utf-8")
+        simple_trace_file(tmp_path / "c2.jsonl")
+        caplog.clear()
+        assert self.run_at(monkeypatch, cpus, DETECT + ["--layer", "1"]) == 1
+        (message,) = error_lines(caplog)
+        assert message.startswith("line 1: header is not valid JSON")
+        assert not (tmp_path / "v.json").exists()
+
+
+    def test_detect_holds_one_trace_set_at_a_time(self, tmp_path, monkeypatch):
+        # each file becomes signatures as soon as it is read, so at one CPU detect's
+        # tracemalloc peak stays within half a trace set (1.1 MB here) of one read's; holding
+        # all three trace sets until the signatures were built added about 2.2 MB
+        scenario = generate_scenario(ScenarioConfig(
+            num_experts=16, num_layers=4, top_k=4, num_domains=9, n_per_domain=1000, relatedness=0.5, seed=1))
+        write_scenario(scenario, tmp_path)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
+        tracemalloc.start()
+        try:
+            traces = ingest_traces(tmp_path / "teacher.jsonl")
+            held, read_peak = tracemalloc.get_traced_memory()
+            del traces
+            size = held - tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            detect = ["detect", "--teacher", "teacher.jsonl", "--cand1", "cand1.jsonl", "--cand2", "cand2.jsonl"]
+            monkeypatch.chdir(tmp_path)
+            assert dispatch(detect + ["--out", "v.json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 1e6
+        assert peak < read_peak + size / 2
 
 
 class TestEmitReport:

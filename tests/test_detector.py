@@ -8,6 +8,7 @@ from moesig.detector import (
     detect_pair,
     run_benchmark,
     score_candidate,
+    score_candidates,
 )
 from moesig.errors import DetectorError, TransportError
 from moesig.routing_trace import build_trace_set
@@ -50,6 +51,23 @@ class TestScoreCandidate:
             assert score.score == -0.5 * (dist.d_spec + dist.d_collab)
             assert score.d_spec == dist.d_spec
             assert score.d_collab == dist.d_collab
+
+    def test_many_candidates_score_as_each_alone(self):
+        # one call scores every candidate against the teacher, bit for bit as one call each;
+        # a pair's fault is the one the pairs taken one at a time would raise first
+        rng = np.random.default_rng(3)
+        teacher = random_bundle(rng, num_experts=6, num_domains=3)
+        students = [random_bundle(rng, num_experts=6, num_domains=3) for _ in range(4)]
+        for mode in ("exact", "heuristic"):
+            together = score_candidates(teacher, students, mode=mode, candidate_ids=list("abcd"))
+            alone = [score_candidate(teacher, s, mode=mode, candidate_id=i) for s, i in zip(students, "abcd")]
+            assert together == alone
+            assert [s.distance for s in together] == [s.distance for s in alone]
+        zero = zero_mass_bundle(rng, num_experts=6, num_domains=3)
+        with pytest.raises(TransportError, match="zero-mass"):
+            score_candidates(teacher, [students[0], zero, random_bundle(rng, num_experts=5)])
+        with pytest.raises(TransportError, match="expert count mismatch"):
+            score_candidates(teacher, [students[0], random_bundle(rng, num_experts=5), zero])
 
     def test_score_against_factorial_oracle(self):
         rng = np.random.default_rng(2)

@@ -755,6 +755,47 @@ def test_canonical_reader_memory_is_bounded(tmp_path, monkeypatch):
     assert peak < 6.5e6
 
 
+def test_column_checks_memory_is_bounded():
+    # 64000 rows of 8 experts (4000 queries at 16 layers, 2.05 MB of rows): the experts are
+    # sorted in place with int32 keys and repeated (query, layer) pairs are found one layer at
+    # a time, so past the 1.30 MB of outputs the tracemalloc peak adds about 1.4 MB; int64
+    # pair keys argsorted over all rows and a second expert array added 6.5 MB
+    n, layers, k = 4000, 16, 8
+    query = np.arange(n, dtype=np.int32)
+    rows = (np.repeat(query, layers), np.repeat(query % 9 + 1, layers),
+            np.tile(np.arange(layers, dtype=np.int32), n), np.full(n * layers, k, np.int32),
+            ((np.arange(n * layers)[:, None] * 5 + np.arange(k) * 7) % 64).astype(np.int16).ravel())
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        domain, counts, selected = routing_trace._columns(rows, n, (64,) * layers)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert [len(e) for e in selected] == [n * k] * layers and domain.tolist() == (np.arange(n) % 9 + 1).tolist()
+    assert peak < 4e6
+
+
+def test_write_memory_is_bounded(tmp_path):
+    # 4000 queries at 16 layers (64000 records, 1.28 MB of columns) are written in blocks of
+    # at most 2048 records: the tracemalloc peak is about 1.4 MB, against 7.2 MB for blocks
+    # of 512 queries over whole-file expert and int64 offset arrays
+    n, layers = 4000, 16
+    ids, doms = [f"q{i:06d}" for i in range(n)], np.arange(n) % 9 + 1
+    records = [(ids, doms, layer, (np.arange(n)[:, None] * 5 + np.arange(8) * 7 + layer) % 64)
+               for layer in range(layers)]
+    ts = build_trace_set("m", layers, (64,) * layers, tuple(f"d{j}" for j in range(1, 10)), records)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        write_traces(ts, tmp_path / "t.jsonl")
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert ingest_traces(tmp_path / "t.jsonl") == ts
+    assert peak < 3e6
+
+
 @st.composite
 def shuffled_records(draw):
     """Records with missing layers, mixed k and unsorted selections, in shuffled order."""

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from moesig import _pool
 from moesig.detector import detect_pair
 from moesig.errors import ScenarioError
 from moesig.signatures import signature_bundle
@@ -160,6 +161,43 @@ class TestSweep:
         assert summary[1.0]["accuracy"] == 1.0
         assert summary[1.0]["accuracy"] > summary[0.0]["accuracy"]
         assert summary[1.0]["mean_margin"] > summary[0.0]["mean_margin"]
+
+    @staticmethod
+    def one_pair_row(config):
+        """The row of one config from its own scenario and one detect_pair call."""
+        scenario = generate_scenario(config)
+        models = (scenario.teacher, scenario.distilled, scenario.scratch)
+        verdict = detect_pair(*map(signature_bundle, models))
+        s_d, s_s = verdict.scores
+        return {"rho": config.relatedness, "seed": config.seed, "correct": int(verdict.predicted_index == 1),
+                "tie": verdict.tie, "margin": s_d.score - s_s.score, "d_spec_distilled": s_d.d_spec,
+                "d_spec_scratch": s_s.d_spec, "d_collab_distilled": s_d.d_collab,
+                "d_collab_scratch": s_s.d_collab, "method": s_d.distance.method}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_do_not_depend_on_grid_order_or_cpus(self, monkeypatch, cpus):
+        # a rho-major grid gathers each seed's configs into one run; the rows must be those of
+        # one scenario and one detect_pair call per config, bit for bit, in grid order
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
+        base = {**BASE, "num_experts": 6, "num_domains": 3, "n_per_domain": 30}
+        rho_major = [ScenarioConfig(**{**base, "relatedness": rho, "seed": seed})
+                     for rho in (0.2, 0.6, 1.0) for seed in (4, 5, 6)]
+        seed_major = sorted(rho_major, key=lambda c: (c.seed, c.relatedness))
+        want = {(c.relatedness, c.seed): self.one_pair_row(c) for c in rho_major}
+        for configs in (rho_major, seed_major):
+            rows = sweep(configs)
+            assert [(r["rho"], r["seed"]) for r in rows] == [(c.relatedness, c.seed) for c in configs]
+            for row in rows:
+                assert {key: row[key] for key in want[row["rho"], row["seed"]]} == want[row["rho"], row["seed"]]
+
+    def test_teacher_and_scratch_do_not_depend_on_relatedness(self):
+        # what lets a sweep score a seed's candidates against one teacher in one scan
+        first, *others = (generate_scenario(ScenarioConfig(**{**BASE, "relatedness": rho, "seed": 3}))
+                          for rho in (0.0, 0.35, 1.0))
+        for scenario in others:
+            assert scenario.teacher == first.teacher
+            assert scenario.scratch == first.scratch
+            assert scenario.distilled != first.distilled
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ScenarioError):

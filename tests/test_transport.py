@@ -325,8 +325,8 @@ class TestSpecDistance:
 
     @staticmethod
     def _assert_dp_equals_scan(teacher, student):
-        want_value, want_perm = _scan(_spec_objectives(teacher, student), teacher)
-        got = transport._match("spec", teacher, student, "exact")
+        [(want_value, want_perm)] = _scan(_spec_objectives(teacher, [student]), teacher)
+        [got] = transport._match("spec", teacher, [student], "exact")
         assert got.value == want_value
         assert got.permutation == want_perm
 
@@ -376,7 +376,7 @@ class TestSpecDistance:
         # all rows identical: every permutation is optimal, and the identity is lex-first
         matrix = np.full((8, 3), 1.0 / 8)
         assert _spec_candidates(matrix, matrix).tolist() == [list(range(8))]
-        res = transport._match("spec", matrix, matrix, "exact")
+        [res] = transport._match("spec", matrix, [matrix], "exact")
         assert res.value == 0.0
         assert res.permutation == Permutation.identity(8)
 
@@ -385,7 +385,7 @@ class TestSpecDistance:
         matrix = np.full((8, 3), 1.0 / 8) + np.arange(8)[:, None] * 1e-14
         matrix /= matrix.sum(axis=0)
         assert _spec_candidates(matrix, matrix) is None
-        res = transport._match("spec", matrix, matrix, "exact")
+        [res] = transport._match("spec", matrix, [matrix], "exact")
         assert res.value == 0.0
         assert res.permutation == Permutation.identity(8)
 
@@ -626,17 +626,55 @@ class TestCollabKernel:
         else:
             teacher = _random_dense(rng, num_experts)
         student = _random_dense(rng, num_experts)
-        objectives = _collab_objectives(teacher, student)
+        objectives = _collab_objectives(teacher, [student])
         perms = _all_permutations(num_experts)
-        values = objectives(perms)
+        [values] = objectives(perms)
         idx = int(np.argmin(values))
         if teacher_kind == "uniform":  # every relabeling ties, so the identity must win
             assert np.all(values == values[0]) and idx == 0
         if chunk is not None:
             monkeypatch.setattr(transport, "_SCAN_BUDGET", chunk * num_experts**2)
-        value, perm = _scan(objectives, teacher)
+        [(value, perm)] = _scan(objectives, teacher)
         assert value == float(values[idx])
         assert perm.mapping == tuple(perms[idx])
+
+
+def _kernel_case(rng: np.random.Generator, kind: str, num_experts: int) -> CollaborationMatrix:
+    """A normalized matrix: dense off the diagonal, sparse, or dense but for one low-mass row."""
+    matrix = random_collab(rng, num_experts, sparsity=0.5 if kind == "sparse" else 2.0).matrix
+    if kind == "low-row":
+        row = int(rng.integers(num_experts))
+        matrix[row] *= MASS_GUARD / 10
+        matrix[:, row] *= MASS_GUARD / 10
+    return CollaborationMatrix(0, matrix / matrix.sum(), 2.0)
+
+
+def _assert_each_pair(teacher, students, mode):
+    got = transport._match("collab", teacher.matrix, [student.matrix for student in students], mode)
+    want = [collab_distance(teacher, student, mode=mode) for student in students]
+    assert [(r.value.hex(), r.permutation, r.method) for r in got] == [
+        (r.value.hex(), r.permutation, r.method) for r in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_experts=st.integers(2, 8),
+       kinds=st.lists(st.sampled_from(["dense", "sparse", "low-row"]), min_size=2, max_size=5),
+       mode=st.sampled_from(["exact", "heuristic"]))
+def test_many_student_scan_is_each_pair_bit_for_bit(seed, num_experts, kinds, mode):
+    # the teacher's part of a chunk is shared and each student's runs in a reused buffer:
+    # every value and permutation must be the one-pair call's, dense and masked pairs mixed
+    rng = np.random.default_rng(seed)
+    teacher, *students = (_kernel_case(rng, kind, num_experts) for kind in kinds)
+    _assert_each_pair(teacher, students, mode)
+
+
+def test_many_student_scan_at_nine_experts():
+    # above 8 experts the scan chunks follow the prefixes of the permutation table
+    rng = np.random.default_rng(909)
+    teacher = _kernel_case(rng, "dense", 9)
+    students = [_kernel_case(rng, kind, 9) for kind in ("dense", "sparse", "dense")]
+    students.append(CollaborationMatrix(0, teacher.matrix[np.ix_(*[rng.permutation(9)] * 2)], 2.0))
+    _assert_each_pair(teacher, students, "exact")
 
 
 class TestHeuristicCost:
