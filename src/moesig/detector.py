@@ -122,7 +122,7 @@ def score_candidates(
     """
     ids = candidate_ids if candidate_ids is not None else [""] * len(student_sigs)
     scores = []
-    for dist, candidate_id in zip(signature_distances(teacher_sig, student_sigs, mode=mode), ids):
+    for dist, candidate_id in zip(signature_distances(teacher_sig, student_sigs, mode=mode), ids, strict=True):
         if dist.d_collab is None:
             score = -dist.d_spec
         else:
