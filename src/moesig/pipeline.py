@@ -15,7 +15,10 @@ share a config apart from the seed, so each round is cut into one
 contiguous run per usable CPU and every run is trained as one stacked
 model on a process pool. Jobs rebuild their oracles from the seed and a
 stacked fit is bitwise the fit alone, so the artifacts depend neither on
-the number of workers nor on how the fits are cut into stacks.
+the number of workers nor on how the fits are cut into stacks. A fit's
+log line reads only its first and last distillation loss, so the fits
+skip the full-data loss pass of every epoch in between; ``train-proxy
+--losses`` writes a whole curve.
 """
 
 from __future__ import annotations
@@ -136,11 +139,11 @@ class _Setup:
     def train(self, fits: list[tuple[str, Oracle, np.ndarray, int]], epochs: int):
         """Fit ``(name, oracle, inputs, seed)`` as one stack, save each as ``models/<name>.bin``.
 
-        Returns the models with their log lines.
+        Returns the models with their log lines, which give the first and last loss only.
         """
         stack = [(oracle, x, replace(self.proxy, seed=seed, epochs=epochs)) for _, oracle, x, seed in fits]
         results = []
-        for (name, *_), (model, losses) in zip(fits, train_proxies(stack)):
+        for (name, *_), (model, losses) in zip(fits, train_proxies(stack, curve=False)):
             model.save(self.models_dir / f"{name}.bin")
             results.append((model, f"{name}: distill loss {losses[0]:.5g} -> {losses[-1]:.5g}"))
         return results

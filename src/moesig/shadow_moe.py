@@ -27,6 +27,10 @@ velocities are one (M, P) buffer each, whose rows are the models' vectors,
 so a step costs one set of numpy calls however many fits it carries.
 :func:`train_proxy` is its one-fit case; a model's forward pass, trace export
 and ``loss_and_grads`` run the same kernels on its vector as a stack of one.
+After every epoch a fit takes its loss over all its inputs, a forward pass
+that costs about a quarter of the epoch's steps at the reference pipeline's
+shape; a caller that reads only the first and last loss passes
+``curve=False`` and skips the passes in between.
 """
 
 from __future__ import annotations
@@ -636,6 +640,7 @@ def build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig) -> Oracle:
 
 def train_proxies(
     fits: Sequence[tuple[Oracle, np.ndarray, ShadowMoeConfig]],
+    curve: bool = True,
 ) -> list[tuple[ShadowMoeModel, list[float]]]:
     """Fit proxies in lockstep as one stacked model; each result is :func:`train_proxy` of its fit, bit for bit.
 
@@ -647,7 +652,15 @@ def train_proxies(
     Inputs and oracle outputs are checked first, fit by fit. Training stops
     as soon as any fit diverges; a stack of one raises its ShadowMoeError,
     and a larger stack refits its fits one at a time in order, so the first
-    fit that diverges raises the error :func:`train_proxy` raises for it.
+    fit that diverges raises the error it raises when fitted alone.
+
+    Each fit comes back with its full-dataset loss curve: entry 0 before
+    any update, entry e after epoch e. With ``curve=False`` the loss is
+    taken before the first step and after the last epoch only, and each
+    curve is that pair ``[first, last]``; the parameters never see the loss
+    pass, so the models are the same bit for bit. Divergence is then caught
+    by the per-step batch-loss check and the final pass, and the refit
+    fallback keeps the same ``curve``.
     """
     fits = list(fits)
     configs = [config for _, _, config in fits]
@@ -720,12 +733,13 @@ def train_proxies(
                 velocity *= config.momentum
                 velocity += grad_buffer
                 buffer -= config.learning_rate * velocity
-            record_losses(epoch)
+            if curve or epoch == config.epochs - 1:
+                record_losses(epoch)
     except ShadowMoeError:
         if stack == 1:
             raise
         # refit one at a time, in order, so the first fit that diverges raises its own error
-        return [train_proxy(*fit) for fit in fits]
+        return [train_proxies([fit], curve)[0] for fit in fits]
     return list(zip(models, losses))
 
 

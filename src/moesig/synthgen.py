@@ -129,11 +129,13 @@ def _block_preferences(starts: np.ndarray, num_experts: int, num_domains: int) -
 def _sample_topk(rng: np.random.Generator, weights: np.ndarray, k: int) -> np.ndarray:
     """Weighted sampling without replacement via Gumbel perturbation, row-wise.
 
-    Returns (n, k) expert indices for per-row weight vectors (n, E).
+    Returns (n, k) expert indices for per-row weight vectors (n, E), as a
+    compact copy: a slice would keep the whole (n, E) argsort alive for as
+    long as the draws are held.
     """
     gumbel = rng.gumbel(size=weights.shape)
     keys = np.log(weights) + gumbel
-    return np.argsort(-keys, axis=1, kind="stable")[:, :k]
+    return np.argsort(-keys, axis=1, kind="stable")[:, :k].copy()
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:

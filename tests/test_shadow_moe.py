@@ -331,8 +331,15 @@ class TestStacking:
         ]
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_stack_splits_equal_single_fits(self, tmp_path, shape, momentum):
+    @pytest.mark.parametrize(
+        "momentum, curve",
+        [
+            pytest.param(momentum, curve, id=f"{momentum}{'' if curve else '-no-curve'}")
+            for curve in (True, False)
+            for momentum in (0.0, 0.9)
+        ],
+    )
+    def test_stack_splits_equal_single_fits(self, tmp_path, shape, momentum, curve):
         fits = self.fits(shape, momentum)
 
         def saved(model, name):
@@ -340,11 +347,15 @@ class TestStacking:
             return (tmp_path / name).read_bytes()
 
         alone = [train_proxy(*fit) for fit in fits]
-        expected = [(saved(m, "alone.bin"), [repr(loss) for loss in losses]) for m, losses in alone]
+        # without the curve only the first and last loss are taken, and the models do not move
+        expected = [
+            (saved(m, "alone.bin"), [repr(loss) for loss in (losses if curve else [losses[0], losses[-1]])])
+            for m, losses in alone
+        ]
         for split in self.SPLITS:
             results, start = [], 0
             for size in split:
-                results += train_proxies(fits[start : start + size])
+                results += train_proxies(fits[start : start + size], curve=curve)
                 start += size
             got = [(saved(m, "stacked.bin"), [repr(loss) for loss in losses]) for m, losses in results]
             assert got == expected, split
@@ -363,33 +374,44 @@ class TestStacking:
             "batch": (lambda inp: np.full((len(inp), 2), 1e200), x[0], cfg[0]),
         }
 
+    ORDERS = [
+        ["survivor", "late", "early", "activations", "batch"],
+        ["early", "late"],
+        ["survivor", "activations", "late"],
+        ["batch", "survivor"],
+    ]
+
     @pytest.mark.parametrize(
-        "order",
+        "order, curve",
         [
-            ["survivor", "late", "early", "activations", "batch"],
-            ["early", "late"],
-            ["survivor", "activations", "late"],
-            ["batch", "survivor"],
+            pytest.param(order, curve, id=f"order{i}{'' if curve else '-no-curve'}")
+            for i, order in enumerate(ORDERS)
+            for curve in (True, False)
         ],
     )
-    def test_first_diverging_fit_in_order_raises_its_own_error(self, order):
+    def test_first_diverging_fit_in_order_raises_its_own_error(self, order, curve):
         fits = self.diverging_fits()
         own = {}
         for name, fit in fits.items():
             try:
-                train_proxy(*fit)
+                train_proxies([fit], curve=curve)
                 own[name] = None
             except ShadowMoeError as exc:
                 own[name] = str(exc)
         # the fits fail in different ways and at different epochs
         assert own["survivor"] is None
         assert len({own[name] for name in fits if name != "survivor"}) == 4
-        assert "epoch 7: loss" in own["late"] and "epoch 5: loss" in own["early"]
         assert own["activations"] == "non-finite activations in forward pass"
         assert own["batch"] == "training diverged at epoch 0: batch loss inf (lr=3.0, lambda=0.001)"
+        if curve:
+            assert "epoch 7: loss" in own["late"] and "epoch 5: loss" in own["early"]
+        else:
+            # the final pass still catches "late", and the next epoch's batch-loss check "early"
+            assert own["late"] == "training diverged at epoch 7: loss inf"
+            assert own["early"].startswith("training diverged at epoch 6: batch loss inf")
         expected = next(own[name] for name in order if own[name] is not None)
         with pytest.raises(ShadowMoeError) as exc:
-            train_proxies([fits[name] for name in order])
+            train_proxies([fits[name] for name in order], curve=curve)
         assert str(exc.value) == expected
 
     def test_fits_must_share_config_and_input_shape(self):
