@@ -209,12 +209,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from moesig.signatures import parse_layer_policy
     from moesig.synthgen import expand_grid, sweep
 
+    policy = _layer_policy(args.layer)
     doc = read_json(args.grid)
     configs = expand_grid(doc)
-    rows = sweep(configs, mode=args.mode, layer_policy=parse_layer_policy(args.layer))
+    rows = sweep(configs, mode=args.mode, layer_policy=policy)
     meta = artifact_meta(None, config_digest(doc))
     write_csv(args.out, meta_comment(meta), list(rows[0]), [row.values() for row in rows])
     log.info("swept %d configs -> %s", len(configs), args.out)

@@ -53,7 +53,7 @@ class PairVerdict:
 
 @dataclass(frozen=True)
 class BenchmarkRow:
-    """Per-domain pair result. ``margin`` is signed: score(kd) - score(scratch)."""
+    """Per-domain pair result. ``margin`` is signed: score(kd) - score(scratch); a tie is not correct."""
 
     domain: str
     d_spec_kd: float
@@ -66,7 +66,7 @@ class BenchmarkRow:
 
     @property
     def correct(self) -> bool:
-        return self.verdict == "kd"
+        return self.verdict == "kd" and not self.tie
 
     @property
     def spec_reduction_pct(self) -> float | None:
@@ -179,8 +179,8 @@ def run_benchmark(
     ``pairs`` maps a domain name to (distilled candidate traces, scratch
     candidate traces). Signatures are computed once per model; each pair
     yields one verdict, and accuracy is the fraction of domains whose
-    distilled member was chosen. Shape or co-activation-mass mismatches
-    propagate as errors rather than being scored asymmetrically.
+    distilled member was chosen without a tie. Shape or co-activation-mass
+    mismatches propagate as errors rather than being scored asymmetrically.
     """
     if not pairs:
         raise DetectorError("benchmark needs at least one candidate pair")

@@ -16,7 +16,9 @@ can check that the matcher recovers it.
 distribution is mixed toward uniform with weight 1-b and the effective copy
 probability becomes rho*b. Bias 0 models early layers whose routing
 reflects shared surface statistics rather than inherited structure; bias 1
-(the default everywhere) is the plain scenario above.
+(the default everywhere) is the plain scenario above. rho only sets the copy
+threshold, so configs that differ only in it draw the same routing: a sweep
+generates them as one group, drawing every model once.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
+from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from moesig._rng import substream
 from moesig.detector import DetectionScore, pair_verdict, score_candidates
 from moesig.errors import ScenarioError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set, write_traces
-from moesig.signatures import LayerPolicy, SignatureBundle, signature_bundle
+from moesig.signatures import LayerPolicy, signature_bundle
 from moesig.transport import Permutation
 
 PREFERRED_WEIGHT = 8.0  # elevated selection weight of a domain's expert block
@@ -129,24 +132,35 @@ def _block_preferences(starts: np.ndarray, num_experts: int, num_domains: int) -
 def _sample_topk(rng: np.random.Generator, weights: np.ndarray, k: int) -> np.ndarray:
     """Weighted sampling without replacement via Gumbel perturbation, row-wise.
 
-    Returns (n, k) expert indices for per-row weight vectors (n, E), as a
-    compact copy: a slice would keep the whole (n, E) argsort alive for as
-    long as the draws are held.
+    Returns (n, k) expert indices for per-row weight vectors (n, E) as a
+    compact int16 copy, the dtype trace sets store: a slice would keep the
+    whole (n, E) int64 argsort alive for as long as the draws are held.
     """
     gumbel = rng.gumbel(size=weights.shape)
     keys = np.log(weights) + gumbel
-    return np.argsort(-keys, axis=1, kind="stable")[:, :k].copy()
+    return np.argsort(-keys, axis=1, kind="stable")[:, :k].astype(np.int16)
 
 
-def generate_scenario(config: ScenarioConfig) -> Scenario:
-    """Generate teacher, distilled, and scratch trace sets under one seed."""
+def _draw_key(config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` without its relatedness: configs with equal keys draw the same routing."""
+    return replace(config, relatedness=0.0)
+
+
+def _generate_group(configs: Sequence[ScenarioConfig]) -> Iterator[Scenario]:
+    """One scenario per config, in order, for configs that differ only in ``relatedness``.
+
+    The models and the copy mask's uniforms are drawn once per layer, and the
+    teacher and scratch trace sets are built once: rho only sets the copy
+    threshold ``u < rho * b``, so each config gets the distilled set that it
+    alone would draw, and its own ``meta``.
+    """
+    config = configs[0]
     e, l, k, d = config.num_experts, config.num_layers, config.top_k, config.num_domains
     n = d * config.n_per_domain
     bias = config.layer_bias if config.layer_bias is not None else (1.0,) * l
     seed = config.seed
 
-    teacher_starts = (np.arange(d) * math.ceil(e / d)) % e
-    teacher_pref = _block_preferences(teacher_starts, e, d)
+    teacher_pref = _block_preferences((np.arange(d) * math.ceil(e / d)) % e, e, d)
     scratch_pref = _block_preferences(substream(seed, "scratch-prefs").integers(0, e, size=d), e, d)
     own_pref = _block_preferences(substream(seed, "distilled-prefs").integers(0, e, size=d), e, d)
 
@@ -158,45 +172,46 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     # independent hidden relabelings. Relabeling only one would bias the pair:
     # the positional ground metric makes the matched distance sensitive to the
     # student-side labeling except in the relabeled-copy limit.
-    sigma: np.ndarray | None = None
-    tau: np.ndarray | None = None
+    sigma = tau = None
     if config.permute_labels:
         sigma = substream(seed, "hidden-permutation").permutation(e)
         tau = substream(seed, "scratch-relabel").permutation(e)
 
-    # (model id, preferences, draw substream, relabeling); the distilled
-    # model's own draw is its fallback wherever it does not copy the teacher
-    models = (
-        ("teacher", teacher_pref, substream(seed, "teacher-draw"), None),
-        ("distilled", own_pref, substream(seed, "distilled-draw"), sigma),
-        ("scratch", scratch_pref, substream(seed, "scratch-draw"), tau),
-    )
+    # (preferences, draw substream) of the teacher, of the distilled model's
+    # own draw (its fallback wherever it does not copy the teacher) and of scratch
+    models = ((teacher_pref, substream(seed, "teacher-draw")), (own_pref, substream(seed, "distilled-draw")),
+              (scratch_pref, substream(seed, "scratch-draw")))
     rng_copy = substream(seed, "copy-mask")
     uniform = np.full(e, 1.0 / e)
-    records: dict[str, list] = {model_id: [] for model_id, *_ in models}
-    for layer, b in enumerate(bias):
-        draws = {
-            model_id: _sample_topk(rng, (1.0 - b) * uniform[None, :] + b * pref[domain_of_query], k)
-            for model_id, pref, rng, _ in models
-        }
-        copy = rng_copy.random(n) < config.relatedness * b
-        draws["distilled"] = np.where(copy[:, None], draws["teacher"], draws["distilled"])
-        for model_id, _, _, relabel in models:
-            sets = draws[model_id] if relabel is None else relabel[draws[model_id]]
-            records[model_id].append((query_ids, domain_index, layer, sets))
+    # per layer: its bias, the three models' draws and the copy mask's uniforms
+    layers = [
+        (b, *(_sample_topk(rng, (1.0 - b) * uniform[None, :] + b * pref[domain_of_query], k)
+              for pref, rng in models), rng_copy.random(n))
+        for b in bias
+    ]
 
     labels = tuple(f"d{j + 1}" for j in range(d))
-    meta = {"seed": seed, "config_digest": config.digest()}
-    # popping frees each model's records once its trace set is built
-    trace_sets = {
-        model_id: build_trace_set(model_id, l, (e,) * l, labels, records.pop(model_id), meta)
-        for model_id in list(records)
-    }
-    return Scenario(
-        config=config,
-        **trace_sets,
-        hidden_permutation=Permutation(sigma) if sigma is not None else None,
-    )
+
+    def trace_set(model_id, draws, relabel, meta=None):
+        records = ((query_ids, domain_index, layer, sets if relabel is None else relabel[sets])
+                   for layer, sets in enumerate(draws))
+        return build_trace_set(model_id, l, (e,) * l, labels, records, meta)
+
+    teacher = trace_set("teacher", (t for _, t, _, _, _ in layers), None)
+    scratch = trace_set("scratch", (s for _, _, _, s, _ in layers), tau)
+    hidden = Permutation(sigma) if sigma is not None else None
+    for config in configs:
+        meta = {"seed": seed, "config_digest": config.digest()}
+        copies = (np.where((u < config.relatedness * b)[:, None], t, own) for b, t, own, _, u in layers)
+        distilled = trace_set("distilled", copies, sigma, meta)
+        yield Scenario(config, replace(teacher, meta=dict(meta)), distilled,
+                       replace(scratch, meta=dict(meta)), hidden)
+
+
+def generate_scenario(config: ScenarioConfig) -> Scenario:
+    """Generate teacher, distilled, and scratch trace sets under one seed (a group of one config)."""
+    (scenario,) = _generate_group([config])
+    return scenario
 
 
 def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict:
@@ -262,16 +277,6 @@ def expand_grid(doc: dict) -> list[ScenarioConfig]:
     ]
 
 
-def _bundle_key(bundle: SignatureBundle) -> tuple:
-    """Every field of a signature bundle, arrays as their dtype, shape and bytes: equal keys are
-    bitwise-equal bundles."""
-    spec, collab = bundle
-    arrays = (spec.matrix, spec.kappa_per_domain, spec.counts, collab.matrix,
-              np.float64(collab.pair_normalizer))
-    return (spec.layer, spec.domain_labels, collab.layer, collab.zero_mass,
-            *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
-
-
 def _sweep_row(config: ScenarioConfig, distilled: DetectionScore, scratch: DetectionScore) -> dict:
     """The result row of one scenario from its two scored candidates."""
     verdict = pair_verdict(distilled, scratch)
@@ -283,7 +288,7 @@ def _sweep_row(config: ScenarioConfig, distilled: DetectionScore, scratch: Detec
         "num_domains": config.num_domains,
         "n_per_domain": config.n_per_domain,
         "seed": config.seed,
-        "correct": int(verdict.predicted_index == 1),
+        "correct": int(verdict.predicted_index == 1 and not verdict.tie),
         "tie": verdict.tie,
         "margin": distilled.score - scratch.score,
         "d_spec_distilled": distilled.d_spec,
@@ -297,28 +302,23 @@ def _sweep_row(config: ScenarioConfig, distilled: DetectionScore, scratch: Detec
 def _sweep_run(configs: list[ScenarioConfig], mode: str, layer_policy: LayerPolicy) -> list[dict]:
     """Generate and detect a run of scenarios; one result row per config.
 
-    Scenarios are generated one at a time and only their signature bundles
-    are kept. Each distinct (teacher, candidate) pair, told apart by bitwise
-    equality of the bundles, is scored once, and all candidates of a
-    teacher in one :func:`score_candidates` call.
+    Adjacent configs that differ only in ``relatedness`` are generated as one
+    group by :func:`_generate_group`, one scenario at a time, keeping only
+    signature bundles: the group's teacher and scratch bundles once, then
+    one distilled bundle per config. The scratch and every distilled
+    candidate are scored in one :func:`score_candidates` call.
     """
-    teachers: dict[tuple, tuple[SignatureBundle, dict[tuple, SignatureBundle]]] = {}
-    keys = []  # per config: its teacher's, distilled's and scratch's keys
-    for config in configs:
-        scenario = generate_scenario(config)
-        bundles = [signature_bundle(traces, layer_policy)
-                   for traces in (scenario.teacher, scenario.distilled, scenario.scratch)]
-        del scenario
-        teacher, *candidates = map(_bundle_key, bundles)
-        known = teachers.setdefault(teacher, (bundles[0], {}))[1]
-        for key, bundle in zip(candidates, bundles[1:]):
-            known.setdefault(key, bundle)
-        keys.append((teacher, *candidates))
-    scores = {}
-    for teacher, (bundle, candidates) in teachers.items():
-        found = score_candidates(bundle, list(candidates.values()), mode=mode)
-        scores.update(((teacher, key), score) for key, score in zip(candidates, found))
-    return [_sweep_row(config, scores[t, d], scores[t, s]) for config, (t, d, s) in zip(configs, keys)]
+    rows = []
+    for _, group in groupby(configs, key=_draw_key):
+        group = list(group)
+        bundles = []
+        for scenario in _generate_group(group):
+            if not bundles:
+                bundles += (signature_bundle(traces, layer_policy) for traces in (scenario.teacher, scenario.scratch))
+            bundles.append(signature_bundle(scenario.distilled, layer_policy))
+        scratch, *distilled = score_candidates(bundles[0], bundles[1:], mode=mode)
+        rows += (_sweep_row(config, score, scratch) for config, score in zip(group, distilled))
+    return rows
 
 
 def sweep(
@@ -328,21 +328,20 @@ def sweep(
 ) -> list[dict]:
     """Generate and detect each scenario; one result row per config.
 
-    ``correct`` records whether the distilled member won its pair, and
-    ``margin`` is the signed score gap (distilled minus scratch). Configs
-    that differ only in ``relatedness`` draw the same teacher and scratch
-    candidate, so they are made adjacent (in order of first appearance) and
-    the grid is cut into one contiguous run per CPU, each run on the process
-    pool through :func:`_sweep_run`, which scores every candidate of a
-    teacher in one exact scan. Scenarios are seeded by their configs and
-    every distance is the one-pair distance bit for bit, so the rows, which
-    come back in config order, do not depend on the order or the CPU count.
+    ``correct`` records whether the distilled member won its pair (a tie is
+    not a win), and ``margin`` is the signed score gap (distilled minus
+    scratch). Configs that differ only in ``relatedness`` are made adjacent
+    (in order of first appearance) and the grid is cut into one contiguous
+    run per CPU, each run on the process pool through :func:`_sweep_run`.
+    Scenarios are seeded by their configs and every distance is the one-pair
+    distance bit for bit, so the rows, which come back in config order, do
+    not depend on the order or the CPU count.
     """
     if not configs:
         raise ScenarioError("sweep needs at least one scenario config")
     groups: dict[ScenarioConfig, list[int]] = {}
     for i, config in enumerate(configs):
-        groups.setdefault(replace(config, relatedness=0.0), []).append(i)
+        groups.setdefault(_draw_key(config), []).append(i)
     order = [i for members in groups.values() for i in members]
     rows = dict(zip(order, parallel_map_runs(partial(_sweep_run, mode=mode, layer_policy=layer_policy),
                                              [configs[i] for i in order])))

@@ -899,6 +899,8 @@ class TestPooledReads:
              "unknown layer policy 'middle'"),
             (["report", "--benchmark", "missing", "--out", "r.csv", "--layer", "middle"],
              "unknown layer policy 'middle'"),
+            (["sweep", "--grid", "missing.json", "--out", "s.csv", "--layer", "middle"],
+             "unknown layer policy 'middle'"),
         ]
         for argv, expected in cases:
             caplog.clear()

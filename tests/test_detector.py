@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moesig.detector import (
+    BenchmarkReport,
     BenchmarkRow,
     detect_pair,
     run_benchmark,
@@ -245,6 +246,14 @@ class TestBenchmarkRow:
         assert row.spec_reduction_pct == pytest.approx(-20.0)
         assert row.collab_reduction_pct == pytest.approx(-20.0)
         assert row.correct
+
+    def test_tie_is_not_correct(self):
+        # a tie resolves the verdict to the kd member, which must not count as a detection
+        tied = BenchmarkRow("d", 0.5, 0.5, None, None, 0.0, "kd", True)
+        assert not tied.correct
+        report = BenchmarkReport(rows=(tied, BenchmarkRow("e", 0.1, 0.9, None, None, 0.8, "kd", False)),
+                                 layer_policy="last", mode="auto")
+        assert report.accuracy == 0.5
 
     def test_reduction_undefined_when_scratch_zero(self):
         row = BenchmarkRow("d", 0.0, 0.0, None, None, 0.0, "kd", True)

@@ -12,6 +12,8 @@ from moesig.errors import ScenarioError
 from moesig.signatures import signature_bundle
 from moesig.synthgen import (
     ScenarioConfig,
+    _generate_group,
+    expand_grid,
     generate_scenario,
     sweep,
     write_scenario,
@@ -184,7 +186,8 @@ class TestSweep:
         models = (scenario.teacher, scenario.distilled, scenario.scratch)
         verdict = detect_pair(*map(signature_bundle, models))
         s_d, s_s = verdict.scores
-        return {"rho": config.relatedness, "seed": config.seed, "correct": int(verdict.predicted_index == 1),
+        return {"rho": config.relatedness, "seed": config.seed,
+                "correct": int(verdict.predicted_index == 1 and not verdict.tie),
                 "tie": verdict.tie, "margin": s_d.score - s_s.score, "d_spec_distilled": s_d.d_spec,
                 "d_spec_scratch": s_s.d_spec, "d_collab_distilled": s_d.d_collab,
                 "d_collab_scratch": s_s.d_collab, "method": s_d.distance.method}
@@ -195,15 +198,54 @@ class TestSweep:
         # one scenario and one detect_pair call per config, bit for bit, in grid order
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
         base = {**BASE, "num_experts": 6, "num_domains": 3, "n_per_domain": 30}
-        rho_major = [ScenarioConfig(**{**base, "relatedness": rho, "seed": seed})
-                     for rho in (0.2, 0.6, 1.0) for seed in (4, 5, 6)]
-        seed_major = sorted(rho_major, key=lambda c: (c.seed, c.relatedness))
-        want = {(c.relatedness, c.seed): self.one_pair_row(c) for c in rho_major}
-        for configs in (rho_major, seed_major):
+
+        def config(rho, seed, **extra):
+            return ScenarioConfig(**{**base, "relatedness": rho, "seed": seed, **extra})
+
+        rho_major = [config(rho, seed) for rho in (0.2, 0.6, 1.0) for seed in (4, 5, 6)]
+        grids = [
+            rho_major,
+            sorted(rho_major, key=lambda c: (c.seed, c.relatedness)),
+            [config(0.6, 4), config(0.2, 5), config(0.6, 4)],  # a duplicated config
+            [config(0.6, 4), config(0.6, 4, permute_labels=False), config(0.2, 4, permute_labels=False)],
+            [config(0.2, 4), config(0.6, 4), config(1.0, 4)],  # one group, cut into two runs at 2 CPUs
+        ]
+        want = {c: self.one_pair_row(c) for configs in grids for c in configs}
+        for configs in grids:
             rows = sweep(configs)
-            assert [(r["rho"], r["seed"]) for r in rows] == [(c.relatedness, c.seed) for c in configs]
-            for row in rows:
-                assert {key: row[key] for key in want[row["rho"], row["seed"]]} == want[row["rho"], row["seed"]]
+            assert len(rows) == len(configs)
+            for c, row in zip(configs, rows):
+                assert {key: row[key] for key in want[c]} == want[c]
+
+    def test_tie_is_not_correct(self):
+        # equal scores resolve the verdict to the distilled member, which must not count as a detection
+        grid = {"base": {"num_experts": 4, "num_layers": 1, "top_k": 1, "num_domains": 2, "n_per_domain": 5},
+                "rho": [0.5, 1.0]}
+        tied, plain = sweep(expand_grid(grid))
+        assert tied["tie"] and tied["margin"] == 0.0 and tied["correct"] == 0
+        assert not plain["tie"] and plain["correct"] == 1
+
+    @pytest.mark.parametrize("permute", [True, False])
+    def test_group_generation_equals_per_config_generation(self, tmp_path, permute):
+        # a sweep draws a relatedness group once; each of its scenarios, meta and files included,
+        # must be the one its config generates alone
+        configs = [ScenarioConfig(**{**BASE, "num_layers": 3, "n_per_domain": 20, "relatedness": rho,
+                                     "seed": 3, "permute_labels": permute, "layer_bias": (0.0, 0.5, 1.0)})
+                   for rho in (0.0, 0.35, 1.0, 0.35)]
+        for i, (grouped, config) in enumerate(zip(_generate_group(configs), configs, strict=True)):
+            alone = generate_scenario(config)
+            assert grouped.config == config
+            assert grouped.hidden_permutation == alone.hidden_permutation
+            assert (grouped.hidden_permutation is None) == (not permute)
+            for model in ("teacher", "distilled", "scratch"):
+                assert getattr(grouped, model) == getattr(alone, model)
+                assert getattr(grouped, model).meta == getattr(alone, model).meta
+            write_scenario(grouped, tmp_path / f"group{i}")
+            write_scenario(alone, tmp_path / f"alone{i}")
+            names = sorted(path.name for path in (tmp_path / f"alone{i}").iterdir())
+            match, mismatch, errors = filecmp.cmpfiles(tmp_path / f"group{i}", tmp_path / f"alone{i}",
+                                                       names, shallow=False)
+            assert match == names and not mismatch and not errors
 
     def test_teacher_and_scratch_do_not_depend_on_relatedness(self):
         # what lets a sweep score a seed's candidates against one teacher in one scan
