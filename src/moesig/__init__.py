@@ -38,8 +38,7 @@ _LAZY = {
         "transport",
     ),
     **dict.fromkeys(
-        ("DetectionScore", "PairVerdict", "BenchmarkReport", "score_candidate", "detect_pair",
-         "run_benchmark"),
+        ("DetectionScore", "PairVerdict", "BenchmarkReport", "detect_pair", "run_benchmark"),
         "detector",
     ),
     **dict.fromkeys(

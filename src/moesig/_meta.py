@@ -51,6 +51,13 @@ def is_finite_number(value: object) -> bool:
     return is_number(value) and abs(value) <= sys.float_info.max
 
 
+def check_fields(doc: Mapping, allowed: Iterable[str], error: type[MoesigError], what: str) -> None:
+    """Raise ``error`` naming every key of ``doc`` outside ``allowed``: a mistyped field must not run silently."""
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise error(f"unknown {what} field(s): {sorted(unknown)}")
+
+
 def check_unicode(text: str, doc, error: type[MoesigError], where: str) -> None:
     """Raise ``error`` at ``where`` if a string of ``doc``, parsed from the JSON ``text``, holds
     a lone surrogate, which UTF-8 cannot encode; only an escape such as ``\\ud800`` makes one."""

@@ -41,15 +41,6 @@ def _layer_policy(raw: str):
     return policy
 
 
-def _signatures_of(path: str, policy):
-    """The model id and the signature bundle of one trace file (a pool job of ``detect``)."""
-    from moesig.routing_trace import ingest_traces
-    from moesig.signatures import signature_bundle
-
-    traces = ingest_traces(path)
-    return traces.model_id, signature_bundle(traces, policy)
-
-
 def _cmd_ingest(args) -> int:
     from dataclasses import replace
 
@@ -66,14 +57,12 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from moesig.routing_trace import ingest_traces
-    from moesig.signatures import dump_bundle_csv, save_bundle, signature_bundle
+    from moesig.signatures import dump_bundle_csv, read_signatures, save_bundle
 
     policy = _layer_policy(args.layer_policy)
-    traces = ingest_traces(args.input)
-    bundle = signature_bundle(traces, policy)
+    model_id, bundle = read_signatures(args.input, policy)
     meta = artifact_meta(None, _file_digest(Path(args.input)))
-    meta["model_id"] = traces.model_id
+    meta["model_id"] = model_id
     if args.format == "csv":
         dump_bundle_csv(bundle, args.out, meta_line=meta_comment(meta))
     else:
@@ -81,7 +70,7 @@ def _cmd_profile(args) -> int:
     log.info(
         "profiled layer %d of %s (%d experts, %d domains) -> %s",
         bundle.spec.layer,
-        traces.model_id,
+        model_id,
         bundle.spec.num_experts,
         bundle.spec.num_domains,
         args.out,
@@ -122,12 +111,13 @@ def _cmd_detect(args) -> int:
 
     from moesig._pool import parallel_map
     from moesig.detector import detect_pair
+    from moesig.signatures import read_signatures
 
     policy = _layer_policy(args.layer)
     # each file is read and profiled on the pool, in this order, so the earliest file that
     # fails gives the diagnostic, and only signatures come back
     (_, t_sig), (id1, sig1), (id2, sig2) = parallel_map(
-        partial(_signatures_of, policy=policy), [args.teacher, args.cand1, args.cand2])
+        partial(read_signatures, layer_policy=policy), [args.teacher, args.cand1, args.cand2])
     verdict = detect_pair(t_sig, sig1, sig2, mode=args.mode, candidate_ids=(id1 or "cand1", id2 or "cand2"))
     s1, s2 = verdict.scores
     doc = {
@@ -226,7 +216,7 @@ def _cmd_report(args) -> int:
     from moesig.pipeline import emit_report, read_benchmark
 
     policy = _layer_policy(args.layer)
-    teacher, pairs, meta = read_benchmark(args.benchmark)
+    teacher, pairs, meta = read_benchmark(args.benchmark, policy)
     report = run_benchmark(teacher, pairs, layer_policy=policy, mode=args.mode)
     emit_report(report, args.out, fmt=args.format, meta=meta)
     log.info("benchmark accuracy %.3f over %d domains -> %s", report.accuracy, len(report.rows), args.out)

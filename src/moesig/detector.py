@@ -5,6 +5,9 @@ to the teacher, so higher scores mean stronger routing similarity and
 therefore stronger distillation evidence. The paired protocol picks the
 higher-scoring member of a candidate pair; a benchmark repeats that per
 domain and reports the fraction of domains where the distilled member wins.
+Everything here takes signature bundles, never trace sets: a trace file
+becomes a bundle through :func:`moesig.signatures.read_signatures`, and a
+benchmark scores all of its candidates in one :func:`score_candidates` call.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from moesig.errors import DetectorError
-from moesig.routing_trace import RoutingTraceSet
-from moesig.signatures import LayerPolicy, SignatureBundle, signature_bundle
+from moesig.signatures import LayerPolicy, SignatureBundle
 from moesig.transport import SignatureDistance, signature_distances
 
 TIE_EPSILON = 1e-12
+KINDS = ("kd", "scratch")  # the members of a benchmark pair, in pair order
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,6 @@ def score_candidates(
     return scores
 
 
-def score_candidate(
-    teacher_sig: SignatureBundle,
-    student_sig: SignatureBundle,
-    mode: str = "auto",
-    candidate_id: str = "",
-) -> DetectionScore:
-    """Score one candidate: the one-candidate case of :func:`score_candidates`."""
-    return score_candidates(teacher_sig, [student_sig], mode=mode, candidate_ids=[candidate_id])[0]
-
-
 def pair_verdict(s1: DetectionScore, s2: DetectionScore) -> PairVerdict:
     """The verdict of :func:`detect_pair` on two scored candidates."""
     gap = s1.score - s2.score
@@ -169,33 +162,27 @@ def detect_pair(
 
 
 def run_benchmark(
-    teacher_traces: RoutingTraceSet,
-    pairs: Mapping[str, tuple[RoutingTraceSet, RoutingTraceSet]],
+    teacher_sig: SignatureBundle,
+    pairs: Mapping[str, tuple[SignatureBundle, SignatureBundle]],
     layer_policy: LayerPolicy = "last",
     mode: str = "auto",
 ) -> BenchmarkReport:
     """Evaluate per-domain candidate pairs against one teacher.
 
-    ``pairs`` maps a domain name to (distilled candidate traces, scratch
-    candidate traces). Signatures are computed once per model; each pair
-    yields one verdict, and accuracy is the fraction of domains whose
-    distilled member was chosen without a tie. Shape or co-activation-mass
-    mismatches propagate as errors rather than being scored asymmetrically.
+    ``pairs`` maps a domain name to the (distilled, scratch) candidates'
+    signatures, built at ``layer_policy``, which the report records. All
+    candidates are scored in one :func:`score_candidates` call, so each
+    row is its domain's :func:`detect_pair` bit for bit, and a fault is
+    the one the domains taken in order would raise first. Accuracy is the
+    fraction of domains whose distilled member was chosen without a tie.
     """
     if not pairs:
         raise DetectorError("benchmark needs at least one candidate pair")
-    teacher_sig = signature_bundle(teacher_traces, layer_policy)
+    scores = score_candidates(teacher_sig, [sig for pair in pairs.values() for sig in pair], mode=mode,
+                              candidate_ids=KINDS * len(pairs))
     rows = []
-    for domain, pair in pairs.items():
-        if len(pair) != 2:
-            raise DetectorError(f"domain {domain!r}: expected (kd, scratch) traces, got {len(pair)}")
-        kd_traces, scratch_traces = pair
-        kd_sig = signature_bundle(kd_traces, layer_policy)
-        scratch_sig = signature_bundle(scratch_traces, layer_policy)
-        verdict = detect_pair(
-            teacher_sig, kd_sig, scratch_sig, mode=mode, candidate_ids=("kd", "scratch")
-        )
-        s_kd, s_scratch = verdict.scores
+    for domain, s_kd, s_scratch in zip(pairs, scores[::2], scores[1::2]):
+        verdict = pair_verdict(s_kd, s_scratch)
         rows.append(
             BenchmarkRow(
                 domain=domain,
@@ -204,7 +191,7 @@ def run_benchmark(
                 d_collab_kd=s_kd.d_collab,
                 d_collab_scratch=s_scratch.d_collab,
                 margin=s_kd.score - s_scratch.score,
-                verdict="kd" if verdict.predicted_index == 1 else "scratch",
+                verdict=KINDS[verdict.predicted_index - 1],
                 tie=verdict.tie,
             )
         )

@@ -19,6 +19,10 @@ the number of workers nor on how the fits are cut into stacks. A fit's
 log line reads only its first and last distillation loss, so the fits
 skip the full-data loss pass of every epoch in between; ``train-proxy
 --losses`` writes a whole curve.
+
+The run scores its benchmark from the signatures of the trace sets it has
+just written; :func:`read_benchmark` reads the same signatures back for
+``report``, one file at a time, so only signatures reach the detector.
 """
 
 from __future__ import annotations
@@ -30,20 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from moesig import __version__
-from moesig._meta import (
-    artifact_meta,
-    config_digest,
-    format_float,
-    meta_comment,
-    read_json,
-    write_csv,
-    write_json,
-)
+from moesig._meta import (artifact_meta, check_fields, config_digest, format_float, meta_comment, read_json,
+                          write_csv, write_json)
 from moesig._pool import parallel_map_runs
 from moesig._rng import substream
-from moesig.detector import BenchmarkReport, run_benchmark
+from moesig.detector import KINDS, BenchmarkReport, run_benchmark
 from moesig.errors import MoesigError
-from moesig.routing_trace import RoutingTraceSet, ingest_traces, write_traces
+from moesig.routing_trace import RoutingTraceSet, write_traces
 from moesig.shadow_moe import (
     Oracle,
     QuerySet,
@@ -57,13 +54,14 @@ from moesig.shadow_moe import (
     train_proxies,
     write_queries,
 )
-from moesig.signatures import parse_layer_policy, resolve_layer
+from moesig.signatures import (LayerPolicy, SignatureBundle, parse_layer_policy, read_signatures,
+                               resolve_layer, signature_bundle)
 from moesig.transport import _resolve_mode
 
 log = logging.getLogger("moesig")
 
 REQUIRED_FIELDS = ("seed", "num_domains", "n_per_domain", "input_dim", "output_dim", "proxy")
-KINDS = ("kd", "scratch")
+OPTIONAL_FIELDS = ("separation", "spread", "oracle", "candidate_epochs", "layer_policy", "mode")
 REPORT_COLUMNS = (
     "domain", "d_spec_kd", "d_spec_scratch", "d_collab_kd", "d_collab_scratch",
     "spec_reduction_pct", "collab_reduction_pct", "margin", "verdict", "tie",
@@ -208,8 +206,8 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
 
     Writes ``queries.jsonl``, ``models/*.bin``, ``traces/*.jsonl``,
     ``manifest.json`` and ``report.csv``/``report.json``; returns the report.
-    The whole config is checked before anything is written: a missing or
-    malformed field raises MoesigError.
+    The whole config is checked before anything is written: a missing,
+    unknown or malformed field raises MoesigError.
     """
     what = "pipeline config"
     if not isinstance(doc, dict):
@@ -217,9 +215,11 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     missing = [key for key in REQUIRED_FIELDS if key not in doc]
     if missing:
         raise MoesigError(f"{what} is missing field(s) {missing}")
+    check_fields(doc, REQUIRED_FIELDS + OPTIONAL_FIELDS, MoesigError, what)
     oracle = doc.get("oracle", {})
     if not isinstance(doc["proxy"], dict) or not isinstance(oracle, dict):
         raise MoesigError(f"{what} needs 'proxy' and 'oracle' to be JSON objects")
+    check_fields(oracle, ("hidden_dim", "scale"), MoesigError, "pipeline oracle")
     if "epochs" not in doc["proxy"]:
         raise MoesigError(f"{what} is missing field(s) ['proxy.epochs']")
     seed = _field_int(doc, "seed", what)
@@ -274,44 +274,40 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
         log.info("%s", cand_line)
         log.info("%s", proxy_line)
 
-    (teacher_traces, _), *chains = results
-    write_traces(teacher_traces, out / "traces" / "teacher.jsonl")
-    pairs = {}
-    pairs_manifest = {}
-    for i, domain in enumerate(domains):
-        (kd_traces, _), (scratch_traces, _) = chains[2 * i : 2 * i + 2]
-        write_traces(kd_traces, out / "traces" / f"{domain}_kd.jsonl")
-        write_traces(scratch_traces, out / "traces" / f"{domain}_scratch.jsonl")
-        pairs[domain] = (kd_traces, scratch_traces)
-        pairs_manifest[domain] = {
-            "kd": f"traces/{domain}_kd.jsonl",
-            "scratch": f"traces/{domain}_scratch.jsonl",
-        }
-
+    # the teacher, then per domain its kd and scratch candidates, as the proxies were fitted
+    names = ["teacher"] + [f"{domain}_{kind}" for domain in domains for kind in KINDS]
+    for name, (traces, _) in zip(names, results):
+        write_traces(traces, out / "traces" / f"{name}.jsonl")
     manifest = {
         "format": "moesig-benchmark",
         "version": 1,
         "teacher": "traces/teacher.jsonl",
-        "pairs": pairs_manifest,
+        "pairs": {domain: {kind: f"traces/{domain}_{kind}.jsonl" for kind in KINDS} for domain in domains},
         "meta": artifact_meta(seed, digest),
     }
     write_json(manifest, out / "manifest.json")
 
-    report = run_benchmark(teacher_traces, pairs, layer_policy=layer_policy, mode=mode)
+    teacher_sig, *sigs = (signature_bundle(traces, layer_policy) for traces, _ in results)
+    pairs = {domain: (sigs[2 * i], sigs[2 * i + 1]) for i, domain in enumerate(domains)}
+    report = run_benchmark(teacher_sig, pairs, layer_policy=layer_policy, mode=mode)
     emit_report(report, out / "report.csv", fmt="csv", meta=artifact_meta(seed, digest))
     emit_report(report, out / "report.json", fmt="json", meta=artifact_meta(seed, digest))
     return report
 
 
 def read_benchmark(
-    bench_dir: str | Path,
-) -> tuple[RoutingTraceSet, dict[str, tuple[RoutingTraceSet, RoutingTraceSet]], dict]:
+    bench_dir: str | Path, layer_policy: LayerPolicy = "last",
+) -> tuple[SignatureBundle, dict[str, tuple[SignatureBundle, SignatureBundle]], dict]:
     """Read a benchmark directory laid out as :func:`run_pipeline` writes it.
 
-    Returns the teacher traces, the (kd, scratch) traces per domain and the
-    manifest's provenance block. A manifest without a string ``teacher``, a
-    ``pairs`` object whose entries name string ``kd`` and ``scratch`` files,
-    or with a ``meta`` that is not an object raises MoesigError.
+    Returns the teacher's signatures at ``layer_policy``, the (kd, scratch)
+    signatures per domain and the manifest's provenance block. The files
+    are read one at a time through :func:`read_signatures`, the teacher
+    first and then the pairs in manifest order, so the first faulty file
+    in that order gives the fault. A manifest without a string
+    ``teacher``, a ``pairs`` object whose entries name string ``kd`` and
+    ``scratch`` files, or with a ``meta`` that is not an object raises
+    MoesigError.
     """
     bench = Path(bench_dir)
     path = bench / "manifest.json"
@@ -328,9 +324,7 @@ def read_benchmark(
             raise MoesigError(f"{path}: pair {domain!r} needs string 'kd' and 'scratch' files")
     if not isinstance(meta, dict):
         raise MoesigError(f"{path}: manifest meta must be a JSON object")
-    teacher_traces = ingest_traces(bench / teacher)
-    pair_traces = {
-        domain: (ingest_traces(bench / entry["kd"]), ingest_traces(bench / entry["scratch"]))
-        for domain, entry in pairs.items()
-    }
-    return teacher_traces, pair_traces, meta
+    teacher_sig = read_signatures(bench / teacher, layer_policy)[1]
+    pair_sigs = {domain: tuple(read_signatures(bench / entry[kind], layer_policy)[1] for kind in KINDS)
+                 for domain, entry in pairs.items()}
+    return teacher_sig, pair_sigs, meta

@@ -227,7 +227,7 @@ def _fault(check: str, qid: str, layer: int, selected: Sequence[int], experts_pe
     return f"expert index {bad} out of range at layer {layer} (valid 0..{experts_per_layer[layer] - 1})"
 
 
-def _parse_header(line: str, lineno: int, path: Path) -> tuple[dict, dict[str, int]]:
+def _parse_header(line: str, lineno: int) -> tuple[dict, dict[str, int]]:
     """Decode and fully validate the header line before any record is read; return it and
     its declared domain labels, numbered from 1."""
     where = f"line {lineno}: "
@@ -235,7 +235,7 @@ def _parse_header(line: str, lineno: int, path: Path) -> tuple[dict, dict[str, i
         header = json.loads(line)
     except (ValueError, RecursionError) as exc:
         raise TraceError(f"{where}header is not valid JSON: {exc}") from None
-    check_unicode(line, header, TraceError, f"trace file {path}, line {lineno}")
+    check_unicode(line, header, TraceError, f"line {lineno}")
     if not isinstance(header, dict) or "schema_version" not in header:
         raise TraceError(f"{where}first line must be a header with a schema_version field")
     version = header["schema_version"]
@@ -262,7 +262,7 @@ def _parse_header(line: str, lineno: int, path: Path) -> tuple[dict, dict[str, i
 
 
 def _file_records(lines: Iterator[tuple[int, str]], domain_index: dict[str, int],
-                  declared: bool, path: Path) -> Iterator[tuple[str, int, int, list[int], int]]:
+                  declared: bool) -> Iterator[tuple[str, int, int, list[int], int]]:
     """Decode record lines, check field types and map domain labels to indices; without
     declared domains, new labels are added to ``domain_index`` in first-occurrence order."""
     for lineno, line in lines:
@@ -270,7 +270,7 @@ def _file_records(lines: Iterator[tuple[int, str]], domain_index: dict[str, int]
             rec = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise TraceError(f"line {lineno}: malformed record: {exc}") from None
-        check_unicode(line, rec, TraceError, f"trace file {path}, line {lineno}")
+        check_unicode(line, rec, TraceError, f"line {lineno}")
         if not isinstance(rec, dict):
             raise TraceError(f"line {lineno}: record must be a JSON object")
         for key in ("query_id", "domain", "layer", "selected"):
@@ -420,7 +420,7 @@ def _read(path: Path) -> tuple:
         except UnicodeDecodeError:
             line = ""
         if line and b"\r" not in first:
-            header, domain_index = _parse_header(line, 1, path)
+            header, domain_index = _parse_header(line, 1)
             start, tail = len(first), b""
             while chunk := fh.read(_BLOCK_BYTES):
                 lines, newline, tail = (tail + chunk).rpartition(b"\n")
@@ -441,10 +441,10 @@ def _read(path: Path) -> tuple:
             if header is None:
                 top = next(lines, None)
                 if top is None:
-                    raise TraceError(f"trace file {path} is empty (missing header line)")
-                header, domain_index = _parse_header(top[1], top[0], path)
+                    raise TraceError("file is empty (missing header line)")
+                header, domain_index = _parse_header(top[1], top[0])
             try:
-                for record in _file_records(lines, domain_index, header.get("domains") is not None, path):
+                for record in _file_records(lines, domain_index, header.get("domains") is not None):
                     batch.append(record)
                     if len(batch) == _CHUNK_ROWS:
                         blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
@@ -452,7 +452,7 @@ def _read(path: Path) -> tuple:
             except TraceError as exc:
                 fault = exc
         except UnicodeDecodeError as exc:
-            fault = TraceError(f"trace file {path} is not UTF-8 text: {exc}")
+            fault = TraceError(f"not UTF-8 text: {exc}")
             if header is None:
                 raise fault from None
     # records before a decode fault come first in line order, so their faults win
@@ -487,12 +487,16 @@ def ingest_traces(path: str | Path) -> RoutingTraceSet:
 
     Records sharing a query_id are merged into one query. If the header
     declares ``domains``, labels outside that list are rejected; otherwise
-    the label-to-index mapping follows first occurrence order.
+    the label-to-index mapping follows first occurrence order. A fault
+    raises TraceError whose message starts with ``path``.
     """
     path = Path(path)
     if not path.exists():
-        raise TraceError(f"trace file not found: {path}")
-    header, domains, query_ids, columns = _read(path)
+        raise TraceError(f"{path}: trace file not found")
+    try:
+        header, domains, query_ids, columns = _read(path)
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from None
     return RoutingTraceSet(header["model_id"], tuple(header["experts_per_layer"]), tuple(domains),
                            tuple(query_ids), *columns, meta=dict(header.get("meta", {})))
 

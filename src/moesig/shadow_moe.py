@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, check_unicode, config_digest, is_finite_number, is_int
+from moesig._meta import artifact_meta, check_fields, check_unicode, config_digest, is_finite_number, is_int
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -52,6 +52,9 @@ from moesig.routing_trace import RoutingTraceSet, build_trace_set
 Oracle = Callable[[np.ndarray], np.ndarray]
 
 MODEL_MAGIC = b"MOESIG-SHADOW-V1\n"
+QUERY_FIELDS = ("kind", "seed", "num_domains", "n_per_domain", "input_dim", "separation", "spread")
+ORACLE_FIELDS = {"mlp": ("kind", "seed", "hidden_dim", "scale"), "linear": ("kind", "seed", "scale"),
+                 "shadow-model": ("kind", "path")}
 
 
 def _field_int(doc: dict, key: str, what: str, default: int | None = None, minimum: int = 0) -> int:
@@ -132,9 +135,7 @@ class ShadowMoeConfig:
     def from_dict(cls, doc: dict) -> "ShadowMoeConfig":
         if not isinstance(doc, dict):
             raise ShadowMoeError("proxy config must be a JSON object")
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ShadowMoeError(f"unknown config field(s): {sorted(unknown)}")
+        check_fields(doc, cls.__dataclass_fields__, ShadowMoeError, "config")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
         if missing:
             raise ShadowMoeError(f"config is missing field(s) {missing}")
@@ -557,13 +558,14 @@ def make_queries(doc: dict, path: str | Path) -> QuerySet:
 
     The config needs integer ``seed``, ``num_domains``, ``n_per_domain`` and
     ``input_dim`` and takes numeric ``separation`` and ``spread``; a
-    malformed config raises ShadowMoeError.
+    malformed config, or one with another field, raises ShadowMoeError.
     """
     what = "query-set config"
     if not isinstance(doc, dict):
         raise ShadowMoeError(f"{what} must be a JSON object")
     if doc.get("kind") != "gaussian-domains":
         raise ShadowMoeError(f"unknown query-set kind {doc.get('kind')!r}")
+    check_fields(doc, QUERY_FIELDS, ShadowMoeError, what)
     seed = _field_int(doc, "seed", what)
     queries = gaussian_domain_queries(
         seed=seed,
@@ -609,12 +611,14 @@ def linear_oracle(seed: int, input_dim: int, output_dim: int, scale: float = 1.0
 def build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig) -> Oracle:
     """An oracle from its JSON spec, with model paths relative to ``base_dir``.
 
-    A malformed spec raises ShadowMoeError.
+    A malformed spec, or one with a field its kind does not take, raises ShadowMoeError.
     """
     what = "oracle spec"
     if not isinstance(spec, dict):
         raise ShadowMoeError(f"{what} must be a JSON object")
     kind = spec.get("kind")
+    if isinstance(kind, str) and kind in ORACLE_FIELDS:
+        check_fields(spec, ORACLE_FIELDS[kind], ShadowMoeError, f"{kind} {what}")
     if kind == "mlp":
         return mlp_oracle(
             seed=_field_int(spec, "seed", what),

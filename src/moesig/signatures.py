@@ -32,7 +32,7 @@ import numpy as np
 
 from moesig._meta import is_finite_number, is_int, write_csv
 from moesig.errors import SignatureError
-from moesig.routing_trace import RoutingTraceSet
+from moesig.routing_trace import RoutingTraceSet, ingest_traces
 
 LayerPolicy = str | int
 _CHUNK_CELLS = 1 << 20  # array cells a collaboration query chunk holds at once
@@ -211,6 +211,16 @@ def signature_bundle(traces: RoutingTraceSet, layer_policy: LayerPolicy = "last"
     return SignatureBundle(compute_specialization(traces, layer), compute_collaboration(traces, layer))
 
 
+def read_signatures(path: str | Path, layer_policy: LayerPolicy = "last") -> tuple[str, SignatureBundle]:
+    """The model id and the signature bundle of one trace file.
+
+    The only way from a trace file to scoring: the trace set is dropped as
+    soon as its signatures are built, so a caller holds one at a time.
+    """
+    traces = ingest_traces(path)
+    return traces.model_id, signature_bundle(traces, layer_policy)
+
+
 def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = None) -> None:
     """Serialize a signature bundle to a structured JSON file."""
     spec, collab = bundle
@@ -234,28 +244,29 @@ def load_bundle(path: str | Path) -> SignatureBundle:
     distinct strings, counts that are not integers >= 0, a negative or
     non-finite matrix, kappa or pair-normalizer entry, a nonzero diagonal
     collaboration entry, a ``zero_mass`` that is not a boolean, or a
-    ``zero_mass`` collaboration matrix with a nonzero entry raise SignatureError.
+    ``zero_mass`` collaboration matrix with a nonzero entry raise
+    SignatureError, whose message starts with ``path``.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise SignatureError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
-        raise SignatureError(f"{path}: not a version-1 signature file")
     try:
+        if not isinstance(doc, dict) or doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
+            raise SignatureError("not a version-1 signature file")
         layer, labels = doc["layer"], doc["domains"]
         spec_doc, collab_doc = doc["specialization"], doc["collaboration"]
         counts, pair_normalizer = spec_doc["counts"], collab_doc["pair_normalizer"]
         if not is_int(layer) or layer < 0:
-            raise SignatureError(f"{path}: layer must be an integer >= 0, got {layer!r}")
+            raise SignatureError(f"layer must be an integer >= 0, got {layer!r}")
         if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-            raise SignatureError(f"{path}: domains must be a list of strings")
+            raise SignatureError("domains must be a list of strings")
         if len(set(labels)) != len(labels):
-            raise SignatureError(f"{path}: domains must not repeat a label")
+            raise SignatureError("domains must not repeat a label")
         if not isinstance(counts, list) or not all(is_int(c) and c >= 0 for c in counts):
-            raise SignatureError(f"{path}: counts must be a list of integers >= 0")
+            raise SignatureError("counts must be a list of integers >= 0")
         if not is_finite_number(pair_normalizer) or pair_normalizer < 0:
-            raise SignatureError(f"{path}: pair_normalizer must be a finite number >= 0")
+            raise SignatureError("pair_normalizer must be a finite number >= 0")
         spec = SpecializationProfile(
             layer, np.asarray(spec_doc["matrix"], dtype=np.float64),
             np.asarray(spec_doc["kappa_per_domain"], dtype=np.float64), np.asarray(counts, dtype=np.int64),
@@ -263,25 +274,25 @@ def load_bundle(path: str | Path) -> SignatureBundle:
         )
         collab = CollaborationMatrix(layer, np.asarray(collab_doc["matrix"], dtype=np.float64),
                                      float(pair_normalizer), collab_doc["zero_mass"])
+        if not isinstance(collab.zero_mass, bool):
+            raise SignatureError(f"zero_mass must be true or false, got {collab.zero_mass!r}")
+        for name, values in (("specialization matrix", spec.matrix), ("kappa_per_domain", spec.kappa_per_domain),
+                             ("collaboration matrix", collab.matrix)):
+            if not np.all(np.isfinite(values) & (values >= 0)):
+                raise SignatureError(f"{name} has a negative or non-finite entry")
+        if collab.zero_mass and np.any(collab.matrix):
+            raise SignatureError("a zero_mass collaboration matrix must be all zero")
+        if np.any(np.diagonal(collab.matrix)):
+            raise SignatureError("collaboration matrix has a nonzero diagonal entry")
+        if collab.num_experts != spec.num_experts:
+            raise SignatureError(f"collaboration matrix has {collab.num_experts} experts, "
+                                 f"specialization profile has {spec.num_experts}")
     except KeyError as exc:
         raise SignatureError(f"{path}: signature file is missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise SignatureError(f"{path}: malformed signature file: {exc}") from None
-    if not isinstance(collab.zero_mass, bool):
-        raise SignatureError(f"{path}: zero_mass must be true or false, got {collab.zero_mass!r}")
-    for name, values in (("specialization matrix", spec.matrix), ("kappa_per_domain", spec.kappa_per_domain),
-                         ("collaboration matrix", collab.matrix)):
-        if not np.all(np.isfinite(values) & (values >= 0)):
-            raise SignatureError(f"{path}: {name} has a negative or non-finite entry")
-    if collab.zero_mass and np.any(collab.matrix):
-        raise SignatureError(f"{path}: a zero_mass collaboration matrix must be all zero")
-    if np.any(np.diagonal(collab.matrix)):
-        raise SignatureError(f"{path}: collaboration matrix has a nonzero diagonal entry")
-    if collab.num_experts != spec.num_experts:
-        raise SignatureError(
-            f"{path}: collaboration matrix has {collab.num_experts} experts, "
-            f"specialization profile has {spec.num_experts}"
-        )
+    except SignatureError as exc:  # the constructors' faults too
+        raise SignatureError(f"{path}: {exc}") from None
     return SignatureBundle(spec, collab)
 
 

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, config_digest, is_int, is_number, write_json
+from moesig._meta import artifact_meta, check_fields, config_digest, is_int, is_number, write_json
 from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import DetectionScore, pair_verdict, score_candidates
@@ -97,9 +97,7 @@ class ScenarioConfig:
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
         if not isinstance(doc, dict):
             raise ScenarioError("scenario config must be a JSON object")
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ScenarioError(f"unknown scenario config field(s): {sorted(unknown)}")
+        check_fields(doc, cls.__dataclass_fields__, ScenarioError, "scenario config")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
         if missing:
             raise ScenarioError(f"scenario config is missing field(s) {missing}")
@@ -254,11 +252,12 @@ def expand_grid(doc: dict) -> list[ScenarioConfig]:
 
     A grid is either ``{"configs": [<scenario config>, ...]}`` or a ``base``
     scenario config crossed with a ``rho`` list of relatedness values and a
-    ``seeds`` list (each defaults to the base's own value). A malformed grid
-    raises ScenarioError.
+    ``seeds`` list (each defaults to the base's own value). A malformed grid,
+    or one with another field, raises ScenarioError.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("sweep grid must be a JSON object")
+    check_fields(doc, ("configs",) if "configs" in doc else ("base", "rho", "seeds"), ScenarioError, "sweep grid")
     if "configs" in doc:
         if not isinstance(doc["configs"], list):
             raise ScenarioError("sweep grid 'configs' must be a list of scenario configs")

@@ -103,6 +103,11 @@ def diagonal_mass(doc):
         matrix[i] = [v / 2 + (0.5 / len(row) if i == j else 0.0) for j, v in enumerate(row)]
 
 
+def non_square_collab(doc):
+    """Drop the last column of a signature file's collaboration matrix."""
+    doc["collaboration"]["matrix"] = [row[:-1] for row in doc["collaboration"]["matrix"]]
+
+
 def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -184,11 +189,11 @@ MALFORMED_CONFIGS = [
     pytest.param(*queries_case(QUERY_FILE.replace('"q0"', '"\\ud800"'), "--traces", "tr.jsonl"),
                  "queries.jsonl: line 2: a lone surrogate escape is not UTF-8 text", id="queries-lone-surrogate"),
     pytest.param({"t.jsonl": trace_text(record={"query_id": "\ud800"})}, INGEST,
-                 "trace file t.jsonl, line 2: a lone surrogate escape is not UTF-8 text",
+                 "t.jsonl: line 2: a lone surrogate escape is not UTF-8 text",
                  id="ingest-lone-surrogate"),
     pytest.param({"t.jsonl": trace_text(header={"model_id": "\udc80"})},
                  ["profile", "--input", "t.jsonl", "--out", "s.json"],
-                 "trace file t.jsonl, line 1: a lone surrogate escape is not UTF-8 text",
+                 "t.jsonl: line 1: a lone surrogate escape is not UTF-8 text",
                  id="profile-lone-surrogate"),
     pytest.param({"t.jsonl": trace_text() + DEEP + "\n"}, INGEST, "line 3: malformed record",
                  id="trace-record-deep-nesting"),
@@ -239,6 +244,22 @@ MALFORMED_CONFIGS = [
                  REPORT, "pair 'd1' needs string 'kd'", id="report-pair-no-kd"),
     pytest.param({"manifest.json": {"teacher": "t.jsonl", "pairs": {"d1": {"kd": "k.jsonl"}}}},
                  REPORT, "pair 'd1' needs string 'kd' and 'scratch'", id="report-pair-no-scratch"),
+    # a mistyped field is an unknown one, never a silent default
+    pytest.param({"grid.json": {"base": SCENARIO, "rhos": [0.0, 1.0]}}, SWEEP,
+                 "unknown sweep grid field(s): ['rhos']", id="grid-unknown-field"),
+    pytest.param({"grid.json": {"configs": [dict(SCENARIO, relatedness=0.5)], "seeds": [1]}}, SWEEP,
+                 "unknown sweep grid field(s): ['seeds']", id="grid-configs-unknown-field"),
+    pytest.param({"q.json": {**QUERY_CONFIG, "sprad": 0.5}},
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
+                 "unknown query-set config field(s): ['sprad']", id="queries-unknown-field"),
+    pytest.param(*train_proxy_case(oracle={"kind": "mlp", "seed": 2, "hiden_dim": 4}),
+                 "unknown mlp oracle spec field(s): ['hiden_dim']", id="oracle-unknown-field"),
+    pytest.param(*train_proxy_case(oracle={"kind": "linear", "seed": 2, "hidden_dim": 4}),
+                 "unknown linear oracle spec field(s): ['hidden_dim']", id="oracle-field-of-other-kind"),
+    pipeline_case({"separaton": 2.5}, "unknown pipeline config field(s): ['separaton']",
+                  "pipeline-unknown-field"),
+    pipeline_case({"oracle": {"hidden_dimm": 3}}, "unknown pipeline oracle field(s): ['hidden_dimm']",
+                  "pipeline-oracle-unknown-field"),
     pipeline_case({"seed": "x"}, "'seed'", "pipeline-seed-string"),
     pipeline_case({"proxy": 5}, "'proxy' and 'oracle'", "pipeline-proxy-number"),
     pipeline_case({"oracle": [1]}, "'proxy' and 'oracle'", "pipeline-oracle-list"),
@@ -281,7 +302,7 @@ class TestMalformedInput:
         code = dispatch(["ingest", "--input", str(path), "--out", str(tmp_path / "o.jsonl")])
         assert code == 1
         (message,) = error_lines(caplog)
-        assert message.startswith("line 1: header") and "\n" not in message
+        assert message.startswith(f"{path}: line 1: header") and "\n" not in message
 
     def test_expert_count_beyond_int16(self, tmp_path, caplog):
         path = tmp_path / "t.jsonl"
@@ -290,7 +311,7 @@ class TestMalformedInput:
         path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
         assert dispatch(["ingest", "--input", str(path), "--out", str(tmp_path / "o.jsonl")]) == 1
         (message,) = error_lines(caplog)
-        assert message == "line 1: header a layer may have at most 32767 experts"
+        assert message == f"{path}: line 1: header a layer may have at most 32767 experts"
         assert not (tmp_path / "o.jsonl").exists()
 
     def test_out_of_memory(self, tmp_path, monkeypatch, caplog, capsys):
@@ -336,11 +357,13 @@ class TestMalformedInput:
             ("collaboration", "pair_normalizer", float("nan"), "pair_normalizer must be a finite"),
             (None, drop_domains, None, "at least one expert and one domain"),
             (None, diagonal_mass, None, "collaboration matrix has a nonzero diagonal entry"),
+            ("specialization", "counts", [1], "profile domain axis is inconsistent"),
+            (None, non_square_collab, None, "collaboration matrix must be square"),
         ],
         ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "zero-mass-nonzero",
              "layer-float", "layer-bool", "layer-negative", "domains-string", "domains-repeated",
              "kappa-nan", "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains",
-             "collab-diagonal"],
+             "collab-diagonal", "counts-short", "collab-not-square"],
     )
     def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
         # a callable key edits the whole document
@@ -360,7 +383,7 @@ class TestMalformedInput:
         code = dispatch(["distance", "--teacher", str(sig), "--student", str(sig), "--out", str(out)])
         assert code == 1
         (message,) = error_lines(caplog)
-        assert named in message and "\n" not in message
+        assert message.startswith(f"{sig}: ") and named in message and "\n" not in message
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
@@ -881,7 +904,7 @@ class TestPooledReads:
         monkeypatch.chdir(tmp_path)
         assert self.run_at(monkeypatch, cpus, DETECT) == 1
         (message,) = error_lines(caplog)
-        assert message.startswith("line 4: malformed record")
+        assert message.startswith("t.jsonl: line 4: malformed record")
         assert not (tmp_path / "v.json").exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -891,10 +914,13 @@ class TestPooledReads:
         simple_trace_file(tmp_path / "t.jsonl")
         simple_trace_file(tmp_path / "c1.jsonl")
         (tmp_path / "c2.jsonl").write_text("{bad\n", encoding="utf-8")
+        write_json(tmp_path / "manifest.json",
+                   {"teacher": "t.jsonl", "pairs": {"math": {"kd": "c1.jsonl", "scratch": "c2.jsonl"}}})
         monkeypatch.chdir(tmp_path)
         cases = [
             (DETECT + ["--layer", "middle"], "unknown layer policy 'middle'"),
             (DETECT + ["--layer", "1"], "explicit layer 1 out of range (0..0)"),
+            (REPORT + ["--layer", "1"], "explicit layer 1 out of range (0..0)"),
             (["profile", "--input", "missing.jsonl", "--out", "p.json", "--layer-policy", "middle"],
              "unknown layer policy 'middle'"),
             (["report", "--benchmark", "missing", "--out", "r.csv", "--layer", "middle"],
@@ -909,11 +935,12 @@ class TestPooledReads:
         # the teacher's read fault comes before a candidate's layer fault
         (tmp_path / "t.jsonl").write_text("{bad\n", encoding="utf-8")
         simple_trace_file(tmp_path / "c2.jsonl")
-        caplog.clear()
-        assert self.run_at(monkeypatch, cpus, DETECT + ["--layer", "1"]) == 1
-        (message,) = error_lines(caplog)
-        assert message.startswith("line 1: header is not valid JSON")
-        assert not (tmp_path / "v.json").exists()
+        for argv in (DETECT + ["--layer", "1"], REPORT + ["--layer", "1"]):
+            caplog.clear()
+            assert self.run_at(monkeypatch, cpus, argv) == 1
+            (message,) = error_lines(caplog)
+            assert message.startswith("t.jsonl: line 1: header is not valid JSON")
+        assert not (tmp_path / "v.json").exists() and not (tmp_path / "r.csv").exists()
 
 
     def test_detect_holds_one_trace_set_at_a_time(self, tmp_path, monkeypatch):
@@ -934,6 +961,31 @@ class TestPooledReads:
             detect = ["detect", "--teacher", "teacher.jsonl", "--cand1", "cand1.jsonl", "--cand2", "cand2.jsonl"]
             monkeypatch.chdir(tmp_path)
             assert dispatch(detect + ["--out", "v.json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 1e6
+        assert peak < read_peak + size / 2
+
+
+    def test_report_holds_one_trace_set_at_a_time(self, tmp_path, monkeypatch):
+        # each of the five files becomes signatures as soon as it is read, so report's tracemalloc
+        # peak stays within half a trace set (1.1 MB here) of one read's; holding all five trace
+        # sets until scoring added about 4.4 MB
+        scenario = generate_scenario(ScenarioConfig(
+            num_experts=16, num_layers=4, top_k=4, num_domains=9, n_per_domain=1000, relatedness=0.5, seed=1))
+        write_scenario(scenario, tmp_path)
+        pair = {"kd": "cand1.jsonl", "scratch": "cand2.jsonl"}
+        write_json(tmp_path / "manifest.json", {"teacher": "teacher.jsonl", "pairs": {"a": pair, "b": pair}})
+        tracemalloc.start()
+        try:
+            traces = ingest_traces(tmp_path / "teacher.jsonl")
+            held, read_peak = tracemalloc.get_traced_memory()
+            del traces
+            size = held - tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            monkeypatch.chdir(tmp_path)
+            assert dispatch(REPORT) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

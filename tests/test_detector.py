@@ -8,7 +8,6 @@ from moesig.detector import (
     BenchmarkRow,
     detect_pair,
     run_benchmark,
-    score_candidate,
     score_candidates,
 )
 from moesig.errors import DetectorError, TransportError
@@ -38,7 +37,7 @@ class TestScoreCandidate:
     def test_identical_scores_zero(self):
         rng = np.random.default_rng(0)
         bundle = random_bundle(rng)
-        score = score_candidate(bundle, bundle)
+        score = score_candidates(bundle, [bundle])[0]
         assert score.score == 0.0
         assert score.d_spec == 0.0
         assert score.d_collab == 0.0
@@ -47,7 +46,7 @@ class TestScoreCandidate:
         rng = np.random.default_rng(1)
         for _ in range(10):
             teacher, student = random_bundle(rng), random_bundle(rng)
-            score = score_candidate(teacher, student)
+            score = score_candidates(teacher, [student])[0]
             dist = signature_distance(teacher, student)
             assert score.score == -0.5 * (dist.d_spec + dist.d_collab)
             assert score.d_spec == dist.d_spec
@@ -61,7 +60,7 @@ class TestScoreCandidate:
         students = [random_bundle(rng, num_experts=6, num_domains=3) for _ in range(4)]
         for mode in ("exact", "heuristic"):
             together = score_candidates(teacher, students, mode=mode, candidate_ids=list("abcd"))
-            alone = [score_candidate(teacher, s, mode=mode, candidate_id=i) for s, i in zip(students, "abcd")]
+            alone = [score_candidates(teacher, [s], mode=mode, candidate_ids=[i])[0] for s, i in zip(students, "abcd")]
             assert together == alone
             assert [s.distance for s in together] == [s.distance for s in alone]
         zero = zero_mass_bundle(rng, num_experts=6, num_domains=3)
@@ -73,7 +72,7 @@ class TestScoreCandidate:
     def test_score_against_factorial_oracle(self):
         rng = np.random.default_rng(2)
         teacher, student = random_bundle(rng), random_bundle(rng)
-        score = score_candidate(teacher, student, mode="exact")
+        score = score_candidates(teacher, [student], mode="exact")[0]
         d_spec, _ = naive_spec_distance(teacher.spec.matrix, student.spec.matrix)
         d_collab, _ = naive_collab_distance(teacher.collab.matrix, student.collab.matrix)
         assert score.score == pytest.approx(-0.5 * (d_spec + d_collab), abs=1e-12)
@@ -82,7 +81,7 @@ class TestScoreCandidate:
         rng = np.random.default_rng(3)
         teacher = zero_mass_bundle(rng)
         student = zero_mass_bundle(rng)
-        score = score_candidate(teacher, student)
+        score = score_candidates(teacher, [student])[0]
         assert score.d_collab is None
         assert score.score == -score.d_spec
 
@@ -188,13 +187,14 @@ class TestRunBenchmark:
             ]
             return build_trace_set(model_id, 1, (num_experts,), ("d1", "d2"), out)
 
-        pairs = {
+        traces = {
             "a": (noisy_copy(teacher, 1, "a-kd"), scrambled(11, "a-scratch")),
             "b": (noisy_copy(teacher, 2, "b-kd"), scrambled(12, "b-scratch")),
             "c": (noisy_copy(teacher, 3, "c-kd"), scrambled(13, "c-scratch")),
             "d": (scrambled(14, "d-kd"), noisy_copy(teacher, 4, "d-scratch")),  # mislabeled pair
         }
-        report = run_benchmark(teacher, pairs)
+        pairs = {domain: tuple(map(signature_bundle, pair)) for domain, pair in traces.items()}
+        report = run_benchmark(signature_bundle(teacher), pairs)
         verdicts = {row.domain: row.verdict for row in report.rows}
         assert verdicts["a"] == verdicts["b"] == verdicts["c"] == "kd"
         assert verdicts["d"] == "scratch"
@@ -203,15 +203,33 @@ class TestRunBenchmark:
         correct_rows = [row for row in report.rows if row.verdict == "kd"]
         assert all(row.margin > 0 for row in correct_rows)
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_rows_are_each_domains_detect_pair(self, mode):
+        # every candidate is scored in one call; each row must still be its own pair's verdict, bit for bit
+        rng = np.random.default_rng(21)
+        teacher = random_bundle(rng, num_experts=6, num_domains=3)
+        pairs = {f"d{i}": (random_bundle(rng, num_experts=6, num_domains=3),
+                           random_bundle(rng, num_experts=6, num_domains=3)) for i in range(4)}
+        pairs["tied"] = (pairs["d0"][0], pairs["d0"][0])
+        report = run_benchmark(teacher, pairs, layer_policy=0, mode=mode)
+        assert (report.layer_policy, report.mode) == ("0", mode)
+        assert [row.domain for row in report.rows] == list(pairs)
+        for row, (kd, scratch) in zip(report.rows, pairs.values()):
+            verdict = detect_pair(teacher, kd, scratch, mode=mode, candidate_ids=("kd", "scratch"))
+            s_kd, s_scratch = verdict.scores
+            assert row == BenchmarkRow(row.domain, s_kd.d_spec, s_scratch.d_spec, s_kd.d_collab, s_scratch.d_collab,
+                                       s_kd.score - s_scratch.score, verdict.chosen.candidate_id, verdict.tie)
+        assert report.rows[-1].tie and report.rows[-1].verdict == "kd"
+
     def test_zero_mass_pair_asymmetry_errors(self):
-        teacher = constant_pair_traces((0, 1), model_id="t")
-        kd = constant_pair_traces((0,), model_id="kd")  # k=1: no co-activation
-        scratch = constant_pair_traces((2, 3), model_id="s")
+        teacher = signature_bundle(constant_pair_traces((0, 1), model_id="t"))
+        kd = signature_bundle(constant_pair_traces((0,), model_id="kd"))  # k=1: no co-activation
+        scratch = signature_bundle(constant_pair_traces((2, 3), model_id="s"))
         with pytest.raises(TransportError, match="zero-mass"):
             run_benchmark(teacher, {"a": (kd, scratch)})
 
     def test_empty_benchmark_errors(self):
-        teacher = constant_pair_traces((0, 1))
+        teacher = signature_bundle(constant_pair_traces((0, 1)))
         with pytest.raises(DetectorError, match="at least one"):
             run_benchmark(teacher, {})
 

@@ -107,7 +107,7 @@ def test_lone_surrogate_escape_names_file_and_line(tmp_path, line):
         write_lines(path, {**HEADER, "meta": {"note": ["\udc80"]}}, [record])
     else:
         write_lines(path, HEADER, [{**record, "query_id": "\ud800"}])
-    with pytest.raises(TraceError, match=re.escape(f"trace file {path}, line {line}: a lone surrogate")):
+    with pytest.raises(TraceError, match=re.escape(f"{path}: line {line}: a lone surrogate")):
         ingest_traces(path)
     # a surrogate pair escape is one character
     write_lines(path, HEADER, [{**record, "query_id": "\U0001f600"}])
@@ -156,7 +156,7 @@ def test_non_utf8_header(tmp_path):
     path.write_bytes(b"\xff" + json.dumps(HEADER).encode() + b"\n")
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
-    assert str(exc.value) == (f"trace file {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+    assert str(exc.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
                               "in position 0: invalid start byte")
 
 
@@ -576,7 +576,7 @@ def test_row_fault_after_canonical_records_decodes_nothing_as_text(tmp_path, mon
     _, records = spy_on_reader(monkeypatch)
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
-    assert str(exc.value) == "line 402: duplicate (query_id='q0', layer=0) record"
+    assert str(exc.value) == f"{path}: line 402: duplicate (query_id='q0', layer=0) record"
     assert records == []
 
 
@@ -613,7 +613,7 @@ def test_row_fault_before_a_later_bad_byte_is_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", 1024)
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
-    assert str(exc.value) == "line 102: duplicate (query_id='q0', layer=0) record"
+    assert str(exc.value) == f"{path}: line 102: duplicate (query_id='q0', layer=0) record"
 
 
 @pytest.mark.parametrize("gap", [0, 9000])
@@ -627,7 +627,7 @@ def test_row_fault_before_a_non_utf8_line_in_the_text_part_is_reported(tmp_path,
         fh.write(b"\n" * gap + b"\xff\n")
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
-    assert str(exc.value) == "line 12: duplicate (query_id='q0', layer=0) record"
+    assert str(exc.value) == f"{path}: line 12: duplicate (query_id='q0', layer=0) record"
 
 
 def test_non_utf8_line_is_reported_at_its_own_line(tmp_path):
@@ -637,7 +637,7 @@ def test_non_utf8_line_is_reported_at_its_own_line(tmp_path):
         fh.write(b'{"query_id": "b\xff"}\n' + json.dumps({"query_id": "a"}).encode() + b"\n")
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
-    assert str(exc.value) == (f"trace file {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+    assert str(exc.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
                               "in position 15: invalid start byte")
 
 
@@ -656,7 +656,7 @@ def test_text_after_canonical_records_numbers_lines_as_text_mode_does(tmp_path, 
     assert fast == text_only
     if fault:
         line = 398 if fault == "crlf" else 399
-        assert fast == f"line {line}: duplicate (query_id='q0', layer=0) record"
+        assert fast == f"{path}: line {line}: duplicate (query_id='q0', layer=0) record"
     else:
         _, decoded = spy_on_reader(monkeypatch)
         assert ingest_traces(path) == MANY_QUERIES and len(decoded) < 20
@@ -705,7 +705,7 @@ def test_wide_values_reach_the_range_checks(tmp_path, record, message):
                                {"query_id": "b", "domain": "code", **record}])
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
-    assert str(exc.value) == f"line 3: {message}"
+    assert str(exc.value) == f"{path}: line 3: {message}"
 
 
 def test_validating_reader_memory_is_bounded(tmp_path, monkeypatch):
