@@ -10,12 +10,16 @@ on the shared calibration queries, and the per-domain benchmark report is
 emitted.
 
 The fits run in two rounds: first every (domain, kind) candidate, then
-the teacher proxy and one proxy per candidate. Within a round the fits
-share a config apart from the seed, so each round is cut into one
-contiguous run per usable CPU and every run is trained as one stacked
-model on a process pool. Jobs rebuild their oracles from the seed and a
-stacked fit is bitwise the fit alone, so the artifacts depend neither on
-the number of workers nor on how the fits are cut into stacks. A fit's
+the teacher proxy and one proxy per candidate. Every fit is a plain
+record whose black box is an oracle spec, as ``train-proxy`` takes it:
+the teacher and unrelated functions are seeded ``mlp`` specs, and each
+candidate proxy's is a ``shadow-model`` spec that reads the candidate
+back from the model file of the first round, so no model crosses the
+pool. Within a round the fits share a config apart from the seed, so
+each round is cut into one contiguous run per usable CPU and every run
+is trained as one stacked model on a process pool by the same runner.
+A stacked fit is bitwise the fit alone, so the artifacts depend neither
+on the number of workers nor on how the fits are cut into stacks. A fit's
 log line reads only its first and last distillation loss, so the fits
 skip the full-data loss pass of every epoch in between; ``train-proxy
 --losses`` writes a whole curve.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +47,13 @@ from moesig.detector import KINDS, BenchmarkReport, run_benchmark
 from moesig.errors import MoesigError
 from moesig.routing_trace import RoutingTraceSet, write_traces
 from moesig.shadow_moe import (
-    Oracle,
     QuerySet,
     ShadowMoeConfig,
-    ShadowMoeModel,
     _field_int,
     _field_number,
+    build_oracle,
     export_traces,
     gaussian_domain_queries,
-    mlp_oracle,
     train_proxies,
     write_queries,
 )
@@ -114,91 +117,37 @@ def _sub_seed(seed: int, name: str) -> int:
 
 
 @dataclass(frozen=True)
-class _Setup:
-    """Plain data every job rebuilds its oracles and models from."""
-
-    seed: int
-    queries: QuerySet
-    oracle_hidden: int
-    oracle_scale: float
-    proxy: ShadowMoeConfig
-    candidate_epochs: int
-    models_dir: Path
-
-    def oracle(self, name: str) -> Oracle:
-        return mlp_oracle(
-            _sub_seed(self.seed, name),
-            input_dim=self.proxy.input_dim,
-            output_dim=self.proxy.output_dim,
-            hidden_dim=self.oracle_hidden,
-            scale=self.oracle_scale,
-        )
-
-    def train(self, fits: list[tuple[str, Oracle, np.ndarray, int]], epochs: int):
-        """Fit ``(name, oracle, inputs, seed)`` as one stack, save each as ``models/<name>.bin``.
-
-        Returns the models with their log lines, which give the first and last loss only.
-        """
-        stack = [(oracle, x, replace(self.proxy, seed=seed, epochs=epochs)) for _, oracle, x, seed in fits]
-        results = []
-        for (name, *_), (model, losses) in zip(fits, train_proxies(stack, curve=False)):
-            model.save(self.models_dir / f"{name}.bin")
-            results.append((model, f"{name}: distill loss {losses[0]:.5g} -> {losses[-1]:.5g}"))
-        return results
-
-
-@dataclass(frozen=True)
 class _Fit:
-    """The teacher proxy (kind ``teacher``, no domain) or one (domain, kind) candidate.
+    """One fit, saved as ``models/<name>.bin``: a proxy of the black box ``oracle``.
 
-    In the second round ``candidate`` holds the trained candidate whose proxy is fitted.
+    ``oracle`` is a :func:`build_oracle` spec with model paths relative to
+    ``models/``; ``domain`` names the domain the training mix repeats (None:
+    the plain queries); ``config`` carries the fit's seed and epochs. A fit
+    with a ``model_id`` also exports its traces.
     """
 
-    setup: _Setup
+    name: str
+    oracle: dict
     domain: str | None
-    kind: str
-    candidate: ShadowMoeModel | None = None
+    config: ShadowMoeConfig
+    model_id: str | None = None
 
 
-def _emphasize(queries: QuerySet, domain: str) -> np.ndarray:
-    # domain-specific training mix: the pair's task domain appears twice
-    repeat = np.array(queries.domains) == domain
-    return np.concatenate([queries.inputs, queries.inputs[repeat]])
-
-
-def _fit_candidates(run: list[_Fit]) -> list[tuple[ShadowMoeModel, str]]:
-    """Train a run of candidates as one stack; returns each model with its log line."""
-    s = run[0].setup
-    teacher_fn = s.oracle("teacher-oracle")
-    fits = [
-        (
-            f"{fit.domain}_{fit.kind}",
-            teacher_fn if fit.kind == "kd" else s.oracle(f"unrelated-oracle-{fit.domain}"),
-            _emphasize(s.queries, fit.domain),
-            _sub_seed(s.seed, f"candidate-{fit.kind}-{fit.domain}"),
-        )
-        for fit in run
-    ]
-    return s.train(fits, s.candidate_epochs)
-
-
-def _fit_proxies(run: list[_Fit]) -> list[tuple[RoutingTraceSet, str]]:
-    """Train a run of proxies as one stack and export their traces; returns them with the log lines."""
-    s = run[0].setup
-    proxy_seed = _sub_seed(s.seed, "proxy-shared-init")
-    teacher_fn = s.oracle("teacher-oracle")
-    fits, model_ids = [], []
+def _fit_run(run: list[_Fit], queries: QuerySet, models_dir: Path) -> list[tuple[RoutingTraceSet | None, str]]:
+    """Train a run of fits as one stack and save each model; returns each fit's traces (or None)
+    with its log line, which gives the first and last loss only."""
+    stack = []
     for fit in run:
-        if fit.candidate is None:
-            fits.append(("proxy_teacher", teacher_fn, s.queries.inputs, proxy_seed))
-            model_ids.append("teacher-proxy")
-        else:
-            fits.append((f"proxy_{fit.domain}_{fit.kind}", fit.candidate.predict, s.queries.inputs, proxy_seed))
-            model_ids.append(f"{fit.domain}-{fit.kind}-proxy")
-    return [
-        (export_traces(proxy, s.queries, model_id=model_id), line)
-        for model_id, (proxy, line) in zip(model_ids, s.train(fits, s.proxy.epochs))
-    ]
+        x = queries.inputs
+        if fit.domain is not None:  # a candidate's training mix: the pair's task domain appears twice
+            x = np.concatenate([x, x[np.array(queries.domains) == fit.domain]])
+        stack.append((build_oracle(fit.oracle, models_dir, fit.config), x, fit.config))
+    results = []
+    for fit, (model, losses) in zip(run, train_proxies(stack, curve=False)):
+        model.save(models_dir / f"{fit.name}.bin")
+        traces = None if fit.model_id is None else export_traces(model, queries, model_id=fit.model_id)
+        results.append((traces, f"{fit.name}: distill loss {losses[0]:.5g} -> {losses[-1]:.5g}"))
+    return results
 
 
 def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
@@ -222,6 +171,10 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     check_fields(oracle, ("hidden_dim", "scale"), MoesigError, "pipeline oracle")
     if "epochs" not in doc["proxy"]:
         raise MoesigError(f"{what} is missing field(s) ['proxy.epochs']")
+    derived = [f"proxy.{key}" for key in ("seed", "input_dim", "output_dim") if key in doc["proxy"]]
+    if derived:
+        raise MoesigError(f"{what} field(s) {derived} are derived: each fit's seed from 'seed', "
+                          "input_dim and output_dim from the top level")
     seed = _field_int(doc, "seed", what)
     input_dim = _field_int(doc, "input_dim", what, minimum=1)
     output_dim = _field_int(doc, "output_dim", what, minimum=1)
@@ -252,30 +205,34 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     )
     write_queries(queries, out / "queries.jsonl", meta=artifact_meta(seed, digest))
 
-    setup = _Setup(
-        seed=seed,
-        queries=queries,
-        oracle_hidden=oracle_hidden,
-        oracle_scale=oracle_scale,
-        proxy=proxy,
-        candidate_epochs=candidate_epochs,
-        models_dir=out / "models",
-    )
+    teacher = {"kind": "mlp", "seed": _sub_seed(seed, "teacher-oracle"), "hidden_dim": oracle_hidden,
+               "scale": oracle_scale}
     domains = queries.domain_labels()
-    # round 1: the candidates; round 2: the teacher proxy and a proxy per candidate
-    candidates = [_Fit(setup, domain, kind) for domain in domains for kind in KINDS]
-    trained = parallel_map_runs(_fit_candidates, candidates)
-    proxies = [_Fit(setup, None, "teacher")] + [
-        replace(fit, candidate=model) for fit, (model, _) in zip(candidates, trained)
+    pairs = [(domain, kind) for domain in domains for kind in KINDS]
+    # round 1: the candidates; round 2: the teacher proxy and a proxy per candidate, which reads
+    # the candidate back from its model file as a black box
+    candidates = [
+        _Fit(f"{domain}_{kind}",
+             teacher if kind == "kd" else {**teacher, "seed": _sub_seed(seed, f"unrelated-oracle-{domain}")},
+             domain, replace(proxy, seed=_sub_seed(seed, f"candidate-{kind}-{domain}"), epochs=candidate_epochs))
+        for domain, kind in pairs
     ]
-    results = parallel_map_runs(_fit_proxies, proxies)
+    shared = replace(proxy, seed=_sub_seed(seed, "proxy-shared-init"))
+    proxies = [_Fit("proxy_teacher", teacher, None, shared, "teacher-proxy")] + [
+        _Fit(f"proxy_{domain}_{kind}", {"kind": "shadow-model", "path": f"{domain}_{kind}.bin"}, None, shared,
+             f"{domain}-{kind}-proxy")
+        for domain, kind in pairs
+    ]
+    fit_run = partial(_fit_run, queries=queries, models_dir=out / "models")
+    trained = parallel_map_runs(fit_run, candidates)
+    results = parallel_map_runs(fit_run, proxies)
     log.info("%s", results[0][1])
     for (_, cand_line), (_, proxy_line) in zip(trained, results[1:]):
         log.info("%s", cand_line)
         log.info("%s", proxy_line)
 
     # the teacher, then per domain its kd and scratch candidates, as the proxies were fitted
-    names = ["teacher"] + [f"{domain}_{kind}" for domain in domains for kind in KINDS]
+    names = ["teacher"] + [f"{domain}_{kind}" for domain, kind in pairs]
     for name, (traces, _) in zip(names, results):
         write_traces(traces, out / "traces" / f"{name}.jsonl")
     manifest = {

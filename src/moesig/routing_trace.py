@@ -35,7 +35,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -391,16 +391,16 @@ def _batch_rows(records: list, query_index: dict[str, int], num_layers: int, lin
             _narrow(list(chain.from_iterable(selected)), np.int16, MAX_EXPERTS))
 
 
-def _text_line(raw: str) -> str:
-    """``raw`` stripped. A line that held bytes that are not UTF-8, decoded as surrogate escapes,
-    raises the UnicodeDecodeError of a strict decode of its bytes, so that fault takes its
-    place in line order."""
+def _text_line(lineno: int, raw: str) -> tuple[int, str]:
+    """``raw`` stripped, after its line number. A line that held bytes that are not UTF-8,
+    decoded as surrogate escapes, raises TraceError with the strict decode's fault of its
+    bytes, so that fault takes its place in line order."""
     if not raw.isascii():
         try:
-            raw.encode("utf-8")
-        except UnicodeEncodeError:
             raw.encode("utf-8", "surrogateescape").decode("utf-8")
-    return raw.strip()
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"line {lineno}: not UTF-8 text: {exc}") from None
+    return lineno, raw.strip()
 
 
 def _read(path: Path) -> tuple:
@@ -435,27 +435,22 @@ def _read(path: Path) -> tuple:
         # canonical rows hold no line number: row r is line r + 2
         prefix = sum(len(rows[0]) for rows in blocks)
         text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
-        lines = enumerate(map(_text_line, text), start=prefix + 2 if header else 1)
+        lines = starmap(_text_line, enumerate(text, start=prefix + 2 if header else 1))
         lines = ((n, line) for n, line in lines if line)
+        if header is None:
+            top = next(lines, None)
+            if top is None:
+                raise TraceError("file is empty (missing header line)")
+            header, domain_index = _parse_header(top[1], top[0])
         try:
-            if header is None:
-                top = next(lines, None)
-                if top is None:
-                    raise TraceError("file is empty (missing header line)")
-                header, domain_index = _parse_header(top[1], top[0])
-            try:
-                for record in _file_records(lines, domain_index, header.get("domains") is not None):
-                    batch.append(record)
-                    if len(batch) == _CHUNK_ROWS:
-                        blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
-                        batch.clear()
-            except TraceError as exc:
-                fault = exc
-        except UnicodeDecodeError as exc:
-            fault = TraceError(f"not UTF-8 text: {exc}")
-            if header is None:
-                raise fault from None
-    # records before a decode fault come first in line order, so their faults win
+            for record in _file_records(lines, domain_index, header.get("domains") is not None):
+                batch.append(record)
+                if len(batch) == _CHUNK_ROWS:
+                    blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
+                    batch.clear()
+        except TraceError as exc:
+            fault = exc
+    # records before a line fault come first in line order, so their faults win
     blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
     batch.clear()
     # joined one column at a time, each column's pieces dropped once joined: the column

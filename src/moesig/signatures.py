@@ -215,10 +215,14 @@ def read_signatures(path: str | Path, layer_policy: LayerPolicy = "last") -> tup
     """The model id and the signature bundle of one trace file.
 
     The only way from a trace file to scoring: the trace set is dropped as
-    soon as its signatures are built, so a caller holds one at a time.
+    soon as its signatures are built, so a caller holds one at a time. Every
+    fault raises an error whose message starts with ``path``.
     """
     traces = ingest_traces(path)
-    return traces.model_id, signature_bundle(traces, layer_policy)
+    try:
+        return traces.model_id, signature_bundle(traces, layer_policy)
+    except SignatureError as exc:
+        raise SignatureError(f"{path}: {exc}") from None
 
 
 def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = None) -> None:
@@ -239,13 +243,14 @@ def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = N
 def load_bundle(path: str | Path) -> SignatureBundle:
     """Load a signature bundle written by :func:`save_bundle`.
 
-    Invalid JSON, a missing field, matrices whose shapes disagree, a layer
-    that is not an integer >= 0, domains that are not a nonempty list of
-    distinct strings, counts that are not integers >= 0, a negative or
-    non-finite matrix, kappa or pair-normalizer entry, a nonzero diagonal
-    collaboration entry, a ``zero_mass`` that is not a boolean, or a
-    ``zero_mass`` collaboration matrix with a nonzero entry raise
-    SignatureError, whose message starts with ``path``.
+    Invalid JSON, a missing field, matrices whose shapes disagree with each
+    other or with ``num_experts``, a layer that is not an integer >= 0,
+    domains that are not a nonempty list of distinct strings, counts that
+    are not integers >= 0, a negative or non-finite matrix, kappa or
+    pair-normalizer entry, a nonzero diagonal collaboration entry, a
+    ``zero_mass`` that is not a boolean, or a ``zero_mass`` collaboration
+    matrix with a nonzero entry raise SignatureError, whose message starts
+    with ``path``.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -254,7 +259,7 @@ def load_bundle(path: str | Path) -> SignatureBundle:
     try:
         if not isinstance(doc, dict) or doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
             raise SignatureError("not a version-1 signature file")
-        layer, labels = doc["layer"], doc["domains"]
+        layer, labels, num_experts = doc["layer"], doc["domains"], doc["num_experts"]
         spec_doc, collab_doc = doc["specialization"], doc["collaboration"]
         counts, pair_normalizer = spec_doc["counts"], collab_doc["pair_normalizer"]
         if not is_int(layer) or layer < 0:
@@ -287,6 +292,8 @@ def load_bundle(path: str | Path) -> SignatureBundle:
         if collab.num_experts != spec.num_experts:
             raise SignatureError(f"collaboration matrix has {collab.num_experts} experts, "
                                  f"specialization profile has {spec.num_experts}")
+        if not is_int(num_experts) or num_experts != spec.num_experts:
+            raise SignatureError(f"num_experts is {num_experts!r}, but the matrices have {spec.num_experts} experts")
     except KeyError as exc:
         raise SignatureError(f"{path}: signature file is missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -260,6 +260,10 @@ MALFORMED_CONFIGS = [
                   "pipeline-unknown-field"),
     pipeline_case({"oracle": {"hidden_dimm": 3}}, "unknown pipeline oracle field(s): ['hidden_dimm']",
                   "pipeline-oracle-unknown-field"),
+    # the pipeline derives each fit's seed and the proxy's dimensions, so setting them would do nothing
+    pipeline_case({"proxy": {**PIPELINE["proxy"], "seed": 123, "input_dim": 99, "output_dim": 7}},
+                  "pipeline config field(s) ['proxy.seed', 'proxy.input_dim', 'proxy.output_dim'] are derived",
+                  "pipeline-proxy-derived-fields"),
     pipeline_case({"seed": "x"}, "'seed'", "pipeline-seed-string"),
     pipeline_case({"proxy": 5}, "'proxy' and 'oracle'", "pipeline-proxy-number"),
     pipeline_case({"oracle": [1]}, "'proxy' and 'oracle'", "pipeline-oracle-list"),
@@ -359,11 +363,12 @@ class TestMalformedInput:
             (None, diagonal_mass, None, "collaboration matrix has a nonzero diagonal entry"),
             ("specialization", "counts", [1], "profile domain axis is inconsistent"),
             (None, non_square_collab, None, "collaboration matrix must be square"),
+            (None, "num_experts", 5, "num_experts is 5, but the matrices have 4 experts"),
         ],
         ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "zero-mass-nonzero",
              "layer-float", "layer-bool", "layer-negative", "domains-string", "domains-repeated",
              "kappa-nan", "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains",
-             "collab-diagonal", "counts-short", "collab-not-square"],
+             "collab-diagonal", "counts-short", "collab-not-square", "num-experts-mismatch"],
     )
     def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
         # a callable key edits the whole document
@@ -919,8 +924,8 @@ class TestPooledReads:
         monkeypatch.chdir(tmp_path)
         cases = [
             (DETECT + ["--layer", "middle"], "unknown layer policy 'middle'"),
-            (DETECT + ["--layer", "1"], "explicit layer 1 out of range (0..0)"),
-            (REPORT + ["--layer", "1"], "explicit layer 1 out of range (0..0)"),
+            (DETECT + ["--layer", "1"], "t.jsonl: explicit layer 1 out of range (0..0)"),
+            (REPORT + ["--layer", "1"], "t.jsonl: explicit layer 1 out of range (0..0)"),
             (["profile", "--input", "missing.jsonl", "--out", "p.json", "--layer-policy", "middle"],
              "unknown layer policy 'middle'"),
             (["report", "--benchmark", "missing", "--out", "r.csv", "--layer", "middle"],

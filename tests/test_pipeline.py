@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from moesig import _pool
+from moesig import _pool, pipeline
 from moesig.cli import dispatch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +69,32 @@ def test_pipeline_out_dir_does_not_depend_on_stack_split(tmp_path, monkeypatch):
     assert cuts == [[1, 2, 3], [1, 2, 3, 1]]
     assert three == serial
     assert uneven_tree == serial
+
+
+def test_candidate_proxy_is_train_proxy_on_the_saved_candidate(tmp_path, monkeypatch):
+    # a candidate's proxy sees the candidate only as a black box read from its model file, so
+    # train-proxy with a shadow-model oracle on that file and the run's proxy config fits it again
+    config = toy_config(tmp_path / "toy.json")
+    run = tmp_path / "run"
+    run_with_cpus(monkeypatch, 2, config, run)
+    doc = json.loads(config.read_text())
+    proxy = {**doc["proxy"], "input_dim": doc["input_dim"], "output_dim": doc["output_dim"],
+             "seed": pipeline._sub_seed(doc["seed"], "proxy-shared-init")}
+    (tmp_path / "proxy.json").write_text(json.dumps(proxy), encoding="utf-8")
+    (tmp_path / "oracle.json").write_text(json.dumps({"kind": "shadow-model", "path": "run/models/d1_kd.bin"}),
+                                          encoding="utf-8")
+    assert dispatch(["train-proxy", "--oracle", str(tmp_path / "oracle.json"), "--queries",
+                     str(run / "queries.jsonl"), "--config", str(tmp_path / "proxy.json"),
+                     "--out", str(tmp_path / "proxy.bin"), "--traces", str(tmp_path / "traces.jsonl")]) == 0
+    assert (tmp_path / "proxy.bin").read_bytes() == (run / "models" / "proxy_d1_kd.bin").read_bytes()
+    (header, *records), (run_header, *run_records) = (
+        path.read_text(encoding="utf-8").splitlines() for path in (tmp_path / "traces.jsonl",
+                                                                    run / "traces" / "d1_kd.jsonl"))
+    assert records == run_records
+    header, run_header = json.loads(header), json.loads(run_header)
+    assert run_header.pop("model_id") == "d1-kd-proxy"
+    header.pop("model_id")
+    assert header == run_header
 
 
 def test_pipeline_config_missing_field(tmp_path, caplog):

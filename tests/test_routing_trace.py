@@ -156,7 +156,7 @@ def test_non_utf8_header(tmp_path):
     path.write_bytes(b"\xff" + json.dumps(HEADER).encode() + b"\n")
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
-    assert str(exc.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+    assert str(exc.value) == (f"{path}: line 1: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
                               "in position 0: invalid start byte")
 
 
@@ -637,7 +637,7 @@ def test_non_utf8_line_is_reported_at_its_own_line(tmp_path):
         fh.write(b'{"query_id": "b\xff"}\n' + json.dumps({"query_id": "a"}).encode() + b"\n")
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
-    assert str(exc.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+    assert str(exc.value) == (f"{path}: line 3: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
                               "in position 15: invalid start byte")
 
 
