@@ -33,12 +33,12 @@ _LAZY = {
         "signatures",
     ),
     **dict.fromkeys(
-        ("Permutation", "SignatureDistance", "wasserstein1_discrete", "hungarian", "spec_distance",
-         "collab_distance", "heuristic_cost_matrix", "signature_distance"),
+        ("Permutation", "SignatureDistance", "hungarian", "spec_distance", "collab_distance",
+         "heuristic_cost_matrix", "signature_distance"),
         "transport",
     ),
     **dict.fromkeys(
-        ("DetectionScore", "PairVerdict", "BenchmarkReport", "detect_pair", "run_benchmark"),
+        ("PairVerdict", "BenchmarkReport", "detect_pair", "run_benchmark"),
         "detector",
     ),
     **dict.fromkeys(

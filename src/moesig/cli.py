@@ -30,17 +30,6 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()[:16]
 
 
-def _layer_policy(raw: str):
-    """``raw`` as a layer policy; an unknown policy name faults here, before any input is opened.
-    An index is checked against each file's layer count when its signatures are built."""
-    from moesig.signatures import parse_layer_policy, resolve_layer
-
-    policy = parse_layer_policy(raw)
-    if isinstance(policy, str):
-        resolve_layer(policy, 1)
-    return policy
-
-
 def _cmd_ingest(args) -> int:
     from dataclasses import replace
 
@@ -57,9 +46,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from moesig.signatures import dump_bundle_csv, read_signatures, save_bundle
+    from moesig.signatures import dump_bundle_csv, parse_layer_policy, read_signatures, save_bundle
 
-    policy = _layer_policy(args.layer_policy)
+    policy = parse_layer_policy(args.layer_policy)
     model_id, bundle = read_signatures(args.input, policy)
     meta = artifact_meta(None, _file_digest(Path(args.input)))
     meta["model_id"] = model_id
@@ -110,20 +99,20 @@ def _cmd_detect(args) -> int:
     from functools import partial
 
     from moesig._pool import parallel_map
-    from moesig.detector import detect_pair
-    from moesig.signatures import read_signatures
+    from moesig.detector import detect_pair, score
+    from moesig.signatures import parse_layer_policy, read_signatures
 
-    policy = _layer_policy(args.layer)
+    policy = parse_layer_policy(args.layer)
     # each file is read and profiled on the pool, in this order, so the earliest file that
     # fails gives the diagnostic, and only signatures come back
     (_, t_sig), (id1, sig1), (id2, sig2) = parallel_map(
         partial(read_signatures, layer_policy=policy), [args.teacher, args.cand1, args.cand2])
-    verdict = detect_pair(t_sig, sig1, sig2, mode=args.mode, candidate_ids=(id1 or "cand1", id2 or "cand2"))
-    s1, s2 = verdict.scores
+    verdict = detect_pair(t_sig, sig1, sig2, mode=args.mode)
+    ids = (id1 or "cand1", id2 or "cand2")
     doc = {
         "format": "moesig-verdict",
         "version": 1,
-        "predicted": verdict.chosen.candidate_id,
+        "predicted": ids[verdict.predicted_index - 1],
         "predicted_index": verdict.predicted_index,
         "margin": verdict.margin,
         "tie": verdict.tie,
@@ -131,12 +120,12 @@ def _cmd_detect(args) -> int:
         "mode": args.mode,
         "scores": [
             {
-                "candidate_id": s.candidate_id,
-                "score": s.score,
-                "d_spec": s.d_spec,
-                "d_collab": s.d_collab,
+                "candidate_id": candidate_id,
+                "score": score(dist),
+                "d_spec": dist.d_spec,
+                "d_collab": dist.d_collab,
             }
-            for s in (s1, s2)
+            for candidate_id, dist in zip(ids, verdict.distances)
         ],
         "meta": artifact_meta(None, None),
     }
@@ -199,9 +188,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from moesig.signatures import parse_layer_policy
     from moesig.synthgen import expand_grid, sweep
 
-    policy = _layer_policy(args.layer)
+    policy = parse_layer_policy(args.layer)
     doc = read_json(args.grid)
     configs = expand_grid(doc)
     rows = sweep(configs, mode=args.mode, layer_policy=policy)
@@ -214,8 +204,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     from moesig.detector import run_benchmark
     from moesig.pipeline import emit_report, read_benchmark
+    from moesig.signatures import parse_layer_policy
 
-    policy = _layer_policy(args.layer)
+    policy = parse_layer_policy(args.layer)
     teacher, pairs, meta = read_benchmark(args.benchmark, policy)
     report = run_benchmark(teacher, pairs, layer_policy=policy, mode=args.mode)
     emit_report(report, args.out, fmt=args.format, meta=meta)

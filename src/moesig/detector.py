@@ -1,19 +1,21 @@
 """Teacher/candidate scoring, paired verdicts, and benchmark aggregation.
 
-A candidate is scored as the negated average of its two signature distances
-to the teacher, so higher scores mean stronger routing similarity and
-therefore stronger distillation evidence. The paired protocol picks the
+A candidate's score is one function of its :class:`SignatureDistance` to
+the teacher, :func:`score`: the negated average of its two signature
+distances, so higher scores mean stronger routing similarity and therefore
+stronger distillation evidence. The paired protocol picks the
 higher-scoring member of a candidate pair; a benchmark repeats that per
 domain and reports the fraction of domains where the distilled member wins.
 Everything here takes signature bundles, never trace sets: a trace file
 becomes a bundle through :func:`moesig.signatures.read_signatures`, and a
-benchmark scores all of its candidates in one :func:`score_candidates` call.
+benchmark matches all of its candidates in one
+:func:`moesig.transport.signature_distances` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from moesig.errors import DetectorError
 from moesig.signatures import LayerPolicy, SignatureBundle
@@ -24,34 +26,13 @@ KINDS = ("kd", "scratch")  # the members of a benchmark pair, in pair order
 
 
 @dataclass(frozen=True)
-class DetectionScore:
-    """Distillation-evidence score of one candidate against the teacher."""
-
-    score: float
-    d_spec: float
-    d_collab: float | None
-    distance: SignatureDistance = field(compare=False)
-    candidate_id: str = ""
-
-
-@dataclass(frozen=True)
 class PairVerdict:
     """Outcome of comparing one candidate pair against the teacher."""
 
     predicted_index: int  # 1 or 2
     margin: float  # score(chosen) - score(other), >= 0
     tie: bool
-    scores: tuple[DetectionScore, DetectionScore]
-
-    def __post_init__(self) -> None:
-        if self.predicted_index not in (1, 2):
-            raise DetectorError(f"predicted_index must be 1 or 2, got {self.predicted_index}")
-        if self.margin < 0:
-            raise DetectorError(f"margin must be nonnegative, got {self.margin}")
-
-    @property
-    def chosen(self) -> DetectionScore:
-        return self.scores[self.predicted_index - 1]
+    distances: tuple[SignatureDistance, SignatureDistance]
 
 
 @dataclass(frozen=True)
@@ -109,39 +90,22 @@ class BenchmarkReport:
         return sum(r.margin for r in self.rows) / len(self.rows)
 
 
-def score_candidates(
-    teacher_sig: SignatureBundle,
-    student_sigs: Sequence[SignatureBundle],
-    mode: str = "auto",
-    candidate_ids: Sequence[str] | None = None,
-) -> list[DetectionScore]:
-    """Score candidates against one teacher: each minus the mean of its signature distances.
+def score(distance: SignatureDistance) -> float:
+    """Distillation evidence of one candidate: minus the mean of its signature distances to the teacher.
 
     Falls back to minus the specialization distance alone when both sides
     carry no co-activation mass (the collaboration signal is undefined).
-    The distances come from one :func:`signature_distances` call, so an
-    exact collaboration match scans the teacher's relabelings once for all
-    candidates.
     """
-    ids = candidate_ids if candidate_ids is not None else [""] * len(student_sigs)
-    scores = []
-    for dist, candidate_id in zip(signature_distances(teacher_sig, student_sigs, mode=mode), ids, strict=True):
-        if dist.d_collab is None:
-            score = -dist.d_spec
-        else:
-            score = -0.5 * (dist.d_spec + dist.d_collab)
-        scores.append(DetectionScore(score=score, d_spec=dist.d_spec, d_collab=dist.d_collab,
-                                     candidate_id=candidate_id, distance=dist))
-    return scores
+    if distance.d_collab is None:
+        return -distance.d_spec
+    return -0.5 * (distance.d_spec + distance.d_collab)
 
 
-def pair_verdict(s1: DetectionScore, s2: DetectionScore) -> PairVerdict:
-    """The verdict of :func:`detect_pair` on two scored candidates."""
-    gap = s1.score - s2.score
-    if abs(gap) < TIE_EPSILON:
-        return PairVerdict(predicted_index=1, margin=abs(gap), tie=True, scores=(s1, s2))
-    predicted = 1 if gap > 0 else 2
-    return PairVerdict(predicted_index=predicted, margin=abs(gap), tie=False, scores=(s1, s2))
+def pair_verdict(d1: SignatureDistance, d2: SignatureDistance) -> PairVerdict:
+    """The verdict of :func:`detect_pair` on two candidates' distances to the teacher."""
+    gap = score(d1) - score(d2)
+    tie = abs(gap) < TIE_EPSILON
+    return PairVerdict(predicted_index=1 if tie or gap > 0 else 2, margin=abs(gap), tie=tie, distances=(d1, d2))
 
 
 def detect_pair(
@@ -149,16 +113,14 @@ def detect_pair(
     candidate_1_sig: SignatureBundle,
     candidate_2_sig: SignatureBundle,
     mode: str = "auto",
-    candidate_ids: tuple[str, str] = ("cand1", "cand2"),
 ) -> PairVerdict:
     """Pick the candidate whose routing signatures sit closer to the teacher.
 
-    Both candidates are scored in one :func:`score_candidates` call.
+    Both candidates are matched in one :func:`signature_distances` call.
     Near-equal scores (within 1e-12) are flagged as a tie and resolved
     deterministically in favor of candidate 1.
     """
-    return pair_verdict(*score_candidates(
-        teacher_sig, [candidate_1_sig, candidate_2_sig], mode=mode, candidate_ids=candidate_ids))
+    return pair_verdict(*signature_distances(teacher_sig, [candidate_1_sig, candidate_2_sig], mode=mode))
 
 
 def run_benchmark(
@@ -171,26 +133,25 @@ def run_benchmark(
 
     ``pairs`` maps a domain name to the (distilled, scratch) candidates'
     signatures, built at ``layer_policy``, which the report records. All
-    candidates are scored in one :func:`score_candidates` call, so each
+    candidates are matched in one :func:`signature_distances` call, so each
     row is its domain's :func:`detect_pair` bit for bit, and a fault is
     the one the domains taken in order would raise first. Accuracy is the
     fraction of domains whose distilled member was chosen without a tie.
     """
     if not pairs:
         raise DetectorError("benchmark needs at least one candidate pair")
-    scores = score_candidates(teacher_sig, [sig for pair in pairs.values() for sig in pair], mode=mode,
-                              candidate_ids=KINDS * len(pairs))
+    distances = signature_distances(teacher_sig, [sig for pair in pairs.values() for sig in pair], mode=mode)
     rows = []
-    for domain, s_kd, s_scratch in zip(pairs, scores[::2], scores[1::2]):
-        verdict = pair_verdict(s_kd, s_scratch)
+    for domain, kd, scratch in zip(pairs, distances[::2], distances[1::2]):
+        verdict = pair_verdict(kd, scratch)
         rows.append(
             BenchmarkRow(
                 domain=domain,
-                d_spec_kd=s_kd.d_spec,
-                d_spec_scratch=s_scratch.d_spec,
-                d_collab_kd=s_kd.d_collab,
-                d_collab_scratch=s_scratch.d_collab,
-                margin=s_kd.score - s_scratch.score,
+                d_spec_kd=kd.d_spec,
+                d_spec_scratch=scratch.d_spec,
+                d_collab_kd=kd.d_collab,
+                d_collab_scratch=scratch.d_collab,
+                margin=score(kd) - score(scratch),
                 verdict=KINDS[verdict.predicted_index - 1],
                 tie=verdict.tie,
             )

@@ -509,10 +509,12 @@ def read_queries(path: str | Path) -> QuerySet:
 
     A line that is not UTF-8 or not JSON or holds a lone surrogate escape,
     or a record whose fields are missing, of the wrong type or not finite,
+    whose domain label is empty or whose query id repeats an earlier one,
     raises ShadowMoeError naming its line.
     """
     path = Path(path)
     ids, xs, labels = [], [], []
+    seen = set()
     input_dim = None
     # undecodable bytes become lone surrogates, so the line that holds them can be named
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -545,6 +547,11 @@ def read_queries(path: str | Path) -> QuerySet:
                 raise ShadowMoeError(f"{where}: query_id and domain must be strings")
             if not isinstance(x, list) or len(x) != input_dim or not all(map(is_finite_number, x)):
                 raise ShadowMoeError(f"{where}: x must be a list of {input_dim} finite numbers")
+            if not doc["domain"]:
+                raise ShadowMoeError(f"{where}: every query needs a domain label")
+            if doc["query_id"] in seen:
+                raise ShadowMoeError(f"{where}: duplicate query id {doc['query_id']!r}")
+            seen.add(doc["query_id"])
             ids.append(doc["query_id"])
             xs.append(x)
             labels.append(doc["domain"])

@@ -194,11 +194,16 @@ def resolve_layer(policy: LayerPolicy, num_layers: int) -> int:
 def parse_layer_policy(raw: str) -> LayerPolicy:
     """Read a layer policy from text: an integer index of at most 18 ASCII digits, or a policy name.
 
-    Longer digit runs stay names (so ``unknown layer policy``): int() refuses
-    more than 4300 digits, and no model has 10**18 layers.
+    An unknown name raises here, before any input is opened; an index is
+    checked against each trace set's layer count when its signatures are
+    built. Longer digit runs stay names (so ``unknown layer policy``): int()
+    refuses more than 4300 digits, and no model has 10**18 layers.
     """
     digits = raw[1:] if raw[:1] in ("+", "-") else raw
-    return int(raw) if len(digits) <= 18 and digits.isascii() and digits.isdigit() else raw
+    if len(digits) <= 18 and digits.isascii() and digits.isdigit():
+        return int(raw)
+    resolve_layer(raw, 1)
+    return raw
 
 
 def signature_bundle(traces: RoutingTraceSet, layer_policy: LayerPolicy = "last") -> SignatureBundle:

@@ -35,11 +35,11 @@ import numpy as np
 from moesig._meta import artifact_meta, check_fields, config_digest, is_int, is_number, write_json
 from moesig._pool import parallel_map_runs
 from moesig._rng import substream
-from moesig.detector import DetectionScore, pair_verdict, score_candidates
+from moesig.detector import pair_verdict, score
 from moesig.errors import ScenarioError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set, write_traces
 from moesig.signatures import LayerPolicy, signature_bundle
-from moesig.transport import Permutation
+from moesig.transport import Permutation, SignatureDistance, signature_distances
 
 PREFERRED_WEIGHT = 8.0  # elevated selection weight of a domain's expert block
 BASE_WEIGHT = 1.0
@@ -276,8 +276,8 @@ def expand_grid(doc: dict) -> list[ScenarioConfig]:
     ]
 
 
-def _sweep_row(config: ScenarioConfig, distilled: DetectionScore, scratch: DetectionScore) -> dict:
-    """The result row of one scenario from its two scored candidates."""
+def _sweep_row(config: ScenarioConfig, distilled: SignatureDistance, scratch: SignatureDistance) -> dict:
+    """The result row of one scenario from its two candidates' distances to the teacher."""
     verdict = pair_verdict(distilled, scratch)
     return {
         "rho": config.relatedness,
@@ -289,12 +289,12 @@ def _sweep_row(config: ScenarioConfig, distilled: DetectionScore, scratch: Detec
         "seed": config.seed,
         "correct": int(verdict.predicted_index == 1 and not verdict.tie),
         "tie": verdict.tie,
-        "margin": distilled.score - scratch.score,
+        "margin": score(distilled) - score(scratch),
         "d_spec_distilled": distilled.d_spec,
         "d_spec_scratch": scratch.d_spec,
         "d_collab_distilled": distilled.d_collab,
         "d_collab_scratch": scratch.d_collab,
-        "method": distilled.distance.method,
+        "method": distilled.method,
     }
 
 
@@ -305,7 +305,7 @@ def _sweep_run(configs: list[ScenarioConfig], mode: str, layer_policy: LayerPoli
     group by :func:`_generate_group`, one scenario at a time, keeping only
     signature bundles: the group's teacher and scratch bundles once, then
     one distilled bundle per config. The scratch and every distilled
-    candidate are scored in one :func:`score_candidates` call.
+    candidate are matched in one :func:`signature_distances` call.
     """
     rows = []
     for _, group in groupby(configs, key=_draw_key):
@@ -315,8 +315,8 @@ def _sweep_run(configs: list[ScenarioConfig], mode: str, layer_policy: LayerPoli
             if not bundles:
                 bundles += (signature_bundle(traces, layer_policy) for traces in (scenario.teacher, scenario.scratch))
             bundles.append(signature_bundle(scenario.distilled, layer_policy))
-        scratch, *distilled = score_candidates(bundles[0], bundles[1:], mode=mode)
-        rows += (_sweep_row(config, score, scratch) for config, score in zip(group, distilled))
+        scratch, *distilled = signature_distances(bundles[0], bundles[1:], mode=mode)
+        rows += (_sweep_row(config, dist, scratch) for config, dist in zip(group, distilled))
     return rows
 
 

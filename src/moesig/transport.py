@@ -99,35 +99,6 @@ class SignatureDistance:
     collab_permutation: Permutation | None
     method: str
 
-    def __post_init__(self) -> None:
-        if self.d_spec < 0 or (self.d_collab is not None and self.d_collab < 0):
-            raise TransportError("signature distances must be nonnegative")
-
-
-def wasserstein1_discrete(p, q, positions) -> float:
-    """W1 between two discrete distributions on a common increasing grid.
-
-    Equals the integral of the absolute CDF difference: the sum over
-    consecutive position gaps of |CDF_p - CDF_q| times the gap width.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.float64)
-    if p.shape != q.shape or p.shape != positions.shape or p.ndim != 1:
-        raise TransportError(
-            f"length mismatch: p{p.shape}, q{q.shape}, positions{positions.shape}"
-        )
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q)) and np.all(np.isfinite(positions))):
-        raise TransportError("inputs must be finite")
-    if p.size > 1 and not np.all(np.diff(positions) > 0):
-        raise TransportError("positions must be strictly increasing")
-    for name, vec in (("p", p), ("q", q)):
-        total = float(vec.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise TransportError(f"{name} sums to {total!r}, not 1 within {NORMALIZATION_TOL}")
-    cdf_gap = np.cumsum(p - q)[:-1]
-    return float(np.abs(cdf_gap) @ np.diff(positions))
-
 
 def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
     """Column assigned to each row in a minimum-cost assignment of a finite square ``cost``.

@@ -6,9 +6,11 @@ from typing import Sequence
 
 import numpy as np
 
+from moesig.errors import TransportError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
 from moesig.shadow_moe import ShadowMoeModel
 from moesig.signatures import CollaborationMatrix, SpecializationProfile
+from moesig.transport import NORMALIZATION_TOL
 
 from _oracles import query_traces
 
@@ -50,6 +52,31 @@ def drop_domains(doc: dict) -> None:
     spec = doc["specialization"]
     doc["domains"], spec["kappa_per_domain"], spec["counts"] = [], [], []
     spec["matrix"] = [[] for _ in spec["matrix"]]
+
+
+def wasserstein1_discrete(p, q, positions) -> float:
+    """W1 between two discrete distributions on a common increasing grid.
+
+    Equals the integral of the absolute CDF difference: the sum over
+    consecutive position gaps of |CDF_p - CDF_q| times the gap width.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    positions = np.asarray(positions, dtype=np.float64)
+    if p.shape != q.shape or p.shape != positions.shape or p.ndim != 1:
+        raise TransportError(
+            f"length mismatch: p{p.shape}, q{q.shape}, positions{positions.shape}"
+        )
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q)) and np.all(np.isfinite(positions))):
+        raise TransportError("inputs must be finite")
+    if p.size > 1 and not np.all(np.diff(positions) > 0):
+        raise TransportError("positions must be strictly increasing")
+    for name, vec in (("p", p), ("q", q)):
+        total = float(vec.sum())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise TransportError(f"{name} sums to {total!r}, not 1 within {NORMALIZATION_TOL}")
+    cdf_gap = np.cumsum(p - q)[:-1]
+    return float(np.abs(cdf_gap) @ np.diff(positions))
 
 
 def mean_gate_usage(model: ShadowMoeModel, x: np.ndarray) -> list[np.ndarray]:

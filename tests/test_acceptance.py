@@ -35,7 +35,6 @@ from moesig.transport import (
     collab_distance,
     hungarian,
     spec_distance,
-    wasserstein1_discrete,
 )
 from moesig._rng import substream
 
@@ -47,6 +46,7 @@ from helpers import (
     random_trace_set,
     selection_margin,
     summarize_sweep,
+    wasserstein1_discrete,
 )
 
 DATA_DIR = Path(__file__).parent / "data"

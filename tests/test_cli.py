@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import json
 import logging
 import tracemalloc
@@ -758,6 +759,39 @@ class TestSweep:
             rows = list(csv.reader(line for line in fh if not line.startswith("#")))
         assert len(rows) - 1 == 6  # header + one row per config
         assert rows[0][:2] == ["rho", "num_experts"]
+
+
+class TestFrozenBytes:
+    """sha256 of seeded ``detect`` verdicts and ``sweep`` CSVs; a change to scoring or matching that moves
+    these bytes is a bug until shown otherwise."""
+
+    @pytest.mark.parametrize("num_experts, mode, digest", [
+        (8, "exact", "f946c4fc752e79bfad43e8d7b1e4e383c4dd73e45a7975dfc9310128d3facc6b"),
+        (12, "heuristic", "d69af22e222c598b9d7c0ebb3e22d8dbcdadf9419e862028b256386326483116"),
+    ])
+    def test_detect_verdict(self, tmp_path, num_experts, mode, digest):
+        write_json(tmp_path / "s.json", dict(num_experts=num_experts, num_layers=2, top_k=2, num_domains=3,
+                                             n_per_domain=40, relatedness=0.6, permute_labels=True, seed=7))
+        assert dispatch(["synth", "--config", str(tmp_path / "s.json"), "--out-dir", str(tmp_path)]) == 0
+        verdict = tmp_path / "verdict.json"
+        t, c1, c2 = (str(tmp_path / f"{name}.jsonl") for name in ("teacher", "cand1", "cand2"))
+        argv = ["detect", "--teacher", t, "--cand1", c1, "--cand2", c2, "--mode", mode, "--out", str(verdict)]
+        assert dispatch(argv) == 0
+        assert hashlib.sha256(verdict.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("base, rhos, seeds, digest", [
+        pytest.param(dict(num_experts=4, top_k=1, num_domains=2, n_per_domain=3), [0.5, 1.0], [0, 1, 2, 3],
+                     "de20eb0047458b9f5845fe48633579a0e8ea53e0af08dd733f2432cfca406425", id="ties"),
+        pytest.param(dict(num_experts=8, top_k=2, num_domains=3, n_per_domain=40), [0.0, 0.3, 0.5, 1.0], [0, 1],
+                     "f0225ceba6b3ac226a1bc3be1692e679000a3e2ba1a62666b46f96169e6c3144", id="e8"),
+    ])
+    def test_sweep_csv(self, tmp_path, base, rhos, seeds, digest):
+        write_json(tmp_path / "grid.json", {"base": {**base, "num_layers": 1}, "rho": rhos, "seeds": seeds})
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--grid", str(tmp_path / "grid.json"), "--out", str(out)]) == 0
+        if base["top_k"] == 1:  # no co-activation mass: scored by d_spec alone, and some pairs tie
+            assert ",True," in out.read_text(encoding="utf-8")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestTrainProxy:

@@ -8,12 +8,12 @@ from moesig.detector import (
     BenchmarkRow,
     detect_pair,
     run_benchmark,
-    score_candidates,
+    score,
 )
 from moesig.errors import DetectorError, TransportError
 from moesig.routing_trace import build_trace_set
 from moesig.signatures import CollaborationMatrix, SignatureBundle, signature_bundle
-from moesig.transport import signature_distance
+from moesig.transport import signature_distance, signature_distances
 
 from _oracles import naive_collab_distance, naive_spec_distance, query_traces
 from helpers import random_collab, random_profile, random_trace_set
@@ -37,53 +37,50 @@ class TestScoreCandidate:
     def test_identical_scores_zero(self):
         rng = np.random.default_rng(0)
         bundle = random_bundle(rng)
-        score = score_candidates(bundle, [bundle])[0]
-        assert score.score == 0.0
-        assert score.d_spec == 0.0
-        assert score.d_collab == 0.0
+        dist = signature_distance(bundle, bundle)
+        assert score(dist) == 0.0
+        assert dist.d_spec == 0.0
+        assert dist.d_collab == 0.0
 
     def test_score_is_negated_mean_of_distances(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             teacher, student = random_bundle(rng), random_bundle(rng)
-            score = score_candidates(teacher, [student])[0]
             dist = signature_distance(teacher, student)
-            assert score.score == -0.5 * (dist.d_spec + dist.d_collab)
-            assert score.d_spec == dist.d_spec
-            assert score.d_collab == dist.d_collab
+            assert score(dist) == -0.5 * (dist.d_spec + dist.d_collab)
 
     def test_many_candidates_score_as_each_alone(self):
-        # one call scores every candidate against the teacher, bit for bit as one call each;
+        # one call matches every candidate against the teacher, bit for bit as one call each;
         # a pair's fault is the one the pairs taken one at a time would raise first
         rng = np.random.default_rng(3)
         teacher = random_bundle(rng, num_experts=6, num_domains=3)
         students = [random_bundle(rng, num_experts=6, num_domains=3) for _ in range(4)]
         for mode in ("exact", "heuristic"):
-            together = score_candidates(teacher, students, mode=mode, candidate_ids=list("abcd"))
-            alone = [score_candidates(teacher, [s], mode=mode, candidate_ids=[i])[0] for s, i in zip(students, "abcd")]
+            together = signature_distances(teacher, students, mode=mode)
+            alone = [signature_distances(teacher, [s], mode=mode)[0] for s in students]
             assert together == alone
-            assert [s.distance for s in together] == [s.distance for s in alone]
+            assert [score(d) for d in together] == [score(d) for d in alone]
         zero = zero_mass_bundle(rng, num_experts=6, num_domains=3)
         with pytest.raises(TransportError, match="zero-mass"):
-            score_candidates(teacher, [students[0], zero, random_bundle(rng, num_experts=5)])
+            signature_distances(teacher, [students[0], zero, random_bundle(rng, num_experts=5)])
         with pytest.raises(TransportError, match="expert count mismatch"):
-            score_candidates(teacher, [students[0], random_bundle(rng, num_experts=5), zero])
+            signature_distances(teacher, [students[0], random_bundle(rng, num_experts=5), zero])
 
     def test_score_against_factorial_oracle(self):
         rng = np.random.default_rng(2)
         teacher, student = random_bundle(rng), random_bundle(rng)
-        score = score_candidates(teacher, [student], mode="exact")[0]
+        dist = signature_distance(teacher, student, mode="exact")
         d_spec, _ = naive_spec_distance(teacher.spec.matrix, student.spec.matrix)
         d_collab, _ = naive_collab_distance(teacher.collab.matrix, student.collab.matrix)
-        assert score.score == pytest.approx(-0.5 * (d_spec + d_collab), abs=1e-12)
+        assert score(dist) == pytest.approx(-0.5 * (d_spec + d_collab), abs=1e-12)
 
     def test_zero_mass_falls_back_to_spec_only(self):
         rng = np.random.default_rng(3)
         teacher = zero_mass_bundle(rng)
         student = zero_mass_bundle(rng)
-        score = score_candidates(teacher, [student])[0]
-        assert score.d_collab is None
-        assert score.score == -score.d_spec
+        dist = signature_distance(teacher, student)
+        assert dist.d_collab is None
+        assert score(dist) == -dist.d_spec
 
 
 class TestDetectPair:
@@ -95,7 +92,6 @@ class TestDetectPair:
         assert verdict.predicted_index == 1
         assert verdict.margin > 0
         assert not verdict.tie
-        assert verdict.chosen.candidate_id == "cand1"
 
     def test_identical_candidates_tie(self):
         rng = np.random.default_rng(5)
@@ -121,7 +117,7 @@ class TestDetectPair:
         teacher = random_bundle(rng)
         c1, c2 = random_bundle(rng), random_bundle(rng)
         verdict = detect_pair(teacher, c1, c2)
-        s1, s2 = (s.score for s in verdict.scores)
+        s1, s2 = map(score, verdict.distances)
         for scale, shift in [(1.0, 0.0), (2.5, 1.0), (0.1, -3.0), (100.0, 42.0)]:
             t1, t2 = scale * s1 + shift, scale * s2 + shift
             assert (1 if t1 >= t2 else 2) == verdict.predicted_index
@@ -215,10 +211,11 @@ class TestRunBenchmark:
         assert (report.layer_policy, report.mode) == ("0", mode)
         assert [row.domain for row in report.rows] == list(pairs)
         for row, (kd, scratch) in zip(report.rows, pairs.values()):
-            verdict = detect_pair(teacher, kd, scratch, mode=mode, candidate_ids=("kd", "scratch"))
-            s_kd, s_scratch = verdict.scores
-            assert row == BenchmarkRow(row.domain, s_kd.d_spec, s_scratch.d_spec, s_kd.d_collab, s_scratch.d_collab,
-                                       s_kd.score - s_scratch.score, verdict.chosen.candidate_id, verdict.tie)
+            verdict = detect_pair(teacher, kd, scratch, mode=mode)
+            d_kd, d_scratch = verdict.distances
+            assert row == BenchmarkRow(row.domain, d_kd.d_spec, d_scratch.d_spec, d_kd.d_collab, d_scratch.d_collab,
+                                       score(d_kd) - score(d_scratch), ("kd", "scratch")[verdict.predicted_index - 1],
+                                       verdict.tie)
         assert report.rows[-1].tie and report.rows[-1].verdict == "kd"
 
     def test_zero_mass_pair_asymmetry_errors(self):

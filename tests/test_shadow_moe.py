@@ -575,6 +575,9 @@ class TestQueries:
                          "line 3: x must .* finite", id="int-past-float-range"),
             (b'{"query_id": "q1", "domain": "d\xff", "x": [0.0, 1.0, 2.0]}', "q.jsonl: line 3: not UTF-8 text"),
             (b'{"query_id": "q1", \xc3"domain": "d1", "x": [0.0, 1.0, 2.0]}', "q.jsonl: line 3: not UTF-8 text"),
+            ('{"query_id": "q000000", "domain": "d1", "x": [0.0, 1.0, 2.0]}',
+             "q.jsonl: line 3: duplicate query id 'q000000'"),
+            ('{"query_id": "q1", "domain": "", "x": [0.0, 1.0, 2.0]}', "q.jsonl: line 3: every query needs a domain label"),
         ],
     )
     def test_read_rejects_malformed_record(self, tmp_path, record, match):

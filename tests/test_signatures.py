@@ -194,10 +194,12 @@ def test_layer_policy_resolution():
                                          pytest.param("1" * 19, "1" * 19, id="19-digits"),
                                          pytest.param("-" + "1" * 5000, "-" + "1" * 5000, id="5000-digits")])
 def test_parse_layer_policy_reads_only_ascii_digits_as_an_index(raw, policy):
-    assert parse_layer_policy(raw) == policy
     if isinstance(policy, str) and policy != "last":
-        with pytest.raises(SignatureError, match=re.escape(f"unknown layer policy {policy!r}")):
-            resolve_layer(policy, 3)
+        for resolve in (parse_layer_policy, lambda name: resolve_layer(name, 3)):
+            with pytest.raises(SignatureError, match=re.escape(f"unknown layer policy {policy!r}")):
+                resolve(raw)
+    else:
+        assert parse_layer_policy(raw) == policy
 
 
 def test_signature_bundle_default_last_layer():

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from moesig import _pool
-from moesig.detector import detect_pair
+from moesig.detector import detect_pair, score
 from moesig.errors import ScenarioError
 from moesig.signatures import signature_bundle
 from moesig.synthgen import (
@@ -185,12 +185,12 @@ class TestSweep:
         scenario = generate_scenario(config)
         models = (scenario.teacher, scenario.distilled, scenario.scratch)
         verdict = detect_pair(*map(signature_bundle, models))
-        s_d, s_s = verdict.scores
+        s_d, s_s = verdict.distances
         return {"rho": config.relatedness, "seed": config.seed,
                 "correct": int(verdict.predicted_index == 1 and not verdict.tie),
-                "tie": verdict.tie, "margin": s_d.score - s_s.score, "d_spec_distilled": s_d.d_spec,
+                "tie": verdict.tie, "margin": score(s_d) - score(s_s), "d_spec_distilled": s_d.d_spec,
                 "d_spec_scratch": s_s.d_spec, "d_collab_distilled": s_d.d_collab,
-                "d_collab_scratch": s_s.d_collab, "method": s_d.distance.method}
+                "d_collab_scratch": s_s.d_collab, "method": s_d.method}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_rows_do_not_depend_on_grid_order_or_cpus(self, monkeypatch, cpus):

@@ -37,7 +37,6 @@ from moesig.transport import (
     hungarian,
     signature_distance,
     spec_distance,
-    wasserstein1_discrete,
 )
 
 from _oracles import (
@@ -46,7 +45,7 @@ from _oracles import (
     naive_spec_distance,
     naive_w1,
 )
-from helpers import random_collab, random_profile
+from helpers import random_collab, random_profile, wasserstein1_discrete
 
 
 def normalized(rng, size):
