@@ -79,10 +79,8 @@ def _cmd_distance(args) -> int:
         "version": 1,
         "d_spec": dist.d_spec,
         "d_collab": dist.d_collab,
-        "spec_permutation": list(dist.spec_permutation.mapping),
-        "collab_permutation": (
-            list(dist.collab_permutation.mapping) if dist.collab_permutation else None
-        ),
+        "spec_permutation": dist.spec_permutation,
+        "collab_permutation": dist.collab_permutation,
         "method": dist.method,
         "meta": artifact_meta(
             None, config_digest({"teacher": _file_digest(Path(args.teacher)),

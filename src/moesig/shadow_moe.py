@@ -336,7 +336,12 @@ class ShadowMoeModel:
 
     @classmethod
     def _zeros(cls, config: ShadowMoeConfig) -> "ShadowMoeModel":
-        return cls(config, np.zeros(sum(math.prod(shape) for _, shape in _param_shapes(config))))
+        size = sum(math.prod(shape) for _, shape in _param_shapes(config))
+        try:
+            flat = np.zeros(size)
+        except (ValueError, OverflowError):  # numpy refuses a size past its array limit
+            raise ShadowMoeError(f"a proxy of {size} parameters is past numpy's array limit") from None
+        return cls(config, flat)
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         names = [name for name, _ in _param_shapes(self.config)]
@@ -413,10 +418,9 @@ class ShadowMoeModel:
             if not isinstance(config, dict) or not isinstance(tensors, list):
                 raise ShadowMoeError(f"{path}: model manifest needs 'config' and 'tensors' fields")
             try:
-                config = ShadowMoeConfig.from_dict(config)
+                model = cls._zeros(ShadowMoeConfig.from_dict(config))
             except ShadowMoeError as exc:
                 raise ShadowMoeError(f"{path}: {exc}") from None
-            model = cls._zeros(config)
             named = dict(model.param_items())
             for entry in tensors:
                 name = entry.get("name") if isinstance(entry, dict) else None
@@ -479,9 +483,14 @@ def gaussian_domain_queries(
     """Domain-clustered Gaussian inputs: one well-separated center per domain."""
     rng = substream(seed, "queries")
     centers = rng.normal(0.0, 1.0, size=(num_domains, input_dim)) * separation
-    inputs = np.concatenate(
-        [center + rng.normal(0.0, 1.0, size=(n_per_domain, input_dim)) * spread for center in centers]
-    )
+    try:
+        inputs = np.concatenate(
+            [center + rng.normal(0.0, 1.0, size=(n_per_domain, input_dim)) * spread for center in centers]
+        )
+    except (ValueError, OverflowError):  # numpy refuses a size past its array limit
+        raise ShadowMoeError(
+            f"{n_per_domain} queries per domain of dimension {input_dim} are past numpy's array limit"
+        ) from None
     return QuerySet(
         query_ids=tuple(f"q{i:06d}" for i in range(len(inputs))),
         inputs=inputs,

@@ -39,7 +39,7 @@ from moesig.detector import pair_verdict, score
 from moesig.errors import ScenarioError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set, write_traces
 from moesig.signatures import LayerPolicy, signature_bundle
-from moesig.transport import Permutation, SignatureDistance, signature_distances
+from moesig.transport import SignatureDistance, signature_distances
 
 PREFERRED_WEIGHT = 8.0  # elevated selection weight of a domain's expert block
 BASE_WEIGHT = 1.0
@@ -115,7 +115,7 @@ class Scenario:
     teacher: RoutingTraceSet
     distilled: RoutingTraceSet
     scratch: RoutingTraceSet
-    hidden_permutation: Permutation | None
+    hidden_permutation: tuple[int, ...] | None
 
 
 def _block_preferences(starts: np.ndarray, num_experts: int, num_domains: int) -> np.ndarray:
@@ -162,7 +162,10 @@ def _generate_group(configs: Sequence[ScenarioConfig]) -> Iterator[Scenario]:
     scratch_pref = _block_preferences(substream(seed, "scratch-prefs").integers(0, e, size=d), e, d)
     own_pref = _block_preferences(substream(seed, "distilled-prefs").integers(0, e, size=d), e, d)
 
-    domain_of_query = np.repeat(np.arange(d), config.n_per_domain)
+    try:
+        domain_of_query = np.repeat(np.arange(d), config.n_per_domain)
+    except (ValueError, OverflowError):  # numpy refuses a size past its array limit
+        raise ScenarioError(f"{n} queries are past numpy's array limit") from None
     query_ids = [f"q{i:06d}" for i in range(n)]
     domain_index = domain_of_query + 1
 
@@ -197,7 +200,7 @@ def _generate_group(configs: Sequence[ScenarioConfig]) -> Iterator[Scenario]:
 
     teacher = trace_set("teacher", (t for _, t, _, _, _ in layers), None)
     scratch = trace_set("scratch", (s for _, _, _, s, _ in layers), tau)
-    hidden = Permutation(sigma) if sigma is not None else None
+    hidden = tuple(sigma.tolist()) if sigma is not None else None
     for config in configs:
         meta = {"seed": seed, "config_digest": config.digest()}
         copies = (np.where((u < config.relatedness * b)[:, None], t, own) for b, t, own, _, u in layers)
@@ -235,11 +238,7 @@ def write_scenario(scenario: Scenario, out_dir: str | Path) -> dict:
         "teacher": "teacher.jsonl",
         "candidates": {"cand1": "cand1.jsonl", "cand2": "cand2.jsonl"},
         "distilled": "cand1" if distilled_first else "cand2",
-        "hidden_permutation": (
-            list(scenario.hidden_permutation.mapping)
-            if scenario.hidden_permutation is not None
-            else None
-        ),
+        "hidden_permutation": scenario.hidden_permutation,
         "config": scenario.config.to_dict(),
         "meta": artifact_meta(scenario.config.seed, scenario.config.digest()),
     }

@@ -55,37 +55,11 @@ METHOD_EXACT = "exact-brute-force"
 METHOD_HEURISTIC = "hungarian-heuristic"
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijective relabeling of expert indices 0..E-1."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(int(i) for i in self.mapping))
-        e = len(self.mapping)
-        if sorted(self.mapping) != list(range(e)):
-            raise TransportError(f"mapping {self.mapping} is not a permutation of 0..{e - 1}")
-
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(size)))
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-
 class TransportResult(NamedTuple):
     """A matched distance: its value, the permutation used, and how it was found."""
 
     value: float
-    permutation: Permutation
+    permutation: tuple[int, ...]
     method: str
 
 
@@ -95,8 +69,8 @@ class SignatureDistance:
 
     d_spec: float
     d_collab: float | None
-    spec_permutation: Permutation
-    collab_permutation: Permutation | None
+    spec_permutation: tuple[int, ...]
+    collab_permutation: tuple[int, ...] | None
     method: str
 
 
@@ -160,7 +134,7 @@ def _shortest_augmenting_paths(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def hungarian(cost: np.ndarray) -> tuple[Permutation, float]:
+def hungarian(cost: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Minimum-cost assignment: permutation minimizing sum_i cost[i, perm(i)].
 
     Solved in O(E^3) by shortest augmenting paths (Crouse, "On implementing
@@ -176,7 +150,7 @@ def hungarian(cost: np.ndarray) -> tuple[Permutation, float]:
         raise TransportError("cost matrix contains non-finite entries")
     sigma = _shortest_augmenting_paths(cost)
     total = float(cost[np.arange(cost.shape[0]), sigma].sum())
-    return Permutation(sigma), total
+    return tuple(sigma.tolist()), total
 
 
 @lru_cache(maxsize=8)
@@ -369,7 +343,7 @@ def _collab_objectives(teacher: np.ndarray, students: Sequence[np.ndarray]) -> C
 _SCAN_BUDGET = 32_768
 
 
-def _scan(objectives, teacher: np.ndarray) -> list[tuple[float, Permutation]]:
+def _scan(objectives, teacher: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
     """Exact minimum of each row of ``objectives`` over every permutation in lexicographic order;
     first wins ties."""
     chunk = max(1, _SCAN_BUDGET // max(1, teacher.size))
@@ -382,7 +356,7 @@ def _scan(objectives, teacher: np.ndarray) -> list[tuple[float, Permutation]]:
             best_values, best_perms = np.full(len(values), np.inf), [None] * len(values)
         for s in np.flatnonzero(lows < best_values):
             best_values[s], best_perms[s] = lows[s], perms[idx[s]]
-    return [(float(value), Permutation(perm)) for value, perm in zip(best_values, best_perms)]
+    return [(float(value), tuple(perm.tolist())) for value, perm in zip(best_values, best_perms)]
 
 
 # absolute slack (in domain-summed W1 units) within which the subset DP keeps a
@@ -455,7 +429,7 @@ def _spec_candidates(teacher: np.ndarray, student: np.ndarray) -> np.ndarray | N
     return prefixes
 
 
-def _exact_spec(teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permutation]:
+def _exact_spec(teacher: np.ndarray, student: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """The scan's result without the scan: re-score the DP's candidates, first minimum wins."""
     objectives = _spec_objectives(teacher, [student])
     perms = _spec_candidates(teacher, student)
@@ -463,7 +437,7 @@ def _exact_spec(teacher: np.ndarray, student: np.ndarray) -> tuple[float, Permut
         return _scan(objectives, teacher)[0]
     values = objectives(perms)[0]
     idx = int(np.argmin(values))
-    return float(values[idx]), Permutation(perms[idx])
+    return float(values[idx]), tuple(perms[idx].tolist())
 
 
 def _resolve_mode(mode: str, num_experts: int) -> str:
@@ -555,9 +529,9 @@ def _match(kind: str, teacher: np.ndarray, students: Sequence[np.ndarray], mode:
     results = []
     for student in students:
         sigma, _ = hungarian(heuristic_cost_matrix(kind, teacher, student))
-        perm = sigma.inverse()
-        value = float(objectives(teacher, [student])(np.asarray([perm.mapping], dtype=np.intp))[0, 0])
-        results.append(TransportResult(value, perm, method))
+        perm = np.argsort(sigma)
+        value = float(objectives(teacher, [student])(perm[None, :])[0, 0])
+        results.append(TransportResult(value, tuple(perm.tolist()), method))
     return results
 
 
@@ -620,7 +594,7 @@ def collab_distance(
     _check_collab(teacher, student)
     if teacher.zero_mass:
         e = teacher.num_experts
-        return TransportResult(0.0, Permutation.identity(e), _resolve_mode(mode, e))
+        return TransportResult(0.0, tuple(range(e)), _resolve_mode(mode, e))
     return _match("collab", teacher.matrix, [student.matrix], mode)[0]
 
 

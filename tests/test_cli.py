@@ -164,6 +164,8 @@ MALFORMED_CONFIGS = [
                  "learning_rate must be a number, got inf", id="proxy-rate-infinity"),
     pytest.param(*train_proxy_case({**PROXY, "experts_per_layer": "4"}), "experts_per_layer",
                  id="proxy-experts-string"),
+    pytest.param(*train_proxy_case({**PROXY, "experts_per_layer": 10**17}),
+                 "parameters is past numpy's array limit", id="proxy-experts-past-array-limit"),
     pytest.param(*train_proxy_case(without(PROXY, "top_k")), "missing field(s) ['top_k']",
                  id="proxy-no-top-k"),
     pytest.param(*train_proxy_case([PROXY]), "JSON object", id="proxy-not-object"),
@@ -176,6 +178,9 @@ MALFORMED_CONFIGS = [
                  "'config' and 'tensors'", id="model-no-config"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"tensors"', b'"arrays"')),
                  "'config' and 'tensors'", id="model-no-tensors"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"experts_per_layer":[4]',
+                                                             f'"experts_per_layer":[{10**17}]'.encode())),
+                 "model.bin: a proxy of", id="model-experts-past-array-limit"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"w_in"', b'"w_xx"')),
                  "unknown or repeated tensor 'w_xx'", id="model-unknown-tensor"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"top_k":[2]', b'"top_k":["2"]')),
@@ -216,6 +221,9 @@ MALFORMED_CONFIGS = [
     pytest.param({"q.json": {**QUERY_CONFIG, "separation": float("nan")}},
                  ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
                  "needs a finite numeric 'separation', got nan", id="queries-separation-nan"),
+    pytest.param({"q.json": {**QUERY_CONFIG, "n_per_domain": 10**19}},
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
+                 "queries per domain of dimension 2 are past numpy's array limit", id="queries-past-array-limit"),
     pytest.param({"grid.json": {"rho": [0.5]}}, SWEEP, "'base'", id="grid-no-base"),
     pytest.param({"grid.json": DEEP}, SWEEP, "grid.json: malformed JSON", id="grid-deep-nesting"),
     pytest.param({"grid.json": f'{{"base": {LONG_INTEGER}}}'}, SWEEP, "grid.json: malformed JSON",
@@ -237,6 +245,9 @@ MALFORMED_CONFIGS = [
     pytest.param({"s.json": {**SCENARIO, "relatedness": 0.5, "layer_bias": 1}},
                  ["synth", "--config", "s.json", "--out-dir", "out"],
                  "layer_bias must be a list", id="synth-bias-not-list"),
+    pytest.param({"s.json": {**SCENARIO, "relatedness": 0.5, "n_per_domain": 10**19}},
+                 ["synth", "--config", "s.json", "--out-dir", "out"],
+                 "queries are past numpy's array limit", id="synth-past-array-limit"),
     pytest.param({"manifest.json": {"pairs": PAIRS}}, REPORT, "'teacher'",
                  id="report-no-teacher"),
     pytest.param({"manifest.json": {"teacher": "t.jsonl"}}, REPORT, "'pairs'",
@@ -770,14 +781,43 @@ class TestFrozenBytes:
         (12, "heuristic", "d69af22e222c598b9d7c0ebb3e22d8dbcdadf9419e862028b256386326483116"),
     ])
     def test_detect_verdict(self, tmp_path, num_experts, mode, digest):
-        write_json(tmp_path / "s.json", dict(num_experts=num_experts, num_layers=2, top_k=2, num_domains=3,
-                                             n_per_domain=40, relatedness=0.6, permute_labels=True, seed=7))
-        assert dispatch(["synth", "--config", str(tmp_path / "s.json"), "--out-dir", str(tmp_path)]) == 0
+        self._synth(tmp_path, num_experts)
         verdict = tmp_path / "verdict.json"
         t, c1, c2 = (str(tmp_path / f"{name}.jsonl") for name in ("teacher", "cand1", "cand2"))
         argv = ["detect", "--teacher", t, "--cand1", c1, "--cand2", c2, "--mode", mode, "--out", str(verdict)]
         assert dispatch(argv) == 0
         assert hashlib.sha256(verdict.read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def _synth(tmp_path, num_experts):
+        write_json(tmp_path / "s.json", dict(num_experts=num_experts, num_layers=2, top_k=2, num_domains=3,
+                                             n_per_domain=40, relatedness=0.6, permute_labels=True, seed=7))
+        assert dispatch(["synth", "--config", str(tmp_path / "s.json"), "--out-dir", str(tmp_path)]) == 0
+        return json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("num_experts, mode, digest", [
+        (8, "exact", "f96ef0071712b800e34423a1d8b794536141c06dad8d8c2e204edcd286fafdcc"),
+        (12, "heuristic", "8a75907047f15cc1fbf6ec3c0378e99e39342b4cc0c96823e73eb390d7e0c6ed"),
+    ])
+    def test_distance_json(self, tmp_path, num_experts, mode, digest):
+        # teacher against the relabeled distilled candidate: both relabelings are written
+        distilled = self._synth(tmp_path, num_experts)["distilled"]
+        for name in ("teacher", distilled):
+            argv = ["profile", "--input", str(tmp_path / f"{name}.jsonl"), "--out", str(tmp_path / f"{name}.sig.json")]
+            assert dispatch(argv) == 0
+        out = tmp_path / "distance.json"
+        argv = ["distance", "--teacher", str(tmp_path / "teacher.sig.json"),
+                "--student", str(tmp_path / f"{distilled}.sig.json"), "--mode", mode, "--out", str(out)]
+        assert dispatch(argv) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert mode in doc["method"] and doc["collab_permutation"] is not None
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_synth_manifest(self, tmp_path):
+        manifest = self._synth(tmp_path, 8)
+        assert sorted(manifest["hidden_permutation"]) == list(range(8))
+        digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+        assert digest == "36d67db9122790a74658cb07cada6840e17791cd3e209e56634cde820363835a"
 
     @pytest.mark.parametrize("base, rhos, seeds, digest", [
         pytest.param(dict(num_experts=4, top_k=1, num_domains=2, n_per_domain=3), [0.5, 1.0], [0, 1, 2, 3],

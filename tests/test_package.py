@@ -1,8 +1,7 @@
-"""The package's lazy exports and what each entry point imports."""
+"""What the package and each entry point import."""
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
 import subprocess
@@ -54,17 +53,6 @@ def test_entry_points_import_only_what_they_run(tmp_path):
         "ingest": [],
         "ingest modules": ["moesig", "moesig._meta", "moesig.cli", "moesig.errors", "moesig.routing_trace"],
     }
-
-
-def test_every_public_name_resolves_and_is_listed():
-    listed = dir(moesig)
-    for name in moesig.__all__:
-        assert name in listed
-        value = getattr(moesig, name)
-        if name != "__version__":
-            assert value.__name__ == name
-            assert value is getattr(importlib.import_module(value.__module__), name)
-    assert len(set(moesig.__all__)) == len(moesig.__all__)
 
 
 def test_unknown_name_raises_attribute_error():

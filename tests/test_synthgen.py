@@ -80,7 +80,7 @@ class TestGenerate:
         assert dist.d_spec <= 1e-15
         assert dist.d_collab <= 1e-15
         # the matcher undoes the hidden relabeling
-        assert dist.spec_permutation.mapping == sigma.inverse().mapping
+        assert [sigma[j] for j in dist.spec_permutation] == list(range(len(sigma)))
         verdict = detect_pair(teacher_sig, distilled_sig, signature_bundle(scenario.scratch))
         assert verdict.predicted_index == 1
 
