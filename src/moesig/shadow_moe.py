@@ -19,8 +19,11 @@ One set of kernels does all the arithmetic, on a stack of M same-shape
 proxies: every tensor, batch and layer cache carries a leading model axis,
 and each product and reduction runs per model slice in the order a single
 proxy's 2-D call runs it, so every slice is bitwise that proxy's own
-result. A ``ShadowMoeModel`` is its config plus one flat float64 vector,
-and every tensor is a view of that vector, in the order of
+result. The expert products run as ``np.matmul`` on (model, expert) stacks,
+one gemm per (model, expert) slice, and the experts' input gradient is
+summed over the experts after its per-expert products. A
+``ShadowMoeModel`` is its config plus one flat float64 vector, and every
+tensor is a view of that vector, in the order of
 :func:`_param_shapes`. :func:`train_proxies` fits several proxies that share
 a config apart from the seed as one stack: their parameters, gradients and
 velocities are one (M, P) buffer each, whose rows are the models' vectors,
@@ -215,7 +218,10 @@ def _forward(params: list[np.ndarray], x: np.ndarray, top_k: Sequence[int]) -> t
     ``params`` holds every tensor of :meth:`ShadowMoeModel.param_items` with a
     leading model axis. Each product and reduction runs per model slice, in
     the order one proxy's own pass would run it, so every slice is bitwise
-    that proxy's result.
+    that proxy's result. The expert layers' products run as ``np.matmul``,
+    one gemm per (model, expert) slice, on views that put the expert axis
+    ahead of the batch; ``mid`` and ``expert_out`` are (M, B, E, H) views of
+    (M, E, B, H) arrays.
     """
     models, batch = x.shape[:2]
     pick = (np.arange(models)[:, None, None], np.arange(batch)[None, :, None])
@@ -234,8 +240,8 @@ def _forward(params: list[np.ndarray], x: np.ndarray, top_k: Sequence[int]) -> t
         weights = sel / sel_sum[..., None]
         w_full = np.zeros_like(gates)
         w_full[pick + (topk,)] = weights
-        mid = np.tanh(np.einsum("meij,mbj->mbei", u, h) + c[:, None])
-        expert_out = np.einsum("meij,mbej->mbei", v, mid) + d[:, None]
+        mid = np.tanh((h[:, None] @ u.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3) + c[:, None])
+        expert_out = (mid.transpose(0, 2, 1, 3) @ v.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3) + d[:, None]
         out = np.einsum("mbe,mbeh->mbh", w_full, expert_out)
         caches.append(_LayerCache(h, gates, topk, weights, sel_sum, w_full, mid, expert_out, out))
         h = out
@@ -276,14 +282,15 @@ def _backward(
         de_out = cache.w_full[..., None] * dh[:, :, None, :]
         dw_full = np.einsum("mbeh,mbh->mbe", cache.expert_out, dh)
 
-        np.einsum("mbei,mbej->meij", de_out, cache.mid, out=g_v)
+        np.matmul(de_out.transpose(0, 2, 3, 1), cache.mid.transpose(0, 2, 1, 3), out=g_v)
         de_out.sum(axis=1, out=g_d)
-        dmid = np.einsum("meij,mbei->mbej", v, de_out)
+        dmid = (de_out.transpose(0, 2, 1, 3) @ v).transpose(0, 2, 1, 3)
         da = dmid * (1.0 - cache.mid**2)
-        for m in range(models):  # one 2-D einsum per model runs faster than the stacked one
-            np.einsum("bei,bj->eij", da[m], cache.h_in[m], out=g_u[m])
+        np.matmul(da.transpose(0, 2, 3, 1), cache.h_in[:, None], out=g_u)
         da.sum(axis=1, out=g_c)
-        dh_experts = np.einsum("meij,mbei->mbj", u, da)
+        # per expert, then summed over the experts: one (B, E*H) @ (E*H, H) product would
+        # reduce in an order that differs between BLAS kernels
+        dh_experts = (da.transpose(0, 2, 1, 3) @ u).sum(axis=1)
 
         selected = pick + (cache.topk,)
         dw_sel = dw_full[selected]
@@ -356,7 +363,9 @@ class ShadowMoeModel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ShadowMoeError(f"expected inputs of shape (n, {cfg.input_dim}), got {x.shape}")
-        y, caches = _forward(self._stacked(), x[None], cfg.top_k)
+        # an overflowing pass is reported by the check below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, caches = _forward(self._stacked(), x[None], cfg.top_k)
         if not np.all(np.isfinite(y)):
             raise ShadowMoeError("non-finite activations in forward pass")
         return y, caches

@@ -8,7 +8,7 @@ import numpy as np
 
 from moesig.errors import TransportError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
-from moesig.shadow_moe import ShadowMoeModel
+from moesig.shadow_moe import ShadowMoeModel, _balance_penalty, _layer_params, _LayerCache
 from moesig.signatures import CollaborationMatrix, SpecializationProfile
 from moesig.transport import NORMALIZATION_TOL
 
@@ -101,6 +101,72 @@ def selection_margin(model: ShadowMoeModel, x: np.ndarray) -> float:
         ordered = -np.sort(-gates, axis=1)
         margin = min(margin, float((ordered[:, k - 1] - ordered[:, k]).min()))
     return margin
+
+
+def reference_forward(params, x, top_k):
+    """``shadow_moe._forward`` with its expert contractions as ``np.einsum``; the kernels' reference."""
+    models, batch = x.shape[:2]
+    pick = (np.arange(models)[:, None, None], np.arange(batch)[None, :, None])
+    h = np.tanh(x @ params[0].transpose(0, 2, 1) + params[1][:, None])
+    caches = []
+    for layer, k in enumerate(top_k):
+        router, u, c, v, d = _layer_params(params, layer)
+        logits = h @ router.transpose(0, 2, 1)
+        exp = np.exp(logits - logits.max(axis=2, keepdims=True))
+        gates = exp / exp.sum(axis=2, keepdims=True)
+        topk = np.argsort(-logits, axis=2, kind="stable")[..., :k]
+        sel = gates[pick + (topk,)]
+        sel_sum = sel.sum(axis=2)
+        weights = sel / sel_sum[..., None]
+        w_full = np.zeros_like(gates)
+        w_full[pick + (topk,)] = weights
+        mid = np.tanh(np.einsum("meij,mbj->mbei", u, h) + c[:, None])
+        expert_out = np.einsum("meij,mbej->mbei", v, mid) + d[:, None]
+        out = np.einsum("mbe,mbeh->mbh", w_full, expert_out)
+        caches.append(_LayerCache(h, gates, topk, weights, sel_sum, w_full, mid, expert_out, out))
+        h = out
+    return h @ params[-2].transpose(0, 2, 1) + params[-1][:, None], caches
+
+
+def reference_backward(params, x, targets, y, caches, lam, grads):
+    """``shadow_moe._backward`` with its expert contractions as ``np.einsum``; the kernels' reference."""
+    models, n = x.shape[:2]
+    pick = (np.arange(models)[:, None, None], np.arange(n)[None, :, None])
+    usage = [cache.gates.mean(axis=1) for cache in caches]
+    total = ((y - targets) ** 2).mean(axis=(1, 2)) + lam * _balance_penalty(usage)
+    dy = 2.0 * (y - targets) / (y.shape[1] * y.shape[2])
+    np.matmul(dy.transpose(0, 2, 1), caches[-1].out, out=grads[-2])
+    dy.sum(axis=1, out=grads[-1])
+    dh = dy @ params[-2]
+    for layer in reversed(range(len(caches))):
+        cache = caches[layer]
+        router, u, _, v, _ = _layer_params(params, layer)
+        g_router, g_u, g_c, g_v, g_d = _layer_params(grads, layer)
+        de_out = cache.w_full[..., None] * dh[:, :, None, :]
+        dw_full = np.einsum("mbeh,mbh->mbe", cache.expert_out, dh)
+        np.einsum("mbei,mbej->meij", de_out, cache.mid, out=g_v)
+        de_out.sum(axis=1, out=g_d)
+        dmid = np.einsum("meij,mbei->mbej", v, de_out)
+        da = dmid * (1.0 - cache.mid**2)
+        for m in range(models):
+            np.einsum("bei,bj->eij", da[m], cache.h_in[m], out=g_u[m])
+        da.sum(axis=1, out=g_c)
+        dh_experts = np.einsum("meij,mbei->mbj", u, da)
+        selected = pick + (cache.topk,)
+        dw_sel = dw_full[selected]
+        inner = (dw_sel * cache.sel_weights).sum(axis=2, keepdims=True)
+        dgates = np.zeros_like(cache.gates)
+        dgates[selected] = (dw_sel - inner) / cache.sel_sum[..., None]
+        if lam > 0:
+            e = usage[layer].shape[-1]
+            dgates = dgates + lam * 2.0 * e * (usage[layer] - 1.0 / e)[:, None, :] / n
+        dlogits = cache.gates * (dgates - (dgates * cache.gates).sum(axis=2, keepdims=True))
+        np.matmul(dlogits.transpose(0, 2, 1), cache.h_in, out=g_router)
+        dh = dh_experts + dlogits @ router
+    da0 = dh * (1.0 - caches[0].h_in ** 2)
+    np.matmul(da0.transpose(0, 2, 1), x, out=grads[0])
+    da0.sum(axis=1, out=grads[1])
+    return total
 
 
 def random_trace_set(

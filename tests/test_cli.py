@@ -5,6 +5,8 @@ import csv
 import hashlib
 import json
 import logging
+import math
+import struct
 import tracemalloc
 import warnings
 
@@ -89,6 +91,20 @@ def train_proxy_case(proxy=PROXY, oracle=None, model=None):
     argv = ["train-proxy", "--oracle", "oracle.json", "--queries", "queries.jsonl",
             "--config", "proxy.json", "--out", "m.bin"]
     return files, argv
+
+
+def overflowing(*prefixes):
+    """Map a saved model's bytes to those of the model whose tensors named ``prefixes*`` hold 1.7e308."""
+    def change(model):
+        magic, manifest, body = model.split(b"\n", 2)
+        body, start = bytearray(body), 0
+        for tensor in json.loads(manifest)["tensors"]:
+            size = 8 * math.prod(tensor["shape"])
+            if tensor["name"].startswith(prefixes):
+                body[start + 8 : start + 8 + size] = struct.pack("<d", 1.7e308) * (size // 8)
+            start += 8 + size
+        return b"\n".join([magic, manifest, bytes(body)])
+    return change
 
 
 def queries_case(text, *options):
@@ -187,6 +203,12 @@ MALFORMED_CONFIGS = [
                  "top_k must be an integer or a list", id="model-bad-config"),
     pytest.param(*train_proxy_case(model=lambda m: m[:m.index(b"\n") + 1] + DEEP.encode() + b"\n"),
                  "malformed model manifest", id="model-deep-nesting"),
+    # the oracle's forward pass overflows in its output product, or in its expert products
+    # already: one diagnostic either way, and no numpy warning
+    pytest.param(*train_proxy_case(model=overflowing("w_out")), "non-finite activations in forward pass",
+                 id="model-oracle-overflows"),
+    pytest.param(*train_proxy_case(model=overflowing("expert_v.", "w_out")),
+                 "non-finite activations in forward pass", id="model-oracle-experts-overflow"),
     pytest.param(*queries_case(QUERY_FILE + DEEP + "\n"), "queries.jsonl: line 3: malformed JSON",
                  id="queries-deep-nesting"),
     pytest.param(*queries_case(QUERY_FILE.replace("0.0", LONG_INTEGER)),

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +26,15 @@ from moesig.shadow_moe import (
     train_proxies,
     train_proxy,
     write_queries,
+    _backward,
+    _forward,
     _param_shapes,
+    _param_views,
 )
 from moesig._rng import substream
 
 from _oracles import query_traces
-from helpers import mean_gate_usage, selection_margin
+from helpers import mean_gate_usage, reference_backward, reference_forward, selection_margin
 
 TINY = dict(
     num_layers=1,
@@ -196,6 +204,61 @@ class TestGradients:
             assert finite_difference_check(model, x, targets) < 1e-4
 
 
+def frozen_fit(momentum):
+    """The two-layer top-2 fit whose bits ``TestTraining.FROZEN`` pins."""
+    cfg = ShadowMoeConfig(
+        **{**TINY, "num_layers": 2, "load_balance_weight": 0.02, "learning_rate": 0.05},
+        batch_size=8,
+        momentum=momentum,
+    )
+    x = np.random.default_rng(8).normal(size=(20, 3))  # batches of 8, 8 and 4
+    return train_proxy(mlp_oracle(11, 3, 2), x, cfg)
+
+
+class TestKernels:
+    """The stacked gemm kernels against their einsum reference, and each model slice against its own stack."""
+
+    SHAPES = [(1, 1), (4, 2), (6, 3)]  # (experts, top_k) of both layers
+
+    @staticmethod
+    def run(forward, backward, buffer, x, targets, cfg):
+        """Output, per-model loss, gradient buffer and every layer-cache array of one step."""
+        params, grads = _param_views(buffer, cfg), np.zeros_like(buffer)
+        y, caches = forward(params, x, cfg.top_k)
+        loss = backward(params, x, targets, y, caches, cfg.load_balance_weight, _param_views(grads, cfg))
+        return [y, loss, grads] + [getattr(cache, field.name) for cache in caches for field in fields(cache)]
+
+    @staticmethod
+    def random_stack(models, experts, top_k):
+        """Config, random (M, P) parameters with nonzero biases, and inputs and targets of 7 rows."""
+        cfg = ShadowMoeConfig(num_layers=2, experts_per_layer=experts, top_k=top_k, input_dim=3, output_dim=2,
+                              hidden_dim=5, load_balance_weight=0.1)
+        rng = np.random.default_rng(100 * experts + models)
+        size = ShadowMoeModel._zeros(cfg).flat.size
+        buffer = rng.normal(size=(models, size))
+        return cfg, buffer, rng.normal(size=(models, 7, 3)), rng.normal(size=(models, 7, 2))
+
+    @pytest.mark.parametrize("models", [1, 3])
+    @pytest.mark.parametrize("experts, top_k", SHAPES)
+    def test_kernels_match_the_einsum_reference(self, models, experts, top_k):
+        cfg, buffer, x, targets = self.random_stack(models, experts, top_k)
+        got = self.run(_forward, _backward, buffer, x, targets, cfg)
+        want = self.run(reference_forward, reference_backward, buffer, x, targets, cfg)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("experts, top_k", SHAPES)
+    def test_stack_slices_equal_stacks_of_one(self, experts, top_k):
+        cfg, buffer, x, targets = self.random_stack(3, experts, top_k)
+        stacked = self.run(_forward, _backward, buffer, x, targets, cfg)
+        for m in range(3):
+            alone = self.run(_forward, _backward, buffer[m : m + 1].copy(), x[m : m + 1].copy(),
+                             targets[m : m + 1].copy(), cfg)
+            for a, b in zip(stacked, alone, strict=True):
+                assert np.array_equal(a[m], b[0])
+
+
 class TestTraining:
     def test_self_distillation_zero_at_step_zero(self):
         cfg = ShadowMoeConfig(**{**TINY, "epochs": 1})
@@ -273,28 +336,53 @@ class TestTraining:
     # move a bit unnoticed
     FROZEN = {
         0.0: (
-            "7b7873d73302afc890c456f05d182dbf554e7cdae7d9c6ca4dbad096c1fb7dbf",
-            ["0.1711245323403001", "0.15931849091136532", "0.15056157445951432", "0.14186619234451414"],
+            "c35490f09d20dc51985abacd19ac373da2a6478b8d8b87c7e0a13500d1539665",
+            ["0.17112453234030012", "0.15931849091136535", "0.1505615744595143", "0.14186619234451414"],
         ),
         0.9: (
-            "086d79b76839e621e0d72961994d07b1750acf604fe72e3f1ba20eab238f6a4a",
-            ["0.1711245323403001", "0.14712149814350323", "0.11111984588668573", "0.08085198761059803"],
+            "b6c8150bacbbf7207553bb1ea941dc28fcac953c64c012986245392e5d213fe5",
+            ["0.17112453234030012", "0.14712149814350323", "0.11111984588668573", "0.08085198761059802"],
         ),
     }
 
     @pytest.mark.parametrize("momentum", sorted(FROZEN))
     def test_frozen_bits(self, tmp_path, momentum):
-        cfg = ShadowMoeConfig(
-            **{**TINY, "num_layers": 2, "load_balance_weight": 0.02, "learning_rate": 0.05},
-            batch_size=8,
-            momentum=momentum,
-        )
-        x = np.random.default_rng(8).normal(size=(20, 3))  # batches of 8, 8 and 4
-        model, losses = train_proxy(mlp_oracle(11, 3, 2), x, cfg)
+        model, losses = frozen_fit(momentum)
         model.save(tmp_path / "m.bin")
         digest, curve = self.FROZEN[momentum]
         assert [repr(loss) for loss in losses] == curve
         assert hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest() == digest
+
+    # OpenBLAS kernel families that give the same model bytes, each with the CPU features it needs
+    KERNELS = {"Haswell": ("AVX2", "FMA3"), "SkylakeX": ("AVX512F",)}
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_frozen_bits_under_blas_kernel(self, tmp_path, kernel):
+        # one gemm per (model, expert) slice gives these bits; a single (B, E*H) @ (E*H, H)
+        # product for the experts' input gradient gave other bits under Haswell
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_features__
+        missing = [feature for feature in self.KERNELS[kernel] if not __cpu_features__.get(feature)]
+        if missing:
+            pytest.skip(f"the {kernel} kernel needs {missing}")
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        code = (
+            "import sys\n"
+            "from test_shadow_moe import frozen_fit\n"
+            "for momentum in map(float, sys.argv[2:]):\n"
+            "    frozen_fit(momentum)[0].save(f'{sys.argv[1]}/{momentum}.bin')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path), *map(str, self.FROZEN)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": kernel},
+        )
+        assert proc.returncode == 0, proc.stderr
+        for momentum, (digest, _) in self.FROZEN.items():
+            assert hashlib.sha256((tmp_path / f"{momentum}.bin").read_bytes()).hexdigest() == digest
 
     def test_divergence_raises_with_diagnostics(self):
         oracle = mlp_oracle(5, 3, 2)
