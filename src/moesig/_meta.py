@@ -1,5 +1,5 @@
 """Provenance metadata, shared reading and writing of artifact files, and
-type checks for values parsed from JSON."""
+type checks for values and config records parsed from JSON."""
 
 from __future__ import annotations
 
@@ -56,6 +56,37 @@ def check_fields(doc: Mapping, allowed: Iterable[str], error: type[MoesigError],
     unknown = set(doc) - set(allowed)
     if unknown:
         raise error(f"unknown {what} field(s): {sorted(unknown)}")
+
+
+def field_int(doc: Mapping, key: str, error: type[MoesigError], what: str, default: int | None = None,
+              minimum: int = 0) -> int:
+    """``doc[key]``, or ``default`` when absent; raise ``error`` unless it is an integer >= ``minimum``."""
+    value = doc.get(key, default)
+    if not is_int(value) or value < minimum:
+        raise error(f"{what} needs an integer {key!r} >= {minimum}, got {value!r}")
+    return value
+
+
+def field_number(doc: Mapping, key: str, error: type[MoesigError], what: str, default: float) -> float:
+    """``doc[key]``, or ``default`` when absent, as a float; raise ``error`` unless it is a finite number."""
+    value = doc.get(key, default)
+    if not is_finite_number(value):
+        raise error(f"{what} needs a finite numeric {key!r}, got {value!r}")
+    return float(value)
+
+
+def load_record(cls, doc, error: type[MoesigError], what: str):
+    """The dataclass ``cls`` built from the JSON object ``doc``; raise ``error`` unless ``doc`` is an
+    object that holds every field of ``cls`` without a default, and no other key."""
+    from dataclasses import MISSING, fields  # it imports inspect, which `moesig --version` need not load
+
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object")
+    check_fields(doc, cls.__dataclass_fields__, error, what)
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise error(f"{what} is missing field(s) {missing}")
+    return cls(**doc)
 
 
 def check_unicode(text: str, doc, error: type[MoesigError], where: str) -> None:

@@ -39,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from moesig import __version__
-from moesig._meta import (artifact_meta, check_fields, config_digest, format_float, meta_comment, read_json,
-                          write_csv, write_json)
+from moesig._meta import (artifact_meta, check_fields, config_digest, field_int, field_number, format_float,
+                          meta_comment, read_json, write_csv, write_json)
 from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import KINDS, BenchmarkReport, run_benchmark
@@ -49,8 +49,6 @@ from moesig.routing_trace import RoutingTraceSet, write_traces
 from moesig.shadow_moe import (
     QuerySet,
     ShadowMoeConfig,
-    _field_int,
-    _field_number,
     build_oracle,
     export_traces,
     gaussian_domain_queries,
@@ -175,17 +173,17 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     if derived:
         raise MoesigError(f"{what} field(s) {derived} are derived: each fit's seed from 'seed', "
                           "input_dim and output_dim from the top level")
-    seed = _field_int(doc, "seed", what)
-    input_dim = _field_int(doc, "input_dim", what, minimum=1)
-    output_dim = _field_int(doc, "output_dim", what, minimum=1)
-    num_domains = _field_int(doc, "num_domains", what, minimum=1)
-    n_per_domain = _field_int(doc, "n_per_domain", what, minimum=1)
-    separation = _field_number(doc, "separation", what, 2.5)
-    spread = _field_number(doc, "spread", what, 0.6)
+    seed = field_int(doc, "seed", MoesigError, what)
+    input_dim = field_int(doc, "input_dim", MoesigError, what, minimum=1)
+    output_dim = field_int(doc, "output_dim", MoesigError, what, minimum=1)
+    num_domains = field_int(doc, "num_domains", MoesigError, what, minimum=1)
+    n_per_domain = field_int(doc, "n_per_domain", MoesigError, what, minimum=1)
+    separation = field_number(doc, "separation", MoesigError, what, 2.5)
+    spread = field_number(doc, "spread", MoesigError, what, 0.6)
     proxy = ShadowMoeConfig.from_dict({**doc["proxy"], "input_dim": input_dim, "output_dim": output_dim})
-    candidate_epochs = _field_int(doc, "candidate_epochs", what, proxy.epochs, minimum=1)
-    oracle_hidden = _field_int(oracle, "hidden_dim", "pipeline oracle", 16, minimum=1)
-    oracle_scale = _field_number(oracle, "scale", "pipeline oracle", 1.5)
+    candidate_epochs = field_int(doc, "candidate_epochs", MoesigError, what, proxy.epochs, minimum=1)
+    oracle_hidden = field_int(oracle, "hidden_dim", MoesigError, "pipeline oracle", 16, minimum=1)
+    oracle_scale = field_number(oracle, "scale", MoesigError, "pipeline oracle", 1.5)
     layer_policy = parse_layer_policy(str(doc.get("layer_policy", "last")))
     mode = doc.get("mode", "auto")
     # an unknown mode, or exact mode above the enumeration cap, would fail only after every fit

@@ -41,13 +41,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, check_fields, check_unicode, config_digest, is_finite_number, is_int
+from moesig._meta import (artifact_meta, check_fields, check_unicode, config_digest, field_int, field_number,
+                          is_finite_number, is_int, load_record)
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -58,20 +59,6 @@ MODEL_MAGIC = b"MOESIG-SHADOW-V1\n"
 QUERY_FIELDS = ("kind", "seed", "num_domains", "n_per_domain", "input_dim", "separation", "spread")
 ORACLE_FIELDS = {"mlp": ("kind", "seed", "hidden_dim", "scale"), "linear": ("kind", "seed", "scale"),
                  "shadow-model": ("kind", "path")}
-
-
-def _field_int(doc: dict, key: str, what: str, default: int | None = None, minimum: int = 0) -> int:
-    value = doc.get(key, default)
-    if not is_int(value) or value < minimum:
-        raise ShadowMoeError(f"{what} needs an integer {key!r} >= {minimum}, got {value!r}")
-    return value
-
-
-def _field_number(doc: dict, key: str, what: str, default: float) -> float:
-    value = doc.get(key, default)
-    if not is_finite_number(value):
-        raise ShadowMoeError(f"{what} needs a finite numeric {key!r}, got {value!r}")
-    return float(value)
 
 
 def _as_per_layer(value, num_layers: int, name: str) -> tuple[int, ...]:
@@ -136,13 +123,7 @@ class ShadowMoeConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ShadowMoeConfig":
-        if not isinstance(doc, dict):
-            raise ShadowMoeError("proxy config must be a JSON object")
-        check_fields(doc, cls.__dataclass_fields__, ShadowMoeError, "config")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
-        if missing:
-            raise ShadowMoeError(f"config is missing field(s) {missing}")
-        return cls(**doc)
+        return load_record(cls, doc, ShadowMoeError, "proxy config")
 
     def digest(self) -> str:
         return config_digest(self.to_dict())
@@ -591,14 +572,14 @@ def make_queries(doc: dict, path: str | Path) -> QuerySet:
     if doc.get("kind") != "gaussian-domains":
         raise ShadowMoeError(f"unknown query-set kind {doc.get('kind')!r}")
     check_fields(doc, QUERY_FIELDS, ShadowMoeError, what)
-    seed = _field_int(doc, "seed", what)
+    seed = field_int(doc, "seed", ShadowMoeError, what)
     queries = gaussian_domain_queries(
         seed=seed,
-        num_domains=_field_int(doc, "num_domains", what, minimum=1),
-        n_per_domain=_field_int(doc, "n_per_domain", what, minimum=1),
-        input_dim=_field_int(doc, "input_dim", what, minimum=1),
-        separation=_field_number(doc, "separation", what, 2.0),
-        spread=_field_number(doc, "spread", what, 0.5),
+        num_domains=field_int(doc, "num_domains", ShadowMoeError, what, minimum=1),
+        n_per_domain=field_int(doc, "n_per_domain", ShadowMoeError, what, minimum=1),
+        input_dim=field_int(doc, "input_dim", ShadowMoeError, what, minimum=1),
+        separation=field_number(doc, "separation", ShadowMoeError, what, 2.0),
+        spread=field_number(doc, "spread", ShadowMoeError, what, 0.5),
     )
     write_queries(queries, path, meta=artifact_meta(seed, config_digest(doc)))
     return queries
@@ -646,18 +627,18 @@ def build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig) -> Oracle:
         check_fields(spec, ORACLE_FIELDS[kind], ShadowMoeError, f"{kind} {what}")
     if kind == "mlp":
         return mlp_oracle(
-            seed=_field_int(spec, "seed", what),
+            seed=field_int(spec, "seed", ShadowMoeError, what),
             input_dim=config.input_dim,
             output_dim=config.output_dim,
-            hidden_dim=_field_int(spec, "hidden_dim", what, 16, minimum=1),
-            scale=_field_number(spec, "scale", what, 1.0),
+            hidden_dim=field_int(spec, "hidden_dim", ShadowMoeError, what, 16, minimum=1),
+            scale=field_number(spec, "scale", ShadowMoeError, what, 1.0),
         )
     if kind == "linear":
         return linear_oracle(
-            seed=_field_int(spec, "seed", what),
+            seed=field_int(spec, "seed", ShadowMoeError, what),
             input_dim=config.input_dim,
             output_dim=config.output_dim,
-            scale=_field_number(spec, "scale", what, 1.0),
+            scale=field_number(spec, "scale", ShadowMoeError, what, 1.0),
         )
     if kind == "shadow-model":
         path = spec.get("path")

@@ -36,6 +36,20 @@ from moesig.routing_trace import RoutingTraceSet, ingest_traces
 
 LayerPolicy = str | int
 _CHUNK_CELLS = 1 << 20  # array cells a collaboration query chunk holds at once
+NORMALIZATION_TOL = 1e-9  # how far a profile column or a collaboration matrix may sum from 1
+
+
+def _read_only(owner, name: str, dtype) -> np.ndarray:
+    """Set field ``name`` of ``owner`` to a read-only copy of itself, so a checked signature stays checked."""
+    value = np.array(getattr(owner, name), dtype=dtype)
+    value.setflags(write=False)
+    object.__setattr__(owner, name, value)
+    return value
+
+
+def _check_entries(name: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise SignatureError(f"{name} has a negative or non-finite entry")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +59,8 @@ class SpecializationProfile:
     ``matrix[i, d]`` is the normalized frequency with which expert i serves
     the d-th included domain. Domains with zero queries are excluded from
     the domain axis entirely (a zero column could not be normalized).
+    Construction raises SignatureError unless the entries and ``kappa_per_domain`` are finite and
+    >= 0 and each column sums to 1 within NORMALIZATION_TOL; the arrays are kept as read-only copies.
     """
 
     layer: int
@@ -54,14 +70,22 @@ class SpecializationProfile:
     domain_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim != 2:
+        matrix = _read_only(self, "matrix", np.float64)
+        kappa = _read_only(self, "kappa_per_domain", np.float64)
+        _read_only(self, "counts", np.int64)
+        if matrix.ndim != 2:
             raise SignatureError("profile matrix must be two-dimensional")
-        e, d = self.matrix.shape
-        axes = (len(self.domain_labels),), np.shape(self.kappa_per_domain), np.shape(self.counts)
-        if any(axis != (d,) for axis in axes):
+        e, d = matrix.shape
+        if any(axis != (d,) for axis in ((len(self.domain_labels),), kappa.shape, self.counts.shape)):
             raise SignatureError("profile domain axis is inconsistent")
         if e < 1 or d < 1:
             raise SignatureError("profile needs at least one expert and one domain")
+        _check_entries("specialization matrix", matrix)
+        _check_entries("kappa_per_domain", kappa)
+        with np.errstate(over="ignore"):  # huge entries sum to inf, which fails the check
+            sums = matrix.sum(axis=0)
+        if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
+            raise SignatureError(f"specialization matrix columns are not normalized: sums {sums}")
 
     @property
     def num_experts(self) -> int:
@@ -74,7 +98,11 @@ class SpecializationProfile:
 
 @dataclass(frozen=True, eq=False)
 class CollaborationMatrix:
-    """Symmetric zero-diagonal matrix of normalized expert co-activation."""
+    """Symmetric zero-diagonal matrix of normalized expert co-activation.
+
+    Construction raises SignatureError unless ``zero_mass`` is a bool, the entries lie in [0, 1], the
+    diagonal is zero and the entries sum to 1 within NORMALIZATION_TOL, or are all zero with ``zero_mass``.
+    """
 
     layer: int
     matrix: np.ndarray  # (E, E), off-diagonal sums to 1 unless zero_mass
@@ -82,8 +110,21 @@ class CollaborationMatrix:
     zero_mass: bool = False
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+        matrix = _read_only(self, "matrix", np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise SignatureError("collaboration matrix must be square")
+        if not isinstance(self.zero_mass, bool):
+            raise SignatureError(f"zero_mass must be true or false, got {self.zero_mass!r}")
+        _check_entries("collaboration matrix", matrix)
+        if self.zero_mass and np.any(matrix):
+            raise SignatureError("a zero_mass collaboration matrix must be all zero")
+        if np.any(np.diagonal(matrix)):
+            raise SignatureError("collaboration matrix has a nonzero diagonal entry")
+        # entries in [0, 1] first, so the sum can neither overflow nor warn
+        normalized = np.all(matrix <= 1.0) and abs(float(matrix.sum()) - 1.0) <= NORMALIZATION_TOL
+        if not (self.zero_mass or normalized):
+            raise SignatureError(f"collaboration matrix is not normalized: its entries must lie in [0, 1] "
+                                 f"and sum to 1 within {NORMALIZATION_TOL}")
 
     @property
     def num_experts(self) -> int:
@@ -248,14 +289,12 @@ def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = N
 def load_bundle(path: str | Path) -> SignatureBundle:
     """Load a signature bundle written by :func:`save_bundle`.
 
-    Invalid JSON, a missing field, matrices whose shapes disagree with each
-    other or with ``num_experts``, a layer that is not an integer >= 0,
-    domains that are not a nonempty list of distinct strings, counts that
-    are not integers >= 0, a negative or non-finite matrix, kappa or
-    pair-normalizer entry, a nonzero diagonal collaboration entry, a
-    ``zero_mass`` that is not a boolean, or a ``zero_mass`` collaboration
-    matrix with a nonzero entry raise SignatureError, whose message starts
-    with ``path``.
+    Invalid JSON, a missing field, a layer that is not an integer >= 0,
+    domains that are not a list of distinct strings, counts that are not
+    integers >= 0, a pair normalizer that is not a finite number >= 0,
+    matrices whose expert counts disagree with each other or with
+    ``num_experts``, or a signature its constructor rejects raise
+    SignatureError, whose message starts with ``path``.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -277,23 +316,8 @@ def load_bundle(path: str | Path) -> SignatureBundle:
             raise SignatureError("counts must be a list of integers >= 0")
         if not is_finite_number(pair_normalizer) or pair_normalizer < 0:
             raise SignatureError("pair_normalizer must be a finite number >= 0")
-        spec = SpecializationProfile(
-            layer, np.asarray(spec_doc["matrix"], dtype=np.float64),
-            np.asarray(spec_doc["kappa_per_domain"], dtype=np.float64), np.asarray(counts, dtype=np.int64),
-            tuple(labels),
-        )
-        collab = CollaborationMatrix(layer, np.asarray(collab_doc["matrix"], dtype=np.float64),
-                                     float(pair_normalizer), collab_doc["zero_mass"])
-        if not isinstance(collab.zero_mass, bool):
-            raise SignatureError(f"zero_mass must be true or false, got {collab.zero_mass!r}")
-        for name, values in (("specialization matrix", spec.matrix), ("kappa_per_domain", spec.kappa_per_domain),
-                             ("collaboration matrix", collab.matrix)):
-            if not np.all(np.isfinite(values) & (values >= 0)):
-                raise SignatureError(f"{name} has a negative or non-finite entry")
-        if collab.zero_mass and np.any(collab.matrix):
-            raise SignatureError("a zero_mass collaboration matrix must be all zero")
-        if np.any(np.diagonal(collab.matrix)):
-            raise SignatureError("collaboration matrix has a nonzero diagonal entry")
+        spec = SpecializationProfile(layer, spec_doc["matrix"], spec_doc["kappa_per_domain"], counts, tuple(labels))
+        collab = CollaborationMatrix(layer, collab_doc["matrix"], float(pair_normalizer), collab_doc["zero_mass"])
         if collab.num_experts != spec.num_experts:
             raise SignatureError(f"collaboration matrix has {collab.num_experts} experts, "
                                  f"specialization profile has {spec.num_experts}")

@@ -24,7 +24,7 @@ generates them as one group, drawing every model once.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import groupby
 from pathlib import Path
@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, check_fields, config_digest, is_int, is_number, write_json
+from moesig._meta import artifact_meta, check_fields, config_digest, is_int, is_number, load_record, write_json
 from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import pair_verdict, score
@@ -95,13 +95,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario config must be a JSON object")
-        check_fields(doc, cls.__dataclass_fields__, ScenarioError, "scenario config")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
-        if missing:
-            raise ScenarioError(f"scenario config is missing field(s) {missing}")
-        return cls(**doc)
+        return load_record(cls, doc, ScenarioError, "scenario config")
 
     def digest(self) -> str:
         return config_digest(self.to_dict())

@@ -47,7 +47,6 @@ from moesig.signatures import CollaborationMatrix, SignatureBundle, Specializati
 AUTO_EXACT_MAX_EXPERTS = 8
 EXACT_ENUM_CAP = 10
 MASS_GUARD = 1e-12
-NORMALIZATION_TOL = 1e-9
 
 # names the mode, not the algorithm: the string is written into sweep CSVs and
 # verdict JSON, so renaming it would change byte-identical artifacts
@@ -468,7 +467,9 @@ def heuristic_cost_matrix(kind: str, teacher, student) -> np.ndarray:
     if t.shape != s.shape:
         raise TransportError(f"signature shapes differ: {t.shape} vs {s.shape}")
     if kind == "spec":
-        return np.abs(t[:, None, :] - s[None, :, :]).mean(axis=2)
+        # the domain columns added left to right, whatever the memory layout: numpy's
+        # mean over an axis of 8 or more terms adds in an order the strides decide
+        return sum(np.abs(t[:, None, d] - s[None, :, d]) for d in range(t.shape[1])) / t.shape[1]
     if kind == "collab":
         t_sorted = -np.sort(-t, axis=1)
         s_sorted = -np.sort(-s, axis=1)
@@ -481,23 +482,12 @@ def heuristic_cost_matrix(kind: str, teacher, student) -> np.ndarray:
 
 
 def _check_profiles(teacher: SpecializationProfile, student: SpecializationProfile) -> np.ndarray:
-    """Validate a profile pair; returns student matrix with columns aligned to teacher's."""
+    """Raise TransportError unless the profiles share their expert count and domain set;
+    returns the student matrix with its columns in the teacher's domain order."""
     if teacher.num_experts != student.num_experts:
-        raise TransportError(
-            f"expert count mismatch: {teacher.num_experts} vs {student.num_experts}"
-        )
+        raise TransportError(f"expert count mismatch: {teacher.num_experts} vs {student.num_experts}")
     if set(teacher.domain_labels) != set(student.domain_labels):
-        raise TransportError(
-            f"domain sets differ: {teacher.domain_labels} vs {student.domain_labels}"
-        )
-    for prof, name in ((teacher, "teacher"), (student, "student")):
-        # a NaN column sum would pass the comparison below
-        if not np.all(np.isfinite(prof.matrix) & (prof.matrix >= 0.0)):
-            raise TransportError(f"{name} profile has a negative or non-finite entry")
-        with np.errstate(over="ignore"):  # huge entries sum to inf, which fails the check
-            sums = prof.matrix.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
-            raise TransportError(f"{name} profile columns are not normalized: sums {sums}")
+        raise TransportError(f"domain sets differ: {teacher.domain_labels} vs {student.domain_labels}")
     if teacher.domain_labels == student.domain_labels:
         return student.matrix
     cols = [student.domain_labels.index(lab) for lab in teacher.domain_labels]
@@ -553,27 +543,11 @@ def spec_distance(
 
 
 def _check_collab(teacher: CollaborationMatrix, student: CollaborationMatrix) -> None:
-    """Raise TransportError unless the pair can be matched: the checks of :func:`collab_distance`."""
+    """Raise TransportError unless the pair shares its expert count and its zero-mass flag."""
     if teacher.num_experts != student.num_experts:
-        raise TransportError(
-            f"expert count mismatch: {teacher.num_experts} vs {student.num_experts}"
-        )
+        raise TransportError(f"expert count mismatch: {teacher.num_experts} vs {student.num_experts}")
     if teacher.zero_mass != student.zero_mass:
-        raise TransportError(
-            "co-activation mass mismatch: one matrix is zero-mass flagged and the other is not"
-        )
-    if teacher.zero_mass:
-        return
-    for mat, name in ((teacher, "teacher"), (student, "student")):
-        m = mat.matrix
-        # entries in [0, 1] first, so the sum can neither overflow nor warn
-        if not (np.all((m >= 0.0) & (m <= 1.0)) and abs(float(m.sum()) - 1.0) <= NORMALIZATION_TOL):
-            raise TransportError(
-                f"{name} collaboration matrix is not normalized: its entries must lie in "
-                f"[0, 1] and sum to 1 within {NORMALIZATION_TOL}"
-            )
-        if np.any(np.diagonal(m)):
-            raise TransportError(f"{name} collaboration matrix has a nonzero diagonal entry")
+        raise TransportError("co-activation mass mismatch: one matrix is zero-mass flagged and the other is not")
 
 
 def collab_distance(
@@ -587,9 +561,6 @@ def collab_distance(
     columns relabeled together) and compared row-by-row against the student
     using the sparse union-support W1 of :func:`_collab_objectives`, the one
     kernel that both the exact scan and the heuristic's permutation run.
-    A matrix not flagged zero-mass must have entries in [0, 1] summing to 1
-    within NORMALIZATION_TOL, as the profile columns must in
-    :func:`_check_profiles`, and a zero diagonal, which the kernel drops.
     """
     _check_collab(teacher, student)
     if teacher.zero_mass:
@@ -613,8 +584,7 @@ def signature_distances(
     specs = []
     for student in students:
         specs.append(spec_distance(teacher.spec, student.spec, mode=mode))
-        if not (teacher.collab.zero_mass and student.collab.zero_mass):
-            _check_collab(teacher.collab, student.collab)
+        _check_collab(teacher.collab, student.collab)
     if teacher.collab.zero_mass:  # then so is every student's, or the check above raised
         collabs = [None] * len(students)
     else:

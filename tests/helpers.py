@@ -9,8 +9,7 @@ import numpy as np
 from moesig.errors import TransportError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
 from moesig.shadow_moe import ShadowMoeModel, _balance_penalty, _layer_params, _LayerCache
-from moesig.signatures import CollaborationMatrix, SpecializationProfile
-from moesig.transport import NORMALIZATION_TOL
+from moesig.signatures import NORMALIZATION_TOL, CollaborationMatrix, SpecializationProfile
 
 from _oracles import query_traces
 

@@ -382,6 +382,8 @@ class TestMalformedInput:
             ("collaboration", "matrix", float("nan"), "collaboration matrix"),
             ("collaboration", "matrix", -0.25, "collaboration matrix"),
             ("specialization", "matrix", float("nan"), "specialization matrix"),
+            ("specialization", "matrix", 0.75, "specialization matrix columns are not normalized"),
+            ("collaboration", "matrix", 1.5, "collaboration matrix is not normalized"),
             ("collaboration", "zero_mass", "false", "zero_mass"),
             ("collaboration", "zero_mass", True, "a zero_mass collaboration matrix must be all zero"),
             (None, "layer", 1.5, "layer must be an integer"),
@@ -399,8 +401,8 @@ class TestMalformedInput:
             (None, non_square_collab, None, "collaboration matrix must be square"),
             (None, "num_experts", 5, "num_experts is 5, but the matrices have 4 experts"),
         ],
-        ids=["collab-nan", "collab-negative", "spec-nan", "zero-mass-string", "zero-mass-nonzero",
-             "layer-float", "layer-bool", "layer-negative", "domains-string", "domains-repeated",
+        ids=["collab-nan", "collab-negative", "spec-nan", "spec-unnormalized", "collab-above-one",
+             "zero-mass-string", "zero-mass-nonzero", "layer-float", "layer-bool", "layer-negative", "domains-string", "domains-repeated",
              "kappa-nan", "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains",
              "collab-diagonal", "counts-short", "collab-not-square", "num-experts-mismatch"],
     )
@@ -445,7 +447,7 @@ class TestMalformedInput:
         assert code == 1
         assert [str(w.message) for w in caught] == []
         (message,) = error_lines(caplog)
-        assert "teacher collaboration matrix is not normalized" in message
+        assert message.startswith(f"{sig}: collaboration matrix is not normalized")
         assert not out.exists()
 
     def test_query_without_domain(self, tmp_path, caplog):
@@ -728,6 +730,27 @@ class TestProfile:
         assert doc["d_collab"] == 0.0
         assert doc["method"] == "exact-brute-force"
         assert sorted(doc["spec_permutation"]) == [0, 1, 2, 3]
+
+    def test_saved_signatures_score_as_detect(self, tmp_path):
+        # a built profile is Fortran-ordered and a loaded one C-ordered; with 9 domains numpy's
+        # sum over the domain axis would round by layout, and so move the heuristic's match
+        cfg = dict(num_experts=10, num_layers=1, top_k=2, num_domains=9, n_per_domain=10, relatedness=0.5, seed=1)
+        write_json(tmp_path / "s.json", cfg)
+        assert dispatch(["synth", "--config", str(tmp_path / "s.json"), "--out-dir", str(tmp_path)]) == 0
+        traces = {name: str(tmp_path / f"{name}.jsonl") for name in ("teacher", "cand1", "cand2")}
+        sigs = {name: str(tmp_path / f"{name}.sig") for name in traces}
+        for name in traces:
+            assert dispatch(["profile", "--input", traces[name], "--out", sigs[name]]) == 0
+        assert dispatch(["detect", "--teacher", traces["teacher"], "--cand1", traces["cand1"],
+                         "--cand2", traces["cand2"], "--mode", "heuristic", "--out", str(tmp_path / "v.json")]) == 0
+        scores = json.loads((tmp_path / "v.json").read_text())["scores"]
+        for name, row in zip(("cand1", "cand2"), scores):
+            out = tmp_path / f"{name}.dist"
+            argv = ["distance", "--teacher", sigs["teacher"], "--student", sigs[name], "--mode", "heuristic",
+                    "--out", str(out)]
+            assert dispatch(argv) == 0
+            doc = json.loads(out.read_text())
+            assert (doc["d_spec"], doc["d_collab"]) == (row["d_spec"], row["d_collab"])
 
 
 class TestSynthDetect:

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moesig import signatures
@@ -23,6 +23,7 @@ from moesig.signatures import (
     save_bundle,
     signature_bundle,
 )
+from moesig.transport import signature_distances
 
 from _oracles import naive_collaboration, naive_specialization
 from helpers import drop_domains, random_trace_set, relabel_traces, selection_frequency
@@ -223,13 +224,48 @@ def test_bundle_save_load_roundtrip(tmp_path):
     bundle = signature_bundle(ts)
     path = tmp_path / "sig.json"
     save_bundle(bundle, path, meta={"model_id": ts.model_id})
-    back = load_bundle(path)
+    _assert_same_bundle(load_bundle(path), bundle)
+
+
+def _assert_same_bundle(back, bundle):
     assert np.array_equal(back.spec.matrix, bundle.spec.matrix)
     assert np.array_equal(back.spec.kappa_per_domain, bundle.spec.kappa_per_domain)
+    assert np.array_equal(back.spec.counts, bundle.spec.counts)
     assert back.spec.domain_labels == bundle.spec.domain_labels
     assert np.array_equal(back.collab.matrix, bundle.collab.matrix)
     assert back.collab.pair_normalizer == bundle.collab.pair_normalizer
     assert back.collab.zero_mass == bundle.collab.zero_mass
+
+
+def _same_shape_traces(rng, model_id, num_experts, num_domains, max_k):
+    """A one-layer trace set with a query in every domain; the first query selects ``max_k`` experts."""
+    domains = np.concatenate([np.arange(num_domains), rng.integers(0, num_domains, int(rng.integers(0, 40)))])
+    records = [
+        (f"q{q}", int(d) + 1, 0,
+         tuple(sorted(rng.choice(num_experts, max_k if q == 0 else int(rng.integers(1, max_k + 1)), replace=False))))
+        for q, d in enumerate(domains)
+    ]
+    return build_trace_set(model_id, 1, (num_experts,), tuple(f"d{j + 1}" for j in range(num_domains)), records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_experts=st.integers(2, 12), num_domains=st.integers(1, 12),
+       max_k=st.integers(1, 4))
+@example(seed=0, num_experts=8, num_domains=10, max_k=3)  # tied heuristic spec costs
+def test_saved_bundle_scores_as_built(tmp_path_factory, seed, num_experts, num_domains, max_k):
+    # built signatures pass the constructors' checks, and a saved copy, whose arrays have
+    # another memory layout, scores bit for bit as the built one in both matching modes
+    rng = np.random.default_rng(seed)
+    max_k = min(max_k, num_experts)
+    built = [signature_bundle(_same_shape_traces(rng, name, num_experts, num_domains, max_k)) for name in "tsu"]
+    loaded = []
+    for bundle in built:
+        path = tmp_path_factory.mktemp("sig") / "sig.json"
+        save_bundle(bundle, path)
+        loaded.append(load_bundle(path))
+        _assert_same_bundle(loaded[-1], bundle)
+    for mode in ("auto", "heuristic"):
+        assert signature_distances(loaded[0], loaded[1:], mode) == signature_distances(built[0], built[1:], mode)
 
 
 def _truncate(doc, text):

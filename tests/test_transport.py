@@ -8,6 +8,7 @@ import sys
 import textwrap
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moesig import transport
-from moesig.errors import TransportError
+from moesig.errors import SignatureError, TransportError
 from moesig.signatures import CollaborationMatrix, SignatureBundle, signature_bundle
 from moesig.synthgen import ScenarioConfig, generate_scenario
 from moesig.transport import (
@@ -334,7 +335,7 @@ class TestSpecDistance:
             self._assert_dp_equals_scan(teacher, student)
         for case in range(32):  # bitwise-identical teacher rows: repeated rows or all-zero rows
             num_experts, num_domains = case % 7 + 2, int(rng.integers(1, 10))
-            teacher = random_profile(rng, num_experts, num_domains).matrix
+            teacher = random_profile(rng, num_experts, num_domains).matrix.copy()
             student = random_profile(rng, num_experts, num_domains).matrix
             if case % 2:
                 teacher = teacher[rng.integers(0, num_experts, size=num_experts)]
@@ -350,7 +351,7 @@ class TestSpecDistance:
     def test_zero_rows_stay_in_the_dp(self):
         # 7 all-zero teacher rows of 9 give 7! tied orders; only the one in index order is kept
         rng = np.random.default_rng(44)
-        teacher, student = (random_profile(rng, 9, 4).matrix for _ in range(2))
+        teacher, student = (random_profile(rng, 9, 4).matrix.copy() for _ in range(2))
         for matrix in (teacher, student):
             matrix[rng.permutation(9)[:7]] = 0.0
             matrix /= matrix.sum(axis=0)
@@ -394,32 +395,38 @@ class TestSpecDistance:
     @pytest.mark.parametrize("side", ["teacher", "student"])
     @pytest.mark.parametrize("edit", ["nan", "inf", "negative"])
     def test_bad_profile_entry_rejected(self, edit, side, mode):
-        # NaN once passed the column-sum check; the sum of the negative edit stays 1
+        # NaN would pass a column-sum check; the sum of the negative edit stays 1
         rng = np.random.default_rng(19)
         profiles = {"teacher": random_profile(rng, 5, 2), "student": random_profile(rng, 5, 2)}
-        matrix = profiles[side].matrix
+        matrix = profiles[side].matrix.copy()
         if edit == "negative":
             matrix[1, 1] += matrix[0, 1] + 0.5
             matrix[0, 1] = -0.5
         else:
             matrix[0, 1] = np.nan if edit == "nan" else np.inf
-        bundles = {name: SignatureBundle(prof, random_collab(rng, 5)) for name, prof in profiles.items()}
-        message = f"{side} profile has a negative or non-finite entry"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TransportError, match=message):
-                spec_distance(profiles["teacher"], profiles["student"], mode=mode)
-            with pytest.raises(TransportError, match=message):
-                signature_distance(bundles["teacher"], bundles["student"], mode=mode)
+            with pytest.raises(SignatureError, match="specialization matrix has a negative or non-finite entry"):
+                replace(profiles[side], matrix=matrix)
+        assert_stays_checked(profiles["teacher"], profiles["student"], side, spec_distance, mode)
 
     def test_overflowing_column_sum_rejected_without_warning(self):
         rng = np.random.default_rng(20)
-        teacher, student = random_profile(rng, 4, 2), random_profile(rng, 4, 2)
-        teacher.matrix[:, 0] = 1e308
+        matrix = random_profile(rng, 4, 2).matrix.copy()
+        matrix[:, 0] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TransportError, match=r"teacher profile columns are not normalized: sums \[inf"):
-                spec_distance(teacher, student)
+            with pytest.raises(SignatureError,
+                               match=r"specialization matrix columns are not normalized: sums \[inf"):
+                replace(random_profile(rng, 4, 2), matrix=matrix)
+
+
+def assert_stays_checked(teacher, student, side, distance, mode):
+    """The ``side`` signature's matrix cannot be edited in place, so the pair's distance does not move."""
+    before = distance(teacher, student, mode=mode)
+    with pytest.raises(ValueError, match="read-only"):
+        (teacher if side == "teacher" else student).matrix[0, 1] = np.nan
+    assert distance(teacher, student, mode=mode) == before
 
 
 class TestCollabDistance:
@@ -477,8 +484,8 @@ class TestCollabDistance:
     @pytest.mark.parametrize("defect", ["teacher-zero-pair", "teacher-low-row", "student-low-row"])
     def test_non_dense_matrix_matches_naive_oracle(self, defect):
         rng = np.random.default_rng(44)
-        teacher = random_collab(rng, 5, sparsity=2.0).matrix
-        student = random_collab(rng, 5, sparsity=2.0).matrix
+        teacher = random_collab(rng, 5, sparsity=2.0).matrix.copy()
+        student = random_collab(rng, 5, sparsity=2.0).matrix.copy()
         assert _dense_off_diagonal(teacher) and _dense_off_diagonal(student)
         matrix = student if defect.startswith("student") else teacher
         if defect.endswith("low-row"):  # row 2's whole off-diagonal mass below MASS_GUARD
@@ -499,8 +506,8 @@ class TestCollabDistance:
     @pytest.mark.parametrize("edit", ["overflow", "half-mass", "negative", "nan"])
     def test_unnormalized_matrix_rejected(self, edit, mode):
         rng = np.random.default_rng(16)
-        teacher = random_collab(rng, 5)
-        matrix = random_collab(rng, 5).matrix
+        teacher, student = random_collab(rng, 5), random_collab(rng, 5)
+        matrix = student.matrix.copy()
         if edit == "overflow":
             matrix = np.where(np.eye(5, dtype=bool), 0.0, 1e308)
         elif edit == "half-mass":
@@ -510,11 +517,13 @@ class TestCollabDistance:
             matrix[0, 2] += 0.5
         else:
             matrix[0, 1] = np.nan
-        student = CollaborationMatrix(0, matrix, 2.0)
+        message = ("collaboration matrix has a negative or non-finite entry" if edit in ("negative", "nan")
+                   else "collaboration matrix is not normalized")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TransportError, match="student collaboration matrix is not normalized"):
-                collab_distance(teacher, student, mode=mode)
+            with pytest.raises(SignatureError, match=message):
+                CollaborationMatrix(0, matrix, 2.0)
+        assert_stays_checked(teacher, student, "student", collab_distance, mode)
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     @pytest.mark.parametrize("side", ["teacher", "student"])
@@ -522,12 +531,12 @@ class TestCollabDistance:
         # halved and given 0.1 on each diagonal entry, the sum stays 1, and the kernel,
         # which drops the diagonal, would give the original matrix's distance
         rng = np.random.default_rng(17)
-        dense = CollaborationMatrix(0, _random_dense(rng, 5), 2.0)
-        diagonal = CollaborationMatrix(0, dense.matrix / 2 + 0.1 * np.eye(5), 2.0)
-        assert abs(diagonal.matrix.sum() - 1.0) <= 1e-12
-        pair = (diagonal, dense) if side == "teacher" else (dense, diagonal)
-        with pytest.raises(TransportError, match=f"{side} collaboration matrix has a nonzero diagonal entry"):
-            collab_distance(*pair, mode=mode)
+        pair = {name: CollaborationMatrix(0, _random_dense(rng, 5), 2.0) for name in ("teacher", "student")}
+        matrix = pair[side].matrix / 2 + 0.1 * np.eye(5)
+        assert abs(matrix.sum() - 1.0) <= 1e-12
+        with pytest.raises(SignatureError, match="collaboration matrix has a nonzero diagonal entry"):
+            CollaborationMatrix(0, matrix, 2.0)
+        assert_stays_checked(pair["teacher"], pair["student"], side, collab_distance, mode)
 
     def test_zero_mass_handling(self):
         zero = CollaborationMatrix(0, np.zeros((3, 3)), 0.0, zero_mass=True)
@@ -553,8 +562,8 @@ def _uniform_dense(num_experts: int) -> np.ndarray:
 def _frozen_collab_pair(kind: str, num_experts: int) -> tuple[CollaborationMatrix, CollaborationMatrix]:
     """A seeded matrix pair: dense off the diagonal, with one zero pair each, or with one low-mass row each."""
     rng = np.random.default_rng(500 + num_experts)
-    teacher = random_collab(rng, num_experts, sparsity=2.0).matrix
-    student = random_collab(rng, num_experts, sparsity=2.0).matrix
+    teacher = random_collab(rng, num_experts, sparsity=2.0).matrix.copy()
+    student = random_collab(rng, num_experts, sparsity=2.0).matrix.copy()
     if kind == "zero-pair":
         teacher[0, 1] = teacher[1, 0] = 0.0
         student[0, -1] = student[-1, 0] = 0.0
@@ -626,7 +635,7 @@ class TestCollabKernel:
 
 def _kernel_case(rng: np.random.Generator, kind: str, num_experts: int) -> CollaborationMatrix:
     """A normalized matrix: dense off the diagonal, sparse, or dense but for one low-mass row."""
-    matrix = random_collab(rng, num_experts, sparsity=0.5 if kind == "sparse" else 2.0).matrix
+    matrix = random_collab(rng, num_experts, sparsity=0.5 if kind == "sparse" else 2.0).matrix.copy()
     if kind == "low-row":
         row = int(rng.integers(num_experts))
         matrix[row] *= MASS_GUARD / 10
@@ -688,6 +697,15 @@ class TestHeuristicCost:
         assert total <= 1e-15
         # assignment maps teacher expert i to the student slot holding it
         assert [gather[j] for j in perm] == list(range(5))
+
+    @pytest.mark.parametrize("num_domains", range(1, 17))
+    def test_spec_cost_does_not_depend_on_layout(self, num_domains):
+        # a built profile is Fortran-ordered and a loaded one C-ordered: both must match alike
+        rng = np.random.default_rng(700 + num_domains)
+        teacher, student = (random_profile(rng, 12, num_domains).matrix for _ in range(2))
+        want = heuristic_cost_matrix("spec", teacher, student).view(np.int64)
+        for t, s in itertools.product((teacher, np.asfortranarray(teacher)), (student, np.asfortranarray(student))):
+            assert np.array_equal(heuristic_cost_matrix("spec", t, s).view(np.int64), want)
 
     @pytest.mark.parametrize("num_experts", [3, 64, 200])
     def test_collab_cost_equals_broadcast_formula(self, num_experts):
