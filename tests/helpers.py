@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from moesig.errors import TransportError
-from moesig.routing_trace import RoutingTraceSet, build_trace_set
+from moesig.routing_trace import SCHEMA_VERSION, RoutingTraceSet, build_trace_set
 from moesig.shadow_moe import ShadowMoeModel, _balance_penalty, _layer_params, _LayerCache
 from moesig.signatures import NORMALIZATION_TOL, CollaborationMatrix, SpecializationProfile
 
@@ -238,3 +240,41 @@ def relabel_traces(traces: RoutingTraceSet, mapping: tuple[int, ...]) -> Routing
         domains=traces.domains,
         records=records,
     )
+
+
+def reference_write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
+    """``routing_trace.write_traces`` as one join of object-array string tokens per block of
+    whole queries (at most 2048 records); the array writer's reference."""
+    path = Path(path)
+    header = {"schema_version": SCHEMA_VERSION, "model_id": trace_set.model_id,
+              "num_layers": trace_set.num_layers, "experts_per_layer": list(trace_set.experts_per_layer),
+              "domains": list(trace_set.domains)}
+    if trace_set.meta:
+        header["meta"] = dict(trace_set.meta)
+    labels = [json.dumps(label, ensure_ascii=False) for label in trace_set.domains]
+    names = np.array([str(i) for i in range(max(trace_set.experts_per_layer))], object)
+    layer_heads = np.array([f'{layer},"selected":[' for layer in range(trace_set.num_layers)], object)
+    size = max(1, 2048 // trace_set.num_layers)
+    starts = np.zeros(trace_set.num_layers, np.int64)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, separators=(",", ":"), ensure_ascii=False) + "\n")
+        for a in range(0, trace_set.num_queries, size):
+            block = slice(a, a + size)
+            counts = np.stack([layer_counts[block] for layer_counts in trace_set.counts])
+            ends = starts + counts.sum(axis=1)
+            flat = np.concatenate([e[s:t] for e, s, t in zip(trace_set.experts, starts.tolist(), ends.tolist())])
+            starts = ends
+            first = np.cumsum(counts, axis=None).reshape(counts.shape) - counts
+            prefixes = np.array([
+                f'{{"query_id":{json.dumps(qid, ensure_ascii=False)},"domain":{labels[d - 1]},"layer":'
+                for qid, d in zip(trace_set.query_ids[block], trace_set.domain[block].tolist())
+            ], object)
+            queries, layers = np.nonzero(counts.T)
+            heads = prefixes[queries] + layer_heads[layers]
+            k = counts[layers, queries]
+            take = np.repeat(first[layers, queries] - np.cumsum(k) + k, k) + np.arange(k.sum())
+            tokens = np.empty(2 * len(take), object)
+            tokens[0::2] = names[flat[take]]
+            tokens[1::2] = ","
+            tokens[2 * np.cumsum(k) - 1] = "]}\n" + np.append(heads[1:], "")
+            fh.write(heads[0] + "".join(tokens.tolist()))

@@ -18,9 +18,10 @@ from moesig.routing_trace import (
     write_traces,
 )
 from moesig.signatures import compute_specialization
+from moesig.synthgen import ScenarioConfig, generate_scenario
 
 from _oracles import canonical_captures, naive_write_traces, query_traces
-from helpers import domain_counts, random_trace_set
+from helpers import domain_counts, random_trace_set, reference_write_traces
 
 HEADER = {
     "schema_version": 1,
@@ -529,6 +530,12 @@ ORACLE_LINE = '{"query_id":"q0","domain":"d1","layer":3,"selected":[5,9]}\n'
 @example(block=ORACLE_LINE.replace("[5,", "[05,").encode(), declared=None)
 @example(block=ORACLE_LINE.replace("[5,", "[1234567890,").encode(), declared=None)
 def test_canonical_block_accepts_exactly_the_oracle_language(block, declared):
+    assert_block_parses_as_the_oracle(block, declared)
+
+
+def assert_block_parses_as_the_oracle(block, declared):
+    """``_canonical_block`` gives None exactly where the oracle does, and otherwise the rows
+    and numbering the oracle's captures give."""
     query_index, domain_index = {}, {label: i for i, label in enumerate(declared or [], 1)}
     got_queries, got_domains = {}, dict(domain_index)
     rows = routing_trace._canonical_block(block, got_queries, got_domains, declared)
@@ -546,6 +553,66 @@ def test_canonical_block_accepts_exactly_the_oracle_language(block, declared):
     assert [r.dtype for r in rows] == [np.int32] * 4 + [np.int16]
     assert [r.tolist() for r in rows] == list(want)
     assert (got_queries, got_domains) == (query_index, domain_index)
+
+
+# integers of 1 to 9 digits, for the layers and experts of the word-boundary blocks below
+WIDE_INTEGERS = [0, 12, 345, 6789, 12345, 123456, 1234567, 12345678, 123456789]
+
+
+def word_boundary_block(width: int) -> bytes:
+    """Canonical lines whose query id and label hold ``width`` bytes between them, so that
+    their key (id, '","domain":"', label) holds width + 12. Two lines per run, and every other
+    run's key differs from the first's in one byte: the key's last, or its first past an
+    8-byte word boundary. Layers and experts have 1 to 9 digits."""
+    text = "".join(chr(ord("a") + i % 26) for i in range(width))
+    qid, label = text[:width // 2], text[width // 2:]
+    keys = [(qid, label)]
+    for at in sorted({width + 11, 8, 16, 24, 32}):
+        if at < len(qid):
+            keys += [(qid[:at] + "Z" + qid[at + 1:], label), (qid, label)]
+        elif len(qid) + 12 <= at < width + 12:
+            cut = at - len(qid) - 12
+            keys += [(qid, label[:cut] + "Z" + label[cut + 1:]), (qid, label)]
+    lines = []
+    for r, (key_qid, key_label) in enumerate(keys):
+        for i in range(2):
+            layer = WIDE_INTEGERS[(2 * r + i) % 9]
+            selected = ",".join(map(str, WIDE_INTEGERS[(r + i) % 9:][:3]))
+            lines.append(f'{{"query_id":"{key_qid}","domain":"{key_label}","layer":{layer},'
+                         f'"selected":[{selected}]}}\n')
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("width", [0, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24])
+def test_canonical_block_at_key_word_boundaries(width):
+    # keys of 12 to 36 bytes: an id and a label of 7, 8, 9, 15, 16, 17, 23 or 24 bytes
+    # together, and keys of 15, 16, 17, 23, 24 and 25 bytes, a word boundary and one byte
+    # to either side of it
+    block = word_boundary_block(width)
+    assert canonical_captures(block) is not None
+    assert_block_parses_as_the_oracle(block, None)
+
+
+E64_SHAPE = ScenarioConfig(num_experts=64, num_layers=16, top_k=8, num_domains=9, n_per_domain=12,
+                           relatedness=0.5, seed=20250809)
+
+
+@pytest.fixture(scope="module")
+def e64_scenario():
+    return generate_scenario(E64_SHAPE)
+
+
+@pytest.mark.parametrize("block_bytes", [routing_trace._BLOCK_BYTES, 4096, 333])
+def test_trace_at_real_shape_reads_the_same_both_ways(tmp_path, monkeypatch, e64_scenario, block_bytes):
+    # E = 64, k = 8 and 16 layers: experts and layers of one and two digits
+    monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", block_bytes)
+    for name in ("teacher", "distilled", "scratch"):
+        built = getattr(e64_scenario, name)
+        path = tmp_path / f"{name}.jsonl"
+        write_traces(built, path)
+        assert read_canonically(path)
+        fast, validating = read_both_ways(path)
+        assert fast == validating and fast[0] == built
 
 
 @pytest.mark.parametrize("block_bytes", [7, 64, 333])
@@ -665,11 +732,31 @@ def test_text_after_canonical_records_numbers_lines_as_text_mode_does(tmp_path, 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_write_traces_matches_per_record_oracle(seed, tmp_path_factory):
+    # escapes, U+2028, non-ASCII ids and labels, missing layers and mixed k
     ts = odd_trace_set(np.random.default_rng(seed))
     tmp = tmp_path_factory.mktemp("writer")
     write_traces(ts, tmp / "fast.jsonl")
     naive_write_traces(ts, tmp / "naive.jsonl")
+    reference_write_traces(ts, tmp / "reference.jsonl")
     assert (tmp / "fast.jsonl").read_bytes() == (tmp / "naive.jsonl").read_bytes()
+    assert (tmp / "fast.jsonl").read_bytes() == (tmp / "reference.jsonl").read_bytes()
+
+
+def test_write_traces_matches_reference_writer_at_pipeline_and_e64_shapes(tmp_path, e64_scenario):
+    # one layer of 270 queries (E = 4, k = 2) as the pipeline exports, E = 64, k = 8 at 16
+    # layers, and empty, NUL-holding and escaped ids and labels
+    rng = np.random.default_rng(5)
+    pipeline = build_trace_set("proxy", 1, (4,), tuple(f"d{j}" for j in range(1, 10)), [
+        ([f"q{q:04d}" for q in range(270)], np.arange(270) % 9 + 1, 0,
+         np.argsort(rng.random((270, 4)), axis=1)[:, :2])])
+    edges = build_trace_set("m", 2, (12, 12), ("", 'quo"te\u2028'), [
+        ("", 1, 0, (11,)), ("", 1, 1, (0, 10)), ("nul\x00", 2, 1, (3,)), ("\\é", 2, 0, (1, 2, 9))])
+    for name, ts in (("pipeline", pipeline), ("teacher", e64_scenario.teacher), ("scratch", e64_scenario.scratch),
+                     ("edges", edges)):
+        array, reference = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.reference.jsonl"
+        write_traces(ts, array)
+        reference_write_traces(ts, reference)
+        assert array.read_bytes() == reference.read_bytes()
 
 
 def test_expert_count_beyond_int16_rejected(tmp_path):
@@ -733,7 +820,7 @@ def test_validating_reader_memory_is_bounded(tmp_path, monkeypatch):
 def test_canonical_reader_memory_is_bounded(tmp_path, monkeypatch):
     # 20000 canonical records of 16 experts; each 256 KB block is parsed as bytes into
     # int32 rows and int16 experts, and the blocks are freed before the column checks:
-    # the tracemalloc peak is about 4.4 MB, against 9.3 MB with a regular expression's
+    # the tracemalloc peak is about 3.8 MB, against 9.3 MB with a regular expression's
     # string captures, 1 MB blocks and int64 rows
     monkeypatch.setattr(routing_trace, "_CHUNK_ROWS", 1024)
     header = {**HEADER, "num_layers": 8, "experts_per_layer": [64] * 8}
@@ -758,8 +845,9 @@ def test_canonical_reader_memory_is_bounded(tmp_path, monkeypatch):
 def test_column_checks_memory_is_bounded():
     # 64000 rows of 8 experts (4000 queries at 16 layers, 2.05 MB of rows): the experts are
     # sorted in place with int32 keys and repeated (query, layer) pairs are found one layer at
-    # a time, so past the 1.30 MB of outputs the tracemalloc peak adds about 1.4 MB; int64
-    # pair keys argsorted over all rows and a second expert array added 6.5 MB
+    # a time, from each layer's rows put in query order once, so past the 1.30 MB of outputs
+    # the tracemalloc peak adds about 1.8 MB, 0.5 MB of it those orders; int64 pair keys
+    # argsorted over all rows and a second expert array added 6.5 MB
     n, layers, k = 4000, 16, 8
     query = np.arange(n, dtype=np.int32)
     rows = (np.repeat(query, layers), np.repeat(query % 9 + 1, layers),
@@ -778,7 +866,7 @@ def test_column_checks_memory_is_bounded():
 
 def test_write_memory_is_bounded(tmp_path):
     # 4000 queries at 16 layers (64000 records, 1.28 MB of columns) are written in blocks of
-    # at most 2048 records: the tracemalloc peak is about 1.4 MB, against 7.2 MB for blocks
+    # at most 2048 records: the tracemalloc peak is about 1.0 MB, against 7.2 MB for blocks
     # of 512 queries over whole-file expert and int64 offset arrays
     n, layers = 4000, 16
     ids, doms = [f"q{i:06d}" for i in range(n)], np.arange(n) % 9 + 1
