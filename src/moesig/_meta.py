@@ -51,8 +51,15 @@ def is_finite_number(value: object) -> bool:
     return is_number(value) and abs(value) <= sys.float_info.max
 
 
-def check_fields(doc: Mapping, allowed: Iterable[str], error: type[MoesigError], what: str) -> None:
-    """Raise ``error`` naming every key of ``doc`` outside ``allowed``: a mistyped field must not run silently."""
+def check_fields(doc, allowed: Iterable[str], error: type[MoesigError], what: str,
+                 required: Iterable[str] = ()) -> None:
+    """Raise ``error`` unless ``doc`` is a JSON object that holds every ``required`` key and no key
+    outside ``allowed``, checked in that order: a mistyped field must not run silently."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise error(f"{what} is missing field(s) {missing}")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise error(f"unknown {what} field(s): {sorted(unknown)}")
@@ -75,18 +82,36 @@ def field_number(doc: Mapping, key: str, error: type[MoesigError], what: str, de
     return float(value)
 
 
-def load_record(cls, doc, error: type[MoesigError], what: str):
-    """The dataclass ``cls`` built from the JSON object ``doc``; raise ``error`` unless ``doc`` is an
-    object that holds every field of ``cls`` without a default, and no other key."""
-    from dataclasses import MISSING, fields  # it imports inspect, which `moesig --version` need not load
+class ConfigRecord:
+    """Base of a frozen config dataclass that is read from a JSON object and digested into artifacts.
 
-    if not isinstance(doc, dict):
-        raise error(f"{what} must be a JSON object")
-    check_fields(doc, cls.__dataclass_fields__, error, what)
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
-    if missing:
-        raise error(f"{what} is missing field(s) {missing}")
-    return cls(**doc)
+    A subclass sets ``ERROR`` and ``WHAT``, the error it raises and its name in diagnostics,
+    ``INTEGER_FLOORS``, each integer field with its least value, and ``NUMBERS``, its numeric
+    fields. Its ``__post_init__`` calls this one, then checks the rules that tie fields together.
+    """
+
+    def __post_init__(self) -> None:
+        for name, floor in self.INTEGER_FLOORS.items():
+            if not is_int(value := getattr(self, name)) or value < floor:
+                raise self.ERROR(f"{name} must be an integer >= {floor}, got {value!r}")
+        for name in self.NUMBERS:
+            if not is_finite_number(value := getattr(self, name)):
+                raise self.ERROR(f"{name} must be a number, got {value!r}")
+
+    @classmethod
+    def from_dict(cls, doc):
+        """The record of the JSON object ``doc``, which holds every field without a default and no other key."""
+        from dataclasses import MISSING, fields  # it imports inspect, which `moesig --version` need not load
+
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        check_fields(doc, cls.__dataclass_fields__, cls.ERROR, cls.WHAT, required)
+        return cls(**doc)
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def digest(self) -> str:
+        return config_digest(self.to_dict())
 
 
 def check_unicode(text: str, doc, error: type[MoesigError], where: str) -> None:

@@ -30,6 +30,15 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()[:16]
 
 
+def _read_config(path: str, parse, *args):
+    """``parse(doc, *args)`` of the JSON file ``doc`` at ``path``; a fault it raises names the file."""
+    doc = read_json(path)
+    try:
+        return parse(doc, *args)
+    except MoesigError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _cmd_ingest(args) -> int:
     from dataclasses import replace
 
@@ -136,9 +145,8 @@ def _cmd_train_proxy(args) -> int:
     from moesig.routing_trace import write_traces
     from moesig.shadow_moe import ShadowMoeConfig, build_oracle, export_traces, read_queries, train_proxy
 
-    config = ShadowMoeConfig.from_dict(read_json(args.config))
-    oracle_dir = Path(args.oracle).parent
-    oracle = build_oracle(read_json(args.oracle), oracle_dir, config)
+    config = _read_config(args.config, ShadowMoeConfig.from_dict)
+    oracle = _read_config(args.oracle, build_oracle, Path(args.oracle).parent, config)
     queries = read_queries(args.queries)
     model, losses = train_proxy(oracle, queries.inputs, config)
     model.save(args.out)
@@ -164,7 +172,7 @@ def _cmd_train_proxy(args) -> int:
 def _cmd_make_queries(args) -> int:
     from moesig.shadow_moe import make_queries
 
-    queries = make_queries(read_json(args.config), args.out)
+    queries = _read_config(args.config, make_queries, args.out)
     domains = len(queries.domain_labels())
     log.info("generated %d queries in %d domains -> %s", len(queries), domains, args.out)
     return 0
@@ -173,7 +181,7 @@ def _cmd_make_queries(args) -> int:
 def _cmd_synth(args) -> int:
     from moesig.synthgen import ScenarioConfig, generate_scenario, write_scenario
 
-    config = ScenarioConfig.from_dict(read_json(args.config))
+    config = _read_config(args.config, ScenarioConfig.from_dict)
     scenario = generate_scenario(config)
     manifest = write_scenario(scenario, args.out_dir)
     log.info(
@@ -190,8 +198,7 @@ def _cmd_sweep(args) -> int:
     from moesig.synthgen import expand_grid, sweep
 
     policy = parse_layer_policy(args.layer)
-    doc = read_json(args.grid)
-    configs = expand_grid(doc)
+    doc, configs = _read_config(args.grid, lambda doc: (doc, expand_grid(doc)))
     rows = sweep(configs, mode=args.mode, layer_policy=policy)
     meta = artifact_meta(None, config_digest(doc))
     write_csv(args.out, meta_comment(meta), list(rows[0]), [row.values() for row in rows])

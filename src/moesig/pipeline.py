@@ -157,12 +157,7 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     unknown or malformed field raises MoesigError.
     """
     what = "pipeline config"
-    if not isinstance(doc, dict):
-        raise MoesigError(f"{what} must be a JSON object")
-    missing = [key for key in REQUIRED_FIELDS if key not in doc]
-    if missing:
-        raise MoesigError(f"{what} is missing field(s) {missing}")
-    check_fields(doc, REQUIRED_FIELDS + OPTIONAL_FIELDS, MoesigError, what)
+    check_fields(doc, REQUIRED_FIELDS + OPTIONAL_FIELDS, MoesigError, what, REQUIRED_FIELDS)
     oracle = doc.get("oracle", {})
     if not isinstance(doc["proxy"], dict) or not isinstance(oracle, dict):
         raise MoesigError(f"{what} needs 'proxy' and 'oracle' to be JSON objects")

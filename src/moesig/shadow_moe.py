@@ -41,14 +41,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from moesig._meta import (artifact_meta, check_fields, check_unicode, config_digest, field_int, field_number,
-                          is_finite_number, is_int, load_record)
+from moesig._meta import (ConfigRecord, artifact_meta, check_fields, check_unicode, config_digest, field_int,
+                          field_number, is_finite_number, is_int)
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -72,8 +72,13 @@ def _as_per_layer(value, num_layers: int, name: str) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ShadowMoeConfig:
+class ShadowMoeConfig(ConfigRecord):
     """Shape, regularization, and optimization settings for a proxy."""
+
+    ERROR, WHAT = ShadowMoeError, "proxy config"
+    INTEGER_FLOORS = {"num_layers": 1, "input_dim": 1, "output_dim": 1, "hidden_dim": 1, "epochs": 1,
+                      "batch_size": 1, "seed": 0}
+    NUMBERS = ("load_balance_weight", "learning_rate", "momentum")
 
     num_layers: int
     experts_per_layer: tuple[int, ...] | int
@@ -89,16 +94,7 @@ class ShadowMoeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("num_layers", "input_dim", "output_dim", "hidden_dim", "epochs", "batch_size"):
-            if not is_int(getattr(self, name)):
-                raise ShadowMoeError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("load_balance_weight", "learning_rate", "momentum"):
-            if not is_finite_number(getattr(self, name)):
-                raise ShadowMoeError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not is_int(self.seed) or self.seed < 0:
-            raise ShadowMoeError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.num_layers < 1:
-            raise ShadowMoeError(f"num_layers must be >= 1, got {self.num_layers}")
+        super().__post_init__()
         experts = _as_per_layer(self.experts_per_layer, self.num_layers, "experts_per_layer")
         top_k = _as_per_layer(self.top_k, self.num_layers, "top_k")
         object.__setattr__(self, "experts_per_layer", experts)
@@ -106,27 +102,12 @@ class ShadowMoeConfig:
         for e, k in zip(experts, top_k):
             if e < 1 or k < 1 or k > e:
                 raise ShadowMoeError(f"need 1 <= top_k <= experts per layer, got k={k}, E={e}")
-        for name in ("input_dim", "output_dim", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ShadowMoeError(f"{name} must be >= 1")
         if self.load_balance_weight < 0:
             raise ShadowMoeError("load_balance_weight must be >= 0")
         if self.learning_rate <= 0:
             raise ShadowMoeError("learning_rate must be > 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ShadowMoeError("epochs and batch_size must be >= 1")
         if not 0 <= self.momentum < 1:
             raise ShadowMoeError("momentum must lie in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ShadowMoeConfig":
-        return load_record(cls, doc, ShadowMoeError, "proxy config")
-
-    def digest(self) -> str:
-        return config_digest(self.to_dict())
 
 
 def _balance_penalty(mean_gate_usage: Sequence[np.ndarray]):
@@ -506,10 +487,11 @@ def write_queries(queries: QuerySet, path: str | Path, meta: dict | None = None)
 def read_queries(path: str | Path) -> QuerySet:
     """Read a query-set file written by :func:`write_queries`.
 
-    A line that is not UTF-8 or not JSON or holds a lone surrogate escape,
-    or a record whose fields are missing, of the wrong type or not finite,
-    whose domain label is empty or whose query id repeats an earlier one,
-    raises ShadowMoeError naming its line.
+    A first line that is not a version-1 query-set header, a line that is
+    not UTF-8 or not JSON or holds a lone surrogate escape, or a record
+    whose fields are missing, of the wrong type or not finite, whose domain
+    label is empty or whose query id repeats an earlier one, raises
+    ShadowMoeError naming its line.
     """
     path = Path(path)
     ids, xs, labels = [], [], []
@@ -534,7 +516,9 @@ def read_queries(path: str | Path) -> QuerySet:
             if not isinstance(doc, dict):
                 raise ShadowMoeError(f"{where}: expected a JSON object")
             if input_dim is None:
-                input_dim = doc.get("input_dim")
+                version, input_dim = doc.get("schema_version"), doc.get("input_dim")
+                if not is_int(version) or version != 1:
+                    raise ShadowMoeError(f"{where}: unsupported schema_version {version!r} (supported: 1)")
                 if doc.get("kind") != "query-set" or not is_int(input_dim) or input_dim < 1:
                     raise ShadowMoeError(f"{where}: expected a query-set header with an input_dim")
                 continue
@@ -567,11 +551,9 @@ def make_queries(doc: dict, path: str | Path) -> QuerySet:
     malformed config, or one with another field, raises ShadowMoeError.
     """
     what = "query-set config"
-    if not isinstance(doc, dict):
-        raise ShadowMoeError(f"{what} must be a JSON object")
-    if doc.get("kind") != "gaussian-domains":
-        raise ShadowMoeError(f"unknown query-set kind {doc.get('kind')!r}")
-    check_fields(doc, QUERY_FIELDS, ShadowMoeError, what)
+    check_fields(doc, QUERY_FIELDS, ShadowMoeError, what, QUERY_FIELDS[:5])
+    if doc["kind"] != "gaussian-domains":
+        raise ShadowMoeError(f"unknown query-set kind {doc['kind']!r}")
     seed = field_int(doc, "seed", ShadowMoeError, what)
     queries = gaussian_domain_queries(
         seed=seed,

@@ -24,7 +24,7 @@ generates them as one group, drawing every model once.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby
 from pathlib import Path
@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from moesig._meta import artifact_meta, check_fields, config_digest, is_int, is_number, load_record, write_json
+from moesig._meta import ConfigRecord, artifact_meta, check_fields, is_number, write_json
 from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import pair_verdict, score
@@ -46,8 +46,13 @@ BASE_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(ConfigRecord):
     """Shape, relatedness, and seeding of one synthetic scenario."""
+
+    ERROR, WHAT = ScenarioError, "scenario config"
+    INTEGER_FLOORS = {"num_experts": 1, "num_layers": 1, "top_k": 1, "num_domains": 1, "n_per_domain": 1,
+                      "seed": 0}
+    NUMBERS = ("relatedness",)
 
     num_experts: int
     num_layers: int
@@ -60,21 +65,11 @@ class ScenarioConfig:
     layer_bias: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("num_experts", "num_layers", "top_k", "num_domains", "n_per_domain"):
-            if not is_int(getattr(self, name)):
-                raise ScenarioError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not is_number(self.relatedness):
-            raise ScenarioError(f"relatedness must be a number, got {self.relatedness!r}")
+        super().__post_init__()
         if not isinstance(self.permute_labels, bool):
             raise ScenarioError(f"permute_labels must be a boolean, got {self.permute_labels!r}")
-        if not is_int(self.seed) or self.seed < 0:
-            raise ScenarioError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.num_experts < 1 or self.num_layers < 1 or self.num_domains < 1:
-            raise ScenarioError("num_experts, num_layers, and num_domains must be >= 1")
-        if not 1 <= self.top_k <= self.num_experts:
+        if self.top_k > self.num_experts:
             raise ScenarioError(f"need 1 <= top_k <= num_experts, got {self.top_k}")
-        if self.n_per_domain < 1:
-            raise ScenarioError("n_per_domain must be >= 1")
         if not 0.0 <= self.relatedness <= 1.0:
             raise ScenarioError(f"relatedness must lie in [0, 1], got {self.relatedness}")
         if self.layer_bias is not None:
@@ -83,22 +78,10 @@ class ScenarioConfig:
                 raise ScenarioError(f"layer_bias must be a list of numbers, got {bias!r}")
             bias = tuple(float(b) for b in bias)
             if len(bias) != self.num_layers:
-                raise ScenarioError(
-                    f"layer_bias has {len(bias)} entries for {self.num_layers} layers"
-                )
+                raise ScenarioError(f"layer_bias has {len(bias)} entries for {self.num_layers} layers")
             if any(not 0.0 <= b <= 1.0 for b in bias):
                 raise ScenarioError("layer_bias entries must lie in [0, 1]")
             object.__setattr__(self, "layer_bias", bias)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        return load_record(cls, doc, ScenarioError, "scenario config")
-
-    def digest(self) -> str:
-        return config_digest(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -248,14 +231,14 @@ def expand_grid(doc: dict) -> list[ScenarioConfig]:
     ``seeds`` list (each defaults to the base's own value). A malformed grid,
     or one with another field, raises ScenarioError.
     """
-    if not isinstance(doc, dict):
-        raise ScenarioError("sweep grid must be a JSON object")
-    check_fields(doc, ("configs",) if "configs" in doc else ("base", "rho", "seeds"), ScenarioError, "sweep grid")
-    if "configs" in doc:
+    listed = isinstance(doc, dict) and "configs" in doc
+    check_fields(doc, ("configs",) if listed else ("base", "rho", "seeds"), ScenarioError, "sweep grid",
+                 ("configs",) if listed else ("base",))
+    if listed:
         if not isinstance(doc["configs"], list):
             raise ScenarioError("sweep grid 'configs' must be a list of scenario configs")
         return [ScenarioConfig.from_dict(c) for c in doc["configs"]]
-    base = doc.get("base")
+    base = doc["base"]
     if not isinstance(base, dict):
         raise ScenarioError("sweep grid needs a 'base' scenario config object or a 'configs' list")
     rhos = doc.get("rho", [base.get("relatedness", 1.0)])

@@ -125,6 +125,11 @@ def non_square_collab(doc):
     doc["collaboration"]["matrix"] = [row[:-1] for row in doc["collaboration"]["matrix"]]
 
 
+def cube_matrix(doc):
+    """Wrap a signature file's specialization matrix in one more list, a 3-D matrix."""
+    doc["specialization"]["matrix"] = [doc["specialization"]["matrix"]]
+
+
 def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -310,6 +315,54 @@ MALFORMED_CONFIGS = [
                   "pipeline-unknown-layer-policy"),
     # "²".isdigit() holds, but int() refuses it
     pipeline_case({"layer_policy": "²"}, "unknown layer policy '²'", "pipeline-superscript-layer-policy"),
+    # a config's object, missing-key and unknown-key checks run in that order
+    pytest.param({"p.json": [PIPELINE]}, RUN_PIPELINE, "pipeline config must be a JSON object",
+                 id="pipeline-not-object"),
+    pytest.param({"p.json": {**without(PIPELINE, "seed"), "sed": 1}}, RUN_PIPELINE,
+                 "pipeline config is missing field(s) ['seed']", id="pipeline-missing-before-unknown"),
+    pytest.param({"grid.json": {"configs": [{**without(SCENARIO, "top_k"), "relatedness": 0.5, "topk": 2}]}},
+                 SWEEP, "grid.json: scenario config is missing field(s) ['top_k']",
+                 id="grid-config-missing-before-unknown"),
+    # a fault of a config file's content names the file
+    pytest.param(*train_proxy_case({**PROXY, "learning_rate": 0}), "proxy.json: learning_rate must be > 0",
+                 id="proxy-rate-zero"),
+    pytest.param(*train_proxy_case({**PROXY, "momentum": 1}), "proxy.json: momentum must lie in [0, 1)",
+                 id="proxy-momentum-one"),
+    pytest.param(*train_proxy_case({**PROXY, "experts_per_layer": [4, 4]}),
+                 "proxy.json: experts_per_layer has 2 entries for 1 layers", id="proxy-experts-per-layer-count"),
+    pytest.param(*train_proxy_case({**PROXY, "hidden_dim": 0}),
+                 "proxy.json: hidden_dim must be an integer >= 1, got 0", id="proxy-hidden-zero"),
+    pytest.param(*train_proxy_case(oracle={"kind": "cubic"}), "oracle.json: unknown oracle kind 'cubic'",
+                 id="oracle-kind-names-file"),
+    pytest.param({"q.json": without(QUERY_CONFIG, "kind")},
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
+                 "q.json: query-set config is missing field(s) ['kind']", id="queries-no-kind"),
+    pytest.param({"s.json": {**SCENARIO, "relatedness": 0.5, "top_k": 0}},
+                 ["synth", "--config", "s.json", "--out-dir", "out"],
+                 "s.json: top_k must be an integer >= 1, got 0", id="synth-top-k-zero"),
+    pytest.param({"grid.json": {"base": SCENARIO, "rho": [0.5], "seeds": [-1]}}, SWEEP,
+                 "grid.json: seed must be an integer >= 0, got -1", id="grid-seed-negative"),
+    # query, model, trace and benchmark files
+    pytest.param(*queries_case(""), "queries.jsonl: empty query file", id="queries-empty-file"),
+    pytest.param(*queries_case(QUERY_FILE + "[1]\n"), "queries.jsonl: line 3: expected a JSON object",
+                 id="queries-line-not-object"),
+    pytest.param(*queries_case(QUERY_FILE.replace('"query-set"', '"queries"')),
+                 "queries.jsonl: line 1: expected a query-set header", id="queries-not-a-header"),
+    pytest.param(*queries_case(QUERY_FILE.replace('"q0"', "5")),
+                 "queries.jsonl: line 2: query_id and domain must be strings", id="queries-id-not-string"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"version":1', b'"version":2')),
+                 "model.bin: unsupported model version", id="model-unsupported-version"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"name":"w_in","shape":[16,2]',
+                                                             b'"name":"w_in","shape":[16,3]')),
+                 "model.bin: tensor w_in shape mismatch", id="model-shape-mismatch"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b',{"name":"b_out","shape":[1]}', b"")),
+                 "model.bin: missing tensor(s) ['b_out']", id="model-missing-tensor"),
+    pytest.param({"t.jsonl": trace_text() + "[1]\n"}, INGEST, "t.jsonl: line 3: record must be a JSON object",
+                 id="trace-record-not-object"),
+    pytest.param({"manifest.json": [1]}, REPORT, "manifest.json: manifest must be a JSON object",
+                 id="report-manifest-not-object"),
+    pytest.param({"manifest.json": {"teacher": "t.jsonl", "pairs": PAIRS, "meta": 5}}, REPORT,
+                 "manifest.json: manifest meta must be a JSON object", id="report-meta-not-object"),
 ]
 
 
@@ -325,9 +378,12 @@ class TestMalformedInput:
             {"num_layers": "two"},
             {"domains": 5},
             {"meta": 5},
+            {"num_layers": 0},
+            {"experts_per_layer": [4, 0]},
+            {"domains": ["math", "math"]},
         ],
         ids=["short-experts", "experts-not-list", "expert-not-int", "layers-not-int",
-             "domains-not-list", "meta-not-object"],
+             "domains-not-list", "meta-not-object", "no-layers", "layer-without-experts", "domains-repeated"],
     )
     def test_bad_trace_header(self, tmp_path, caplog, change):
         path = tmp_path / "t.jsonl"
@@ -400,11 +456,14 @@ class TestMalformedInput:
             ("specialization", "counts", [1], "profile domain axis is inconsistent"),
             (None, non_square_collab, None, "collaboration matrix must be square"),
             (None, "num_experts", 5, "num_experts is 5, but the matrices have 4 experts"),
+            (None, cube_matrix, None, "profile matrix must be two-dimensional"),
+            (None, "version", 2, "not a version-1 signature file"),
         ],
         ids=["collab-nan", "collab-negative", "spec-nan", "spec-unnormalized", "collab-above-one",
              "zero-mass-string", "zero-mass-nonzero", "layer-float", "layer-bool", "layer-negative", "domains-string", "domains-repeated",
              "kappa-nan", "counts-negative", "counts-float", "pair-normalizer-nan", "no-domains",
-             "collab-diagonal", "counts-short", "collab-not-square", "num-experts-mismatch"],
+             "collab-diagonal", "counts-short", "collab-not-square", "num-experts-mismatch", "spec-3d",
+             "wrong-version"],
     )
     def test_signature_file_bad_value(self, tmp_path, caplog, section, key, value, named):
         # a callable key edits the whole document

@@ -770,7 +770,7 @@ def test_expert_count_beyond_int16_rejected(tmp_path):
 
 
 # values no int16 expert or int32 layer column holds (65537 and 2**32 would wrap to 1 and 0)
-# still fail their range check on the validating path, printed as the file holds them
+# still fail their range check on the validating path and in build_trace_set, printed as given
 WIDE_VALUES = [
     ({"layer": 0, "selected": [1, 40000]}, "expert index 40000 out of range at layer 0 (valid 0..3)"),
     ({"layer": 0, "selected": [50000, 40000]}, "expert index 50000 out of range at layer 0 (valid 0..3)"),
@@ -793,6 +793,10 @@ def test_wide_values_reach_the_range_checks(tmp_path, record, message):
     with pytest.raises(TraceError) as exc:
         ingest_traces(path)
     assert str(exc.value) == f"{path}: line 3: {message}"
+    with pytest.raises(TraceError) as exc:
+        build_trace_set("m", 1, [4], ["math", "code"],
+                        [("a", 1, 0, [0, 1]), ("b", 2, record["layer"], record["selected"])])
+    assert str(exc.value) == message
 
 
 def test_validating_reader_memory_is_bounded(tmp_path, monkeypatch):

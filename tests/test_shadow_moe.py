@@ -666,13 +666,21 @@ class TestQueries:
             ('{"query_id": "q000000", "domain": "d1", "x": [0.0, 1.0, 2.0]}',
              "q.jsonl: line 3: duplicate query id 'q000000'"),
             ('{"query_id": "q1", "domain": "", "x": [0.0, 1.0, 2.0]}', "q.jsonl: line 3: every query needs a domain label"),
+            # a callable maps the file's bytes instead
+            pytest.param(lambda text: text.replace(b'"schema_version":1', b'"schema_version":7'),
+                         r"q.jsonl: line 1: unsupported schema_version 7 \(supported: 1\)$", id="version-7"),
+            pytest.param(lambda text: text.replace(b'"schema_version":1,', b""),
+                         r"q.jsonl: line 1: unsupported schema_version None \(supported: 1\)$", id="no-version"),
         ],
     )
     def test_read_rejects_malformed_record(self, tmp_path, record, match):
         queries = gaussian_domain_queries(3, num_domains=1, n_per_domain=1, input_dim=3)
         path = tmp_path / "q.jsonl"
         write_queries(queries, path)
-        with path.open("ab") as fh:
-            fh.write((record if isinstance(record, bytes) else record.encode("utf-8")) + b"\n")
+        if callable(record):
+            path.write_bytes(record(path.read_bytes()))
+        else:
+            with path.open("ab") as fh:
+                fh.write((record if isinstance(record, bytes) else record.encode("utf-8")) + b"\n")
         with pytest.raises(ShadowMoeError, match=match):
             read_queries(path)

@@ -354,6 +354,7 @@ def _set_field(section, key, value):
          "pair_normalizer must be a finite number >= 0"),
         (_set_field("collaboration", "pair_normalizer", -1.0),
          "pair_normalizer must be a finite number >= 0"),
+        (_set_field(None, "domains", ["\ud800"]), "sig.json: a lone surrogate escape is not UTF-8 text"),
     ],
 )
 def test_load_bundle_rejects_malformed_file(tmp_path, corrupt, match):
