@@ -8,7 +8,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from moesig.errors import MoesigError
 
@@ -65,20 +65,20 @@ def check_fields(doc, allowed: Iterable[str], error: type[MoesigError], what: st
         raise error(f"unknown {what} field(s): {sorted(unknown)}")
 
 
-def field_int(doc: Mapping, key: str, error: type[MoesigError], what: str, default: int | None = None,
+def field_int(doc: Mapping, key: str, error: type[MoesigError], default: int | None = None,
               minimum: int = 0) -> int:
     """``doc[key]``, or ``default`` when absent; raise ``error`` unless it is an integer >= ``minimum``."""
     value = doc.get(key, default)
     if not is_int(value) or value < minimum:
-        raise error(f"{what} needs an integer {key!r} >= {minimum}, got {value!r}")
+        raise error(f"{key} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
-def field_number(doc: Mapping, key: str, error: type[MoesigError], what: str, default: float) -> float:
+def field_number(doc: Mapping, key: str, error: type[MoesigError], default: float | None = None) -> float:
     """``doc[key]``, or ``default`` when absent, as a float; raise ``error`` unless it is a finite number."""
     value = doc.get(key, default)
     if not is_finite_number(value):
-        raise error(f"{what} needs a finite numeric {key!r}, got {value!r}")
+        raise error(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
@@ -92,11 +92,9 @@ class ConfigRecord:
 
     def __post_init__(self) -> None:
         for name, floor in self.INTEGER_FLOORS.items():
-            if not is_int(value := getattr(self, name)) or value < floor:
-                raise self.ERROR(f"{name} must be an integer >= {floor}, got {value!r}")
+            field_int(vars(self), name, self.ERROR, minimum=floor)
         for name in self.NUMBERS:
-            if not is_finite_number(value := getattr(self, name)):
-                raise self.ERROR(f"{name} must be a number, got {value!r}")
+            field_number(vars(self), name, self.ERROR)
 
     @classmethod
     def from_dict(cls, doc):
@@ -114,9 +112,19 @@ class ConfigRecord:
         return config_digest(self.to_dict())
 
 
-def check_unicode(text: str, doc, error: type[MoesigError], where: str) -> None:
-    """Raise ``error`` at ``where`` if a string of ``doc``, parsed from the JSON ``text``, holds
-    a lone surrogate, which UTF-8 cannot encode; only an escape such as ``\\ud800`` makes one."""
+def parse_json(text: str, error: type[MoesigError], where: str):
+    """The JSON document ``text``, read with surrogate escapes; raise ``error`` at ``where`` if
+    its bytes are not UTF-8, it is not JSON, or a string escape such as ``\\ud800`` decodes to
+    a lone surrogate, which UTF-8 cannot encode."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{where}: not UTF-8 text: {exc}") from None
+    try:  # ValueError: not JSON, or an integer past int()'s digit limit
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: malformed JSON: {exc}") from None
     stack = [doc] if "\\u" in text else []
     while stack:
         value = stack.pop()
@@ -127,16 +135,24 @@ def check_unicode(text: str, doc, error: type[MoesigError], where: str) -> None:
                 value.encode("utf-8")
             except UnicodeEncodeError:
                 raise error(f"{where}: a lone surrogate escape is not UTF-8 text") from None
-
-
-def read_json(path: str | Path):
-    """Parse a UTF-8 JSON file; malformed content or a lone surrogate escape raises MoesigError."""
-    try:  # ValueError: not UTF-8, not JSON, or an integer past int()'s digit limit
-        doc = json.loads(text := Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise MoesigError(f"{path}: malformed JSON: {exc}") from None
-    check_unicode(text, doc, MoesigError, str(path))
     return doc
+
+
+def json_lines(fh: Iterable[str], error: type[MoesigError], start: int = 1) -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each nonblank line of ``fh``, lines of text read with surrogate
+    escapes and numbered from ``start``; a line that :func:`parse_json` refuses, or that is not
+    a JSON object, raises ``error`` naming its line."""
+    for lineno, line in enumerate(fh, start):
+        if line := line.strip():
+            doc = parse_json(line, error, f"line {lineno}")
+            if not isinstance(doc, dict):
+                raise error(f"line {lineno}: expected a JSON object")
+            yield lineno, doc
+
+
+def read_json(path: str | Path, error: type[MoesigError] = MoesigError):
+    """:func:`parse_json` of the whole file."""
+    return parse_json(Path(path).read_text(encoding="utf-8", errors="surrogateescape"), error, str(path))
 
 
 def write_json(doc: dict, path: str | Path) -> None:

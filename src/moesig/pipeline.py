@@ -168,26 +168,22 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     if derived:
         raise MoesigError(f"{what} field(s) {derived} are derived: each fit's seed from 'seed', "
                           "input_dim and output_dim from the top level")
-    seed = field_int(doc, "seed", MoesigError, what)
-    input_dim = field_int(doc, "input_dim", MoesigError, what, minimum=1)
-    output_dim = field_int(doc, "output_dim", MoesigError, what, minimum=1)
-    num_domains = field_int(doc, "num_domains", MoesigError, what, minimum=1)
-    n_per_domain = field_int(doc, "n_per_domain", MoesigError, what, minimum=1)
-    separation = field_number(doc, "separation", MoesigError, what, 2.5)
-    spread = field_number(doc, "spread", MoesigError, what, 0.6)
+    seed = field_int(doc, "seed", MoesigError)
+    input_dim = field_int(doc, "input_dim", MoesigError, minimum=1)
+    output_dim = field_int(doc, "output_dim", MoesigError, minimum=1)
+    num_domains = field_int(doc, "num_domains", MoesigError, minimum=1)
+    n_per_domain = field_int(doc, "n_per_domain", MoesigError, minimum=1)
+    separation = field_number(doc, "separation", MoesigError, 2.5)
+    spread = field_number(doc, "spread", MoesigError, 0.6)
     proxy = ShadowMoeConfig.from_dict({**doc["proxy"], "input_dim": input_dim, "output_dim": output_dim})
-    candidate_epochs = field_int(doc, "candidate_epochs", MoesigError, what, proxy.epochs, minimum=1)
-    oracle_hidden = field_int(oracle, "hidden_dim", MoesigError, "pipeline oracle", 16, minimum=1)
-    oracle_scale = field_number(oracle, "scale", MoesigError, "pipeline oracle", 1.5)
+    candidate_epochs = field_int(doc, "candidate_epochs", MoesigError, proxy.epochs, minimum=1)
+    oracle_hidden = field_int(oracle, "hidden_dim", MoesigError, 16, minimum=1)
+    oracle_scale = field_number(oracle, "scale", MoesigError, 1.5)
     layer_policy = parse_layer_policy(str(doc.get("layer_policy", "last")))
     mode = doc.get("mode", "auto")
     # an unknown mode, or exact mode above the enumeration cap, would fail only after every fit
     _resolve_mode(mode, proxy.experts_per_layer[resolve_layer(layer_policy, proxy.num_layers)])
 
-    out = Path(out_dir)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
-    digest = config_digest(doc)
     queries = gaussian_domain_queries(
         seed=_sub_seed(seed, "pipeline-queries"),
         num_domains=num_domains,
@@ -196,6 +192,11 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
         separation=separation,
         spread=spread,
     )
+
+    out = Path(out_dir)
+    (out / "models").mkdir(parents=True, exist_ok=True)
+    (out / "traces").mkdir(parents=True, exist_ok=True)
+    digest = config_digest(doc)
     write_queries(queries, out / "queries.jsonl", meta=artifact_meta(seed, digest))
 
     teacher = {"kind": "mlp", "seed": _sub_seed(seed, "teacher-oracle"), "hidden_dim": oracle_hidden,
@@ -254,7 +255,8 @@ def read_benchmark(
     signatures per domain and the manifest's provenance block. The files
     are read one at a time through :func:`read_signatures`, the teacher
     first and then the pairs in manifest order, so the first faulty file
-    in that order gives the fault. A manifest without a string
+    in that order gives the fault. A manifest whose ``format`` or
+    ``version``, where given, is not ``moesig-benchmark`` or 1, without a string
     ``teacher``, a ``pairs`` object whose entries name string ``kd`` and
     ``scratch`` files, or with a ``meta`` that is not an object raises
     MoesigError.
@@ -264,6 +266,8 @@ def read_benchmark(
     manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise MoesigError(f"{path}: manifest must be a JSON object")
+    if (manifest.get("format", "moesig-benchmark"), manifest.get("version", 1)) != ("moesig-benchmark", 1):
+        raise MoesigError(f"{path}: not a version-1 benchmark manifest")
     teacher, pairs, meta = manifest.get("teacher"), manifest.get("pairs"), manifest.get("meta", {})
     if not isinstance(teacher, str):
         raise MoesigError(f"{path}: manifest needs a string 'teacher' trace file, got {teacher!r}")

@@ -40,13 +40,13 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from moesig._meta import check_unicode, is_int
+from moesig._meta import is_int, json_lines
 from moesig.errors import TraceError
 
 SCHEMA_VERSION = 1
@@ -252,16 +252,11 @@ def _fault(check: str, qid: str, layer: int, selected: Sequence[int], experts_pe
     return f"expert index {bad} out of range at layer {layer} (valid 0..{experts_per_layer[layer] - 1})"
 
 
-def _parse_header(line: str, lineno: int) -> tuple[dict, dict[str, int]]:
-    """Decode and fully validate the header line before any record is read; return it and
-    its declared domain labels, numbered from 1."""
+def _parse_header(lineno: int, header: dict) -> tuple[dict, dict[str, int]]:
+    """Fully validate the decoded header line before any record is read; return it and its
+    declared domain labels, numbered from 1."""
     where = f"line {lineno}: "
-    try:
-        header = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise TraceError(f"{where}header is not valid JSON: {exc}") from None
-    check_unicode(line, header, TraceError, f"line {lineno}")
-    if not isinstance(header, dict) or "schema_version" not in header:
+    if "schema_version" not in header:
         raise TraceError(f"{where}first line must be a header with a schema_version field")
     version = header["schema_version"]
     if not is_int(version) or version != SCHEMA_VERSION:
@@ -286,18 +281,11 @@ def _parse_header(line: str, lineno: int) -> tuple[dict, dict[str, int]]:
     return header, {label: i for i, label in enumerate(domains or [], 1)}
 
 
-def _file_records(lines: Iterator[tuple[int, str]], domain_index: dict[str, int],
+def _file_records(lines: Iterator[tuple[int, dict]], domain_index: dict[str, int],
                   declared: bool) -> Iterator[tuple[str, int, int, list[int], int]]:
-    """Decode record lines, check field types and map domain labels to indices; without
+    """Check the field types of decoded records and map domain labels to indices; without
     declared domains, new labels are added to ``domain_index`` in first-occurrence order."""
-    for lineno, line in lines:
-        try:
-            rec = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise TraceError(f"line {lineno}: malformed record: {exc}") from None
-        check_unicode(line, rec, TraceError, f"line {lineno}")
-        if not isinstance(rec, dict):
-            raise TraceError(f"line {lineno}: record must be a JSON object")
+    for lineno, rec in lines:
         for key in ("query_id", "domain", "layer", "selected"):
             if key not in rec:
                 raise TraceError(f"line {lineno}: record is missing required field {key!r}")
@@ -420,18 +408,6 @@ def _batch_rows(records: list, query_index: dict[str, int], num_layers: int, lin
             _narrow(list(chain.from_iterable(selected)), np.int16, MAX_EXPERTS))
 
 
-def _text_line(lineno: int, raw: str) -> tuple[int, str]:
-    """``raw`` stripped, after its line number. A line that held bytes that are not UTF-8,
-    decoded as surrogate escapes, raises TraceError with the strict decode's fault of its
-    bytes, so that fault takes its place in line order."""
-    if not raw.isascii():
-        try:
-            raw.encode("utf-8", "surrogateescape").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceError(f"line {lineno}: not UTF-8 text: {exc}") from None
-    return lineno, raw.strip()
-
-
 def _read(path: Path) -> tuple:
     """Header, domain and query indices and columns of a trace file, each line parsed once;
     the first fault in line order raises TraceError.
@@ -449,7 +425,7 @@ def _read(path: Path) -> tuple:
         except UnicodeDecodeError:
             line = ""
         if line and b"\r" not in first:
-            header, domain_index = _parse_header(line, 1)
+            header, domain_index = _parse_header(*next(json_lines([line], TraceError)))
             start, tail = len(first), b""
             while chunk := fh.read(_BLOCK_BYTES):
                 tail += chunk
@@ -466,13 +442,12 @@ def _read(path: Path) -> tuple:
         # canonical rows hold no line number: row r is line r + 2
         prefix = sum(len(rows[0]) for rows in blocks)
         text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
-        lines = starmap(_text_line, enumerate(text, start=prefix + 2 if header else 1))
-        lines = ((n, line) for n, line in lines if line)
+        lines = json_lines(text, TraceError, prefix + 2 if header else 1)
         if header is None:
             top = next(lines, None)
             if top is None:
                 raise TraceError("file is empty (missing header line)")
-            header, domain_index = _parse_header(top[1], top[0])
+            header, domain_index = _parse_header(*top)
         try:
             for record in _file_records(lines, domain_index, header.get("domains") is not None):
                 batch.append(record)
@@ -499,8 +474,8 @@ def _read(path: Path) -> tuple:
         row, check = exc.args
         lineno = row + 2 if row < prefix else int(np.concatenate(linenos)[row - prefix])
         # the record's own values, as the file holds them; a later bad byte must not stop the read
-        with path.open(encoding="utf-8", errors="replace") as fh:
-            rec = json.loads(next(islice(fh, lineno - 1, None)))
+        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+            rec = next(json_lines(islice(fh, lineno - 1, None), TraceError, lineno))[1]
         message = _fault(check, rec["query_id"], rec["layer"], rec["selected"], experts)
         raise TraceError(f"line {lineno}: {message}") from None
     if fault is not None:

@@ -47,8 +47,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from moesig._meta import (ConfigRecord, artifact_meta, check_fields, check_unicode, config_digest, field_int,
-                          field_number, is_finite_number, is_int)
+from moesig._meta import (ConfigRecord, artifact_meta, check_fields, config_digest, field_int, field_number,
+                          is_finite_number, is_int, json_lines, parse_json)
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -379,10 +379,7 @@ class ShadowMoeModel:
             magic = fh.read(len(MODEL_MAGIC))
             if magic != MODEL_MAGIC:
                 raise ShadowMoeError(f"{path}: not a shadow-moe model file")
-            try:
-                manifest = json.loads(fh.readline().decode("utf-8"))
-            except (ValueError, RecursionError) as exc:
-                raise ShadowMoeError(f"{path}: malformed model manifest: {exc}") from None
+            manifest = parse_json(fh.readline().decode("utf-8", "surrogateescape"), ShadowMoeError, str(path))
             if not isinstance(manifest, dict) or manifest.get("version") != 1:
                 raise ShadowMoeError(f"{path}: unsupported model version")
             config, tensors = manifest.get("config"), manifest.get("tensors")
@@ -451,17 +448,21 @@ def gaussian_domain_queries(
     separation: float = 2.0,
     spread: float = 0.5,
 ) -> QuerySet:
-    """Domain-clustered Gaussian inputs: one well-separated center per domain."""
+    """Domain-clustered Gaussian inputs: one well-separated center per domain; inputs that
+    overflow to values that are not finite raise ShadowMoeError."""
     rng = substream(seed, "queries")
-    centers = rng.normal(0.0, 1.0, size=(num_domains, input_dim)) * separation
-    try:
-        inputs = np.concatenate(
-            [center + rng.normal(0.0, 1.0, size=(n_per_domain, input_dim)) * spread for center in centers]
-        )
-    except (ValueError, OverflowError):  # numpy refuses a size past its array limit
-        raise ShadowMoeError(
-            f"{n_per_domain} queries per domain of dimension {input_dim} are past numpy's array limit"
-        ) from None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
+        centers = rng.normal(0.0, 1.0, size=(num_domains, input_dim)) * separation
+        try:
+            inputs = np.concatenate(
+                [center + rng.normal(0.0, 1.0, size=(n_per_domain, input_dim)) * spread for center in centers]
+            )
+        except (ValueError, OverflowError):  # numpy refuses a size past its array limit
+            raise ShadowMoeError(
+                f"{n_per_domain} queries per domain of dimension {input_dim} are past numpy's array limit"
+            ) from None
+    if not np.isfinite(inputs).all():
+        raise ShadowMoeError(f"separation {separation!r} and spread {spread!r} give queries that are not finite")
     return QuerySet(
         query_ids=tuple(f"q{i:06d}" for i in range(len(inputs))),
         inputs=inputs,
@@ -499,45 +500,34 @@ def read_queries(path: str | Path) -> QuerySet:
     input_dim = None
     # undecodable bytes become lone surrogates, so the line that holds them can be named
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ShadowMoeError(f"{where}: not UTF-8 text") from None
-            try:
-                doc = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ShadowMoeError(f"{where}: malformed JSON: {exc}") from None
-            check_unicode(line, doc, ShadowMoeError, where)
-            if not isinstance(doc, dict):
-                raise ShadowMoeError(f"{where}: expected a JSON object")
-            if input_dim is None:
-                version, input_dim = doc.get("schema_version"), doc.get("input_dim")
-                if not is_int(version) or version != 1:
-                    raise ShadowMoeError(f"{where}: unsupported schema_version {version!r} (supported: 1)")
-                if doc.get("kind") != "query-set" or not is_int(input_dim) or input_dim < 1:
-                    raise ShadowMoeError(f"{where}: expected a query-set header with an input_dim")
-                continue
-            missing = [key for key in ("query_id", "domain", "x") if key not in doc]
-            if missing:
-                raise ShadowMoeError(f"{where}: query record is missing field(s) {missing}")
-            x = doc["x"]
-            if not isinstance(doc["query_id"], str) or not isinstance(doc["domain"], str):
-                raise ShadowMoeError(f"{where}: query_id and domain must be strings")
-            if not isinstance(x, list) or len(x) != input_dim or not all(map(is_finite_number, x)):
-                raise ShadowMoeError(f"{where}: x must be a list of {input_dim} finite numbers")
-            if not doc["domain"]:
-                raise ShadowMoeError(f"{where}: every query needs a domain label")
-            if doc["query_id"] in seen:
-                raise ShadowMoeError(f"{where}: duplicate query id {doc['query_id']!r}")
-            seen.add(doc["query_id"])
-            ids.append(doc["query_id"])
-            xs.append(x)
-            labels.append(doc["domain"])
+        try:
+            for lineno, doc in json_lines(fh, ShadowMoeError):
+                where = f"line {lineno}"
+                if input_dim is None:
+                    version, input_dim = doc.get("schema_version"), doc.get("input_dim")
+                    if not is_int(version) or version != 1:
+                        raise ShadowMoeError(f"{where}: unsupported schema_version {version!r} (supported: 1)")
+                    if doc.get("kind") != "query-set" or not is_int(input_dim) or input_dim < 1:
+                        raise ShadowMoeError(f"{where}: expected a query-set header with an input_dim")
+                    continue
+                missing = [key for key in ("query_id", "domain", "x") if key not in doc]
+                if missing:
+                    raise ShadowMoeError(f"{where}: query record is missing field(s) {missing}")
+                x = doc["x"]
+                if not isinstance(doc["query_id"], str) or not isinstance(doc["domain"], str):
+                    raise ShadowMoeError(f"{where}: query_id and domain must be strings")
+                if not isinstance(x, list) or len(x) != input_dim or not all(map(is_finite_number, x)):
+                    raise ShadowMoeError(f"{where}: x must be a list of {input_dim} finite numbers")
+                if not doc["domain"]:
+                    raise ShadowMoeError(f"{where}: every query needs a domain label")
+                if doc["query_id"] in seen:
+                    raise ShadowMoeError(f"{where}: duplicate query id {doc['query_id']!r}")
+                seen.add(doc["query_id"])
+                ids.append(doc["query_id"])
+                xs.append(x)
+                labels.append(doc["domain"])
+        except ShadowMoeError as exc:
+            raise ShadowMoeError(f"{path}: {exc}") from None
     if not ids:
         raise ShadowMoeError(f"{path}: empty query file")
     return QuerySet(query_ids=tuple(ids), inputs=np.asarray(xs, dtype=np.float64), domains=tuple(labels))
@@ -554,14 +544,14 @@ def make_queries(doc: dict, path: str | Path) -> QuerySet:
     check_fields(doc, QUERY_FIELDS, ShadowMoeError, what, QUERY_FIELDS[:5])
     if doc["kind"] != "gaussian-domains":
         raise ShadowMoeError(f"unknown query-set kind {doc['kind']!r}")
-    seed = field_int(doc, "seed", ShadowMoeError, what)
+    seed = field_int(doc, "seed", ShadowMoeError)
     queries = gaussian_domain_queries(
         seed=seed,
-        num_domains=field_int(doc, "num_domains", ShadowMoeError, what, minimum=1),
-        n_per_domain=field_int(doc, "n_per_domain", ShadowMoeError, what, minimum=1),
-        input_dim=field_int(doc, "input_dim", ShadowMoeError, what, minimum=1),
-        separation=field_number(doc, "separation", ShadowMoeError, what, 2.0),
-        spread=field_number(doc, "spread", ShadowMoeError, what, 0.5),
+        num_domains=field_int(doc, "num_domains", ShadowMoeError, minimum=1),
+        n_per_domain=field_int(doc, "n_per_domain", ShadowMoeError, minimum=1),
+        input_dim=field_int(doc, "input_dim", ShadowMoeError, minimum=1),
+        separation=field_number(doc, "separation", ShadowMoeError, 2.0),
+        spread=field_number(doc, "spread", ShadowMoeError, 0.5),
     )
     write_queries(queries, path, meta=artifact_meta(seed, config_digest(doc)))
     return queries
@@ -606,21 +596,21 @@ def build_oracle(spec: dict, base_dir: Path, config: ShadowMoeConfig) -> Oracle:
         raise ShadowMoeError(f"{what} must be a JSON object")
     kind = spec.get("kind")
     if isinstance(kind, str) and kind in ORACLE_FIELDS:
-        check_fields(spec, ORACLE_FIELDS[kind], ShadowMoeError, f"{kind} {what}")
+        check_fields(spec, ORACLE_FIELDS[kind], ShadowMoeError, f"{kind} {what}", ORACLE_FIELDS[kind][:2])
     if kind == "mlp":
         return mlp_oracle(
-            seed=field_int(spec, "seed", ShadowMoeError, what),
+            seed=field_int(spec, "seed", ShadowMoeError),
             input_dim=config.input_dim,
             output_dim=config.output_dim,
-            hidden_dim=field_int(spec, "hidden_dim", ShadowMoeError, what, 16, minimum=1),
-            scale=field_number(spec, "scale", ShadowMoeError, what, 1.0),
+            hidden_dim=field_int(spec, "hidden_dim", ShadowMoeError, 16, minimum=1),
+            scale=field_number(spec, "scale", ShadowMoeError, 1.0),
         )
     if kind == "linear":
         return linear_oracle(
-            seed=field_int(spec, "seed", ShadowMoeError, what),
+            seed=field_int(spec, "seed", ShadowMoeError),
             input_dim=config.input_dim,
             output_dim=config.output_dim,
-            scale=field_number(spec, "scale", ShadowMoeError, what, 1.0),
+            scale=field_number(spec, "scale", ShadowMoeError, 1.0),
         )
     if kind == "shadow-model":
         path = spec.get("path")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from moesig._meta import check_unicode, is_finite_number, is_int, write_csv
+from moesig._meta import is_finite_number, is_int, read_json, write_csv
 from moesig.errors import SignatureError
 from moesig.routing_trace import RoutingTraceSet, ingest_traces
 
@@ -289,18 +289,14 @@ def save_bundle(bundle: SignatureBundle, path: str | Path, meta: dict | None = N
 def load_bundle(path: str | Path) -> SignatureBundle:
     """Load a signature bundle written by :func:`save_bundle`.
 
-    Invalid JSON, a lone surrogate escape, a missing field, a layer that is
-    not an integer >= 0, domains that are not a list of distinct strings,
-    counts that are not integers >= 0, a pair normalizer that is not a
-    finite number >= 0, matrices whose expert counts disagree with each
-    other or with ``num_experts``, or a signature its constructor rejects
-    raise SignatureError, whose message starts with ``path``.
+    Text that is not UTF-8 JSON, a lone surrogate escape, a missing field,
+    a layer that is not an integer >= 0, domains that are not a list of
+    distinct strings, counts that are not integers >= 0, a pair normalizer
+    that is not a finite number >= 0, matrices whose expert counts disagree
+    with each other or with ``num_experts``, or a signature its constructor
+    rejects raise SignatureError, whose message starts with ``path``.
     """
-    try:
-        doc = json.loads(text := Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise SignatureError(f"{path}: not valid JSON: {exc}") from None
-    check_unicode(text, doc, SignatureError, str(path))
+    doc = read_json(path, SignatureError)
     try:
         if not isinstance(doc, dict) or doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
             raise SignatureError("not a version-1 signature file")

@@ -190,7 +190,7 @@ MALFORMED_CONFIGS = [
     pytest.param(*train_proxy_case(without(PROXY, "top_k")), "missing field(s) ['top_k']",
                  id="proxy-no-top-k"),
     pytest.param(*train_proxy_case([PROXY]), "JSON object", id="proxy-not-object"),
-    pytest.param(*train_proxy_case(model=lambda m: m[:300]), "malformed model manifest",
+    pytest.param(*train_proxy_case(model=lambda m: m[:300]), "model.bin: malformed JSON",
                  id="model-300-bytes"),
     pytest.param(*train_proxy_case(model=lambda m: m[:2000]), "truncated",
                  id="model-2000-bytes"),
@@ -207,7 +207,7 @@ MALFORMED_CONFIGS = [
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"top_k":[2]', b'"top_k":["2"]')),
                  "top_k must be an integer or a list", id="model-bad-config"),
     pytest.param(*train_proxy_case(model=lambda m: m[:m.index(b"\n") + 1] + DEEP.encode() + b"\n"),
-                 "malformed model manifest", id="model-deep-nesting"),
+                 "model.bin: malformed JSON", id="model-deep-nesting"),
     # the oracle's forward pass overflows in its output product, or in its expert products
     # already: one diagnostic either way, and no numpy warning
     pytest.param(*train_proxy_case(model=overflowing("w_out")), "non-finite activations in forward pass",
@@ -228,29 +228,35 @@ MALFORMED_CONFIGS = [
                  ["profile", "--input", "t.jsonl", "--out", "s.json"],
                  "t.jsonl: line 1: a lone surrogate escape is not UTF-8 text",
                  id="profile-lone-surrogate"),
-    pytest.param({"t.jsonl": trace_text() + DEEP + "\n"}, INGEST, "line 3: malformed record",
+    pytest.param({"t.jsonl": trace_text() + DEEP + "\n"}, INGEST, "line 3: malformed JSON",
                  id="trace-record-deep-nesting"),
-    pytest.param({"t.jsonl": DEEP + "\n"}, INGEST, "line 1: header is not valid JSON",
+    pytest.param({"t.jsonl": DEEP + "\n"}, INGEST, "line 1: malformed JSON",
                  id="trace-header-deep-nesting"),
     pytest.param({"t.jsonl": trace_text().replace('"layer": 0', f'"layer": {LONG_INTEGER}')}, INGEST,
-                 "line 2: malformed record", id="trace-record-long-integer"),
+                 "line 2: malformed JSON", id="trace-record-long-integer"),
     pytest.param({"s1.json": DEEP}, ["distance", "--teacher", "s1.json", "--student", "s2.json",
-                                     "--out", "d.json"], "s1.json: not valid JSON", id="signatures-deep-nesting"),
+                                     "--out", "d.json"], "s1.json: malformed JSON", id="signatures-deep-nesting"),
     pytest.param({"q.json": without(QUERY_CONFIG, "seed")},
                  ["make-queries", "--config", "q.json", "--out", "q.jsonl"], "'seed'",
                  id="queries-no-seed"),
     pytest.param({"q.json": {**QUERY_CONFIG, "input_dim": "x"}},
-                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"], "'input_dim'",
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
+                 "input_dim must be an integer >= 1, got 'x'",
                  id="queries-dim-string"),
     pytest.param({"q.json": {**QUERY_CONFIG, "n_per_domain": 0}},
-                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"], "'n_per_domain' >= 1",
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
+                 "n_per_domain must be an integer >= 1, got 0",
                  id="queries-empty-domain"),
     pytest.param({"q.json": {**QUERY_CONFIG, "separation": float("nan")}},
                  ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
-                 "needs a finite numeric 'separation', got nan", id="queries-separation-nan"),
+                 "separation must be a number, got nan", id="queries-separation-nan"),
     pytest.param({"q.json": {**QUERY_CONFIG, "n_per_domain": 10**19}},
                  ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
                  "queries per domain of dimension 2 are past numpy's array limit", id="queries-past-array-limit"),
+    pytest.param({"q.json": {**QUERY_CONFIG, "separation": 1e308, "spread": 1e308}},
+                 ["make-queries", "--config", "q.json", "--out", "q.jsonl"],
+                 "q.json: separation 1e+308 and spread 1e+308 give queries that are not finite",
+                 id="queries-overflow"),
     pytest.param({"grid.json": {"rho": [0.5]}}, SWEEP, "'base'", id="grid-no-base"),
     pytest.param({"grid.json": DEEP}, SWEEP, "grid.json: malformed JSON", id="grid-deep-nesting"),
     pytest.param({"grid.json": f'{{"base": {LONG_INTEGER}}}'}, SWEEP, "grid.json: malformed JSON",
@@ -303,11 +309,17 @@ MALFORMED_CONFIGS = [
     pipeline_case({"proxy": {**PIPELINE["proxy"], "seed": 123, "input_dim": 99, "output_dim": 7}},
                   "pipeline config field(s) ['proxy.seed', 'proxy.input_dim', 'proxy.output_dim'] are derived",
                   "pipeline-proxy-derived-fields"),
-    pipeline_case({"seed": "x"}, "'seed'", "pipeline-seed-string"),
+    pipeline_case({"seed": "x"}, "seed must be an integer >= 0, got 'x'", "pipeline-seed-string"),
     pipeline_case({"proxy": 5}, "'proxy' and 'oracle'", "pipeline-proxy-number"),
     pipeline_case({"oracle": [1]}, "'proxy' and 'oracle'", "pipeline-oracle-list"),
-    pipeline_case({"n_per_domain": "3"}, "'n_per_domain'", "pipeline-count-string"),
-    pipeline_case({"separation": "2"}, "'separation'", "pipeline-separation-string"),
+    pipeline_case({"n_per_domain": "3"}, "n_per_domain must be an integer >= 1, got '3'", "pipeline-count-string"),
+    pipeline_case({"separation": "2"}, "separation must be a number, got '2'", "pipeline-separation-string"),
+    # the pipeline's oracle and proxy word a field fault as every config record does
+    pipeline_case({"oracle": {"hidden_dim": 0}}, "hidden_dim must be an integer >= 1, got 0",
+                  "pipeline-oracle-hidden-zero"),
+    # queries that overflow are refused before anything is written
+    pipeline_case({"separation": 1e308, "spread": 1e308}, "give queries that are not finite",
+                  "pipeline-queries-overflow"),
     pipeline_case({"mode": "fastest"}, "unknown mode 'fastest'", "pipeline-unknown-mode"),
     pipeline_case({"mode": "exact", "proxy": {**PIPELINE["proxy"], "experts_per_layer": 12}},
                   "capped at 10 experts", "pipeline-exact-above-cap"),
@@ -357,12 +369,16 @@ MALFORMED_CONFIGS = [
                  "model.bin: tensor w_in shape mismatch", id="model-shape-mismatch"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b',{"name":"b_out","shape":[1]}', b"")),
                  "model.bin: missing tensor(s) ['b_out']", id="model-missing-tensor"),
-    pytest.param({"t.jsonl": trace_text() + "[1]\n"}, INGEST, "t.jsonl: line 3: record must be a JSON object",
+    pytest.param({"t.jsonl": trace_text() + "[1]\n"}, INGEST, "t.jsonl: line 3: expected a JSON object",
                  id="trace-record-not-object"),
+    pytest.param({"t.jsonl": "[1]\n"}, INGEST, "t.jsonl: line 1: expected a JSON object",
+                 id="trace-header-not-object"),
     pytest.param({"manifest.json": [1]}, REPORT, "manifest.json: manifest must be a JSON object",
                  id="report-manifest-not-object"),
     pytest.param({"manifest.json": {"teacher": "t.jsonl", "pairs": PAIRS, "meta": 5}}, REPORT,
                  "manifest.json: manifest meta must be a JSON object", id="report-meta-not-object"),
+    pytest.param({"manifest.json": {"format": "other", "version": 7, "teacher": "t.jsonl", "pairs": PAIRS}},
+                 REPORT, "manifest.json: not a version-1 benchmark manifest", id="report-manifest-version"),
 ]
 
 
@@ -538,11 +554,11 @@ class TestMalformedInput:
         [
             ({"kind": "linear"}, "'seed'"),
             ({"kind": "mlp"}, "'seed'"),
-            ({"kind": "linear", "seed": "7"}, "'seed'"),
-            ({"kind": "mlp", "seed": 1.5}, "'seed'"),
-            ({"kind": "linear", "seed": True}, "'seed'"),
-            ({"kind": "mlp", "seed": 1, "hidden_dim": "wide"}, "'hidden_dim'"),
-            ({"kind": "linear", "seed": 1, "scale": "big"}, "'scale'"),
+            ({"kind": "linear", "seed": "7"}, "seed must be an integer >= 0, got '7'"),
+            ({"kind": "mlp", "seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            ({"kind": "linear", "seed": True}, "seed must be an integer >= 0, got True"),
+            ({"kind": "mlp", "seed": 1, "hidden_dim": "wide"}, "hidden_dim must be an integer >= 1, got 'wide'"),
+            ({"kind": "linear", "seed": 1, "scale": "big"}, "scale must be a number, got 'big'"),
             ({"kind": "shadow-model"}, "'path'"),
             ({"kind": "shadow-model", "path": 3}, "'path'"),
             ([1, 2], "JSON object"),
@@ -1087,7 +1103,7 @@ class TestPooledReads:
         monkeypatch.chdir(tmp_path)
         assert self.run_at(monkeypatch, cpus, DETECT) == 1
         (message,) = error_lines(caplog)
-        assert message.startswith("t.jsonl: line 4: malformed record")
+        assert message.startswith("t.jsonl: line 4: malformed JSON")
         assert not (tmp_path / "v.json").exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -1122,7 +1138,7 @@ class TestPooledReads:
             caplog.clear()
             assert self.run_at(monkeypatch, cpus, argv) == 1
             (message,) = error_lines(caplog)
-            assert message.startswith("t.jsonl: line 1: header is not valid JSON")
+            assert message.startswith("t.jsonl: line 1: malformed JSON")
         assert not (tmp_path / "v.json").exists() and not (tmp_path / "r.csv").exists()
 
 

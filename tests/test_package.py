@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -54,6 +55,27 @@ def test_entry_points_import_only_what_they_run(tmp_path):
         "ingest": [],
         "ingest modules": ["moesig", "moesig._meta", "moesig.cli", "moesig.errors", "moesig.routing_trace"],
     }
+
+
+def test_only_meta_decodes_json():
+    # one decoder words every input file's faults alike, so no module but _meta decodes JSON
+    # (json.loads) or checks for lone surrogates (check_unicode)
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "moesig").glob("*.py")):
+        if path.name == "_meta.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                bound = {alias.name for alias in node.names}
+                bad = "check_unicode" in bound or (node.module == "json" and "loads" in bound)
+            elif isinstance(node, ast.Attribute):
+                bad = node.attr == "check_unicode" or (
+                    node.attr == "loads" and isinstance(node.value, ast.Name) and node.value.id == "json")
+            else:
+                bad = False
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -323,7 +323,7 @@ def _set_field(section, key, value):
 @pytest.mark.parametrize(
     "corrupt, match",
     [
-        (_truncate, "not valid JSON"),
+        (_truncate, "malformed JSON"),
         (_drop_specialization, "missing field 'specialization'"),
         (_shrink_collaboration, "collaboration matrix has"),
         (_ragged_kappa, "inconsistent"),
