@@ -41,6 +41,11 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_version(value: object, version: int) -> bool:
+    """True for the JSON integer ``version``; ``true`` and ``1.0`` equal 1 in Python, but are not version 1."""
+    return is_int(value) and value == version
+
+
 def is_number(value: object) -> bool:
     """True for a JSON number (``bool`` is not one)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -220,10 +220,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from moesig.pipeline import run_pipeline
+    from moesig.pipeline import _pipeline_plan, run_pipeline
 
     out = Path(args.out_dir)
-    report = run_pipeline(read_json(args.config), out)
+    report = run_pipeline(_read_config(args.config, _pipeline_plan), out)
     log.info("pipeline benchmark accuracy %.3f -> %s", report.accuracy, out / "report.csv")
     return 0
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from moesig import __version__
 from moesig._meta import (artifact_meta, check_fields, config_digest, field_int, field_number, format_float,
-                          meta_comment, read_json, write_csv, write_json)
+                          is_version, meta_comment, read_json, write_csv, write_json)
 from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import KINDS, BenchmarkReport, run_benchmark
@@ -148,14 +148,24 @@ def _fit_run(run: list[_Fit], queries: QuerySet, models_dir: Path) -> list[tuple
     return results
 
 
-def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
-    """Run the reference pipeline for a parsed config and write every artifact to ``out_dir``.
+@dataclass(frozen=True)
+class _Plan:
+    """A checked pipeline config: what the fits need, and the calibration queries."""
 
-    Writes ``queries.jsonl``, ``models/*.bin``, ``traces/*.jsonl``,
-    ``manifest.json`` and ``report.csv``/``report.json``; returns the report.
-    The whole config is checked before anything is written: a missing,
-    unknown or malformed field raises MoesigError.
-    """
+    seed: int
+    digest: str
+    proxy: ShadowMoeConfig
+    candidate_epochs: int
+    teacher: dict  # the teacher oracle's spec
+    layer_policy: LayerPolicy
+    mode: str
+    queries: QuerySet
+
+
+def _pipeline_plan(doc) -> _Plan:
+    """Check a parsed pipeline config and build its calibration queries, before anything is
+    written: a missing, unknown or malformed field, or queries that are not finite, raise
+    MoesigError."""
     what = "pipeline config"
     check_fields(doc, REQUIRED_FIELDS + OPTIONAL_FIELDS, MoesigError, what, REQUIRED_FIELDS)
     oracle = doc.get("oracle", {})
@@ -183,7 +193,6 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     mode = doc.get("mode", "auto")
     # an unknown mode, or exact mode above the enumeration cap, would fail only after every fit
     _resolve_mode(mode, proxy.experts_per_layer[resolve_layer(layer_policy, proxy.num_layers)])
-
     queries = gaussian_domain_queries(
         seed=_sub_seed(seed, "pipeline-queries"),
         num_domains=num_domains,
@@ -192,15 +201,22 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
         separation=separation,
         spread=spread,
     )
+    teacher = {"kind": "mlp", "seed": _sub_seed(seed, "teacher-oracle"), "hidden_dim": oracle_hidden,
+               "scale": oracle_scale}
+    return _Plan(seed, config_digest(doc), proxy, candidate_epochs, teacher, layer_policy, mode, queries)
 
+
+def run_pipeline(plan: _Plan, out_dir: str | Path) -> BenchmarkReport:
+    """Run the reference pipeline of a checked config (:func:`_pipeline_plan`) and write every
+    artifact to ``out_dir``: ``queries.jsonl``, ``models/*.bin``, ``traces/*.jsonl``,
+    ``manifest.json`` and ``report.csv``/``report.json``; returns the report."""
+    seed, digest, proxy, queries = plan.seed, plan.digest, plan.proxy, plan.queries
     out = Path(out_dir)
     (out / "models").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(parents=True, exist_ok=True)
-    digest = config_digest(doc)
     write_queries(queries, out / "queries.jsonl", meta=artifact_meta(seed, digest))
 
-    teacher = {"kind": "mlp", "seed": _sub_seed(seed, "teacher-oracle"), "hidden_dim": oracle_hidden,
-               "scale": oracle_scale}
+    teacher = plan.teacher
     domains = queries.domain_labels()
     pairs = [(domain, kind) for domain in domains for kind in KINDS]
     # round 1: the candidates; round 2: the teacher proxy and a proxy per candidate, which reads
@@ -208,7 +224,7 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     candidates = [
         _Fit(f"{domain}_{kind}",
              teacher if kind == "kd" else {**teacher, "seed": _sub_seed(seed, f"unrelated-oracle-{domain}")},
-             domain, replace(proxy, seed=_sub_seed(seed, f"candidate-{kind}-{domain}"), epochs=candidate_epochs))
+             domain, replace(proxy, seed=_sub_seed(seed, f"candidate-{kind}-{domain}"), epochs=plan.candidate_epochs))
         for domain, kind in pairs
     ]
     shared = replace(proxy, seed=_sub_seed(seed, "proxy-shared-init"))
@@ -238,9 +254,9 @@ def run_pipeline(doc: dict, out_dir: str | Path) -> BenchmarkReport:
     }
     write_json(manifest, out / "manifest.json")
 
-    teacher_sig, *sigs = (signature_bundle(traces, layer_policy) for traces, _ in results)
+    teacher_sig, *sigs = (signature_bundle(traces, plan.layer_policy) for traces, _ in results)
     pairs = {domain: (sigs[2 * i], sigs[2 * i + 1]) for i, domain in enumerate(domains)}
-    report = run_benchmark(teacher_sig, pairs, layer_policy=layer_policy, mode=mode)
+    report = run_benchmark(teacher_sig, pairs, layer_policy=plan.layer_policy, mode=plan.mode)
     emit_report(report, out / "report.csv", fmt="csv", meta=artifact_meta(seed, digest))
     emit_report(report, out / "report.json", fmt="json", meta=artifact_meta(seed, digest))
     return report
@@ -266,7 +282,8 @@ def read_benchmark(
     manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise MoesigError(f"{path}: manifest must be a JSON object")
-    if (manifest.get("format", "moesig-benchmark"), manifest.get("version", 1)) != ("moesig-benchmark", 1):
+    if (manifest.get("format", "moesig-benchmark") != "moesig-benchmark"
+            or not is_version(manifest.get("version", 1), 1)):
         raise MoesigError(f"{path}: not a version-1 benchmark manifest")
     teacher, pairs, meta = manifest.get("teacher"), manifest.get("pairs"), manifest.get("meta", {})
     if not isinstance(teacher, str):

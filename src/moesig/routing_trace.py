@@ -15,7 +15,7 @@ layer the file did not record) plus one flat int16 array of the selected
 experts, sorted within each query. One reader parses each file once. Lines in
 the exact layout :func:`write_traces` produces (compact records with keys in
 that order, strings without escapes, integers of at most nine digits, ``\n``
-line ends) are parsed in 256 KB blocks of bytes by array operations: one scan
+line ends) are parsed in 128 KB blocks of bytes by array operations: one scan
 finds every quote and control byte, a line's twelve quotes and newline anchor
 its literal pieces, which are compared as little-endian 8-byte words read at
 any byte offset, the layers (in place) and the experts (from one gather of
@@ -23,11 +23,16 @@ their text) are parsed with one pass per digit column, adjacent lines' keys
 (query id and label) are compared as words, and the first line of each run
 of equal keys is decoded, all in one decode per block. From the first block
 that is not in that layout to the end of the file, lines are decoded one by
-one as text, with the line numbers that name every file diagnostic. The rows
-of both parts, and those of :func:`build_trace_set`, run one shared set of
-column checks. The writer builds each block of lines as an array of 8-byte
-words and drops their zero padding. On the 72k-record ``trace-e64`` teacher
-file (E = 64, k = 8, 16 layers) on a two-CPU VM, this reads 1.54M records/s.
+one as text, in batches of 4096 records, with the line numbers that name
+every file diagnostic. Each block or batch of rows, and each record block of
+:func:`build_trace_set`, is checked and placed by one row accumulator before
+the next is read: between blocks it holds each query's domain and each
+(layer, query) pair's expert count, and per layer one piece of experts per
+block (pieces are joined eight at a time), so a read holds no whole-file
+rows; each layer's pieces are joined a layer at a time at the end. The writer
+builds each block of lines as an array of 8-byte words and drops their zero
+padding. On the 72k-record ``trace-e64`` teacher file (E = 64, k = 8, 16
+layers) on a two-CPU VM, repeated reads in one process run at 1.12M records/s.
 
 Records carrying a ``gate_probs`` field are accepted; the field is ignored
 because all downstream signatures are built from binary activations only.
@@ -46,7 +51,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from moesig._meta import is_int, json_lines
+from moesig._meta import is_int, is_version, json_lines
 from moesig.errors import TraceError
 
 SCHEMA_VERSION = 1
@@ -73,8 +78,9 @@ _SEAM_AT, _SEAM_WORDS = _piece_words(*_SEAM)
 _PIECE_MARK = np.repeat([mark for mark, _, _ in _PIECES], 2)
 _PIECE_AT, _PIECE_WORDS = map(np.concatenate,
                               zip(*(_piece_words(offset, piece) for _, offset, piece in _PIECES)))
-_BLOCK_BYTES = 1 << 18
-_CHUNK_ROWS = 1 << 14  # record rows the column checks sort, and the text path converts, at once
+_BLOCK_BYTES = 1 << 17
+_CHUNK_ROWS = 1 << 12  # record rows the row checks sort, and the text path converts, at once
+_FAN = 8  # pieces of a layer's experts joined at once
 _WRITE_RECORDS = 1 << 11  # records (lines) per block write_traces joins, at most
 
 
@@ -145,16 +151,10 @@ def _narrow(values, dtype, high: int) -> np.ndarray:
     clipped to -1..``high`` first: a clipped value fails the same range check, and the diagnostic
     prints the value as it was given."""
     try:
-        wide = np.array(values, np.int64)
+        wide = np.asarray(values, np.int64)
     except OverflowError:  # beyond int64, so clipped as well
         wide = np.array(values, object).clip(-1, high).astype(np.int64)
-    return np.clip(wide, -1, high).astype(dtype)
-
-
-def _layer_rows(query: np.ndarray, layer: np.ndarray, num_layers: int) -> list[np.ndarray]:
-    """Per layer, the indices of its rows in (query, row) order."""
-    rows = [np.flatnonzero(layer == at) for at in range(num_layers)]
-    return [at[np.argsort(query[at], kind="stable")] for at in rows]
+    return np.clip(wide, -1, high, out=np.empty(wide.shape, dtype), casting="unsafe")
 
 
 def _expert_faults(flat: np.ndarray, length: np.ndarray, bounds: np.ndarray, layer: np.ndarray,
@@ -190,49 +190,142 @@ def _expert_faults(flat: np.ndarray, length: np.ndarray, bounds: np.ndarray, lay
     return bad
 
 
-def _pair_faults(query: np.ndarray, orders: list[np.ndarray]) -> np.ndarray:
-    """Whether each row repeats the (query, layer) pair of an earlier row, found one layer at
-    a time from each layer's rows in (query, row) order."""
-    bad = np.zeros(len(query), bool)
-    for at in orders:
-        bad[at[1:][query[at[1:]] == query[at[:-1]]]] = True
-    return bad
+def _grown(buffer: np.ndarray, size: int) -> np.ndarray:
+    """``buffer``, or a copy of it with a zero tail on its last axis, which then holds at least
+    ``size`` entries and half as many again as it held."""
+    held = buffer.shape[-1]
+    if size <= held:
+        return buffer
+    wider = np.zeros(buffer.shape[:-1] + (max(size, held * 3 // 2),), buffer.dtype)
+    wider[..., :held] = buffer
+    return wider
 
 
-def _columns(rows: tuple, num_queries: int, experts_per_layer: tuple[int, ...]):
-    """Check record rows; return each query's domain, then per-layer counts and experts.
+def _stack(pieces: list[tuple[int, np.ndarray]], piece: np.ndarray) -> None:
+    """Append ``piece`` to (level, array) pieces, joining each _FAN pieces of one level into one
+    of the next: few arrays are held, and each value is copied once per level."""
+    pieces.append((0, piece))
+    while len(pieces) >= _FAN and pieces[-_FAN][0] == pieces[-1][0]:
+        pieces[-_FAN:] = [(pieces[-1][0] + 1, np.concatenate([array for _, array in pieces[-_FAN:]]))]
 
-    ``rows`` holds, per record row, its query index (numbered by first occurrence),
-    1-based domain, layer and expert count, then the int16 experts of all rows, row after
-    row, which are sorted within each row in place.
 
-    Raises _RowFault(row, check) for the first row that fails a check, with the first
-    check it fails in the order "layer" (out of range), "experts" (none, a repeat or one
-    out of range), "domain" (not that of the query's first row) and "pair" (a (query,
-    layer) pair of an earlier row)."""
-    query, domain, layer, length, flat = rows
-    limits = np.asarray(experts_per_layer)
-    bad_layer = (layer < 0) | (layer >= len(limits))
-    layer = np.where(bad_layer, 0, layer)
-    bounds = np.concatenate(([0], np.cumsum(length, dtype=np.int64)))
-    # a query's first row raises the running maximum of the first-occurrence numbering
-    query_domain = domain[np.flatnonzero(np.diff(np.maximum.accumulate(query), prepend=-1))]
-    orders = _layer_rows(query, layer, len(limits))
-    checks = {"layer": bad_layer, "experts": _expert_faults(flat, length, bounds, layer, limits),
-              "domain": query_domain[query] != domain, "pair": _pair_faults(query, orders)}
-    bad = np.logical_or.reduce(list(checks.values()))
-    if bad.any():
-        first = int(bad.argmax())
-        raise _RowFault(first, next(name for name, flags in checks.items() if flags[first]))
-    del checks, bad, bad_layer, layer  # the outputs need the room, as each layer's order once used
-    counts, selected = [], []
-    while orders:
-        at = orders.pop(0)
-        n = length[at]
-        counts.append(np.zeros(num_queries, np.int32))
-        counts[-1][query[at]] = n
-        selected.append(flat[_runs(bounds[at], n)])
-    return query_domain, tuple(counts), tuple(selected)
+def _joined(pieces: list[tuple[int, np.ndarray]], dtype) -> np.ndarray:
+    """The arrays of (level, array) pieces end to end, emptying the list; a lone one is taken
+    as it is."""
+    arrays = [array for _, array in pieces]
+    pieces.clear()
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays) if arrays else np.zeros(0, dtype)
+
+
+class _Rows:
+    """Record rows, checked and placed one block at a time in file order.
+
+    Between blocks it holds each query's domain (that of its first row) and each (layer,
+    query) pair's expert count, nonzero once a row placed the pair; a checked row holds at
+    most MAX_EXPERTS experts, so int16 holds it. Each layer keeps one piece of checked experts
+    per block, and the queries of its pieces once they stop arriving in rising query order."""
+
+    def __init__(self, experts_per_layer: Sequence[int]) -> None:
+        self.limits = np.asarray(experts_per_layer)
+        self.rows = self.num_queries = 0
+        self.domain = np.zeros(0, np.int64)
+        self.counts = np.zeros((len(self.limits), 0), np.int16)
+        self.experts: list[list[tuple[int, np.ndarray]]] = [[] for _ in self.limits]
+        self.queries: list[list[tuple[int, np.ndarray]] | None] = [None] * len(self.limits)
+        self.last = [-1] * len(self.limits)  # the last query placed at each layer still rising
+
+    def add(self, query: np.ndarray, domain: np.ndarray, layer: np.ndarray, length: np.ndarray,
+            flat: np.ndarray) -> None:
+        """Check a block of rows, then place them.
+
+        The block holds, per row, its query index (numbered by first occurrence in file
+        order), 1-based domain, layer and expert count, then the int16 experts of all rows,
+        row after row, which are sorted within each row in place.
+
+        Raises _RowFault(row, check) for the block's first row that fails a check, ``row``
+        counted over all blocks, with the first check it fails in the order "layer" (out of
+        range), "experts" (none, a repeat or one out of range), "domain" (not that of the
+        query's first row) and "pair" (a (query, layer) pair of an earlier row)."""
+        if len(query):
+            self._place(query, layer, length, flat, *self._check(query, domain, layer, length, flat))
+
+    def _check(self, query, domain, layer, length, flat) -> tuple[np.ndarray, np.ndarray, list[int], list[bool]]:
+        """Run the checks of :meth:`add` and number the block's new queries; return the block's
+        rows in layer order (in row order within a layer) and their queries, where each layer's
+        rows start in that order, and whether its queries fall anywhere within the block."""
+        num_layers = len(self.limits)
+        bad_layer = (layer < 0) | (layer >= num_layers)
+        if bad_layer.any():
+            layer = np.where(bad_layer, 0, layer)
+        bounds = np.zeros(len(length) + 1, np.int64)
+        np.cumsum(length, out=bounds[1:])
+        # the running maximum of the first-occurrence numbering first reaches a new query at its first row
+        known, top = self.num_queries, np.maximum.accumulate(query)
+        fresh = np.searchsorted(top, np.arange(known, int(top[-1]) + 1))
+        self.num_queries += len(fresh)
+        self.domain = _grown(self.domain, self.num_queries)
+        self.domain[known:self.num_queries] = domain[fresh]
+        self.counts = _grown(self.counts, self.num_queries)
+        order = np.argsort(layer.astype(np.min_scalar_type(num_layers)), kind="stable")
+        by_layer, in_layer = query[order], layer[order]
+        falls = np.flatnonzero((by_layer[1:] <= by_layer[:-1]) & (in_layer[1:] == in_layer[:-1]))
+        bad_pair = self.counts[layer, query] > 0
+        if len(falls):  # repeats within the block sit side by side in (layer, query, row) order
+            pairs = np.lexsort((query, layer))
+            repeat = (query[pairs[1:]] == query[pairs[:-1]]) & (layer[pairs[1:]] == layer[pairs[:-1]])
+            bad_pair[pairs[1:][repeat]] = True
+        checks = {"layer": bad_layer, "experts": _expert_faults(flat, length, bounds, layer, self.limits),
+                  "domain": self.domain[query] != domain, "pair": bad_pair}
+        bad = np.logical_or.reduce(list(checks.values()))
+        if bad.any():
+            first = int(bad.argmax())
+            raise _RowFault(self.rows + first, next(name for name, flags in checks.items() if flags[first]))
+        self.rows += len(query)
+        return (order, by_layer, [0] + np.cumsum(np.bincount(layer, minlength=num_layers)).tolist(),
+                (np.bincount(in_layer[falls], minlength=num_layers) > 0).tolist())
+
+    def _place(self, query, layer, length, flat, order: np.ndarray, by_layer: np.ndarray, starts: list[int],
+               falling: list[bool]) -> None:
+        """Place a checked block's rows: each layer's experts become one piece, cut from one
+        gather of the block's experts in layer order, where they start at edges[l]. Rows of one
+        expert count are gathered whole, by an index per row rather than one per expert."""
+        if max(b - a for a, b in zip(starts, starts[1:])) == len(query):  # one layer, in row order
+            experts = flat
+        elif (length == length[0]).all():
+            experts = flat.reshape(len(length), -1)[order].ravel()
+        else:
+            experts = flat[_runs((np.cumsum(length) - length)[order], length[order])]
+        edges = [0] + np.cumsum(np.bincount(layer, length, len(starts) - 1)).astype(np.int64).tolist()
+        for l, (start, end) in enumerate(zip(starts, starts[1:])):
+            if start == end:
+                continue
+            if self.queries[l] is None and (falling[l] or by_layer[start] <= self.last[l]):
+                # the pieces so far rise, so the counts give their queries in order
+                self.queries[l] = [(0, np.flatnonzero(self.counts[l]).astype(np.int32))]
+            if self.queries[l] is None:
+                self.last[l] = by_layer[end - 1]
+            else:
+                _stack(self.queries[l], by_layer[start:end].copy())
+            _stack(self.experts[l], experts if end - start == len(query) else experts[edges[l]:edges[l + 1]].copy())
+        self.counts[layer, query] = length
+
+    def columns(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Each query's domain, then per layer its counts and its experts in query order, each
+        layer joined, and its pieces dropped, before the next."""
+        n = self.num_queries
+        domain, self.domain = self.domain[:n].copy(), None
+        counts, experts = [], []
+        for l in range(len(self.limits)):
+            counts.append(self.counts[l, :n].astype(np.int32))
+            flat = _joined(self.experts[l], np.int16)
+            if self.queries[l] is not None:
+                queries = _joined(self.queries[l], np.int32)
+                length = counts[-1][queries]
+                by_query = np.argsort(queries, kind="stable")
+                flat = flat[_runs((np.cumsum(length) - length)[by_query], length[by_query])]
+            experts.append(flat)
+        self.counts = None
+        return domain, tuple(counts), tuple(experts)
 
 
 def _fault(check: str, qid: str, layer: int, selected: Sequence[int], experts_per_layer) -> str:
@@ -259,7 +352,7 @@ def _parse_header(lineno: int, header: dict) -> tuple[dict, dict[str, int]]:
     if "schema_version" not in header:
         raise TraceError(f"{where}first line must be a header with a schema_version field")
     version = header["schema_version"]
-    if not is_int(version) or version != SCHEMA_VERSION:
+    if not is_version(version, SCHEMA_VERSION):
         raise TraceError(f"{where}unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})")
     for key in ("model_id", "num_layers", "experts_per_layer"):
         if key not in header:
@@ -396,12 +489,10 @@ def _canonical_block(block, query_index: dict, domain_index: dict, declared) -> 
     )
 
 
-def _batch_rows(records: list, query_index: dict[str, int], num_layers: int, linenos: list) -> tuple:
+def _batch_rows(records: list, query_index: dict[str, int], num_layers: int) -> tuple:
     """Row columns of decoded (query_id, domain, layer, selected, lineno) records, in the
-    narrowest types that keep every check's outcome (experts as int16); their line numbers
-    go to ``linenos``."""
-    qids, doms, layers, selected, numbers = zip(*records) if records else ((),) * 5
-    linenos.append(np.array(numbers, np.int64))
+    narrowest types that keep every check's outcome (experts as int16)."""
+    qids, doms, layers, selected, _ = zip(*records) if records else ((),) * 5
     return (_number(qids, query_index).astype(np.int32), np.array(doms, np.int32),
             _narrow(list(layers), np.int32, num_layers),
             np.fromiter(map(len, selected), np.int32, len(records)),
@@ -409,78 +500,73 @@ def _batch_rows(records: list, query_index: dict[str, int], num_layers: int, lin
 
 
 def _read(path: Path) -> tuple:
-    """Header, domain and query indices and columns of a trace file, each line parsed once;
-    the first fault in line order raises TraceError.
+    """Header, domain and query indices and columns of a trace file, each line parsed once
+    and each block of rows checked before the next is parsed; the first fault in line order
+    raises TraceError.
 
     After a first line that is not blank, is UTF-8 and holds no carriage return, the header
-    is parsed and 256 KB blocks of whole lines go to ``_canonical_block`` until it refuses
+    is parsed and 128 KB blocks of whole lines go to ``_canonical_block`` until it refuses
     one. The rest of the file, from the start of that block or of an unterminated last line
-    (from byte 0 after any other first line), is decoded as text line by line; a line that is
-    not UTF-8 faults in its place in line order."""
-    blocks, linenos, batch, query_index, header, fault = [], [], [], {}, None, None
-    with path.open("rb") as fh:
-        first, start = fh.readline(), 0
-        try:
-            line = first.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            line = ""
-        if line and b"\r" not in first:
-            header, domain_index = _parse_header(*next(json_lines([line], TraceError)))
-            start, tail = len(first), b""
-            while chunk := fh.read(_BLOCK_BYTES):
-                tail += chunk
-                cut = tail.rfind(b"\n") + 1
-                if cut:
-                    rows = _canonical_block(memoryview(tail)[:cut], query_index, domain_index,
-                                            header.get("domains"))
-                    if rows is None:
-                        break
-                    blocks.append(rows)
-                    start += cut
-                    tail = tail[cut:]
-        fh.seek(start)
-        # canonical rows hold no line number: row r is line r + 2
-        prefix = sum(len(rows[0]) for rows in blocks)
-        text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
-        lines = json_lines(text, TraceError, prefix + 2 if header else 1)
-        if header is None:
-            top = next(lines, None)
-            if top is None:
-                raise TraceError("file is empty (missing header line)")
-            header, domain_index = _parse_header(*top)
-        try:
-            for record in _file_records(lines, domain_index, header.get("domains") is not None):
-                batch.append(record)
-                if len(batch) == _CHUNK_ROWS:
-                    blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
-                    batch.clear()
-        except TraceError as exc:
-            fault = exc
-    # records before a line fault come first in line order, so their faults win
-    blocks.append(_batch_rows(batch, query_index, header["num_layers"], linenos))
-    batch.clear()
-    # joined one column at a time, each column's pieces dropped once joined: the column
-    # checks need room of their own
-    parts = [list(column) for column in zip(*blocks)]
-    blocks.clear()
-    rows = []
-    for column in parts:
-        rows.append(np.concatenate(column))
-        column.clear()
-    experts = tuple(header["experts_per_layer"])
+    (from byte 0 after any other first line), is decoded as text line by line in batches of
+    _CHUNK_ROWS records; a line that is not UTF-8 faults in its place in line order."""
+    batch, query_index, header, fault, rows, in_text = [], {}, None, None, None, False
     try:
-        domain, *columns = _columns(rows, len(query_index), experts)
+        with path.open("rb") as fh:
+            first, start = fh.readline(), 0
+            try:
+                line = first.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                line = ""
+            if line and b"\r" not in first:
+                header, domain_index = _parse_header(*next(json_lines([line], TraceError)))
+                rows = _Rows(header["experts_per_layer"])
+                start, tail = len(first), b""
+                while chunk := fh.read(_BLOCK_BYTES):
+                    tail += chunk
+                    del chunk  # each byte of the file is held once, and each block's rows until placed
+                    cut = tail.rfind(b"\n") + 1
+                    if cut:
+                        block = _canonical_block(memoryview(tail)[:cut], query_index, domain_index,
+                                                 header.get("domains"))
+                        if block is None:
+                            break
+                        rows.add(*block)
+                        del block
+                        start += cut
+                        tail = tail[cut:]
+            fh.seek(start)
+            text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+            # canonical rows hold no line number: row r is line r + 2
+            lines = json_lines(text, TraceError, rows.rows + 2 if header else 1)
+            if header is None:
+                top = next(lines, None)
+                if top is None:
+                    raise TraceError("file is empty (missing header line)")
+                header, domain_index = _parse_header(*top)
+                rows = _Rows(header["experts_per_layer"])
+            in_text = True  # a row fault from here on names a record of the batch
+            try:
+                for record in _file_records(lines, domain_index, header.get("domains") is not None):
+                    batch.append(record)
+                    if len(batch) == _CHUNK_ROWS:
+                        rows.add(*_batch_rows(batch, query_index, header["num_layers"]))
+                        batch.clear()
+            except TraceError as exc:
+                fault = exc
+            # records before a line fault come first in line order, so their faults win
+            rows.add(*_batch_rows(batch, query_index, header["num_layers"]))
+            batch.clear()
     except _RowFault as exc:
         row, check = exc.args
-        lineno = row + 2 if row < prefix else int(np.concatenate(linenos)[row - prefix])
+        lineno = batch[row - rows.rows][-1] if in_text else row + 2
         # the record's own values, as the file holds them; a later bad byte must not stop the read
         with path.open(encoding="utf-8", errors="surrogateescape") as fh:
             rec = next(json_lines(islice(fh, lineno - 1, None), TraceError, lineno))[1]
-        message = _fault(check, rec["query_id"], rec["layer"], rec["selected"], experts)
+        message = _fault(check, rec["query_id"], rec["layer"], rec["selected"], header["experts_per_layer"])
         raise TraceError(f"line {lineno}: {message}") from None
     if fault is not None:
         raise fault
-    return header, domain_index, query_index, (domain.astype(np.int64), *columns)
+    return header, domain_index, query_index, rows.columns()
 
 
 def ingest_traces(path: str | Path) -> RoutingTraceSet:
@@ -495,11 +581,11 @@ def ingest_traces(path: str | Path) -> RoutingTraceSet:
     if not path.exists():
         raise TraceError(f"{path}: trace file not found")
     try:
-        header, domains, query_ids, columns = _read(path)
+        header, domains, query_ids, (domain, counts, experts) = _read(path)
     except TraceError as exc:
         raise TraceError(f"{path}: {exc}") from None
     return RoutingTraceSet(header["model_id"], tuple(header["experts_per_layer"]), tuple(domains),
-                           tuple(query_ids), *columns, meta=dict(header.get("meta", {})))
+                           tuple(query_ids), domain, counts, experts, meta=dict(header.get("meta", {})))
 
 
 def _word_runs(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -567,6 +653,28 @@ def write_traces(trace_set: RoutingTraceSet, path: str | Path) -> None:
             fh.write(words[_runs(run_first.ravel(), run_count.ravel())].tobytes().translate(None, b"\0"))
 
 
+def _add_records(rows: _Rows, batch: list, query_index: dict[str, int], num_layers: int,
+                 experts_per_layer: tuple[int, ...]) -> None:
+    """Check and place a batch of build_trace_set's records, each as (query ids, domains,
+    layer, selected as given, selected as an (n, k) int16 array)."""
+    if not batch:
+        return
+    ids = list(chain.from_iterable(qids for qids, *_ in batch))
+    sizes = np.array([len(narrow) for *_, narrow in batch], np.int64)
+    layers = [layer for _, _, layer, _, _ in batch]
+    flat = batch[0][4].ravel() if len(batch) == 1 else np.concatenate([narrow.ravel() for *_, narrow in batch])
+    try:
+        rows.add(_number(ids, query_index),
+                 np.concatenate([np.asarray(dom, np.int64) for _, dom, *_ in batch]),
+                 np.repeat(_narrow(layers, np.int32, num_layers), sizes),
+                 np.repeat([narrow.shape[1] for *_, narrow in batch], sizes), flat)
+    except _RowFault as exc:
+        row = exc.args[0] - rows.rows
+        at = int(np.searchsorted(np.cumsum(sizes), row, side="right"))
+        own = [int(e) for e in batch[at][3][row - int(sizes[:at].sum())]]
+        raise TraceError(_fault(exc.args[1], ids[row], int(layers[at]), own, experts_per_layer)) from None
+
+
 def build_trace_set(model_id: str, num_layers: int, experts_per_layer: Sequence[int], domains: Sequence[str],
                     records: Iterable[tuple], meta: Mapping[str, object] | None = None) -> RoutingTraceSet:
     """Assemble a RoutingTraceSet from (query_id, domain, layer, selected) records.
@@ -575,33 +683,26 @@ def build_trace_set(model_id: str, num_layers: int, experts_per_layer: Sequence[
     many queries at one layer: a sequence of n query ids, n domains, the
     layer and an (n, k) array of selected experts, as the trace exporters
     and the synthetic generator pass them. Records are checked by the same
-    column checks as file ingestion.
+    row checks as file ingestion: a block as it comes, single records
+    _CHUNK_ROWS at a time.
     """
     experts = tuple(int(e) for e in experts_per_layer)
     domains = tuple(domains)
     _check_shape(num_layers, experts, domains, "")
-    ids, layers, given, blocks = [], [], [], []
+    rows, query_index, batch = _Rows(experts), {}, []
     for qid, dom, layer, selected in records:
-        if isinstance(qid, str):  # one record is a block of one query
+        one = isinstance(qid, str)
+        if one:  # one record is a block of one query
             qid, dom, selected = (qid,), (dom,), (selected,)
         narrow = _narrow(selected, np.int16, MAX_EXPERTS)
-        n, k = narrow.shape
-        ids.extend(qid)
-        layers.append(layer)
-        given.append(selected)
-        blocks.append((np.asarray(dom, np.int64), np.full(n, k), narrow.ravel()))
-    query_index: dict[str, int] = {}
-    query = _number(ids, query_index)
-    sizes = np.array([len(length) for _, length, _ in blocks], np.int64)
-    layer = np.repeat(_narrow(layers, np.int32, num_layers), sizes)
-    dom, length, flat = map(np.concatenate, zip(*blocks)) if blocks else [np.zeros(0, np.int16)] * 3
-    try:
-        domain, counts, selected = _columns((query, dom, layer, length, flat), len(query_index), experts)
-    except _RowFault as exc:
-        row, check = exc.args
-        block = int(np.searchsorted(np.cumsum(sizes), row, side="right"))
-        own = [int(e) for e in given[block][row - int(sizes[:block].sum())]]
-        raise TraceError(_fault(check, ids[row], int(layers[block]), own, experts)) from None
+        _, _ = narrow.shape  # (n, k), or unpacking fails
+        batch.append((qid, dom, layer, selected, narrow))
+        # a block is checked as it comes, and single records _CHUNK_ROWS at a time
+        if not one or len(batch) == _CHUNK_ROWS:
+            _add_records(rows, batch, query_index, num_layers, experts)
+            batch = []
+    _add_records(rows, batch, query_index, num_layers, experts)
+    domain, counts, selected = rows.columns()
     query_ids = tuple(query_index)
     for q in np.flatnonzero((domain < 1) | (domain > len(domains)))[:1]:
         raise TraceError(

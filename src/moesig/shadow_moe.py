@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from moesig._meta import (ConfigRecord, artifact_meta, check_fields, config_digest, field_int, field_number,
-                          is_finite_number, is_int, json_lines, parse_json)
+                          is_finite_number, is_int, is_version, json_lines, parse_json)
 from moesig._rng import substream
 from moesig.errors import ShadowMoeError
 from moesig.routing_trace import RoutingTraceSet, build_trace_set
@@ -380,7 +380,7 @@ class ShadowMoeModel:
             if magic != MODEL_MAGIC:
                 raise ShadowMoeError(f"{path}: not a shadow-moe model file")
             manifest = parse_json(fh.readline().decode("utf-8", "surrogateescape"), ShadowMoeError, str(path))
-            if not isinstance(manifest, dict) or manifest.get("version") != 1:
+            if not isinstance(manifest, dict) or not is_version(manifest.get("version"), 1):
                 raise ShadowMoeError(f"{path}: unsupported model version")
             config, tensors = manifest.get("config"), manifest.get("tensors")
             if not isinstance(config, dict) or not isinstance(tensors, list):
@@ -505,7 +505,7 @@ def read_queries(path: str | Path) -> QuerySet:
                 where = f"line {lineno}"
                 if input_dim is None:
                     version, input_dim = doc.get("schema_version"), doc.get("input_dim")
-                    if not is_int(version) or version != 1:
+                    if not is_version(version, 1):
                         raise ShadowMoeError(f"{where}: unsupported schema_version {version!r} (supported: 1)")
                     if doc.get("kind") != "query-set" or not is_int(input_dim) or input_dim < 1:
                         raise ShadowMoeError(f"{where}: expected a query-set header with an input_dim")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from moesig._meta import is_finite_number, is_int, read_json, write_csv
+from moesig._meta import is_finite_number, is_int, is_version, read_json, write_csv
 from moesig.errors import SignatureError
 from moesig.routing_trace import RoutingTraceSet, ingest_traces
 
@@ -298,7 +298,8 @@ def load_bundle(path: str | Path) -> SignatureBundle:
     """
     doc = read_json(path, SignatureError)
     try:
-        if not isinstance(doc, dict) or doc.get("format") != "moesig-signatures" or doc.get("version") != 1:
+        if (not isinstance(doc, dict) or doc.get("format") != "moesig-signatures"
+                or not is_version(doc.get("version"), 1)):
             raise SignatureError("not a version-1 signature file")
         layer, labels, num_experts = doc["layer"], doc["domains"], doc["num_experts"]
         spec_doc, collab_doc = doc["specialization"], doc["collaboration"]

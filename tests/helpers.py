@@ -1,8 +1,9 @@
-"""Shared random-data builders and small test-only aggregations for the test suite."""
+"""Shared random-data builders, small test-only aggregations and a tracemalloc measure for the test suite."""
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 from typing import Sequence
 
@@ -14,6 +15,19 @@ from moesig.shadow_moe import ShadowMoeModel, _balance_penalty, _layer_params, _
 from moesig.signatures import NORMALIZATION_TOL, CollaborationMatrix, SpecializationProfile
 
 from _oracles import query_traces
+
+
+def traced_peak(fn):
+    """``fn()`` under tracemalloc: its result, then the bytes still allocated after it and the
+    peak, both counted from the call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - start, peak - start
 
 
 def domain_counts(traces: RoutingTraceSet) -> list[int]:

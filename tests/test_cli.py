@@ -134,6 +134,14 @@ def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+# a signature file that loads, of two experts in one domain
+SIGNATURES = {
+    "format": "moesig-signatures", "version": 1, "layer": 0, "num_experts": 2, "domains": ["d1"],
+    "specialization": {"matrix": [[0.5], [0.5]], "kappa_per_domain": [2.0], "counts": [1]},
+    "collaboration": {"matrix": [[0.0, 0.5], [0.5, 0.0]], "pair_normalizer": 2.0, "zero_mass": False},
+    "meta": {},
+}
+SELF_DISTANCE = ["distance", "--teacher", "s.json", "--student", "s.json", "--out", "d.json"]
 SWEEP = ["sweep", "--grid", "grid.json", "--out", "t.csv"]
 REPORT = ["report", "--benchmark", ".", "--out", "r.csv"]
 PIPELINE = dict(
@@ -301,37 +309,41 @@ MALFORMED_CONFIGS = [
                  "unknown mlp oracle spec field(s): ['hiden_dim']", id="oracle-unknown-field"),
     pytest.param(*train_proxy_case(oracle={"kind": "linear", "seed": 2, "hidden_dim": 4}),
                  "unknown linear oracle spec field(s): ['hidden_dim']", id="oracle-field-of-other-kind"),
-    pipeline_case({"separaton": 2.5}, "unknown pipeline config field(s): ['separaton']",
+    pipeline_case({"separaton": 2.5}, "p.json: unknown pipeline config field(s): ['separaton']",
                   "pipeline-unknown-field"),
-    pipeline_case({"oracle": {"hidden_dimm": 3}}, "unknown pipeline oracle field(s): ['hidden_dimm']",
+    pipeline_case({"oracle": {"hidden_dimm": 3}}, "p.json: unknown pipeline oracle field(s): ['hidden_dimm']",
                   "pipeline-oracle-unknown-field"),
     # the pipeline derives each fit's seed and the proxy's dimensions, so setting them would do nothing
     pipeline_case({"proxy": {**PIPELINE["proxy"], "seed": 123, "input_dim": 99, "output_dim": 7}},
-                  "pipeline config field(s) ['proxy.seed', 'proxy.input_dim', 'proxy.output_dim'] are derived",
+                  "p.json: pipeline config field(s) ['proxy.seed', 'proxy.input_dim', 'proxy.output_dim'] are derived",
                   "pipeline-proxy-derived-fields"),
-    pipeline_case({"seed": "x"}, "seed must be an integer >= 0, got 'x'", "pipeline-seed-string"),
-    pipeline_case({"proxy": 5}, "'proxy' and 'oracle'", "pipeline-proxy-number"),
-    pipeline_case({"oracle": [1]}, "'proxy' and 'oracle'", "pipeline-oracle-list"),
-    pipeline_case({"n_per_domain": "3"}, "n_per_domain must be an integer >= 1, got '3'", "pipeline-count-string"),
-    pipeline_case({"separation": "2"}, "separation must be a number, got '2'", "pipeline-separation-string"),
+    pipeline_case({"seed": "x"}, "p.json: seed must be an integer >= 0, got 'x'", "pipeline-seed-string"),
+    pipeline_case({"proxy": 5}, "p.json: pipeline config needs 'proxy' and 'oracle'", "pipeline-proxy-number"),
+    pipeline_case({"oracle": [1]}, "p.json: pipeline config needs 'proxy' and 'oracle'", "pipeline-oracle-list"),
+    pipeline_case({"n_per_domain": "3"}, "p.json: n_per_domain must be an integer >= 1, got '3'",
+                  "pipeline-count-string"),
+    pipeline_case({"separation": "2"}, "p.json: separation must be a number, got '2'",
+                  "pipeline-separation-string"),
     # the pipeline's oracle and proxy word a field fault as every config record does
-    pipeline_case({"oracle": {"hidden_dim": 0}}, "hidden_dim must be an integer >= 1, got 0",
+    pipeline_case({"oracle": {"hidden_dim": 0}}, "p.json: hidden_dim must be an integer >= 1, got 0",
                   "pipeline-oracle-hidden-zero"),
     # queries that overflow are refused before anything is written
-    pipeline_case({"separation": 1e308, "spread": 1e308}, "give queries that are not finite",
+    pipeline_case({"separation": 1e308, "spread": 1e308},
+                  "p.json: separation 1e+308 and spread 1e+308 give queries that are not finite",
                   "pipeline-queries-overflow"),
-    pipeline_case({"mode": "fastest"}, "unknown mode 'fastest'", "pipeline-unknown-mode"),
+    pipeline_case({"mode": "fastest"}, "p.json: unknown mode 'fastest'", "pipeline-unknown-mode"),
     pipeline_case({"mode": "exact", "proxy": {**PIPELINE["proxy"], "experts_per_layer": 12}},
-                  "capped at 10 experts", "pipeline-exact-above-cap"),
-    pipeline_case({"layer_policy": "middle"}, "unknown layer policy 'middle'",
+                  "p.json: exact enumeration is capped at 10 experts", "pipeline-exact-above-cap"),
+    pipeline_case({"layer_policy": "middle"}, "p.json: unknown layer policy 'middle'",
                   "pipeline-unknown-layer-policy"),
     # "²".isdigit() holds, but int() refuses it
-    pipeline_case({"layer_policy": "²"}, "unknown layer policy '²'", "pipeline-superscript-layer-policy"),
+    pipeline_case({"layer_policy": "²"}, "p.json: unknown layer policy '²'",
+                  "pipeline-superscript-layer-policy"),
     # a config's object, missing-key and unknown-key checks run in that order
-    pytest.param({"p.json": [PIPELINE]}, RUN_PIPELINE, "pipeline config must be a JSON object",
+    pytest.param({"p.json": [PIPELINE]}, RUN_PIPELINE, "p.json: pipeline config must be a JSON object",
                  id="pipeline-not-object"),
     pytest.param({"p.json": {**without(PIPELINE, "seed"), "sed": 1}}, RUN_PIPELINE,
-                 "pipeline config is missing field(s) ['seed']", id="pipeline-missing-before-unknown"),
+                 "p.json: pipeline config is missing field(s) ['seed']", id="pipeline-missing-before-unknown"),
     pytest.param({"grid.json": {"configs": [{**without(SCENARIO, "top_k"), "relatedness": 0.5, "topk": 2}]}},
                  SWEEP, "grid.json: scenario config is missing field(s) ['top_k']",
                  id="grid-config-missing-before-unknown"),
@@ -379,6 +391,15 @@ MALFORMED_CONFIGS = [
                  "manifest.json: manifest meta must be a JSON object", id="report-meta-not-object"),
     pytest.param({"manifest.json": {"format": "other", "version": 7, "teacher": "t.jsonl", "pairs": PAIRS}},
                  REPORT, "manifest.json: not a version-1 benchmark manifest", id="report-manifest-version"),
+    # true and 1.0 equal 1 in Python, but a version is the JSON integer 1
+    pytest.param({"s.json": {**SIGNATURES, "version": True}}, SELF_DISTANCE,
+                 "s.json: not a version-1 signature file", id="signatures-version-true"),
+    pytest.param({"s.json": {**SIGNATURES, "version": 1.0}}, SELF_DISTANCE,
+                 "s.json: not a version-1 signature file", id="signatures-version-float"),
+    pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"version":1', b'"version":true')),
+                 "model.bin: unsupported model version", id="model-version-true"),
+    pytest.param({"manifest.json": {"version": True, "teacher": "t.jsonl", "pairs": PAIRS}}, REPORT,
+                 "manifest.json: not a version-1 benchmark manifest", id="report-manifest-version-true"),
 ]
 
 
@@ -610,6 +631,11 @@ class TestMalformedInput:
         assert expected in message and "\n" not in message
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == inputs  # nothing written
+
+    def test_signature_file_of_the_malformed_cases_loads(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "s.json", SIGNATURES)
+        assert dispatch(SELF_DISTANCE) == 0
 
     def test_detect_superscript_layer_index(self, tmp_path, monkeypatch, caplog, capsys):
         # "²".isdigit() holds, but int() refuses it

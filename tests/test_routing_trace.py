@@ -3,7 +3,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from moesig.signatures import compute_specialization
 from moesig.synthgen import ScenarioConfig, generate_scenario
 
 from _oracles import canonical_captures, naive_write_traces, query_traces
-from helpers import domain_counts, random_trace_set, reference_write_traces
+from helpers import domain_counts, random_trace_set, reference_write_traces, traced_peak
 
 HEADER = {
     "schema_version": 1,
@@ -602,9 +601,10 @@ def e64_scenario():
     return generate_scenario(E64_SHAPE)
 
 
-@pytest.mark.parametrize("block_bytes", [routing_trace._BLOCK_BYTES, 4096, 333])
+@pytest.mark.parametrize("block_bytes", [routing_trace._BLOCK_BYTES, 2 * routing_trace._BLOCK_BYTES, 4096, 333])
 def test_trace_at_real_shape_reads_the_same_both_ways(tmp_path, monkeypatch, e64_scenario, block_bytes):
-    # E = 64, k = 8 and 16 layers: experts and layers of one and two digits
+    # E = 64, k = 8 and 16 layers: experts and layers of one and two digits, in blocks of the
+    # reader's size, twice it and a few lines
     monkeypatch.setattr(routing_trace, "_BLOCK_BYTES", block_bytes)
     for name in ("teacher", "distilled", "scratch"):
         built = getattr(e64_scenario, name)
@@ -801,8 +801,8 @@ def test_wide_values_reach_the_range_checks(tmp_path, record, message):
 
 def test_validating_reader_memory_is_bounded(tmp_path, monkeypatch):
     # 20000 records of 16 experts in the non-canonical layout; batches are narrowed to
-    # int16 experts and 32-bit rows once converted, and freed before the column checks:
-    # the tracemalloc peak is about 4.6 MB, against 10.2 MB with int64 rows kept twice
+    # int16 experts and 32-bit rows once converted, and checked and placed before the next:
+    # the tracemalloc peak is about 1.8 MB, against 10.2 MB with int64 rows kept twice
     monkeypatch.setattr(routing_trace, "_CHUNK_ROWS", 1024)
     header = {**HEADER, "num_layers": 8, "experts_per_layer": [64] * 8}
     records = [
@@ -811,20 +811,15 @@ def test_validating_reader_memory_is_bounded(tmp_path, monkeypatch):
     ]
     path = tmp_path / "t.jsonl"
     write_lines(path, header, records)
-    tracemalloc.start()
-    try:
-        ts = ingest_traces(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ts, _, peak = traced_peak(lambda: ingest_traces(path))
     assert ts.num_queries == 2500 and all(len(e) == 2500 * 16 for e in ts.experts)
     assert peak < 6.5e6
 
 
 def test_canonical_reader_memory_is_bounded(tmp_path, monkeypatch):
-    # 20000 canonical records of 16 experts; each 256 KB block is parsed as bytes into
-    # int32 rows and int16 experts, and the blocks are freed before the column checks:
-    # the tracemalloc peak is about 3.8 MB, against 9.3 MB with a regular expression's
+    # 20000 canonical records of 16 experts; each 128 KB block is parsed as bytes into
+    # int32 rows and int16 experts, which are checked and placed before the next block:
+    # the tracemalloc peak is about 2.2 MB, against 9.3 MB with a regular expression's
     # string captures, 1 MB blocks and int64 rows
     monkeypatch.setattr(routing_trace, "_CHUNK_ROWS", 1024)
     header = {**HEADER, "num_layers": 8, "experts_per_layer": [64] * 8}
@@ -836,36 +831,51 @@ def test_canonical_reader_memory_is_bounded(tmp_path, monkeypatch):
     path.write_text("\n".join([json.dumps(header)] + [json.dumps(r, separators=(",", ":")) for r in records])
                     + "\n", encoding="utf-8")
     assert read_canonically(path)
-    tracemalloc.start()
-    try:
-        ts = ingest_traces(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ts, _, peak = traced_peak(lambda: ingest_traces(path))
     assert ts.num_queries == 2500 and all(len(e) == 2500 * 16 for e in ts.experts)
     assert peak < 6.5e6
 
 
 def test_column_checks_memory_is_bounded():
-    # 64000 rows of 8 experts (4000 queries at 16 layers, 2.05 MB of rows): the experts are
-    # sorted in place with int32 keys and repeated (query, layer) pairs are found one layer at
-    # a time, from each layer's rows put in query order once, so past the 1.30 MB of outputs
-    # the tracemalloc peak adds about 1.8 MB, 0.5 MB of it those orders; int64 pair keys
-    # argsorted over all rows and a second expert array added 6.5 MB
+    # one block of 64000 rows of 8 experts (4000 queries at 16 layers, 2.05 MB of rows): the
+    # experts are sorted in place with int32 keys, a repeated (query, layer) pair is found from
+    # the count its first row placed, and each layer's experts are cut from one gather in layer
+    # order, so past the 1.30 MB of outputs the tracemalloc peak adds about 1.8 MB; int64 pair
+    # keys argsorted over all rows and a second expert array added 6.5 MB
     n, layers, k = 4000, 16, 8
     query = np.arange(n, dtype=np.int32)
     rows = (np.repeat(query, layers), np.repeat(query % 9 + 1, layers),
             np.tile(np.arange(layers, dtype=np.int32), n), np.full(n * layers, k, np.int32),
             ((np.arange(n * layers)[:, None] * 5 + np.arange(k) * 7) % 64).astype(np.int16).ravel())
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        domain, counts, selected = routing_trace._columns(rows, n, (64,) * layers)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+
+    def check():
+        placed = routing_trace._Rows((64,) * layers)
+        placed.add(*rows)
+        return placed.columns()
+
+    (domain, counts, selected), _, peak = traced_peak(check)
     assert [len(e) for e in selected] == [n * k] * layers and domain.tolist() == (np.arange(n) % 9 + 1).tolist()
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("queries", [2500, 10000])
+def test_read_transient_does_not_grow_with_the_file(tmp_path, queries):
+    # 20000 and 80000 records of 16 experts, not all rising, at 8 layers: rows are checked and
+    # placed one block at a time, so past the returned set (0.9 and 3.6 MB) the tracemalloc
+    # peak adds about 1.3 and 1.6 MB for a read and 0.7 and 1.7 MB for build_trace_set, against
+    # 3.0 and 7.3 MB for a read and 4.6 and 12.3 MB for a build when every row was held until
+    # all were checked
+    ids, doms = [f"q{q}" for q in range(queries)], np.arange(queries) % 9 + 1
+    records = [(ids, doms, layer, (np.arange(queries)[:, None] * 5 + np.arange(16) * 3 + layer) % 64)
+               for layer in range(8)]
+    built, held, peak = traced_peak(
+        lambda: build_trace_set("m", 8, (64,) * 8, tuple(f"d{j}" for j in range(1, 10)), records))
+    assert peak - held <= 2.5e6
+    path = tmp_path / "t.jsonl"
+    write_traces(built, path)
+    ts, held, peak = traced_peak(lambda: ingest_traces(path))
+    assert ts == built
+    assert peak - held <= 2.5e6
 
 
 def test_write_memory_is_bounded(tmp_path):
@@ -877,13 +887,7 @@ def test_write_memory_is_bounded(tmp_path):
     records = [(ids, doms, layer, (np.arange(n)[:, None] * 5 + np.arange(8) * 7 + layer) % 64)
                for layer in range(layers)]
     ts = build_trace_set("m", layers, (64,) * layers, tuple(f"d{j}" for j in range(1, 10)), records)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        write_traces(ts, tmp_path / "t.jsonl")
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_peak(lambda: write_traces(ts, tmp_path / "t.jsonl"))
     assert ingest_traces(tmp_path / "t.jsonl") == ts
     assert peak < 3e6
 

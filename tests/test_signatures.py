@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from moesig.signatures import (
 from moesig.transport import signature_distances
 
 from _oracles import naive_collaboration, naive_specialization
-from helpers import drop_domains, random_trace_set, relabel_traces, selection_frequency
+from helpers import drop_domains, random_trace_set, relabel_traces, selection_frequency, traced_peak
 
 
 def make_traces(records, num_experts=4, num_layers=1, domains=("d1",)):
@@ -397,12 +396,7 @@ def block_trace_set(n, num_experts, k, seed=0):
 def test_signature_bundle_memory_is_bounded():
     # a dense float64 (n, E) activation matrix of this set alone takes 205 MB
     ts = block_trace_set(100_000, 256, 8)
-    tracemalloc.start()
-    try:
-        bundle = signature_bundle(ts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bundle, _, peak = traced_peak(lambda: signature_bundle(ts))
     assert peak < 50e6
     assert bundle.collab.pair_normalizer == 56.0
     assert np.array_equal(bundle.spec.kappa_per_domain, [8.0, 8.0, 8.0])

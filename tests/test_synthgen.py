@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import filecmp
 import hashlib
-import tracemalloc
 
 import pytest
 
@@ -21,7 +20,7 @@ from moesig.synthgen import (
 from moesig.transport import signature_distance
 
 from _oracles import query_traces
-from helpers import summarize_sweep
+from helpers import summarize_sweep, traced_peak
 
 BASE = dict(
     num_experts=8,
@@ -120,12 +119,7 @@ class TestGenerate:
         cfg = ScenarioConfig(
             num_experts=128, num_layers=8, top_k=8, num_domains=9, n_per_domain=500, relatedness=0.5
         )
-        tracemalloc.start()
-        try:
-            generate_scenario(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(lambda: generate_scenario(cfg))
         assert peak < 48 * 2**20
 
     # sha256 of the write_scenario directory: a change to any draw, the weight
