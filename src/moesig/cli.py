@@ -142,10 +142,18 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_train_proxy(args) -> int:
-    from moesig.routing_trace import write_traces
+    from moesig.routing_trace import MAX_EXPERTS, write_traces
     from moesig.shadow_moe import ShadowMoeConfig, build_oracle, export_traces, read_queries, train_proxy
 
-    config = _read_config(args.config, ShadowMoeConfig.from_dict)
+    def proxy_config(doc) -> ShadowMoeConfig:
+        # with --traces, a layer past the trace format's expert cap would fail only after training
+        config = ShadowMoeConfig.from_dict(doc)
+        most = max(config.experts_per_layer)
+        if args.traces and most > MAX_EXPERTS:
+            raise MoesigError(f"experts_per_layer must be at most {MAX_EXPERTS}, got {most}")
+        return config
+
+    config = _read_config(args.config, proxy_config)
     oracle = _read_config(args.oracle, build_oracle, Path(args.oracle).parent, config)
     queries = read_queries(args.queries)
     model, losses = train_proxy(oracle, queries.inputs, config)

@@ -45,7 +45,7 @@ from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import KINDS, BenchmarkReport, run_benchmark
 from moesig.errors import MoesigError
-from moesig.routing_trace import RoutingTraceSet, write_traces
+from moesig.routing_trace import MAX_EXPERTS, RoutingTraceSet, write_traces
 from moesig.shadow_moe import (
     QuerySet,
     ShadowMoeConfig,
@@ -193,6 +193,10 @@ def _pipeline_plan(doc) -> _Plan:
     mode = doc.get("mode", "auto")
     # an unknown mode, or exact mode above the enumeration cap, would fail only after every fit
     _resolve_mode(mode, proxy.experts_per_layer[resolve_layer(layer_policy, proxy.num_layers)])
+    # and so would a layer past the trace format's expert cap, when the fits' traces are exported
+    most = max(proxy.experts_per_layer)
+    if most > MAX_EXPERTS:
+        raise MoesigError(f"experts_per_layer must be at most {MAX_EXPERTS}, got {most}")
     queries = gaussian_domain_queries(
         seed=_sub_seed(seed, "pipeline-queries"),
         num_domains=num_domains,
@@ -290,6 +294,8 @@ def read_benchmark(
         raise MoesigError(f"{path}: manifest needs a string 'teacher' trace file, got {teacher!r}")
     if not isinstance(pairs, dict):
         raise MoesigError(f"{path}: manifest needs a 'pairs' object, got {pairs!r}")
+    if not pairs:
+        raise MoesigError(f"{path}: manifest needs at least one candidate pair")
     for domain, entry in pairs.items():
         if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in KINDS):
             raise MoesigError(f"{path}: pair {domain!r} needs string 'kd' and 'scratch' files")

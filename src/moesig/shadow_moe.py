@@ -159,6 +159,12 @@ def _param_shapes(config: ShadowMoeConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes + [("w_out", (o, h)), ("b_out", (o,))]
 
 
+def _manifest(config: ShadowMoeConfig) -> dict:
+    """A model file's manifest line: its config, and its tensors in the order of :func:`_param_shapes`."""
+    return {"format": "shadow-moe-model", "version": 1, "config": config.to_dict(),
+            "tensors": [{"name": name, "shape": list(shape)} for name, shape in _param_shapes(config)]}
+
+
 def _param_views(buffer: np.ndarray, config: ShadowMoeConfig) -> list[np.ndarray]:
     """Each tensor of :func:`_param_shapes` as a view of ``buffer``'s last axis, leading axes kept."""
     lead, views, start = buffer.shape[:-1], [], 0
@@ -356,18 +362,11 @@ class ShadowMoeModel:
 
     def save(self, path: str | Path) -> None:
         """Versioned binary: magic, JSON manifest line, raw float64 tensors."""
-        items = self.param_items()
-        manifest = {
-            "format": "shadow-moe-model",
-            "version": 1,
-            "config": self.config.to_dict(),
-            "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in items],
-        }
         with Path(path).open("wb") as fh:
             fh.write(MODEL_MAGIC)
-            fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+            fh.write(json.dumps(_manifest(self.config), sort_keys=True, separators=(",", ":")).encode("utf-8"))
             fh.write(b"\n")
-            for _, arr in items:
+            for _, arr in self.param_items():
                 buf = np.ascontiguousarray(arr, dtype="<f8").tobytes()
                 fh.write(struct.pack("<Q", len(buf)))
                 fh.write(buf)
@@ -389,22 +388,21 @@ class ShadowMoeModel:
                 model = cls._zeros(ShadowMoeConfig.from_dict(config))
             except ShadowMoeError as exc:
                 raise ShadowMoeError(f"{path}: {exc}") from None
-            named = dict(model.param_items())
-            for entry in tensors:
-                name = entry.get("name") if isinstance(entry, dict) else None
-                if not isinstance(name, str) or name not in named:
-                    raise ShadowMoeError(f"{path}: unknown or repeated tensor {name!r}")
-                target = named.pop(name)
-                if entry.get("shape") != list(target.shape):
-                    raise ShadowMoeError(f"{path}: tensor {name} shape mismatch")
+            expected = _manifest(model.config)["tensors"]
+            if tensors != expected:  # one line names the first entry that differs, else the two counts
+                index = next((i for i, pair in enumerate(zip(tensors, expected)) if pair[0] != pair[1]), None)
+                fault = (f"has {len(tensors)} entries, the config gives {len(expected)}" if index is None else
+                         f"entry {index} is {tensors[index]!r}, the config gives {expected[index]!r}")
+                raise ShadowMoeError(f"{path}: tensor list {fault}")
+            for name, target in model.param_items():
                 # the stored size is checked before reading, so a corrupt one allocates nothing
                 size_ok = fh.read(8) == struct.pack("<Q", target.nbytes)
                 buf = fh.read(target.nbytes) if size_ok else b""
                 if len(buf) != target.nbytes:
                     raise ShadowMoeError(f"{path}: tensor {name} is truncated or mis-sized")
                 target[...] = np.frombuffer(buf, dtype="<f8").reshape(target.shape)
-            if named:
-                raise ShadowMoeError(f"{path}: missing tensor(s) {sorted(named)}")
+            if fh.read(1):
+                raise ShadowMoeError(f"{path}: bytes follow the last tensor")
         return model
 
     @property

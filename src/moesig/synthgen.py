@@ -37,7 +37,7 @@ from moesig._pool import parallel_map_runs
 from moesig._rng import substream
 from moesig.detector import pair_verdict, score
 from moesig.errors import ScenarioError
-from moesig.routing_trace import RoutingTraceSet, build_trace_set, write_traces
+from moesig.routing_trace import MAX_EXPERTS, RoutingTraceSet, build_trace_set, write_traces
 from moesig.signatures import LayerPolicy, signature_bundle
 from moesig.transport import SignatureDistance, signature_distances
 
@@ -66,6 +66,8 @@ class ScenarioConfig(ConfigRecord):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.num_experts > MAX_EXPERTS:
+            raise ScenarioError(f"num_experts must be at most {MAX_EXPERTS}, got {self.num_experts}")
         if not isinstance(self.permute_labels, bool):
             raise ScenarioError(f"permute_labels must be a boolean, got {self.permute_labels!r}")
         if self.top_k > self.num_experts:
@@ -229,7 +231,8 @@ def expand_grid(doc: dict) -> list[ScenarioConfig]:
     A grid is either ``{"configs": [<scenario config>, ...]}`` or a ``base``
     scenario config crossed with a ``rho`` list of relatedness values and a
     ``seeds`` list (each defaults to the base's own value). A malformed grid,
-    or one with another field, raises ScenarioError.
+    one with another field, or one that expands to no config raises
+    ScenarioError.
     """
     listed = isinstance(doc, dict) and "configs" in doc
     check_fields(doc, ("configs",) if listed else ("base", "rho", "seeds"), ScenarioError, "sweep grid",
@@ -237,19 +240,20 @@ def expand_grid(doc: dict) -> list[ScenarioConfig]:
     if listed:
         if not isinstance(doc["configs"], list):
             raise ScenarioError("sweep grid 'configs' must be a list of scenario configs")
-        return [ScenarioConfig.from_dict(c) for c in doc["configs"]]
-    base = doc["base"]
-    if not isinstance(base, dict):
-        raise ScenarioError("sweep grid needs a 'base' scenario config object or a 'configs' list")
-    rhos = doc.get("rho", [base.get("relatedness", 1.0)])
-    seeds = doc.get("seeds", [base.get("seed", 0)])
-    if not isinstance(rhos, list) or not isinstance(seeds, list):
-        raise ScenarioError("sweep grid 'rho' and 'seeds' must be lists")
-    return [
-        ScenarioConfig.from_dict({**base, "relatedness": rho, "seed": seed})
-        for rho in rhos
-        for seed in seeds
-    ]
+        configs = [ScenarioConfig.from_dict(c) for c in doc["configs"]]
+    else:
+        base = doc["base"]
+        if not isinstance(base, dict):
+            raise ScenarioError("sweep grid needs a 'base' scenario config object or a 'configs' list")
+        rhos = doc.get("rho", [base.get("relatedness", 1.0)])
+        seeds = doc.get("seeds", [base.get("seed", 0)])
+        if not isinstance(rhos, list) or not isinstance(seeds, list):
+            raise ScenarioError("sweep grid 'rho' and 'seeds' must be lists")
+        configs = [ScenarioConfig.from_dict({**base, "relatedness": rho, "seed": seed})
+                   for rho in rhos for seed in seeds]
+    if not configs:
+        raise ScenarioError("sweep grid expands to no scenario config")
+    return configs
 
 
 def _sweep_row(config: ScenarioConfig, distilled: SignatureDistance, scratch: SignatureDistance) -> dict:

@@ -7,8 +7,10 @@ import json
 import logging
 import math
 import struct
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -78,8 +80,9 @@ SCENARIO = dict(num_experts=4, num_layers=1, top_k=2, num_domains=2, n_per_domai
 PAIRS = {"d1": {"kd": "kd.jsonl", "scratch": "scratch.jsonl"}}
 
 
-def train_proxy_case(proxy=PROXY, oracle=None, model=None):
-    """Files and arguments of a ``train-proxy`` run; ``model`` maps a saved model's bytes."""
+def train_proxy_case(proxy=PROXY, oracle=None, model=None, options=()):
+    """Files and arguments of a ``train-proxy`` run with further ``options``; ``model`` maps a saved
+    model's bytes."""
     files = {
         "queries.jsonl": QUERY_FILE,
         "proxy.json": proxy,
@@ -89,7 +92,7 @@ def train_proxy_case(proxy=PROXY, oracle=None, model=None):
         files["oracle.json"] = {"kind": "shadow-model", "path": "model.bin"}
         files["model.bin"] = model
     argv = ["train-proxy", "--oracle", "oracle.json", "--queries", "queries.jsonl",
-            "--config", "proxy.json", "--out", "m.bin"]
+            "--config", "proxy.json", "--out", "m.bin", *options]
     return files, argv
 
 
@@ -107,10 +110,24 @@ def overflowing(*prefixes):
     return change
 
 
+def tensor_list(change, num_layers=1):
+    """Map any bytes to those of PROXY's seeded model at ``num_layers`` layers, whose manifest lists
+    the tensors that ``change`` makes of its tensor list; the tensor bytes stay as saved."""
+    def build(_saved):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.bin")
+            ShadowMoeModel.initialize(ShadowMoeConfig(**{**PROXY, "num_layers": num_layers})).save(path)
+            magic, manifest, body = path.read_bytes().split(b"\n", 2)
+        doc = json.loads(manifest)
+        doc["tensors"] = change(doc["tensors"])
+        return b"\n".join([magic, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode(), body])
+    return build
+
+
 def queries_case(text, *options):
     """A ``train-proxy`` run on the query file ``text``, with further options."""
-    files, argv = train_proxy_case()
-    return {**files, "queries.jsonl": text}, argv + list(options)
+    files, argv = train_proxy_case(options=options)
+    return {**files, "queries.jsonl": text}, argv
 
 
 def diagonal_mass(doc):
@@ -211,7 +228,8 @@ MALFORMED_CONFIGS = [
                                                              f'"experts_per_layer":[{10**17}]'.encode())),
                  "model.bin: a proxy of", id="model-experts-past-array-limit"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"w_in"', b'"w_xx"')),
-                 "unknown or repeated tensor 'w_xx'", id="model-unknown-tensor"),
+                 "model.bin: tensor list entry 0 is {'name': 'w_xx', 'shape': [16, 2]}, "
+                 "the config gives {'name': 'w_in', 'shape': [16, 2]}", id="model-unknown-tensor"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"top_k":[2]', b'"top_k":["2"]')),
                  "top_k must be an integer or a list", id="model-bad-config"),
     pytest.param(*train_proxy_case(model=lambda m: m[:m.index(b"\n") + 1] + DEEP.encode() + b"\n"),
@@ -366,6 +384,24 @@ MALFORMED_CONFIGS = [
                  "s.json: top_k must be an integer >= 1, got 0", id="synth-top-k-zero"),
     pytest.param({"grid.json": {"base": SCENARIO, "rho": [0.5], "seeds": [-1]}}, SWEEP,
                  "grid.json: seed must be an integer >= 0, got -1", id="grid-seed-negative"),
+    pytest.param({"grid.json": {"base": SCENARIO, "rho": []}}, SWEEP,
+                 "grid.json: sweep grid expands to no scenario config", id="grid-rho-empty"),
+    pytest.param({"grid.json": {"base": SCENARIO, "seeds": []}}, SWEEP,
+                 "grid.json: sweep grid expands to no scenario config", id="grid-seeds-empty"),
+    pytest.param({"grid.json": {"configs": []}}, SWEEP,
+                 "grid.json: sweep grid expands to no scenario config", id="grid-configs-empty"),
+    # trace files store experts as int16: a config past that cap is refused before anything runs
+    pytest.param({"s.json": {**SCENARIO, "relatedness": 0.5, "num_experts": 40000}},
+                 ["synth", "--config", "s.json", "--out-dir", "out"],
+                 "s.json: num_experts must be at most 32767, got 40000", id="synth-experts-past-trace-cap"),
+    pytest.param({"grid.json": {"base": {**SCENARIO, "num_experts": 40000}, "rho": [0.5]}}, SWEEP,
+                 "grid.json: num_experts must be at most 32767, got 40000", id="grid-experts-past-trace-cap"),
+    pipeline_case({"proxy": {**PIPELINE["proxy"], "experts_per_layer": 40000}},
+                  "p.json: experts_per_layer must be at most 32767, got 40000", "pipeline-experts-past-trace-cap"),
+    pytest.param(*train_proxy_case({**PROXY, "experts_per_layer": 40000, "hidden_dim": 4, "epochs": 1},
+                                   options=("--traces", "tr.jsonl")),
+                 "proxy.json: experts_per_layer must be at most 32767, got 40000",
+                 id="proxy-traces-past-trace-cap"),
     # query, model, trace and benchmark files
     pytest.param(*queries_case(""), "queries.jsonl: empty query file", id="queries-empty-file"),
     pytest.param(*queries_case(QUERY_FILE + "[1]\n"), "queries.jsonl: line 3: expected a JSON object",
@@ -378,9 +414,20 @@ MALFORMED_CONFIGS = [
                  "model.bin: unsupported model version", id="model-unsupported-version"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b'"name":"w_in","shape":[16,2]',
                                                              b'"name":"w_in","shape":[16,3]')),
-                 "model.bin: tensor w_in shape mismatch", id="model-shape-mismatch"),
+                 "model.bin: tensor list entry 0 is {'name': 'w_in', 'shape': [16, 3]}, "
+                 "the config gives {'name': 'w_in', 'shape': [16, 2]}", id="model-shape-mismatch"),
     pytest.param(*train_proxy_case(model=lambda m: m.replace(b',{"name":"b_out","shape":[1]}', b"")),
-                 "model.bin: missing tensor(s) ['b_out']", id="model-missing-tensor"),
+                 "model.bin: tensor list has 8 entries, the config gives 9", id="model-missing-tensor"),
+    # a model file is read in the tensor order of its config: expert_d.0 and router.1 share a shape,
+    # so their swapped entries would load each one's values into the other
+    pytest.param(*train_proxy_case(model=tensor_list(lambda t: t[:6] + [t[7], t[6]] + t[8:], num_layers=2)),
+                 "model.bin: tensor list entry 6 is {'name': 'router.1', 'shape': [4, 16]}, "
+                 "the config gives {'name': 'expert_d.0', 'shape': [4, 16]}", id="model-swapped-tensors"),
+    pytest.param(*train_proxy_case(model=tensor_list(lambda t: t[:2] + t[1:])),
+                 "model.bin: tensor list entry 2 is {'name': 'b_in', 'shape': [16]}, "
+                 "the config gives {'name': 'router.0', 'shape': [4, 16]}", id="model-repeated-tensor"),
+    pytest.param(*train_proxy_case(model=lambda m: m + b"JUNKJUNKJUNK"),
+                 "model.bin: bytes follow the last tensor", id="model-trailing-bytes"),
     pytest.param({"t.jsonl": trace_text() + "[1]\n"}, INGEST, "t.jsonl: line 3: expected a JSON object",
                  id="trace-record-not-object"),
     pytest.param({"t.jsonl": "[1]\n"}, INGEST, "t.jsonl: line 1: expected a JSON object",
@@ -391,6 +438,8 @@ MALFORMED_CONFIGS = [
                  "manifest.json: manifest meta must be a JSON object", id="report-meta-not-object"),
     pytest.param({"manifest.json": {"format": "other", "version": 7, "teacher": "t.jsonl", "pairs": PAIRS}},
                  REPORT, "manifest.json: not a version-1 benchmark manifest", id="report-manifest-version"),
+    pytest.param({"manifest.json": {"teacher": "t.jsonl", "pairs": {}}, "t.jsonl": trace_text()}, REPORT,
+                 "manifest.json: manifest needs at least one candidate pair", id="report-pairs-empty"),
     # true and 1.0 equal 1 in Python, but a version is the JSON integer 1
     pytest.param({"s.json": {**SIGNATURES, "version": True}}, SELF_DISTANCE,
                  "s.json: not a version-1 signature file", id="signatures-version-true"),

@@ -43,6 +43,8 @@ class TestConfig:
             ScenarioConfig(**{**BASE, "layer_bias": (0.5,) * 3})
         with pytest.raises(ScenarioError):
             ScenarioConfig(**{**BASE, "layer_bias": (2.0,)})
+        with pytest.raises(ScenarioError, match="num_experts must be at most 32767, got 32768"):
+            ScenarioConfig(**{**BASE, "num_experts": 32768})
 
     def test_dict_roundtrip(self):
         cfg = ScenarioConfig(**{**BASE, "layer_bias": (1.0,)})
